@@ -5,7 +5,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck bench-ml all
+.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck bench-ml bench-smoke all
 
 all: lint test
 
@@ -73,3 +73,10 @@ bench-ml:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		benchmarks/bench_ablation_incremental.py \
 		benchmarks/bench_ablation_solvers.py
+
+# The repo benchmark (`python3 -m bench`, contract in BENCHMARK.json) at
+# smoke scale: it drives the engine through the documented public API only
+# and lives outside tier-1 testpaths, so an engine refactor that breaks that
+# contract fails here rather than in the benchmark driver.
+bench-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest -q bench/test_bench.py

@@ -12,6 +12,7 @@ for scheduling overhead, not correctness.
 import numpy as np
 import pytest
 
+from benchmarks.conftest import inflight_bytes_bound
 from repro.dr import start_session
 from repro.transfer import db2darray
 from repro.vertica import HashSegmentation, PipelineConfig, VerticaCluster
@@ -22,13 +23,13 @@ NODES = 3
 LOAD_ROUNDS = 4  # several bulk loads -> several row groups per segment
 
 
-def build(mode: str = "streaming", batch_rows: int = 8192,
+def build(batch_rows: int = 8192,
           queue_depth: int = 4) -> tuple[VerticaCluster, list[str]]:
     rng = np.random.default_rng(71)
     names = [f"c{j}" for j in range(FEATURES)]
     cluster = VerticaCluster(
         node_count=NODES,
-        pipeline=PipelineConfig(mode=mode, batch_rows=batch_rows,
+        pipeline=PipelineConfig(batch_rows=batch_rows,
                                 queue_depth=queue_depth),
     )
     per_round = ROWS // LOAD_ROUNDS
@@ -82,10 +83,11 @@ def test_ablation_smaller_batches_lower_peak():
     assert 0 < peaks[1024] < peaks[16384], peaks
 
 
-def test_ablation_streaming_beats_eager_on_peak_memory():
-    results = {}
-    for mode in ("eager", "streaming"):
-        cluster, names = build(mode=mode, batch_rows=2048, queue_depth=2)
-        load_once(cluster, names)
-        results[mode] = cluster.telemetry.get("pipeline_inflight_bytes_peak")
-    assert 0 < results["streaming"] < results["eager"], results
+def test_ablation_peak_memory_bounded_by_queue_depth():
+    cluster, names = build(batch_rows=256, queue_depth=2)
+    load_once(cluster, names)
+    peak = cluster.telemetry.get("pipeline_inflight_bytes_peak")
+    bound = inflight_bytes_bound(cluster)
+    assert 0 < peak <= bound, (peak, bound)
+    table_bytes = ROWS * FEATURES * 8
+    assert bound < table_bytes / 4, (bound, table_bytes)

@@ -158,6 +158,16 @@ def build_numeric_table(node_count: int, rows: int, features: int, seed: int = 0
     return cluster, names
 
 
+def inflight_bytes_bound(cluster: VerticaCluster) -> float:
+    """The most the cluster's UDTF statements so far can have had in flight:
+    every instance's queue full, plus per node one batch in the source
+    hand-over and one in a consumer's hands — never a node's segment."""
+    telemetry = cluster.telemetry
+    batches = (telemetry.get("udtf_instances") * cluster.pipeline.queue_depth
+               + 2 * cluster.node_count)
+    return batches * telemetry.get("peak_batch_bytes")
+
+
 @pytest.fixture(scope="session")
 def paper_profile():
     from repro.perfmodel import SL390

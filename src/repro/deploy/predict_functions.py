@@ -98,7 +98,7 @@ class _PredictBase(TransformFunction):
         """Score batchwise: resolve the model once, then predict each batch
         as it arrives, holding one batch of features at a time.  Rows score
         independently in every model here, so the concatenated predictions
-        match the eager single-matrix scoring exactly.
+        match single-matrix scoring (:meth:`process`) exactly.
         """
         model = self._resolve_model(ctx, params)
         chunks: list[np.ndarray] = []

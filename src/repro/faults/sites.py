@@ -23,8 +23,8 @@ __all__ = ["FAULT_SITES", "is_registered_site"]
 FAULT_SITES: dict[str, str] = {
     "vft.send_chunk": "VFT frame sender: wire failures per frame "
                       "(crash, stall, torn bytes)",
-    "scan.node": "eager per-node scan: node loss before a segment scan",
-    "scan.stream": "streaming scan, per batch: node loss mid-stream",
+    "scan.stream": "per-node scan source, per batch: node loss before the "
+                   "first batch (after=0) or mid-stream",
     "udtf.instance": "executor UDTF instances: instance failure in a query",
     "dr.task": "DRSession.run_partition_tasks: R worker death mid-foreach",
     "txn.moveout": "Tuple Mover moveout pass, per segment",

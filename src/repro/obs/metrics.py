@@ -97,7 +97,7 @@ CATALOG: dict[str, InstrumentSpec] = {
               "Decoded (in-memory) bytes produced by table scans.",
               "repro.vertica.cluster"),
         _spec("batches_scanned", "counter", "1",
-              "Batches emitted by scan sources (eager: one per node).",
+              "Batches emitted by the per-node scan sources.",
               "repro.vertica.cluster"),
         _spec("rows_streamed", "counter", "rows",
               "Rows delivered through the streaming scan sources.",

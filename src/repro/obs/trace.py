@@ -48,7 +48,7 @@ SPAN_TAXONOMY: dict[str, str] = {
     "aggregate": "two-phase aggregate SELECT (executor operator root)",
     "join": "hash-join SELECT (executor operator root)",
     "udtf": "transform-function SELECT (executor operator root)",
-    "scan.node": "one node's scan of its segment (eager or streaming)",
+    "scan.node": "one node's scan of its segment",
     "aggregate.node": "one node's partial-aggregate fold",
     "udtf.producer": "streaming UDTF scan side, one per node",
     "udtf.instance": "one transform-function instance",

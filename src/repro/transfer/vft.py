@@ -268,8 +268,9 @@ class ExportToDistributedR(TransformFunction):
         """Streaming export: push a wire frame as each ``chunk_rows`` window
         of the instance's batch stream fills, instead of materializing the
         whole partition first.  Frame boundaries fall at the same row
-        offsets as the eager path, so the wire bytes are identical; peak
-        buffering is one ``chunk_rows`` window, not the instance's slice.
+        offsets :meth:`process` cuts over the whole slice, so the wire bytes
+        do not depend on how the scan was batched; peak buffering is one
+        ``chunk_rows`` window, not the instance's slice.
         """
         target, chunk_rows = self._setup(params)
         sender = _FrameSender(ctx, target)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -266,49 +265,6 @@ class VerticaCluster:
         ):
             pass
 
-    def scan_node_with_failover(
-        self, table: Table, node_index: int, columns: list[str],
-        include_rowid: bool = False, ranges: dict | None = None,
-        snapshot=None,
-    ) -> dict[str, np.ndarray]:
-        """Scan a node's segment, falling over to its buddy replica when the
-        node is down (requires the table to have ``k_safety=1``)."""
-        prune_counter = lambda n: self.telemetry.add("rowgroups_pruned", n)
-        if snapshot is None:
-            snapshot = table.resolve_snapshot()
-        node = self.nodes[node_index]
-        if not node.is_down and self.faults is not None:
-            try:
-                self.faults.perturb("scan.node", table=table.name,
-                                    node=node_index)
-            except InjectedFault:
-                if not node.is_down:
-                    # Not a crash of this node (e.g. a plain error fault):
-                    # there is nothing to fail over to, surface it.
-                    raise
-        if not node.is_down:
-            node.acquire_scan_slot()
-            try:
-                return table.scan_node(node_index, columns,
-                                       include_rowid=include_rowid,
-                                       ranges=ranges,
-                                       prune_counter=prune_counter,
-                                       snapshot=snapshot)
-            finally:
-                node.release_scan_slot()
-        buddy = self._buddy_for(table, node_index)
-        self._record_failover(table, node_index, buddy)
-        buddy_node = self.nodes[buddy]
-        buddy_node.acquire_scan_slot()
-        try:
-            return table.scan_node_replica(node_index, columns,
-                                           include_rowid=include_rowid,
-                                           ranges=ranges,
-                                           prune_counter=prune_counter,
-                                           snapshot=snapshot)
-        finally:
-            buddy_node.release_scan_slot()
-
     # -- scan services used by the executor and transfers -----------------------------
 
     def table_columns(self, table_name: str) -> list[str]:
@@ -321,77 +277,10 @@ class VerticaCluster:
             return 1
         return self.catalog.get_table(table_name).segments[node].rowgroup_count
 
-    def scan_table_per_node(
-        self, table_name: str, columns_needed: set[str],
-        ranges: dict | None = None, snapshot=None,
-    ) -> list[dict[str, np.ndarray]]:
-        """Scan each node's segment in parallel; returns one batch per node.
-
-        Scans hold a per-node scan slot (the bounded resource ODBC storms
-        contend on), skip row groups excluded by the ``ranges`` zone-map
-        envelopes, and record telemetry.
-        """
-        if table_name.lower() == R_MODELS_TABLE_NAME:
-            arrays = self.r_models.as_arrays()
-            if columns_needed:
-                unknown = columns_needed - set(arrays)
-                if unknown:
-                    raise SqlAnalysisError(
-                        f"unknown columns {sorted(unknown)} in R_Models"
-                    )
-            return [arrays]
-
-        table = self.catalog.get_table(table_name)
-        if columns_needed:
-            unknown = [c for c in columns_needed if not table.has_column(c)]
-            if unknown:
-                raise SqlAnalysisError(
-                    f"unknown columns {unknown} in table {table_name!r}"
-                )
-            scan_columns = sorted(columns_needed)
-        else:
-            # No columns referenced (e.g. COUNT(*)): scan the cheapest column
-            # just to establish row counts.
-            scan_columns = [table.user_schema[0].name]
-
-        # One snapshot for every node scan: the parallel workers all read
-        # the same committed epoch, however long each takes.
-        if snapshot is None:
-            snapshot = table.resolve_snapshot()
-        parent = self.tracer.current()
-
-        def scan(node_index: int) -> dict[str, np.ndarray]:
-            with self.tracer.span("scan.node", parent=parent,
-                                  node=node_index) as span:
-                batch = self.scan_node_with_failover(table, node_index,
-                                                     scan_columns,
-                                                     ranges=ranges,
-                                                     snapshot=snapshot)
-                rows = len(next(iter(batch.values()))) if batch else 0
-                nbytes = batch_nbytes(batch)
-                self.telemetry.add("rows_scanned", rows)
-                self.telemetry.add("bytes_scanned", nbytes)
-                self.telemetry.add("batches_scanned")
-                self.telemetry.observe_max("peak_batch_bytes", nbytes)
-                span.add(rows=rows, bytes=nbytes)
-            return batch
-
-        with ThreadPoolExecutor(max_workers=min(self.node_count, self.executor_threads)) as pool:
-            batches = list(pool.map(scan, range(self.node_count)))
-        # The whole-table materialization is the eager path's in-flight
-        # footprint — recorded on the same gauge the streaming pipeline
-        # charges per live batch, so the two modes are directly comparable.
-        materialized = sum(batch_nbytes(b) for b in batches)
-        self.telemetry.observe_max(
-            f"{INFLIGHT_BYTES_GAUGE}_peak", materialized)
-        self.telemetry.observe_max(
-            f"{INFLIGHT_BATCHES_GAUGE}_peak", len(batches))
-        max_to_current(peak_inflight_bytes=materialized)
-        return batches
-
     def stream_node_with_failover(
         self, table: Table, node_index: int, columns: list[str],
-        ranges: dict | None = None, snapshot=None,
+        include_rowid: bool = False, ranges: dict | None = None,
+        snapshot=None,
     ):
         """Stream a node's segment rowgroup-wise, holding the node's scan
         slot for the duration of the stream; falls over to the buddy
@@ -413,8 +302,9 @@ class VerticaCluster:
             died_mid_stream = False
             try:
                 for batch in table.iter_node_batches(
-                        node_index, columns, ranges=ranges,
-                        prune_counter=prune_counter, snapshot=snapshot):
+                        node_index, columns, include_rowid=include_rowid,
+                        ranges=ranges, prune_counter=prune_counter,
+                        snapshot=snapshot):
                     try:
                         if self.faults is not None:
                             self.faults.perturb("scan.stream", table=table.name,
@@ -440,8 +330,8 @@ class VerticaCluster:
         buddy_node.acquire_scan_slot()
         try:
             for index, batch in enumerate(table.iter_node_batches(
-                    node_index, columns, ranges=ranges,
-                    prune_counter=prune_counter, replica=True,
+                    node_index, columns, include_rowid=include_rowid,
+                    ranges=ranges, prune_counter=prune_counter, replica=True,
                     snapshot=snapshot)):
                 if index < delivered:
                     continue

@@ -17,8 +17,10 @@ Executes the three plan shapes from :mod:`repro.vertica.planner`:
 from __future__ import annotations
 
 import dataclasses
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -304,7 +306,7 @@ class QueryExecutor:
                         resolved: ResolvedQuery | None = None) -> ResultSet:
         stmt = self._resolve_aliases(stmt)
         # One snapshot per statement, resolved before any scan starts:
-        # every node scan (eager or streaming) reads the same epoch.
+        # every node source reads the same epoch.
         snapshot = self._statement_snapshot(stmt)
         if stmt.within_error is not None:
             return self._execute_within(stmt, user, snapshot, resolved)
@@ -370,7 +372,7 @@ class QueryExecutor:
     def _execute_join_select(self, stmt: ast.Select,
                              snapshot: "Snapshot | None" = None) -> ResultSet:
         """Joined SELECT: materialize the hash join, then run the normal
-        scan/aggregate pipeline over the single joined batch."""
+        scan/aggregate driver over the joined batch as its one source."""
         from repro.vertica.joins import materialize_join
 
         if stmt.udtf is not None:
@@ -383,9 +385,14 @@ class QueryExecutor:
             batch = {key: arr[mask] for key, arr in batch.items()}
             stmt.where = None
         plan = plan_select(stmt)
+
+        def joined() -> Iterator[dict[str, np.ndarray]]:
+            yield batch
+
         if isinstance(plan, AggregatePlan):
-            return self._execute_aggregate(plan, batches=[batch])
-        return self._execute_scan(plan, batches=[batch], star_columns=star_columns)
+            return self._execute_aggregate(plan, sources=[joined])
+        return self._execute_scan(plan, sources=[joined],
+                                  star_columns=star_columns)
 
     def _resolve_aliases(self, stmt: ast.Select) -> ast.Select:
         """Let GROUP BY / HAVING / ORDER BY reference select-list aliases.
@@ -427,33 +434,10 @@ class QueryExecutor:
         ]
         return stmt
 
-    def _streaming(self, table_name: str | None) -> bool:
-        """Whether the streaming pipeline handles this table's scan."""
-        return (self.cluster.pipeline.streaming and table_name is not None)
-
     def _scan_ranges(self, where: ast.Expr | None):
         from repro.vertica.pruning import extract_column_ranges
 
         return extract_column_ranges(where) or None
-
-    def _table_batches(
-        self, table_name: str, columns_needed: set[str], where: ast.Expr | None,
-        snapshot: "Snapshot | None" = None,
-    ) -> list[dict[str, np.ndarray]]:
-        """Scan per-node batches in parallel, applying the WHERE filter.
-
-        Range constraints extracted from the WHERE clause push down to the
-        scan as zone-map envelopes, so row groups the predicate excludes are
-        never decompressed; the exact filter still runs afterwards.  This is
-        the eager (materialize-per-node) source; the streaming pipeline
-        pulls from :meth:`VerticaCluster.stream_table_per_node` instead.
-        """
-        batches = self.cluster.scan_table_per_node(
-            table_name, columns_needed, ranges=self._scan_ranges(where),
-            snapshot=snapshot)
-        if where is None:
-            return batches
-        return [_apply_where(where, batch) for batch in batches]
 
     def _node_sources(self, plan, columns_needed: set[str],
                       snapshot: "Snapshot | None" = None) -> list:
@@ -462,10 +446,30 @@ class QueryExecutor:
             plan.table, columns_needed, ranges=self._scan_ranges(plan.where),
             snapshot=snapshot)
 
+    def _fan_out(self, task: Callable[[int], Any], count: int,
+                 workers: int | None = None) -> list:
+        """Run ``task(0) .. task(count - 1)``; results in index order.
+
+        A single task runs inline on the calling thread.  Otherwise the
+        tasks share a pool of ``min(count, executor_threads)`` threads,
+        unless ``workers`` fixes the pool size (consumers that must all be
+        schedulable at once pass ``workers=count``).
+        """
+        if count <= 1:
+            return [task(index) for index in range(count)]
+        if workers is None:
+            workers = min(count, self.cluster.executor_threads)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, range(count)))
+
     def _execute_scan(self, plan: ScanPlan,
-                      batches: list[dict[str, np.ndarray]] | None = None,
-                      star_columns: list[str] | None = None,
-                      snapshot: "Snapshot | None" = None) -> ResultSet:
+                      snapshot: "Snapshot | None" = None,
+                      sources: list | None = None,
+                      star_columns: list[str] | None = None) -> ResultSet:
+        """Pull batches from each source (by default the table's per-node
+        streams), filter and project each batch as it streams past, and keep
+        only the projection (plus a bounded top-k window under ``ORDER BY
+        ... LIMIT``) in memory."""
         if plan.select_star:
             table_columns = star_columns or self.cluster.table_columns(plan.table)
             items = [ast.SelectItem(ast.ColumnRef(name)) for name in table_columns]
@@ -474,29 +478,8 @@ class QueryExecutor:
             items = plan.items
             needed = set(plan.columns_needed)
         names = [item.output_name for item in items]
-        if batches is None and self._streaming(plan.table):
-            return self._execute_scan_streaming(plan, items, names, needed,
-                                                snapshot)
-        if batches is None:
-            batches = self._table_batches(plan.table, needed, plan.where,
-                                          snapshot)
-        outputs: dict[str, list[np.ndarray]] = {name: [] for name in names}
-        order_values: list[list[np.ndarray]] = [[] for _ in plan.order_by]
-        for batch in batches:
-            projected, order_vals = _project_batch(items, names, plan.order_by, batch)
-            for name in names:
-                outputs[name].append(projected[name])
-            for i, value in enumerate(order_vals):
-                order_values[i].append(value)
-        return self._finish_scan(plan, items, names, needed, outputs, order_values)
-
-    def _execute_scan_streaming(self, plan: ScanPlan, items, names: list[str],
-                                needed: set[str],
-                                snapshot: "Snapshot | None" = None) -> ResultSet:
-        """Pull rowgroup-granular batches per node, filter and project each
-        batch as it streams past, and keep only the projection (plus a
-        bounded top-k window under ``ORDER BY ... LIMIT``) in memory."""
-        sources = self._node_sources(plan, needed, snapshot)
+        if sources is None:
+            sources = self._node_sources(plan, needed, snapshot)
         ascending = [o.ascending for o in plan.order_by]
         use_topk = bool(plan.order_by) and plan.limit is not None \
             and not plan.distinct
@@ -512,35 +495,27 @@ class QueryExecutor:
             order_chunks: list[list[np.ndarray]] = [[] for _ in plan.order_by]
             topk = _TopK(names, plan.limit, ascending) if use_topk else None
             produced = 0
-            with tracer.span("scan.node", parent=parent, node=node):
-                stream = sources[node]()
-                try:
-                    for batch in stream:
-                        batch = _apply_where(plan.where, batch)
-                        projected, order_vals = _project_batch(
-                            items, names, plan.order_by, batch)
-                        if topk is not None:
-                            topk.add(projected, order_vals)
-                            continue
-                        for name in names:
-                            out_chunks[name].append(projected[name])
-                        for i, value in enumerate(order_vals):
-                            order_chunks[i].append(value)
-                        produced += _batch_rows(projected)
-                        if early_limit is not None and produced >= early_limit:
-                            break  # LIMIT without ORDER BY: stop pulling early
-                finally:
-                    close = getattr(stream, "close", None)
-                    if close is not None:
-                        close()
+            with tracer.span("scan.node", parent=parent, node=node), \
+                    closing(sources[node]()) as stream:
+                for batch in stream:
+                    batch = _apply_where(plan.where, batch)
+                    projected, order_vals = _project_batch(
+                        items, names, plan.order_by, batch)
+                    if topk is not None:
+                        topk.add(projected, order_vals)
+                        continue
+                    for name in names:
+                        out_chunks[name].append(projected[name])
+                    for i, value in enumerate(order_vals):
+                        order_chunks[i].append(value)
+                    produced += _batch_rows(projected)
+                    if early_limit is not None and produced >= early_limit:
+                        break  # LIMIT without ORDER BY: stop pulling early
             if topk is not None:
                 return topk.finish()
             return out_chunks, order_chunks
 
-        max_workers = max(1, min(len(sources), self.cluster.executor_threads))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_node = list(pool.map(scan_node, range(len(sources))))
-
+        per_node = self._fan_out(scan_node, len(sources))
         outputs: dict[str, list[np.ndarray]] = {name: [] for name in names}
         order_values: list[list[np.ndarray]] = [[] for _ in plan.order_by]
         for out_chunks, order_chunks in per_node:  # merge in node order
@@ -554,7 +529,7 @@ class QueryExecutor:
                      needed: set[str],
                      outputs: dict[str, list[np.ndarray]],
                      order_values: list[list[np.ndarray]]) -> ResultSet:
-        """Initiator tail shared by both modes: distinct, sort, limit."""
+        """Initiator tail: distinct, sort, limit."""
         if not any(outputs.values()):
             # No batches survived pruning/filtering: derive empty columns
             # from the table schema / expression types instead of collapsing
@@ -592,58 +567,37 @@ class QueryExecutor:
     # -- aggregation ------------------------------------------------------------
 
     def _execute_aggregate(self, plan: AggregatePlan,
-                           batches: list[dict[str, np.ndarray]] | None = None,
                            snapshot: "Snapshot | None" = None,
-                           ) -> ResultSet:
-        if batches is None and self._streaming(plan.table):
-            merged = self._aggregate_streaming(plan, snapshot)
-        else:
-            if batches is None:
-                batches = self._table_batches(plan.table, plan.columns_needed,
-                                              plan.where, snapshot)
-            merged = {}
-            for batch in batches:
-                _merge_partials(merged, self._partial_aggregate(plan, batch))
-        return self._finalize_aggregate(plan, merged)
-
-    def _aggregate_streaming(self, plan: AggregatePlan,
-                             snapshot: "Snapshot | None" = None
-                             ) -> dict[tuple, list["_AggState"]]:
-        """Fold each node's batches into partial states as they stream past;
-        only O(groups) state is held per node, never the node's segment."""
-        sources = self._node_sources(plan, plan.columns_needed, snapshot)
+                           sources: list | None = None) -> ResultSet:
+        """Fold each source's batches (by default the table's per-node
+        streams) into partial states as they stream past; only O(groups)
+        state is held per node, never the node's segment."""
+        if sources is None:
+            sources = self._node_sources(plan, plan.columns_needed, snapshot)
         tracer = self.cluster.tracer
         parent = tracer.current()
 
         def fold_node(node: int) -> dict[tuple, list[_AggState]]:
             local: dict[tuple, list[_AggState]] = {}
-            with tracer.span("aggregate.node", parent=parent, node=node):
-                stream = sources[node]()
-                try:
-                    for batch in stream:
-                        batch = _apply_where(plan.where, batch)
-                        if not _batch_rows(batch):
-                            continue
-                        _merge_partials(local,
-                                        self._partial_aggregate(plan, batch))
-                finally:
-                    close = getattr(stream, "close", None)
-                    if close is not None:
-                        close()
+            with tracer.span("aggregate.node", parent=parent, node=node), \
+                    closing(sources[node]()) as stream:
+                for batch in stream:
+                    batch = _apply_where(plan.where, batch)
+                    if not _batch_rows(batch):
+                        continue
+                    _merge_partials(local,
+                                    self._partial_aggregate(plan, batch))
             return local
 
-        max_workers = max(1, min(len(sources), self.cluster.executor_threads))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_node = list(pool.map(fold_node, range(len(sources))))
+        per_node = self._fan_out(fold_node, len(sources))
         merged: dict[tuple, list[_AggState]] = {}
         for local in per_node:  # merge in node index order
             _merge_partials(merged, local)
-        return merged
+        return self._finalize_aggregate(plan, merged)
 
     def _finalize_aggregate(self, plan: AggregatePlan,
                             merged: dict[tuple, list["_AggState"]]) -> ResultSet:
-        """Initiator tail shared by both modes: finalize states, project,
-        HAVING, order, limit."""
+        """Initiator tail: finalize states, project, HAVING, order, limit."""
         if not plan.group_by and not merged:
             # Global aggregate over zero rows still yields one row.
             merged[()] = [_AggState(agg) for agg in plan.aggregates]
@@ -729,70 +683,8 @@ class QueryExecutor:
 
     def _execute_udtf(self, plan: UdtfPlan, user: str,
                       snapshot: "Snapshot | None" = None) -> ResultSet:
-        # Built-in transfer/prediction functions install on first use.
-        if not self.cluster.catalog.has_udtf(plan.udtf.name):
-            self.cluster.install_standard_functions()
-        udtf = self.cluster.catalog.get_udtf(plan.udtf.name)
-        node_count = self.cluster.node_count
-        if (self._streaming(plan.table)
-                and plan.table.lower() != R_MODELS_TABLE_NAME):
-            # R_Models is a tiny virtual catalog table with no per-node
-            # segments to fan out over; it stays on the materialized path.
-            return self._execute_udtf_streaming(plan, udtf, user, snapshot)
-        batches = self._table_batches(plan.table, plan.columns_needed,
-                                      plan.where, snapshot)
-        arg_batches = [
-            self._bind_args(plan.udtf.args, batch) for batch in batches
-        ]
-
-        kind = plan.udtf.partition.kind
-        if kind is ast.PartitionKind.NODES:
-            assignments = [(node, args) for node, args in enumerate(arg_batches)]
-        elif kind is ast.PartitionKind.BEST:
-            assignments = []
-            for node, args in enumerate(arg_batches):
-                rowgroups = self.cluster.node_rowgroup_count(plan.table, node)
-                instances = self.cluster.nodes[node].best_udtf_parallelism(rowgroups)
-                assignments.extend(
-                    (node, chunk) for chunk in _split_args(args, instances)
-                )
-        else:  # PARTITION BY expr: hash-shuffle keys across the cluster
-            assignments = self._shuffle_by_key(plan, batches, arg_batches, node_count)
-
-        self.cluster.telemetry.add("udtf_instances", len(assignments))
-        results: list[dict[str, np.ndarray] | None] = [None] * len(assignments)
-        tracer = self.cluster.tracer
-        parent = tracer.current()
-
-        def run_instance(index: int) -> None:
-            node, args = assignments[index]
-            ctx = UdtfContext(
-                cluster=self.cluster,
-                node_index=node,
-                instance_index=index,
-                instance_count=len(assignments),
-                session_user=user,
-            )
-            with tracer.span("udtf.instance", parent=parent, node=node,
-                             instance=index) as span:
-                if self.cluster.faults is not None:
-                    self.cluster.faults.perturb("udtf.instance", node=node,
-                                                instance=index)
-                output = udtf.process(ctx, args, dict(plan.udtf.parameters))
-                udtf.validate_output(output)
-                span.set(rows_in=_batch_rows(args),
-                         rows_out=_batch_rows(output))
-            results[index] = output
-
-        max_workers = max(1, min(len(assignments), self.cluster.executor_threads))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(run_instance, range(len(assignments))))
-
-        return self._collect_udtf_outputs(udtf, plan, results)
-
-    def _execute_udtf_streaming(self, plan: UdtfPlan, udtf, user: str,
-                                snapshot: "Snapshot | None" = None) -> ResultSet:
-        """Backpressured UDTF fan-out for ``PARTITION NODES`` / ``BEST``.
+        """Backpressured UDTF fan-out (``PARTITION BY`` hash-routes instead:
+        :meth:`_execute_udtf_by_key`).
 
         One producer thread per node streams rowgroup-granular batches into
         bounded per-instance :class:`BatchQueue`\\ s; each instance consumes
@@ -805,22 +697,30 @@ class QueryExecutor:
         has the earliest unfinished instance scheduled, so the queue a
         producer blocks on is always being drained.
         """
+        # Built-in transfer/prediction functions install on first use.
+        if not self.cluster.catalog.has_udtf(plan.udtf.name):
+            self.cluster.install_standard_functions()
+        udtf = self.cluster.catalog.get_udtf(plan.udtf.name)
         kind = plan.udtf.partition.kind
         if kind is ast.PartitionKind.BY_COLUMN:
-            return self._udtf_streaming_by_key(plan, udtf, user, snapshot)
+            return self._execute_udtf_by_key(plan, udtf, user, snapshot)
 
         cluster = self.cluster
         config = cluster.pipeline
         sources = self._node_sources(plan, plan.columns_needed, snapshot)
-        # Boundary math must count the rows the streams will actually
-        # yield, so the counts resolve at the same snapshot as the scan.
-        segment_rows = cluster.catalog.get_table(
-            plan.table).segment_row_counts(snapshot)
+        if plan.table.lower() == R_MODELS_TABLE_NAME:
+            # The catalog table is one in-memory source with one row group:
+            # a single instance on node 0 takes every row it yields.
+            segment_rows = [sys.maxsize]
+        else:
+            # Boundary math must count the rows the streams will actually
+            # yield, so the counts resolve at the same snapshot as the scan.
+            segment_rows = cluster.catalog.get_table(
+                plan.table).segment_row_counts(snapshot)
         abort = threading.Event()
 
         # Node-major instance layout.  Boundaries cut each node's pre-filter
-        # row positions (see planner.instance_boundaries): identical to the
-        # eager splitter whenever no WHERE clause drops rows upstream.
+        # row positions (see planner.instance_boundaries).
         node_plans: list[tuple[int, list[int], list[BatchQueue]]] = []
         slots: list[tuple[int, BatchQueue]] = []
         for node in range(len(sources)):
@@ -914,8 +814,7 @@ class QueryExecutor:
                         first = next(stream)
                     except StopIteration:
                         # Zero surviving batches: run the instance over typed
-                        # empty args, exactly like the eager splitter hands an
-                        # empty chunk to process().
+                        # empty args, so it still emits its (empty) output.
                         empty = self._bind_args(
                             plan.udtf.args,
                             cluster.typed_empty_batch(plan.table,
@@ -943,24 +842,22 @@ class QueryExecutor:
         ]
         for thread in producers:
             thread.start()
-        max_workers = max(1, min(len(slots), cluster.executor_threads))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(run_instance, range(len(slots))))
+        self._fan_out(run_instance, len(slots))
         for thread in producers:
             thread.join()
         if errors:
             raise errors[0]
         return self._collect_udtf_outputs(udtf, plan, results)
 
-    def _udtf_streaming_by_key(self, plan: UdtfPlan, udtf, user: str,
-                               snapshot: "Snapshot | None" = None) -> ResultSet:
-        """``PARTITION BY`` streaming: hash-route rows batch by batch.
+    def _execute_udtf_by_key(self, plan: UdtfPlan, udtf, user: str,
+                             snapshot: "Snapshot | None" = None) -> ResultSet:
+        """``PARTITION BY``: hash-route rows batch by batch.
 
         Producers route each filtered batch's rows to per-``(instance,
         node)`` queues; each instance consumes its node queues in node index
-        order, reproducing the eager bucket concatenation order.  Every
+        order, so a key's rows reach it in node-major scan order.  Every
         consumer must be schedulable at once (producers interleave writes
-        across all instances' queues), hence ``max_workers = instances``.
+        across all instances' queues), hence one worker per instance.
         """
         cluster = self.cluster
         config = cluster.pipeline
@@ -1051,7 +948,7 @@ class QueryExecutor:
                     try:
                         first = next(stream)
                     except StopIteration:
-                        return  # empty bucket: the eager path skips it too
+                        return  # empty bucket: no instance, no output
                     live[instance] = True
                     output = udtf.process_stream(
                         ctx, _chain_one(first, stream), params)
@@ -1074,8 +971,7 @@ class QueryExecutor:
         ]
         for thread in producers:
             thread.start()
-        with ThreadPoolExecutor(max_workers=node_count) as pool:
-            list(pool.map(run_instance, range(node_count)))
+        self._fan_out(run_instance, node_count, workers=node_count)
         for thread in producers:
             thread.join()
         telemetry.add("udtf_instances", sum(live))
@@ -1119,37 +1015,6 @@ class QueryExecutor:
             value = np.asarray(expressions.evaluate(arg, batch))
             bound[name] = _broadcast_rows(value, rows)
         return bound
-
-    def _shuffle_by_key(self, plan, batches, arg_batches, node_count):
-        """PARTITION BY: route each key's rows to one owning instance."""
-        total_instances = node_count
-        buckets: list[list[dict[str, np.ndarray]]] = [[] for _ in range(total_instances)]
-        for node, (batch, args) in enumerate(zip(batches, arg_batches)):
-            rows = _batch_rows(batch)
-            keys = _broadcast_rows(
-                np.asarray(expressions.evaluate(plan.udtf.partition.expr, batch)), rows
-            )
-            destination = (hash64(keys) % np.uint64(total_instances)).astype(np.int64)
-            for instance in range(total_instances):
-                mask = destination == instance
-                if not mask.any():
-                    continue
-                chunk = {name: arr[mask] for name, arr in args.items()}
-                if instance != node:
-                    moved = sum(arr.nbytes if hasattr(arr, "nbytes") else 0
-                                for arr in chunk.values())
-                    self.cluster.telemetry.add("shuffle_bytes", moved)
-                buckets[instance].append(chunk)
-        assignments = []
-        for instance, chunks in enumerate(buckets):
-            if not chunks:
-                continue
-            merged = {
-                name: np.concatenate([c[name] for c in chunks])
-                for name in chunks[0]
-            }
-            assignments.append((instance % node_count, merged))
-        return assignments
 
 
 # -- aggregation state --------------------------------------------------------
@@ -1290,7 +1155,7 @@ class _TopK:
     among one node's rows never exceeds its global stable rank, so any row
     the global sort+limit keeps survives every local trim.  Tied rows stay
     in scan order throughout (stable sorts, chunks appended in scan order),
-    so the initiator's final stable sort reproduces the eager ordering
+    so the initiator's final stable sort reproduces a full sort + limit
     bit for bit.
     """
 
@@ -1379,16 +1244,6 @@ def _render_profile(root: Span) -> ResultSet:
 
 
 # -- small helpers ------------------------------------------------------------
-
-
-def _split_args(args: dict[str, np.ndarray], instances: int
-                ) -> list[dict[str, np.ndarray]]:
-    """Split bound argument arrays into contiguous per-instance chunks."""
-    boundaries = instance_boundaries(_batch_rows(args), instances)
-    return [
-        {name: arr[start:stop] for name, arr in args.items()}
-        for start, stop in zip(boundaries, boundaries[1:])
-    ]
 
 
 def _distinct_indices(columns: list[np.ndarray]) -> np.ndarray:

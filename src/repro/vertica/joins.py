@@ -2,9 +2,11 @@
 
 Supports ``FROM a [alias] [INNER|LEFT] JOIN b [alias] ON <cond>`` where the
 condition contains at least one cross-table equality (further conjuncts are
-applied as residual filters).  The initiator gathers both inputs and builds
-a classic hash join: factorize both sides' keys into shared integer codes,
-sort the build side, and probe with ``searchsorted`` — fully vectorized.
+applied as residual filters).  The initiator gathers both inputs through the
+cluster's per-node scan sources (failover, scan slots and scan telemetry
+included) and builds a classic hash join: factorize both sides' keys into
+shared integer codes, sort the build side, and probe with ``searchsorted`` —
+fully vectorized.
 
 Column naming in the joined batch: every column appears under its qualified
 key (``alias.column``); columns whose bare name is unambiguous across the
@@ -13,6 +15,7 @@ two inputs also appear under the bare name, matching SQL resolution rules.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,6 +23,7 @@ import numpy as np
 from repro.errors import SqlAnalysisError
 from repro.vertica import expressions
 from repro.vertica.models import R_MODELS_TABLE_NAME
+from repro.vertica.pipeline import concat_batches
 from repro.vertica.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,10 +80,8 @@ def materialize_join(cluster: "VerticaCluster", stmt: ast.Select,
         needed_left |= extra_left
         needed_right |= extra_right
 
-    left_data = left_table.scan_all(
-        sorted(needed_left) or [left_table.column_names[0]], snapshot=snapshot)
-    right_data = right_table.scan_all(
-        sorted(needed_right) or [right_table.column_names[0]], snapshot=snapshot)
+    left_data = _gather_input(cluster, left_name, needed_left, snapshot)
+    right_data = _gather_input(cluster, right_name, needed_right, snapshot)
     cluster.telemetry.add("join_rows_scanned",
                           _rows(left_data) + _rows(right_data))
 
@@ -135,6 +137,27 @@ def materialize_join(cluster: "VerticaCluster", stmt: ast.Select,
         batch = {key: arr[mask] for key, arr in batch.items()}
         matched = matched[mask]
     return batch, star_order
+
+
+def _gather_input(cluster: "VerticaCluster", table_name: str,
+                  columns: set[str], snapshot: "Snapshot | None",
+                  ) -> dict[str, np.ndarray]:
+    """Collect one join input from the table's per-node scan sources.
+
+    Nodes are read one at a time in node-index order, each stream closed
+    before the next opens: rows arrive in node-major storage order and the
+    join never holds two scan slots at once.
+    """
+    batches: list[dict[str, np.ndarray]] = []
+    sources = cluster.stream_table_per_node(table_name, columns,
+                                            snapshot=snapshot)
+    for node, source in enumerate(sources):
+        with cluster.tracer.span("scan.node", node=node), \
+                closing(source()) as stream:
+            batches.extend(stream)
+    if not batches:
+        return cluster.typed_empty_batch(table_name, columns)
+    return concat_batches(batches)
 
 
 def _rows(data: dict[str, np.ndarray]) -> int:

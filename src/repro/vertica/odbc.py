@@ -17,6 +17,7 @@ for slow extraction:
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -120,12 +121,14 @@ class OdbcConnection:
 
         pieces: list[dict[str, np.ndarray]] = []
         for node_index in range(table.node_count):
-            batch = self.cluster.scan_node_with_failover(
-                table, node_index, columns, include_rowid=True)
-            rowids = batch[ROWID_COLUMN]
-            mask = (rowids >= start_row) & (rowids < stop_row)
-            if mask.any():
-                pieces.append({name: arr[mask] for name, arr in batch.items()})
+            with closing(self.cluster.stream_node_with_failover(
+                    table, node_index, columns, include_rowid=True)) as stream:
+                for batch in stream:
+                    rowids = batch[ROWID_COLUMN]
+                    mask = (rowids >= start_row) & (rowids < stop_row)
+                    if mask.any():
+                        pieces.append(
+                            {name: arr[mask] for name, arr in batch.items()})
         if not pieces:
             empty = {
                 name: np.empty(0, dtype=table.column(name).numpy_dtype)

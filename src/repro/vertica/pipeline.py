@@ -7,10 +7,10 @@ vocabulary for the streaming executor:
 
 * :class:`RecordBatch` — an immutable-ish columnar batch (dict of equal
   length 1-D arrays) with cheap slicing and byte accounting.
-* :class:`PipelineConfig` — the knobs: ``mode`` (``"streaming"`` or the
-  sanctioned ``"eager"`` fallback), ``batch_rows`` (granularity of batches
-  pulled out of row groups), ``queue_depth`` (bound on batches queued per
-  UDTF instance — the backpressure window).
+* :class:`PipelineConfig` — the knobs: ``batch_rows`` (granularity of
+  batches pulled out of row groups), ``queue_depth`` (bound on batches
+  queued per UDTF instance — the backpressure window) and
+  ``stall_timeout_seconds`` (how long a blocked queue may wait).
 * :class:`BatchQueue` — a bounded, cancellable queue connecting per-node
   scan producers to UDTF instances; producers block when a consumer falls
   behind, so peak in-flight bytes stay O(queue_depth * batch) instead of
@@ -19,12 +19,11 @@ vocabulary for the streaming executor:
 Telemetry (all recorded on the cluster's :class:`~repro.vertica.telemetry
 .Telemetry`):
 
-* ``batches_scanned`` — batches emitted by streaming (and eager) sources;
+* ``batches_scanned`` — batches emitted by the per-node scan sources;
 * ``peak_batch_bytes`` — largest single batch observed;
-* ``rows_streamed`` — rows delivered through the streaming source;
+* ``rows_streamed`` — rows delivered through the scan sources;
 * ``pipeline_inflight_bytes_now`` / ``_peak`` — live (produced but not yet
-  consumed) batch bytes; the eager path records its full materialization
-  here, which is exactly the number the streaming pipeline drives down;
+  consumed) batch bytes;
 * ``pipeline_inflight_batches_now`` / ``_peak`` — same, in batch counts.
 """
 
@@ -62,15 +61,8 @@ INFLIGHT_BATCHES_GAUGE = "pipeline_inflight_batches"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Execution-pipeline knobs, held by :class:`VerticaCluster`.
+    """Execution-pipeline knobs, held by :class:`VerticaCluster`."""
 
-    ``mode="streaming"`` (the default) pulls rowgroup-granular batches
-    through composable operators; ``mode="eager"`` restores the historical
-    materialize-everything path (kept so parity can be asserted test by
-    test and as an escape hatch).
-    """
-
-    mode: str = "streaming"
     batch_rows: int = 8_192
     queue_depth: int = 4
     #: Seconds a producer/consumer may stay blocked on a batch queue before
@@ -79,10 +71,6 @@ class PipelineConfig:
     stall_timeout_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("streaming", "eager"):
-            raise ExecutionError(
-                f"pipeline mode must be 'streaming' or 'eager', got {self.mode!r}"
-            )
         if self.batch_rows < 1:
             raise ExecutionError(f"batch_rows must be positive, got {self.batch_rows}")
         if self.queue_depth < 1:
@@ -91,10 +79,6 @@ class PipelineConfig:
             raise ExecutionError(
                 f"stall_timeout_seconds must be positive, got {self.stall_timeout_seconds}"
             )
-
-    @property
-    def streaming(self) -> bool:
-        return self.mode == "streaming"
 
 
 class RecordBatch:

@@ -30,11 +30,10 @@ def instance_boundaries(rows: int, instances: int) -> list[int]:
     """Contiguous per-instance row offsets for ``PARTITION BEST`` fan-out.
 
     Returns ``instances + 1`` monotonically increasing boundaries over
-    ``[0, rows]`` (clamping the instance count to the available rows).  Both
-    execution modes cut a node's rows at these offsets — the eager splitter
-    slices materialized argument arrays, the streaming router slices batches
-    as they flow past — so the two pipelines hand identical row ranges to
-    identical instance indices.
+    ``[0, rows]`` (clamping the instance count to the available rows).  The
+    UDTF router cuts a node's pre-filter row positions at these offsets,
+    slicing batches as they flow past, so the row ranges each instance sees
+    do not depend on how the scan was batched.
     """
     instances = max(1, min(instances, rows)) if rows else 1
     return [int(b) for b in np.linspace(0, rows, instances + 1)]

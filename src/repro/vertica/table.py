@@ -400,10 +400,10 @@ class Segment:
                      ) -> dict[str, np.ndarray]:
         """Materialize the segment (the given columns) as arrays.
 
-        The eager counterpart of :meth:`iter_batches` (same pruning,
-        snapshot resolution, and telemetry behaviour), kept for the
-        ``mode="eager"`` pipeline fallback and for whole-segment consumers
-        like the ODBC path.
+        A collector over :meth:`iter_batches` (same pruning and snapshot
+        resolution) for whole-segment consumers off the query hot paths:
+        ``scan_all`` / ``scan_delta`` callers such as model refresh and
+        sample builds.
         """
         names = columns if columns is not None else [c.name for c in self.schema]
         pieces: dict[str, list[np.ndarray]] = {name: [] for name in names}
@@ -1014,9 +1014,8 @@ class Table:
     ) -> Iterator[dict[str, np.ndarray]]:
         """Stream one node's segment (or its buddy replica) rowgroup-wise.
 
-        The streaming analog of :meth:`scan_node` / :meth:`scan_node_replica`;
-        batches arrive in storage order, so concatenating them reproduces the
-        eager scan exactly.
+        Batches arrive in storage order, so concatenating them reproduces
+        :meth:`scan_node` exactly.
         """
         if replica and self.buddy_segments is None:
             raise CatalogError(
@@ -1036,24 +1035,6 @@ class Table:
         if self.buddy_segments is None:
             return None
         return (node + 1) % self.node_count
-
-    def scan_node_replica(
-        self, node: int, columns: list[str] | None = None,
-        include_rowid: bool = False, ranges: dict | None = None,
-        prune_counter=None, snapshot: "Snapshot | None" = None,
-    ) -> dict[str, np.ndarray]:
-        """Read the buddy replica of ``node``'s segment."""
-        if self.buddy_segments is None:
-            raise CatalogError(
-                f"table {self.name!r} has no buddy projections (k_safety=0)"
-            )
-        names = columns if columns is not None else self.column_names
-        read_names = list(names)
-        if include_rowid:
-            read_names.append(ROWID_COLUMN)
-        return self.buddy_segments[node].read_columns(
-            read_names, ranges=ranges, prune_counter=prune_counter,
-            snapshot=snapshot)
 
     def scan_all(self, columns: list[str] | None = None,
                  snapshot: "Snapshot | None" = None) -> dict[str, np.ndarray]:

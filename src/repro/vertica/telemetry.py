@@ -79,9 +79,7 @@ class Telemetry:
         """Record ``value`` into ``counter`` as a running maximum.
 
         ``<gauge>_peak`` names update the high-water mark of the underlying
-        level gauge (the eager pipeline path records its whole-table peak on
-        the same key the streaming path's gauge reports); other names become
-        watermark gauges.
+        level gauge; other names become watermark gauges.
         """
         if counter.endswith("_peak"):
             base = counter[: -len("_peak")]

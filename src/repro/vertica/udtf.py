@@ -120,10 +120,10 @@ class TransformFunction:
     ) -> dict[str, np.ndarray] | None:
         """Consume this instance's partition as a stream of input batches.
 
-        The streaming executor feeds each instance from a bounded queue of
+        The executor feeds each instance from a bounded queue of
         rowgroup-granular batches.  The default materializes the stream and
         delegates to :meth:`process`, so existing functions run unchanged
-        (with eager memory behaviour for that one instance); streaming-aware
+        (holding that one instance's whole slice in memory); streaming-aware
         functions — the VFT exporter, the prediction functions — override
         this to bound their footprint to one batch.  Returns ``None`` when
         the stream yields no batches.

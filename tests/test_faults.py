@@ -192,6 +192,33 @@ class TestVftFaults:
 
 
 # ---------------------------------------------------------------------------
+# ODBC: node crash mid-fetch
+# ---------------------------------------------------------------------------
+
+class TestOdbcFaults:
+    def test_range_fetch_survives_node_crash_mid_stream(self):
+        def load():
+            cluster, columns = make_safe_cluster()
+            cluster.bulk_load("t", columns)  # second row group per segment
+            return cluster
+
+        expected = load().connect().fetch_row_range("t", ["k", "v"], 0, 2400)
+        cluster = load()
+        # Node 1 dies after its first row group is already delivered.
+        plan = FaultPlan.single("scan.stream", FaultKind.NODE_CRASH,
+                                match={"node": 1}, after=1, seed=FAULT_SEED)
+        cluster.install_fault_plan(plan)
+        got = cluster.connect().fetch_row_range("t", ["k", "v"], 0, 2400)
+        assert len(got["k"]) == 2400
+        for name in ("k", "v"):
+            assert np.array_equal(got[name], expected[name]), name
+        assert plan.fired("scan.stream")
+        assert cluster.nodes[1].is_down
+        assert cluster.telemetry.get("failovers") == 1
+        assert "buddy_failover" in mechanisms(cluster.tracer)
+
+
+# ---------------------------------------------------------------------------
 # DR: worker death mid-foreach
 # ---------------------------------------------------------------------------
 

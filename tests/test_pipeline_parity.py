@@ -1,25 +1,36 @@
-"""Streaming-vs-eager parity for the batch pipeline.
+"""The batch pipeline against an independent numpy oracle.
 
-The streaming executor rebuilds scan, aggregate, and UDTF fan-out as a
-rowgroup-granular, backpressured dataflow.  These tests pin it to the
-eager materialize-everything semantics for every plan shape (same rows,
-same order, same dtypes), and verify the two claims the refactor exists
-for: bounded batches in flight under a small queue depth, and a strictly
-lower peak of in-flight bytes than the eager path for the same transfer.
+The executor runs scan, aggregate, and UDTF fan-out as a rowgroup-granular,
+backpressured dataflow over the cluster's per-node scan sources.  There is
+no second engine to compare it with, so these tests check every plan shape
+two ways:
 
-Float ``SUM``/``AVG`` columns compare with a tight tolerance rather than
-exactly: the two modes fold ``np.sum`` over different chunk boundaries, so
-results may differ in the last ulp.  Everything discrete compares bitwise.
+* **Contents** against numpy computed from the arrays this module loaded:
+  ``ORDER BY`` queries in exact order, everything else as a row multiset.
+  Where SQL leaves the order to the scan (ties under ``ORDER BY``, ``LIMIT``
+  without ``ORDER BY``) the reference is the table's node-major storage
+  order read through ``Table.scan_all`` — the storage layer, not the
+  executor.
+* **Invariance**: row order, dtypes and every discrete column are bitwise
+  identical across ``batch_rows`` in {1, 64, 8192} x ``queue_depth`` in
+  {1, 4}; how the stream is cut must never show in a result.
+
+Float ``SUM``/``AVG`` columns compare at ``rtol=1e-9`` rather than exactly:
+``np.sum`` folds over different chunk boundaries, so results may differ in
+the last ulp.  The remaining tests pin the two resource claims the pipeline
+exists for: bounded batches in flight under a small queue depth, and peak
+in-flight bytes bounded by the queue depth, not the table.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from repro.algorithms import hpdglm
+from repro.algorithms import KMeansModel, hpdglm
 from repro.deploy import deploy_model
 from repro.dr import start_session
 from repro.transfer import db2darray
@@ -32,6 +43,8 @@ from repro.workloads import make_regression
 NODE_COUNT = 3
 ROUNDS = 3          # bulk loads per cluster -> row groups per segment
 ROWS_PER_ROUND = 300
+CONFIGS = [(batch_rows, queue_depth)
+           for batch_rows in (1, 64, 8192) for queue_depth in (1, 4)]
 
 
 def make_columns(n: int, seed: int) -> dict[str, np.ndarray]:
@@ -44,38 +57,60 @@ def make_columns(n: int, seed: int) -> dict[str, np.ndarray]:
     }
 
 
-def build_cluster(mode: str, batch_rows: int = 64, queue_depth: int = 2,
-                  rounds: int = ROUNDS, rows: int = ROWS_PER_ROUND,
-                  sorted_keys: bool = False) -> VerticaCluster:
-    """A 3-node cluster with ``pts`` loaded identically for either mode.
+def load_rounds(rounds: int = ROUNDS, rows: int = ROWS_PER_ROUND,
+                sorted_keys: bool = False) -> list[dict[str, np.ndarray]]:
+    """The bulk loads of ``pts``, one column dict per round.
 
-    ``sorted_keys`` loads each round with a disjoint ``k`` range so row
-    groups carry tight zone maps and range predicates actually prune.
+    ``sorted_keys`` gives each round a disjoint ``k`` range so row groups
+    carry tight zone maps and range predicates actually prune.
     """
-    cluster = VerticaCluster(
-        node_count=NODE_COUNT,
-        pipeline=PipelineConfig(mode=mode, batch_rows=batch_rows,
-                                queue_depth=queue_depth),
-    )
-    first = make_columns(rows, seed=7)
-    cluster.create_table_like("pts", first, HashSegmentation("k"))
+    loads = []
     for round_index in range(rounds):
         columns = make_columns(rows, seed=7 + round_index)
         if sorted_keys:
             columns["k"] = np.sort(
                 np.random.default_rng(70 + round_index).integers(
                     round_index * 1_000, (round_index + 1) * 1_000, rows))
+        loads.append(columns)
+    return loads
+
+
+def loaded(**load_kwargs) -> dict[str, np.ndarray]:
+    """Everything ``build_cluster`` puts in ``pts``, in load order — the
+    arrays every oracle below computes from."""
+    loads = load_rounds(**load_kwargs)
+    return {name: np.concatenate([columns[name] for columns in loads])
+            for name in loads[0]}
+
+
+def build_cluster(batch_rows: int = 64, queue_depth: int = 2,
+                  **load_kwargs) -> VerticaCluster:
+    """A 3-node cluster with ``pts`` loaded identically for any config."""
+    cluster = VerticaCluster(
+        node_count=NODE_COUNT,
+        pipeline=PipelineConfig(batch_rows=batch_rows,
+                                queue_depth=queue_depth),
+    )
+    loads = load_rounds(**load_kwargs)
+    cluster.create_table_like("pts", loads[0], HashSegmentation("k"))
+    for columns in loads:
         cluster.bulk_load("pts", columns)
     return cluster
 
 
-def assert_results_match(eager: ResultSet, streaming: ResultSet,
+def scan_order(cluster: VerticaCluster, names: list[str]
+               ) -> dict[str, np.ndarray]:
+    """``pts`` in node-major storage order, read below the executor."""
+    return cluster.catalog.get_table("pts").scan_all(names)
+
+
+def assert_results_match(reference: ResultSet, other: ResultSet,
                          float_columns: tuple[str, ...] = ()) -> None:
-    assert streaming.column_names == eager.column_names
-    assert len(streaming) == len(eager)
-    for name in eager.column_names:
-        expected = eager.column(name)
-        actual = streaming.column(name)
+    assert other.column_names == reference.column_names
+    assert len(other) == len(reference)
+    for name in reference.column_names:
+        expected = reference.column(name)
+        actual = other.column(name)
         assert actual.dtype == expected.dtype, name
         if name in float_columns:
             np.testing.assert_allclose(actual, expected,
@@ -84,84 +119,184 @@ def assert_results_match(eager: ResultSet, streaming: ResultSet,
             assert np.array_equal(actual, expected), name
 
 
-def run_both(query: str, float_columns: tuple[str, ...] = (),
-             **build_kwargs) -> tuple[ResultSet, ResultSet]:
-    eager = build_cluster("eager", **build_kwargs).sql(query)
-    streaming = build_cluster("streaming", **build_kwargs).sql(query)
-    assert_results_match(eager, streaming, float_columns)
-    return eager, streaming
+def _sorted_rows(columns: dict[str, np.ndarray], keys: list[str]
+                 ) -> dict[str, np.ndarray]:
+    order = np.lexsort([columns[key] for key in reversed(keys)])
+    return {name: arr[order] for name, arr in columns.items()}
+
+
+def assert_matches_oracle(result: ResultSet, expected: dict[str, np.ndarray],
+                          ordered: bool,
+                          float_columns: tuple[str, ...] = ()) -> None:
+    """``result`` holds exactly the oracle's rows: in the oracle's order
+    when ``ordered``, else as a multiset (both sides sorted by every exact
+    column).  ``float_columns`` compare at ``rtol=1e-9``."""
+    assert result.column_names == list(expected)
+    actual = {name: result.column(name) for name in expected}
+    expected = {name: np.asarray(arr) for name, arr in expected.items()}
+    for name in expected:
+        assert actual[name].dtype == expected[name].dtype, name
+        assert len(actual[name]) == len(expected[name]), name
+    if not ordered:
+        exact = [name for name in expected if name not in float_columns]
+        actual = _sorted_rows(actual, exact)
+        expected = _sorted_rows(expected, exact)
+    for name in expected:
+        if name in float_columns:
+            np.testing.assert_allclose(actual[name], expected[name],
+                                       rtol=1e-9, atol=1e-12)
+        else:
+            assert np.array_equal(actual[name], expected[name]), name
+
+
+def run_all_configs(query: str, float_columns: tuple[str, ...] = (),
+                    setup=None, configs=CONFIGS, **load_kwargs
+                    ) -> tuple[ResultSet, list[VerticaCluster]]:
+    """Run ``query`` under every pipeline config; the results must agree
+    bitwise (``float_columns`` at ``rtol=1e-9``).  Returns the first result
+    and every cluster, in ``configs`` order."""
+    clusters, results = [], []
+    for batch_rows, queue_depth in configs:
+        cluster = build_cluster(batch_rows, queue_depth, **load_kwargs)
+        if setup is not None:
+            setup(cluster)
+        clusters.append(cluster)
+        results.append(cluster.sql(query))
+    for other in results[1:]:
+        assert_results_match(results[0], other, float_columns)
+    return results[0], clusters
+
+
+def check(query: str, oracle, ordered: bool = False,
+          float_columns: tuple[str, ...] = (), setup=None,
+          **load_kwargs) -> tuple[ResultSet, list[VerticaCluster]]:
+    """Config invariance plus contents: ``oracle`` maps the loaded arrays
+    to the expected result columns."""
+    result, clusters = run_all_configs(query, float_columns, setup,
+                                       **load_kwargs)
+    assert_matches_oracle(result, oracle(loaded(**load_kwargs)), ordered,
+                          float_columns)
+    return result, clusters
 
 
 class TestScanParity:
     def test_plain_projection(self):
-        eager, _ = run_both("SELECT k, a, b FROM pts")
-        assert len(eager) == ROUNDS * ROWS_PER_ROUND
+        result, _ = check(
+            "SELECT k, a, b FROM pts",
+            lambda t: {"k": t["k"], "a": t["a"], "b": t["b"]})
+        assert len(result) == ROUNDS * ROWS_PER_ROUND
 
     def test_select_star(self):
-        run_both("SELECT * FROM pts")
+        check("SELECT * FROM pts", lambda t: t)
 
     def test_filter_and_expression(self):
-        eager, _ = run_both("SELECT k, a + b AS s FROM pts WHERE k < 5000")
-        assert 0 < len(eager) < ROUNDS * ROWS_PER_ROUND
+        def oracle(t):
+            keep = t["k"] < 5000
+            return {"k": t["k"][keep], "s": (t["a"] + t["b"])[keep]}
+
+        result, _ = check(
+            "SELECT k, a + b AS s FROM pts WHERE k < 5000", oracle)
+        assert 0 < len(result) < ROUNDS * ROWS_PER_ROUND
 
     def test_order_by_limit_uses_streaming_topk(self):
-        eager, _ = run_both(
-            "SELECT k, a FROM pts ORDER BY k DESC, a LIMIT 17")
-        assert len(eager) == 17
+        def oracle(t):
+            top = np.lexsort((t["a"], -t["k"]))[:17]
+            return {"k": t["k"][top], "a": t["a"][top]}
+
+        check("SELECT k, a FROM pts ORDER BY k DESC, a LIMIT 17", oracle,
+              ordered=True)
 
     def test_order_by_limit_with_ties_is_stable(self):
-        # k % 4 has heavy ties; stable per-node trimming must reproduce the
-        # eager tie order exactly.
-        run_both("SELECT k % 4 AS g, a FROM pts ORDER BY g LIMIT 40")
+        # k % 4 has heavy ties; per-node top-k trimming must keep tied rows
+        # in scan order, whatever the batch size.  The second table holds
+        # 12 000 rows per node, so the 8 192-row trim threshold trips
+        # mid-scan (one-row batches would only make that slow).
+        for kwargs in ({}, {"rows": 12_000, "configs": CONFIGS[2:]}):
+            result, clusters = run_all_configs(
+                "SELECT k % 4 AS g, a FROM pts ORDER BY g LIMIT 40", **kwargs)
+            scanned = scan_order(clusters[0], ["k", "a"])
+            first = np.argsort(scanned["k"] % 4, kind="stable")[:40]
+            assert_matches_oracle(
+                result,
+                {"g": scanned["k"][first] % 4, "a": scanned["a"][first]},
+                ordered=True)
 
     def test_limit_without_order_stops_early(self):
-        eager, _ = run_both("SELECT k FROM pts LIMIT 25")
-        assert len(eager) == 25
+        result, clusters = run_all_configs("SELECT k FROM pts LIMIT 25")
+        assert_matches_oracle(
+            result, {"k": scan_order(clusters[0], ["k"])["k"][:25]},
+            ordered=True)
+        # The small-batch configs stop pulling long before the table ends.
+        assert clusters[0].telemetry.get("rows_scanned") \
+            < ROUNDS * ROWS_PER_ROUND
 
     def test_distinct(self):
-        run_both("SELECT DISTINCT k % 16 AS g FROM pts ORDER BY g")
+        check("SELECT DISTINCT k % 16 AS g FROM pts ORDER BY g",
+              lambda t: {"g": np.unique(t["k"] % 16)}, ordered=True)
 
     def test_parity_under_zone_map_pruning(self):
-        streaming = build_cluster("streaming", sorted_keys=True)
-        eager = build_cluster("eager", sorted_keys=True)
-        query = "SELECT k, a FROM pts WHERE k < 900"
-        assert_results_match(eager.sql(query), streaming.sql(query))
-        assert streaming.telemetry.get("rowgroups_pruned") > 0
+        def oracle(t):
+            keep = t["k"] < 900
+            return {"k": t["k"][keep], "a": t["a"][keep]}
+
+        _, clusters = check("SELECT k, a FROM pts WHERE k < 900", oracle,
+                            sorted_keys=True)
+        for cluster in clusters:
+            assert cluster.telemetry.get("rowgroups_pruned") > 0
 
     def test_empty_scan_keeps_schema_dtypes(self):
         """Zero surviving rows must not collapse every column to float64."""
-        for mode in ("eager", "streaming"):
-            result = build_cluster(mode).sql(
-                "SELECT k, a, a + b AS s FROM pts WHERE k < 0 - 1")
-            assert len(result) == 0
-            assert result.column("k").dtype == np.dtype(np.int64)
-            assert result.column("a").dtype == np.dtype(np.float64)
-            assert result.column("s").dtype == np.dtype(np.float64)
+        result, _ = run_all_configs(
+            "SELECT k, a, a + b AS s FROM pts WHERE k < 0 - 1")
+        assert len(result) == 0
+        assert result.column("k").dtype == np.dtype(np.int64)
+        assert result.column("a").dtype == np.dtype(np.float64)
+        assert result.column("s").dtype == np.dtype(np.float64)
 
 
 class TestAggregateParity:
     def test_global_discrete_aggregates(self):
-        run_both("SELECT COUNT(*) AS n, MIN(k) AS lo, MAX(k) AS hi FROM pts")
+        check("SELECT COUNT(*) AS n, MIN(k) AS lo, MAX(k) AS hi FROM pts",
+              lambda t: {"n": np.asarray([len(t["k"])]),
+                         "lo": np.asarray([t["k"].min()]),
+                         "hi": np.asarray([t["k"].max()])})
 
     def test_global_float_aggregates(self):
-        run_both("SELECT SUM(a) AS s, AVG(y) AS m FROM pts",
-                 float_columns=("s", "m"))
+        check("SELECT SUM(a) AS s, AVG(y) AS m FROM pts",
+              lambda t: {"s": np.asarray([t["a"].sum()]),
+                         "m": np.asarray([t["y"].mean()])},
+              ordered=True, float_columns=("s", "m"))
 
     def test_group_by_with_having_and_order(self):
-        run_both(
-            "SELECT k % 7 AS g, COUNT(*) AS n, SUM(a) AS s FROM pts "
-            "GROUP BY g HAVING COUNT(*) > 10 ORDER BY g",
-            float_columns=("s",))
+        def oracle(t):
+            groups = t["k"] % 7
+            kept = [g for g in np.unique(groups) if (groups == g).sum() > 10]
+            return {
+                "g": np.asarray(kept, dtype=np.int64),
+                "n": np.asarray([(groups == g).sum() for g in kept],
+                                dtype=np.int64),
+                "s": np.asarray([t["a"][groups == g].sum() for g in kept]),
+            }
+
+        check("SELECT k % 7 AS g, COUNT(*) AS n, SUM(a) AS s FROM pts "
+              "GROUP BY g HAVING COUNT(*) > 10 ORDER BY g",
+              oracle, ordered=True, float_columns=("s",))
 
     def test_filtered_aggregate(self):
-        run_both(
-            "SELECT COUNT(*) AS n, MAX(b) AS hi FROM pts WHERE k < 4000")
+        def oracle(t):
+            keep = t["k"] < 4000
+            return {"n": np.asarray([keep.sum()], dtype=np.int64),
+                    "hi": np.asarray([t["b"][keep].max()])}
+
+        check("SELECT COUNT(*) AS n, MAX(b) AS hi FROM pts WHERE k < 4000",
+              oracle)
 
     def test_aggregate_over_zero_rows(self):
-        for mode in ("eager", "streaming"):
-            result = build_cluster(mode).sql(
-                "SELECT COUNT(*) AS n, SUM(a) AS s FROM pts WHERE k < 0 - 1")
-            assert result.column("n")[0] == 0
+        result, _ = run_all_configs(
+            "SELECT COUNT(*) AS n, SUM(a) AS s FROM pts WHERE k < 0 - 1")
+        assert len(result) == 1
+        assert result.column("n")[0] == 0
+        assert result.column("s")[0] is None
 
 
 class _Doubler(TransformFunction):
@@ -189,38 +324,77 @@ class _KeySum(TransformFunction):
         return {"k": uniq, "total": totals}
 
 
-class TestUdtfParity:
-    def _run(self, query, **build_kwargs):
-        eager = build_cluster("eager", **build_kwargs)
-        streaming = build_cluster("streaming", **build_kwargs)
-        for cluster in (eager, streaming):
-            cluster.register_udtf(_Doubler())
-            cluster.register_udtf(_KeySum())
-        eager_result = eager.sql(query)
-        streaming_result = streaming.sql(query)
-        assert_results_match(eager_result, streaming_result)
-        return eager_result, streaming, eager
+def _register_udtfs(cluster: VerticaCluster) -> None:
+    cluster.register_udtf(_Doubler())
+    cluster.register_udtf(_KeySum())
 
+
+class TestUdtfParity:
     def test_partition_nodes(self):
-        result, _, _ = self._run(
-            "SELECT doubleUp(a) OVER (PARTITION NODES) FROM pts")
+        result, _ = check(
+            "SELECT doubleUp(a) OVER (PARTITION NODES) FROM pts",
+            lambda t: {"v": t["a"] * 2.0}, setup=_register_udtfs)
         assert len(result) == ROUNDS * ROWS_PER_ROUND
 
     def test_partition_best(self):
-        self._run("SELECT doubleUp(a) OVER (PARTITION BEST) FROM pts")
+        check("SELECT doubleUp(a) OVER (PARTITION BEST) FROM pts",
+              lambda t: {"v": t["a"] * 2.0}, setup=_register_udtfs)
 
     def test_partition_best_with_filter(self):
-        self._run(
-            "SELECT doubleUp(a) OVER (PARTITION BEST) FROM pts "
-            "WHERE k < 5000")
+        check("SELECT doubleUp(a) OVER (PARTITION BEST) FROM pts "
+              "WHERE k < 5000",
+              lambda t: {"v": t["a"][t["k"] < 5000] * 2.0},
+              setup=_register_udtfs)
 
     def test_partition_by_key(self):
-        result, streaming, eager = self._run(
-            "SELECT keySum(k) OVER (PARTITION BY k) FROM pts")
-        assert result.column("total").sum() == \
-            build_cluster("eager").sql("SELECT SUM(k) AS s FROM pts").scalar()
-        assert streaming.telemetry.get("udtf_instances") == \
-            eager.telemetry.get("udtf_instances")
+        def oracle(t):
+            keys, counts = np.unique(t["k"], return_counts=True)
+            return {"k": keys, "total": keys * counts}
+
+        # One output row per key proves equal keys met in one instance.
+        result, clusters = check(
+            "SELECT keySum(k) OVER (PARTITION BY k) FROM pts", oracle,
+            setup=_register_udtfs)
+        assert result.column("total").sum() == loaded()["k"].sum()
+        for cluster in clusters:
+            assert cluster.telemetry.get("udtf_instances") == NODE_COUNT
+
+    def test_partition_best_over_r_models(self):
+        """The catalog table is one in-memory source: one instance on node
+        0 sees every model, and a filter that drops them all still yields
+        the (empty) declared output."""
+        model = KMeansModel(
+            centers=np.asarray([[0.5, 0.5], [-0.5, -0.5]]),
+            inertia=0.0, iterations=1, converged=True,
+            n_observations=2, cluster_sizes=np.asarray([1, 1]),
+        )
+
+        class _Where(TransformFunction):
+            name = "whereAmI"
+
+            def process(self, ctx, args, params):
+                size = np.asarray(args["size"], dtype=np.int64)
+                return {"size": size,
+                        "node": np.full(len(size), ctx.node_index),
+                        "instances": np.full(len(size), ctx.instance_count)}
+
+        cluster = build_cluster()
+        cluster.register_udtf(_Where())
+        for name in ("km_a", "km_b"):
+            deploy_model(cluster, model, name)
+        sizes = cluster.sql("SELECT size FROM R_Models").column("size")
+        assert len(sizes) == 2
+        before = cluster.telemetry.get("udtf_instances")
+        result = cluster.sql(
+            "SELECT whereAmI(size) OVER (PARTITION BEST) FROM R_Models")
+        assert cluster.telemetry.get("udtf_instances") == before + 1
+        assert np.array_equal(result.column("size"), sizes)
+        assert result.column("node").tolist() == [0, 0]
+        assert result.column("instances").tolist() == [1, 1]
+        none = cluster.sql(
+            "SELECT whereAmI(size) OVER (PARTITION BEST) FROM R_Models "
+            "WHERE size < 0")
+        assert len(none) == 0
 
     def test_prediction_parity(self, session):
         data = make_regression(500, 3, seed=8)
@@ -236,26 +410,32 @@ class TestUdtfParity:
                 i, data.responses[boundaries[i]:boundaries[i + 1]].reshape(-1, 1))
         model = hpdglm(y, x)
 
-        def score(mode):
-            rng = np.random.default_rng(21)
-            columns = {"k": rng.integers(0, 10_000, 600)}
-            for j in range(3):
-                columns[f"c{j}"] = rng.normal(size=600)
+        rng = np.random.default_rng(21)
+        columns = {"k": rng.integers(0, 10_000, 600)}
+        for j in range(3):
+            columns[f"c{j}"] = rng.normal(size=600)
+        features = np.column_stack([columns[f"c{j}"] for j in range(3)])
+        expected = np.sort(
+            model.coefficients[0] + features @ model.coefficients[1:])
+
+        def score(batch_rows):
             cluster = VerticaCluster(
                 node_count=NODE_COUNT,
-                pipeline=PipelineConfig(mode=mode, batch_rows=64))
+                pipeline=PipelineConfig(batch_rows=batch_rows))
             cluster.create_table_like("scores", columns, HashSegmentation("k"))
             cluster.bulk_load("scores", columns)
             deploy_model(cluster, model, "reg")
             return cluster.sql(
                 "SELECT glmPredict(c0, c1, c2 USING PARAMETERS model='reg') "
-                "OVER (PARTITION BEST) FROM scores")
+                "OVER (PARTITION BEST) FROM scores").column("prediction")
 
-        eager, streaming = score("eager"), score("streaming")
-        assert len(streaming) == 600
-        np.testing.assert_allclose(
-            streaming.column("prediction"), eager.column("prediction"),
-            rtol=1e-12, atol=1e-12)
+        predictions = [score(batch_rows) for batch_rows in (1, 64, 8192)]
+        for prediction in predictions:
+            assert len(prediction) == 600
+            np.testing.assert_allclose(prediction, predictions[0],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(np.sort(prediction), expected,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class _SlowWatcher(TransformFunction):
@@ -284,8 +464,7 @@ class _SlowWatcher(TransformFunction):
 class TestBackpressure:
     def test_queue_depth_bounds_live_batches(self):
         queue_depth = 2
-        cluster = build_cluster("streaming", batch_rows=32,
-                                queue_depth=queue_depth)
+        cluster = build_cluster(batch_rows=32, queue_depth=queue_depth)
         watcher = _SlowWatcher(cluster.telemetry)
         cluster.register_udtf(watcher)
         result = cluster.sql(
@@ -305,7 +484,7 @@ class TestBackpressure:
         assert cluster.telemetry.get("pipeline_inflight_bytes_now") == 0
 
     def test_streaming_telemetry_counters(self):
-        cluster = build_cluster("streaming", batch_rows=64)
+        cluster = build_cluster(batch_rows=64)
         cluster.sql("SELECT k FROM pts")
         snapshot = cluster.telemetry.snapshot()
         assert snapshot["batches_scanned"] > NODE_COUNT
@@ -314,52 +493,65 @@ class TestBackpressure:
         assert snapshot["pipeline_inflight_bytes_peak"] > 0
 
 
+def inflight_bytes_bound(telemetry: dict, queue_depth: int) -> float:
+    """The most one UDTF statement can have in flight: every instance's
+    queue full, plus per node one batch in the source hand-over and one in
+    a consumer's hands.  With one instance per node this is ``node_count x
+    (queue_depth + 2)`` batches; it never grows with the table."""
+    batches = (telemetry["udtf_instances"] * queue_depth + 2 * NODE_COUNT)
+    return batches * telemetry["peak_batch_bytes"]
+
+
 class TestTransferParity:
     def test_darray_bit_identical_and_streaming_lowers_peak(self):
-        """The acceptance bar: same wire bytes, same darray, strictly lower
-        peak in-flight bytes when streaming the largest workload table."""
+        """The acceptance bar: same wire bytes and the same darray however
+        the scan is batched, the darray holds exactly the loaded rows, and
+        peak in-flight bytes stay under the queue-depth bound."""
+        load_kwargs = {"rounds": 5, "rows": 8_000}
+        queue_depth = 2
 
-        def transfer(mode):
-            cluster = build_cluster(mode, batch_rows=1024,
-                                    rounds=5, rows=8_000)
+        def transfer(batch_rows):
+            cluster = build_cluster(batch_rows, queue_depth, **load_kwargs)
             with start_session(node_count=NODE_COUNT,
                                instances_per_node=2) as session:
                 darray = db2darray(cluster, "pts", ["a", "b", "y"],
                                    session, chunk_rows=4_096)
                 collected = darray.collect()
                 frames = session.telemetry.get("vft_frames_received")
-            telemetry = cluster.telemetry.snapshot()
-            return collected, frames, telemetry
+            return collected, frames, cluster.telemetry.snapshot()
 
-        eager_data, eager_frames, eager_tel = transfer("eager")
-        stream_data, stream_frames, stream_tel = transfer("streaming")
-
-        assert np.array_equal(eager_data, stream_data)
-        assert stream_frames == eager_frames > 0
-        assert stream_tel["vft_bytes_sent"] == eager_tel["vft_bytes_sent"]
-
-        eager_peak = eager_tel["pipeline_inflight_bytes_peak"]
-        stream_peak = stream_tel["pipeline_inflight_bytes_peak"]
-        assert 0 < stream_peak < eager_peak
+        runs = [transfer(batch_rows) for batch_rows in (64, 1_024, 8_192)]
+        first_data, first_frames, first_tel = runs[0]
+        table = loaded(**load_kwargs)
+        rows = np.column_stack([table["a"], table["b"], table["y"]])
+        assert np.array_equal(
+            first_data[np.lexsort(first_data.T[::-1])],
+            rows[np.lexsort(rows.T[::-1])])
+        for data, frames, telemetry in runs:
+            assert np.array_equal(data, first_data)
+            assert frames == first_frames > 0
+            assert telemetry["vft_bytes_sent"] == first_tel["vft_bytes_sent"]
+            peak = telemetry["pipeline_inflight_bytes_peak"]
+            assert 0 < peak <= inflight_bytes_bound(telemetry, queue_depth)
+        # At 64-row batches that bound is a sliver of the table: in-flight
+        # memory follows the queue depth, not the data size.
+        assert inflight_bytes_bound(first_tel, queue_depth) < rows.nbytes / 10
 
 
 class TestPipelineConfig:
-    def test_eager_knob(self):
-        cluster = build_cluster("eager")
-        assert not cluster.pipeline.streaming
-        assert len(cluster.sql("SELECT k FROM pts")) == ROUNDS * ROWS_PER_ROUND
-        # Eager scans never touch the streaming row counter.
-        assert cluster.telemetry.get("rows_streamed") == 0
-
     def test_invalid_config_rejected(self):
         from repro.errors import ExecutionError
 
         with pytest.raises(ExecutionError):
-            PipelineConfig(mode="lazy")
-        with pytest.raises(ExecutionError):
             PipelineConfig(batch_rows=0)
         with pytest.raises(ExecutionError):
             PipelineConfig(queue_depth=0)
+
+    def test_one_path_no_mode_knob(self):
+        assert [field.name for field in dataclasses.fields(PipelineConfig)] \
+            == ["batch_rows", "queue_depth", "stall_timeout_seconds"]
+        with pytest.raises(TypeError):
+            PipelineConfig(mode="streaming")
 
 
 class TestMutationTransferParity:
@@ -448,8 +640,6 @@ class TestMutationTransferParity:
         assert mutated.telemetry.get("delete_vector_rows_now") > 0
 
     def test_prediction_udtf_parity_over_live_mutations(self):
-        from repro.algorithms import KMeansModel
-
         mutated, materialized = self._clusters()
         model = KMeansModel(
             centers=np.asarray([[0.5, 0.5, 0.5], [-0.5, -0.5, -0.5]]),
@@ -470,7 +660,7 @@ class TestMutationTransferParity:
 
 class TestResultSetRows:
     def test_rows_materialize_python_scalars(self):
-        result = build_cluster("streaming").sql("SELECT k, a FROM pts LIMIT 3")
+        result = build_cluster().sql("SELECT k, a FROM pts LIMIT 3")
         rows = result.rows()
         assert len(rows) == 3
         for key, value in rows:

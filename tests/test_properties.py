@@ -254,8 +254,8 @@ class TestModelSerializationProperties:
 class TestFaultToleranceProperties:
     """Single-fault SELECTs under k_safety=1 match failure-free results.
 
-    The failure point (which node, which site, how deep into the scan) is
-    drawn by hypothesis; the invariant is absolute: one injected node crash
+    The failure point (which node, how deep into the scan) is drawn by
+    hypothesis; the invariant is absolute: one injected node crash
     anywhere in a protected scan never changes a query result, and losing a
     segment's node *and* its buddy raises a clean error instead of hanging
     or returning partial rows.
@@ -271,32 +271,40 @@ class TestFaultToleranceProperties:
                    "v": rng.normal(size=240)}
         cluster.create_table_like("t", columns, HashSegmentation("k"),
                                   k_safety=k_safety)
-        cluster.bulk_load("t", columns)
+        # Four loads -> up to four row groups (= stream batches) per
+        # segment, so every sampled crash depth lands inside a scan.
+        for start in range(0, 240, 60):
+            cluster.bulk_load("t", {name: array[start:start + 60]
+                                    for name, array in columns.items()})
         return cluster
 
     @common_settings
     @given(
         data_seed=st.integers(0, 50),
         node=st.integers(0, 2),
-        site=st.sampled_from(["scan.node", "scan.stream"]),
         after=st.integers(0, 3),
     )
     def test_select_survives_any_single_node_crash(self, data_seed, node,
-                                                   site, after):
+                                                   after):
         from repro.faults import FaultKind, FaultPlan
 
         query = "SELECT k, v FROM t"
         expected = self._make_cluster(data_seed).sql(query).rows()
         cluster = self._make_cluster(data_seed)
-        plan = FaultPlan.single(site, FaultKind.NODE_CRASH,
+        plan = FaultPlan.single("scan.stream", FaultKind.NODE_CRASH,
                                 match={"node": node}, after=after,
                                 seed=data_seed)
         cluster.install_fault_plan(plan)
         result = cluster.sql(query).rows()
         assert result == expected
-        if plan.fired(site):
-            # The crash actually happened: the rows above came through a
-            # buddy replica, and the recovery was accounted for.
+        # ``after=0`` is "node lost before its first batch"; deeper crashes
+        # fire whenever the node's segment has that many batches to stream.
+        segment = cluster.catalog.get_table("t").segments[node]
+        fired = bool(plan.fired("scan.stream"))
+        assert fired == (segment.rowgroup_count > after)
+        if fired:
+            # The rows above came through a buddy replica, and the
+            # recovery was accounted for.
             assert cluster.nodes[node].is_down
             assert cluster.telemetry.get("failovers") >= 1
 

@@ -370,7 +370,7 @@ def test_materialization_flags_whole_table_calls_on_hot_paths():
         def run(self, table, cluster):
             everything = table.scan_all(["a", "b"])
             segment = table.segments[0].read_columns(["a"])
-            node = cluster.scan_node_with_failover(table, 0, ["a"])
+            node = table.scan_node(0, ["a"])
             return everything, segment, node
     """
     violations = check_snippet(
@@ -378,7 +378,7 @@ def test_materialization_flags_whole_table_calls_on_hot_paths():
         relpath="src/repro/vertica/executor.py",
     )
     assert [v.message.split("'")[1] for v in violations] == [
-        "scan_all", "read_columns", "scan_node_with_failover",
+        "scan_all", "read_columns", "scan_node",
     ]
     assert all("stream rowgroup batches" in v.message for v in violations)
 
@@ -392,6 +392,7 @@ def test_materialization_accepts_streaming_and_local_defs():
                 return list(source)
 
             sources = cluster.stream_table_per_node(table, needed)
+            yield from cluster.stream_node_with_failover(table, 0, needed)
             for rowgroup in table.segments[0].iter_rowgroups(sorted(needed)):
                 yield rowgroup
     """
@@ -407,10 +408,15 @@ def test_materialization_scoped_to_hot_paths():
             return table.scan_all(None)
     """
     checker = get_checker("no-full-materialization")
-    assert not checker.applies_to("src/repro/vertica/joins.py")
+    assert not checker.applies_to("src/repro/vertica/table.py")
     assert not checker.applies_to("src/repro/storage/table.py")
     assert checker.applies_to("src/repro/vertica/cluster.py")
+    assert checker.applies_to("src/repro/vertica/joins.py")
+    assert checker.applies_to("src/repro/vertica/odbc.py")
     assert checker.applies_to("src/repro/transfer/streams.py")
+    for relpath in ("src/repro/vertica/joins.py", "src/repro/vertica/odbc.py"):
+        assert len(check_snippet(
+            "no-full-materialization", source, relpath=relpath)) == 1
 
 
 # ---------------------------------------------------------------------------

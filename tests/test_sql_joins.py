@@ -242,3 +242,50 @@ class TestJoinScale:
         counts_a = np.bincount(a, minlength=50)
         counts_b = np.bincount(b, minlength=50)
         assert count == int(np.sum(counts_a * counts_b))
+
+
+class TestJoinReadsThroughScanSources:
+    """Join inputs use the per-node scan sources like every other read:
+    buddy failover, clean node-down errors, and scan telemetry."""
+
+    QUERY = ("SELECT COUNT(*) AS n, SUM(x.v) AS s "
+             "FROM ta x JOIN tb y ON x.k = y.k")
+
+    @staticmethod
+    def _cluster(k_safety: int) -> VerticaCluster:
+        rng = np.random.default_rng(46)
+        a = {"k": rng.integers(0, 50, 300), "v": rng.integers(0, 9, 300)}
+        b = {"k": rng.integers(0, 50, 200)}
+        cluster = VerticaCluster(node_count=3)
+        cluster.create_table_like("ta", a, k_safety=k_safety)
+        cluster.bulk_load("ta", a)
+        cluster.create_table_like("tb", b, k_safety=k_safety)
+        cluster.bulk_load("tb", b)
+        return cluster
+
+    def test_failed_node_with_k_safety_reads_the_buddy(self):
+        expected = self._cluster(k_safety=1).sql(self.QUERY).rows()
+        cluster = self._cluster(k_safety=1)
+        cluster.fail_node(1)
+        before = cluster.telemetry.get("buddy_scans")
+        assert cluster.sql(self.QUERY).rows() == expected
+        # One failover per input table.
+        assert cluster.telemetry.get("buddy_scans") == before + 2
+
+    def test_failed_node_without_k_safety_raises(self):
+        from repro.errors import NodeDownError
+
+        cluster = self._cluster(k_safety=0)
+        cluster.fail_node(1)
+        with pytest.raises(NodeDownError):
+            cluster.sql(self.QUERY)
+
+    def test_join_charges_both_inputs_to_scan_telemetry(self):
+        cluster = self._cluster(k_safety=0)
+        telemetry = cluster.telemetry
+        rows = telemetry.get("rows_scanned")
+        nbytes = telemetry.get("bytes_scanned")
+        cluster.sql("SELECT COUNT(*) FROM ta x JOIN tb y ON x.k = y.k")
+        # Only the int64 key column of each side is read: 300 + 200 rows.
+        assert telemetry.get("rows_scanned") - rows == 500
+        assert telemetry.get("bytes_scanned") - nbytes == 500 * 8

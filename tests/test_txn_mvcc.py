@@ -1,7 +1,7 @@
 """MVCC engine tests: epochs, delete vectors, WOS/ROS, and the Tuple Mover.
 
-The acceptance bar for the mutation engine: every scan — eager or
-streaming, SQL aggregate or prediction UDTF — is consistent with *some*
+The acceptance bar for the mutation engine: every scan — SQL
+aggregate or prediction UDTF — is consistent with *some*
 committed epoch while inserts and deletes run concurrently; ``AT EPOCH``
 reproduces historical counts exactly; and Tuple Mover moveout/mergeout are
 invisible to any still-reachable snapshot.

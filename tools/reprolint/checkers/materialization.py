@@ -1,20 +1,20 @@
 """no-full-materialization (RL701): executor/transfer hot paths must stream.
 
 The streaming batch pipeline exists so that the peak memory of a query is
-O(queue_depth x batch_rows), not O(table).  That property dies quietly the
-moment someone on a hot path calls one of the whole-table (or whole-segment)
+O(queue_depth x batch_rows), not O(table), and so that every read of table
+data passes the one place that handles scan slots, buddy failover, fault
+injection and scan telemetry.  Both properties die quietly the moment
+someone on a hot path calls one of the whole-table (or whole-segment)
 materializing entry points — ``scan_all``, an unbatched ``read_columns``,
-``scan_node``/``scan_node_replica``, or the eager per-node collectors
-``scan_node_with_failover``/``scan_table_per_node`` — instead of pulling
-rowgroup batches through :meth:`Segment.iter_rowgroups` /
-:meth:`VerticaCluster.stream_table_per_node`.
+``scan_node`` — instead of pulling rowgroup batches through
+:meth:`VerticaCluster.stream_table_per_node` /
+:meth:`VerticaCluster.stream_node_with_failover`.
 
 This checker flags every call to one of those names in the query-execution
 and transfer hot paths (``src/repro/vertica/executor.py``,
-``src/repro/vertica/cluster.py``, ``src/repro/transfer/``).  The sanctioned
-eager fallback (``PipelineConfig(mode="eager")``) keeps its call sites via
-baseline entries; anything new must either stream or justify itself the
-same way.
+``src/repro/vertica/cluster.py``, ``src/repro/vertica/joins.py``,
+``src/repro/vertica/odbc.py``, ``src/repro/transfer/``).  Anything new must
+either stream or justify itself with a baseline entry.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from reprolint.core import Checker, FileContext, Violation, register
 HOT_PATHS = (
     "src/repro/vertica/executor.py",
     "src/repro/vertica/cluster.py",
+    "src/repro/vertica/joins.py",
+    "src/repro/vertica/odbc.py",
     "src/repro/transfer/",
 )
 
@@ -37,9 +39,6 @@ MATERIALIZING_CALLS = {
     "scan_all": "materializes the entire table across all nodes",
     "read_columns": "materializes a whole segment in one unbatched read",
     "scan_node": "materializes a node's entire segment",
-    "scan_node_replica": "materializes a buddy node's entire segment",
-    "scan_node_with_failover": "materializes a node's entire segment (eager)",
-    "scan_table_per_node": "materializes every node's segment at once (eager)",
 }
 
 
@@ -58,7 +57,7 @@ class MaterializationChecker(Checker):
     code = "RL701"
     description = (
         "no whole-table/segment materialization (scan_all, unbatched "
-        "read_columns, scan_node*) on executor/transfer hot paths; pull "
+        "read_columns, scan_node) on executor/transfer hot paths; pull "
         "rowgroup batches through the streaming pipeline instead"
     )
 
@@ -79,6 +78,6 @@ class MaterializationChecker(Checker):
                 ctx,
                 node,
                 f"'{name}' {why}; stream rowgroup batches "
-                "(Segment.iter_rowgroups / stream_table_per_node) or keep "
-                "it behind the eager fallback with a baseline entry",
+                "(stream_table_per_node / stream_node_with_failover) or "
+                "justify it with a baseline entry",
             )
