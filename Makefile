@@ -31,7 +31,8 @@ mypy:
 	fi
 
 # Run the SQL semantic analyzer (schema-less lenient mode) over every SQL
-# string literal in tests/ and examples/: zero analysis errors allowed.
+# string literal in tests/, examples/ and benchmarks/ and over the .sql
+# corpora (bench/olap_queries.sql): zero analysis errors allowed.
 lint-sql:
 	PYTHONPATH=src $(PYTHON) tools/sql_lint.py
 

@@ -6,10 +6,8 @@ reuse the AST and the :class:`~repro.vertica.sql.analyzer.ResolvedQuery`
 and skip both phases.  Entries remember the catalog's DDL version at
 analysis time — a CREATE/DROP TABLE or UDTF registration invalidates every
 prepared plan, because the analysis may be bound to stale schema.  The
-executor mutates statements while running them (alias resolution, join
-predicate consumption), so callers must execute a **deep copy** of the
-cached AST, never the cached object itself
-(:meth:`PreparedStatement.statement_copy`).
+executor reads the AST and its ``ResolvedQuery`` without modifying either,
+so every session executes the cached objects themselves, concurrently.
 
 **Result cache.**  Keyed on ``(plan fingerprint, user, referenced-table
 invalidation tokens, model-catalog version)``.  A table's invalidation
@@ -32,7 +30,6 @@ the actual transfer).
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import threading
 from collections import OrderedDict
@@ -100,10 +97,6 @@ class PreparedStatement:
     statement: ast.Statement = field(compare=False)
     resolved: "ResolvedQuery" = field(compare=False)
     ddl_version: int = field(compare=False)
-
-    def statement_copy(self) -> ast.Statement:
-        """A private AST for one execution (the executor mutates its input)."""
-        return copy.deepcopy(self.statement)
 
 
 class PlanCache:

@@ -214,7 +214,7 @@ class Server:
                             statement=prepared.sql[:200]) as query_span:
                         cluster.telemetry.add("queries_executed")
                         result = cluster.executor.execute(
-                            prepared.statement_copy(), user=session.user,
+                            prepared.statement, user=session.user,
                             resolved=prepared.resolved)
                         query_span.set(result_rows=len(result))
                     cluster.telemetry.registry.histogram(

@@ -267,11 +267,6 @@ class VerticaCluster:
 
     # -- scan services used by the executor and transfers -----------------------------
 
-    def table_columns(self, table_name: str) -> list[str]:
-        if table_name.lower() == R_MODELS_TABLE_NAME:
-            return list(RModelsCatalog.COLUMNS)
-        return self.catalog.get_table(table_name).column_names
-
     def node_rowgroup_count(self, table_name: str, node: int) -> int:
         if table_name.lower() == R_MODELS_TABLE_NAME:
             return 1

@@ -116,7 +116,8 @@ class QueryExecutor:
 
         ``resolved`` lets a prepared-statement cache (the serving layer's
         plan cache) supply a prior semantic analysis of the *same* statement
-        text and skip the re-analysis; plain callers leave it ``None``.
+        and skip the re-analysis; plain callers leave it ``None``.  Neither
+        ``stmt`` nor ``resolved`` is modified, so both may be shared.
         """
         if resolved is None:
             resolved = self._analyze(stmt)
@@ -127,7 +128,7 @@ class QueryExecutor:
         if isinstance(stmt, ast.Insert):
             return self._execute_insert(stmt)
         if isinstance(stmt, ast.Delete):
-            deleted = execute_delete(self.cluster, stmt)
+            deleted = execute_delete(self.cluster, stmt, resolved)
             return ResultSet(["count"],
                              {"count": np.asarray([deleted], dtype=np.int64)})
         if isinstance(stmt, ast.Update):
@@ -160,7 +161,7 @@ class QueryExecutor:
         if isinstance(stmt, ast.ShowSamples):
             return self._execute_show_samples()
         if isinstance(stmt, ast.Explain):
-            return self._execute_explain(stmt.query)
+            return self._execute_explain(stmt.query, resolved)
         if isinstance(stmt, ast.Profile):
             return self._execute_profile(stmt.query, user, resolved)
         raise ExecutionError(f"unsupported statement type {type(stmt).__name__}")
@@ -183,7 +184,7 @@ class QueryExecutor:
         return check(stmt, ClusterProvider(self.cluster))
 
     def _execute_profile(self, stmt: ast.Select, user: str,
-                         resolved: ResolvedQuery | None = None) -> ResultSet:
+                         resolved: ResolvedQuery) -> ResultSet:
         """Execute the query, return its operator span tree instead of rows.
 
         Vertica's PROFILE analogue: per-operator wall time, rows, bytes,
@@ -197,9 +198,9 @@ class QueryExecutor:
             span.set(result_rows=len(result))
         return _render_profile(span)
 
-    def _execute_explain(self, stmt: ast.Select) -> ResultSet:
+    def _execute_explain(self, stmt: ast.Select,
+                         resolved: ResolvedQuery) -> ResultSet:
         """Describe the physical plan as one text row per plan step."""
-        stmt = self._resolve_aliases(stmt)
         lines: list[str] = []
 
         def scan_line(table_name: str) -> str:
@@ -212,10 +213,9 @@ class QueryExecutor:
                     f"{table.segmentation.describe()}]")
 
         if stmt.join is not None:
-            left_alias = stmt.table_alias or stmt.table
-            right_alias = stmt.join.alias or stmt.join.table
-            lines.append(scan_line(stmt.table) + f" AS {left_alias}")
-            lines.append(scan_line(stmt.join.table) + f" AS {right_alias}")
+            left, right = resolved.tables
+            lines.append(scan_line(left.name) + f" AS {left.alias}")
+            lines.append(scan_line(right.name) + f" AS {right.alias}")
             lines.append(
                 f"HASH {stmt.join.kind.upper()} JOIN ON {stmt.join.condition}"
             )
@@ -230,18 +230,18 @@ class QueryExecutor:
                 ast.PartitionKind.BY_COLUMN: "hash-partitioned by key",
             }[stmt.udtf.partition.kind]
             lines.append(f"UDTF {stmt.udtf.name} [{fanout}]")
-        elif stmt.group_by or _has_aggregates(stmt):
-            keys = ", ".join(map(str, stmt.group_by)) or "<global>"
+        elif resolved.group_by or resolved.aggregates:
+            keys = ", ".join(map(str, resolved.group_by)) or "<global>"
             lines.append(f"AGGREGATE partial per node, merge on initiator "
                          f"[group by {keys}]")
         if not stmt.udtf:
             projections = ("*" if stmt.select_star
                            else ", ".join(i.output_name for i in stmt.items))
             lines.append(f"PROJECT {projections}")
-        if stmt.order_by:
+        if resolved.order_by:
             keys = ", ".join(
                 f"{o.expr} {'ASC' if o.ascending else 'DESC'}"
-                for o in stmt.order_by)
+                for o in resolved.order_by)
             lines.append(f"SORT {keys}")
         if stmt.limit is not None:
             lines.append(f"LIMIT {stmt.limit}")
@@ -303,8 +303,7 @@ class QueryExecutor:
     # -- SELECT ---------------------------------------------------------------
 
     def _execute_select(self, stmt: ast.Select, user: str,
-                        resolved: ResolvedQuery | None = None) -> ResultSet:
-        stmt = self._resolve_aliases(stmt)
+                        resolved: ResolvedQuery) -> ResultSet:
         # One snapshot per statement, resolved before any scan starts:
         # every node source reads the same epoch.
         snapshot = self._statement_snapshot(stmt)
@@ -313,8 +312,8 @@ class QueryExecutor:
         tracer = self.cluster.tracer
         if stmt.join is not None:
             with tracer.span("join", table=stmt.table or ""):
-                return self._execute_join_select(stmt, snapshot)
-        plan = plan_select(stmt, resolved=resolved)
+                return self._execute_join_select(stmt, resolved, snapshot)
+        plan = plan_select(stmt, resolved)
         if isinstance(plan, UdtfPlan):
             with tracer.span("udtf", function=plan.udtf.name,
                              table=plan.table or "") as span:
@@ -329,7 +328,7 @@ class QueryExecutor:
 
     def _execute_within(self, stmt: ast.Select, user: str,
                         snapshot: "Snapshot | None",
-                        resolved: ResolvedQuery | None = None) -> ResultSet:
+                        resolved: ResolvedQuery) -> ResultSet:
         """``WITHIN n% ERROR``: answer from a sample or fall back to exact.
 
         Both paths return the same four-column shape so callers (and the
@@ -361,78 +360,28 @@ class QueryExecutor:
 
     def _statement_snapshot(self, stmt: ast.Select) -> "Snapshot | None":
         """Resolve the statement's read snapshot (``AT EPOCH`` or latest)."""
-        if stmt.table is None or stmt.table.lower() == R_MODELS_TABLE_NAME:
-            if stmt.at_epoch is not None:
-                raise SqlAnalysisError(
-                    "AT EPOCH requires a FROM over a regular table")
+        if stmt.table.lower() == R_MODELS_TABLE_NAME:
             return None
         table = self.cluster.catalog.get_table(stmt.table)
         return table.resolve_snapshot(stmt.at_epoch)
 
-    def _execute_join_select(self, stmt: ast.Select,
+    def _execute_join_select(self, stmt: ast.Select, resolved: ResolvedQuery,
                              snapshot: "Snapshot | None" = None) -> ResultSet:
         """Joined SELECT: materialize the hash join, then run the normal
-        scan/aggregate driver over the joined batch as its one source."""
+        scan/aggregate driver (WHERE included) over the joined batch as its
+        one source."""
         from repro.vertica.joins import materialize_join
 
-        if stmt.udtf is not None:
-            raise SqlAnalysisError("UDTF calls over joins are not supported")
-        batch, star_columns = materialize_join(self.cluster, stmt,
-                                               snapshot=snapshot)
-        if stmt.where is not None:
-            mask = np.atleast_1d(
-                np.asarray(expressions.evaluate(stmt.where, batch), dtype=bool))
-            batch = {key: arr[mask] for key, arr in batch.items()}
-            stmt.where = None
-        plan = plan_select(stmt)
+        batch = materialize_join(self.cluster, stmt, resolved.join,
+                                 snapshot=snapshot)
+        plan = plan_select(stmt, resolved)
 
         def joined() -> Iterator[dict[str, np.ndarray]]:
             yield batch
 
         if isinstance(plan, AggregatePlan):
             return self._execute_aggregate(plan, sources=[joined])
-        return self._execute_scan(plan, sources=[joined],
-                                  star_columns=star_columns)
-
-    def _resolve_aliases(self, stmt: ast.Select) -> ast.Select:
-        """Let GROUP BY / HAVING / ORDER BY reference select-list aliases.
-
-        A real table column of the same name wins over an alias, matching
-        standard SQL resolution.
-        """
-        alias_map = {
-            item.alias: item.expr for item in stmt.items if item.alias is not None
-        }
-        if not alias_map or stmt.table is None:
-            return stmt
-        table_columns = set(self.cluster.table_columns(stmt.table))
-        if stmt.join is not None:
-            table_columns |= set(self.cluster.table_columns(stmt.join.table))
-
-        def substitute(expr: ast.Expr) -> ast.Expr:
-            if isinstance(expr, ast.ColumnRef):
-                if (expr.qualifier is None and expr.name in alias_map
-                        and expr.name not in table_columns):
-                    return alias_map[expr.name]
-                return expr
-            if isinstance(expr, ast.BinaryOp):
-                return ast.BinaryOp(expr.op, substitute(expr.left), substitute(expr.right))
-            if isinstance(expr, ast.UnaryOp):
-                return ast.UnaryOp(expr.op, substitute(expr.operand))
-            if isinstance(expr, ast.FunctionCall):
-                return ast.FunctionCall(expr.name, tuple(substitute(a) for a in expr.args))
-            if isinstance(expr, ast.AggregateCall):
-                arg = None if expr.arg is None else substitute(expr.arg)
-                return ast.AggregateCall(expr.name, arg, expr.distinct)
-            return expr
-
-        stmt.group_by = [substitute(e) for e in stmt.group_by]
-        if stmt.having is not None:
-            stmt.having = substitute(stmt.having)
-        stmt.order_by = [
-            ast.OrderItem(substitute(o.expr), o.ascending) for o in stmt.order_by
-        ]
-        return stmt
+        return self._execute_scan(plan, sources=[joined])
 
     def _scan_ranges(self, where: ast.Expr | None):
         from repro.vertica.pruning import extract_column_ranges
@@ -464,22 +413,15 @@ class QueryExecutor:
 
     def _execute_scan(self, plan: ScanPlan,
                       snapshot: "Snapshot | None" = None,
-                      sources: list | None = None,
-                      star_columns: list[str] | None = None) -> ResultSet:
+                      sources: list | None = None) -> ResultSet:
         """Pull batches from each source (by default the table's per-node
         streams), filter and project each batch as it streams past, and keep
         only the projection (plus a bounded top-k window under ``ORDER BY
         ... LIMIT``) in memory."""
-        if plan.select_star:
-            table_columns = star_columns or self.cluster.table_columns(plan.table)
-            items = [ast.SelectItem(ast.ColumnRef(name)) for name in table_columns]
-            needed = set(table_columns) | plan.columns_needed
-        else:
-            items = plan.items
-            needed = set(plan.columns_needed)
+        items = plan.items
         names = [item.output_name for item in items]
         if sources is None:
-            sources = self._node_sources(plan, needed, snapshot)
+            sources = self._node_sources(plan, plan.columns_needed, snapshot)
         ascending = [o.ascending for o in plan.order_by]
         use_topk = bool(plan.order_by) and plan.limit is not None \
             and not plan.distinct
@@ -523,10 +465,9 @@ class QueryExecutor:
                 outputs[name].extend(out_chunks[name])
             for i, chunks in enumerate(order_chunks):
                 order_values[i].extend(chunks)
-        return self._finish_scan(plan, items, names, needed, outputs, order_values)
+        return self._finish_scan(plan, names, outputs, order_values)
 
-    def _finish_scan(self, plan: ScanPlan, items, names: list[str],
-                     needed: set[str],
+    def _finish_scan(self, plan: ScanPlan, names: list[str],
                      outputs: dict[str, list[np.ndarray]],
                      order_values: list[list[np.ndarray]]) -> ResultSet:
         """Initiator tail: distinct, sort, limit."""
@@ -534,7 +475,7 @@ class QueryExecutor:
             # No batches survived pruning/filtering: derive empty columns
             # from the table schema / expression types instead of collapsing
             # every output to float64.
-            return ResultSet(names, self._typed_empty_outputs(plan, items, needed))
+            return ResultSet(names, self._typed_empty_outputs(plan))
         columns = {name: np.concatenate(chunks) for name, chunks in outputs.items()}
         if plan.distinct:
             keep = _distinct_indices([columns[name] for name in names])
@@ -550,15 +491,14 @@ class QueryExecutor:
             columns = {name: arr[: plan.limit] for name, arr in columns.items()}
         return ResultSet(names, columns)
 
-    def _typed_empty_outputs(self, plan: ScanPlan, items,
-                             needed: set[str]) -> dict[str, np.ndarray]:
+    def _typed_empty_outputs(self, plan: ScanPlan) -> dict[str, np.ndarray]:
         """Zero-row projections with dtypes inferred from the table schema
         by evaluating each select expression over a schema-typed empty
         batch (mirroring what :meth:`_execute_udtf` does via the declared
         UDTF output schema)."""
-        base = self.cluster.typed_empty_batch(plan.table, needed)
+        base = self.cluster.typed_empty_batch(plan.table, plan.columns_needed)
         out: dict[str, np.ndarray] = {}
-        for item in items:
+        for item in plan.items:
             value = np.atleast_1d(
                 np.asarray(expressions.evaluate(item.expr, base)))
             out[item.output_name] = value[:0]
@@ -1262,16 +1202,6 @@ def _distinct_indices(columns: list[np.ndarray]) -> np.ndarray:
             seen[key] = None
             keep.append(i)
     return np.asarray(keep, dtype=np.int64)
-
-
-def _has_aggregates(stmt: ast.Select) -> bool:
-    sources = [item.expr for item in stmt.items]
-    if stmt.having is not None:
-        sources.append(stmt.having)
-    return any(
-        isinstance(node, ast.AggregateCall)
-        for expr in sources for node in expr.walk()
-    )
 
 
 def _batch_rows(batch: Mapping[str, np.ndarray]) -> int:

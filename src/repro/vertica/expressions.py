@@ -101,6 +101,13 @@ def columns_referenced(expr: ast.Expr) -> set[str]:
     return {node.key for node in expr.walk() if isinstance(node, ast.ColumnRef)}
 
 
+def conjuncts(expr: ast.Expr) -> list[ast.Expr]:
+    """The operands of ``expr``'s top-level ``AND`` chain, left to right."""
+    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
+
+
 def evaluate(expr: ast.Expr, batch: Mapping[str, np.ndarray]) -> np.ndarray:
     """Evaluate ``expr`` over ``batch``; returns an array broadcast to the
     batch's row count (scalar literals become 0-d arrays the caller may

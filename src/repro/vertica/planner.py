@@ -1,8 +1,8 @@
 """Query planning: classify statements and size UDTF fan-out.
 
-The planner turns a parsed :class:`~repro.vertica.sql.ast.Select` into one of
-three physical plan shapes — plain scan, two-phase aggregate, or UDTF
-fan-out — and decides the per-node instance counts for ``PARTITION BEST``
+The planner turns an analyzed :class:`~repro.vertica.sql.ast.Select` into
+one of three physical plan shapes — plain scan, two-phase aggregate, or
+UDTF fan-out — and decides the per-node instance counts for ``PARTITION BEST``
 ("The Vertica query planner starts many parallel instances of user-defined
 functions. The amount of parallelism is dependent on resources available and
 how the input table is partitioned", §5).
@@ -15,8 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import SqlAnalysisError
-from repro.vertica.expressions import columns_referenced
 from repro.vertica.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,7 +43,6 @@ class ScanPlan:
 
     table: str
     items: list[ast.SelectItem]
-    select_star: bool
     where: ast.Expr | None
     order_by: list[ast.OrderItem]
     limit: int | None
@@ -78,114 +75,39 @@ class UdtfPlan:
     columns_needed: set[str] = field(default_factory=set)
 
 
-def plan_select(stmt: ast.Select,
-                resolved: "ResolvedQuery | None" = None
+def plan_select(stmt: ast.Select, resolved: "ResolvedQuery"
                 ) -> ScanPlan | AggregatePlan | UdtfPlan:
-    """Classify and validate a SELECT statement.
+    """Pick the plan shape for an analyzed SELECT.
 
-    ``resolved`` is the analyzer's annotation for this statement; when
-    present its pre-computed projection set replaces the per-clause column
-    walks below (the validation raises stay, for callers that plan without
-    analyzing first).
+    A pure constructor over the analyzer's binding: ``resolved`` carries
+    the validated statement's projection set, alias-substituted clauses
+    and aggregate list, so nothing here walks expressions or can fail.
     """
-    if stmt.table is None:
-        raise SqlAnalysisError("SELECT without FROM is not supported")
-    precomputed = (set(resolved.columns_needed)
-                   if resolved is not None else None)
-
     if stmt.udtf is not None:
-        if stmt.group_by or stmt.having or stmt.order_by or stmt.limit is not None:
-            raise SqlAnalysisError(
-                "UDTF queries do not support GROUP BY / HAVING / ORDER BY / LIMIT"
-            )
-        if precomputed is not None:
-            return UdtfPlan(stmt.table, stmt.udtf, stmt.where, precomputed)
-        needed: set[str] = set()
-        for arg in stmt.udtf.args:
-            needed |= columns_referenced(arg)
-        if stmt.udtf.partition.expr is not None:
-            needed |= columns_referenced(stmt.udtf.partition.expr)
-        if stmt.where is not None:
-            needed |= columns_referenced(stmt.where)
-        return UdtfPlan(stmt.table, stmt.udtf, stmt.where, needed)
-
-    if stmt.distinct and (stmt.group_by or _has_any_aggregate(stmt)):
-        raise SqlAnalysisError("SELECT DISTINCT cannot combine with GROUP BY")
-    aggregates = _collect_aggregates(stmt)
-    if aggregates or stmt.group_by:
-        if stmt.select_star:
-            raise SqlAnalysisError("SELECT * cannot be combined with aggregation")
-        if precomputed is not None:
-            needed = precomputed
-        else:
-            needed = set()
-            for item in stmt.items:
-                needed |= columns_referenced(item.expr)
-            for expr in stmt.group_by:
-                needed |= columns_referenced(expr)
-            if stmt.where is not None:
-                needed |= columns_referenced(stmt.where)
-            if stmt.having is not None:
-                needed |= columns_referenced(stmt.having)
-            for order in stmt.order_by:
-                needed |= columns_referenced(order.expr)
+        return UdtfPlan(stmt.table, stmt.udtf, stmt.where,
+                        resolved.columns_needed)
+    if resolved.aggregates or resolved.group_by:
         return AggregatePlan(
             table=stmt.table,
             items=stmt.items,
-            group_by=list(stmt.group_by),
-            aggregates=aggregates,
+            group_by=resolved.group_by,
+            aggregates=resolved.aggregates,
             where=stmt.where,
-            having=stmt.having,
-            order_by=list(stmt.order_by),
+            having=resolved.having,
+            order_by=resolved.order_by,
             limit=stmt.limit,
-            columns_needed=needed,
+            columns_needed=resolved.columns_needed,
         )
-
-    if stmt.having is not None:
-        raise SqlAnalysisError("HAVING requires GROUP BY or aggregates")
-    if precomputed is not None:
-        needed = precomputed
-    else:
-        needed = set()
-        for item in stmt.items:
-            needed |= columns_referenced(item.expr)
-        if stmt.where is not None:
-            needed |= columns_referenced(stmt.where)
-        for order in stmt.order_by:
-            needed |= columns_referenced(order.expr)
+    items = stmt.items
+    if stmt.select_star:
+        items = [ast.SelectItem(ast.ColumnRef(name))
+                 for name in resolved.star_columns]
     return ScanPlan(
         table=stmt.table,
-        items=stmt.items,
-        select_star=stmt.select_star,
+        items=items,
         where=stmt.where,
-        order_by=list(stmt.order_by),
+        order_by=resolved.order_by,
         limit=stmt.limit,
         distinct=stmt.distinct,
-        columns_needed=needed,
+        columns_needed=resolved.columns_needed,
     )
-
-
-def _has_any_aggregate(stmt: ast.Select) -> bool:
-    return any(
-        isinstance(node, ast.AggregateCall)
-        for item in stmt.items for node in item.expr.walk()
-    )
-
-
-def _collect_aggregates(stmt: ast.Select) -> list[ast.AggregateCall]:
-    """All distinct aggregate calls in the select list and HAVING clause."""
-    seen: dict[ast.AggregateCall, None] = {}
-    sources = [item.expr for item in stmt.items]
-    if stmt.having is not None:
-        sources.append(stmt.having)
-    for expr in sources:
-        for node in expr.walk():
-            if isinstance(node, ast.AggregateCall):
-                nested = node.arg is not None and any(
-                    isinstance(descendant, ast.AggregateCall)
-                    for descendant in node.arg.walk()
-                )
-                if nested:
-                    raise SqlAnalysisError("nested aggregates are not allowed")
-                seen.setdefault(node)
-    return list(seen)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.vertica.expressions import conjuncts
 from repro.vertica.sql import ast
 
 __all__ = ["ColumnRange", "extract_column_ranges"]
@@ -44,15 +45,9 @@ def extract_column_ranges(where: ast.Expr | None) -> dict[str, ColumnRange]:
     ranges: dict[str, ColumnRange] = {}
     if where is None:
         return ranges
-    for conjunct in _conjuncts(where):
+    for conjunct in conjuncts(where):
         _apply(conjunct, ranges)
     return ranges
-
-
-def _conjuncts(expr: ast.Expr) -> list[ast.Expr]:
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
 
 
 def _numeric_literal(expr: ast.Expr) -> float | None:

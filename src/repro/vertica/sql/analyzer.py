@@ -12,14 +12,16 @@ analyze→plan split described for Vertica's optimizer pipeline:
   validity, INSERT/UPDATE value compatibility;
 * **scope checking** (``SA3xx``) — alias resolution, ambiguous columns in
   joins, aggregates mixed with non-grouped columns, structurally invalid
-  clause combinations;
+  clause combinations, join conditions without a cross-table equality;
 * **warnings** (``SA4xx``) — statically detectable smells that still
-  execute (cartesian-style join conditions, predicates comparing values of
-  incompatible encodings).
+  execute (predicates comparing values of incompatible encodings).
 
 The result is a :class:`ResolvedQuery` — bound tables, column types, the
-UDTF signature, and the column set each plan shape needs — which the
-planner and executor consume instead of re-deriving names ad hoc.
+UDTF signature, the column set each plan shape reads, the alias-substituted
+GROUP BY / HAVING / ORDER BY, the aggregate list and the :class:`BoundJoin`
+— and this module is the only code that resolves names or validates
+statement shape: the planner, executor, join operator and mutation engine
+execute that binding and never consult the catalog for names.
 
 Every diagnostic carries the source offset of the token that caused it
 (threaded from the lexer through ``ast`` node positions), so errors point
@@ -50,6 +52,7 @@ __all__ = [
     "Diagnostic",
     "ResolvedQuery",
     "BoundTable",
+    "BoundJoin",
     "SchemaProvider",
     "ClusterProvider",
     "LenientProvider",
@@ -87,7 +90,7 @@ SA_CODES: dict[str, str] = {
     "SA204": "function called with the wrong number or type of arguments",
     "SA205": "missing or invalid USING PARAMETERS entry for a UDTF",
     "SA206": "PARTITION BY key is not a scalar expression",
-    "SA207": "WHERE / HAVING predicate cannot be interpreted as a boolean",
+    "SA207": "WHERE / HAVING / ON predicate cannot be interpreted as a boolean",
     "SA208": "INSERT row arity does not match the table",
     "SA209": "INSERT value type does not match the column",
     "SA210": "unknown SQL type in CREATE TABLE",
@@ -97,7 +100,8 @@ SA_CODES: dict[str, str] = {
     # -- SA3xx: scope checking ------------------------------------------
     "SA301": "ambiguous column reference (present on both join sides)",
     "SA302": "column must appear in GROUP BY or inside an aggregate",
-    "SA303": "duplicate name in scope (join aliases, SET targets, column defs)",
+    "SA303": "duplicate name in scope (join aliases, select-list output names, "
+             "SET targets, column defs)",
     "SA304": "HAVING requires GROUP BY or aggregates",
     "SA305": "nested aggregates are not allowed",
     "SA306": "aggregate used in a clause that cannot evaluate it",
@@ -107,13 +111,13 @@ SA_CODES: dict[str, str] = {
     "SA310": "SELECT without FROM is not supported",
     "SA311": "AT EPOCH requires a FROM over a regular table",
     "SA312": "WITHIN requires a single plain COUNT/SUM/AVG over one table",
+    "SA313": "join condition has no cross-table equality",
     # -- SA4xx: warnings ------------------------------------------------
-    "SA401": "join condition has no cross-table equality (cartesian-style)",
     "SA402": "predicate compares incompatible encodings (e.g. INTEGER vs fractional literal)",
 }
 
 #: Codes reported as warnings; everything else is an error.
-WARNING_CODES = frozenset({"SA401", "SA402"})
+WARNING_CODES = frozenset({"SA402"})
 
 #: Resolution failures about *missing catalog objects*: raised as
 #: :class:`SemanticResolutionError` (a ``CatalogError``) for back-compat.
@@ -165,17 +169,42 @@ class BoundTable:
         return isinstance(self.columns, _OpenSchema)
 
 
+@dataclass(frozen=True)
+class BoundJoin:
+    """A SELECT's join, bound: what ``joins.materialize_join`` executes.
+
+    ``left_columns`` / ``right_columns`` are the bare column names each
+    input must scan (every column under ``SELECT *``).  ``equalities`` are
+    the cross-table ``=`` conjuncts of ``ON`` as ``(left, right)`` pairs
+    oriented left-input-first; ``residual`` holds its other conjuncts.
+    ``ambiguous`` names exist on both inputs and are reachable only
+    qualified.
+    """
+
+    left_alias: str
+    right_alias: str
+    left_columns: frozenset[str]
+    right_columns: frozenset[str]
+    equalities: tuple[tuple[ast.Expr, ast.Expr], ...]
+    residual: tuple[ast.Expr, ...]
+    ambiguous: frozenset[str]
+
+
 @dataclass
 class ResolvedQuery:
     """The resolved, typed annotation of one analyzed statement.
 
     ``column_types`` maps every batch key the statement may evaluate
     (bare names; ``alias.name`` for joins) to its SQL type.
-    ``columns_needed`` is the projection set the planner would otherwise
-    re-derive; ``output_types`` maps select-item output names to inferred
-    types (``None`` = statically unknown).  ``create_types`` carries the
-    resolved column types of a ``CREATE TABLE`` so the executor does not
-    re-parse type names.
+    ``columns_needed`` is the set of batch keys the statement reads;
+    ``output_types`` maps select-item output names to inferred types
+    (``None`` = statically unknown) and ``star_columns`` lists what
+    ``SELECT *`` expands to (qualified keys over a join).  ``group_by`` /
+    ``having`` / ``order_by`` are the SELECT's clauses with select-list
+    aliases substituted, ``aggregates`` the distinct aggregate calls of
+    the select list and HAVING, ``join`` the bound join.  ``create_types``
+    carries the resolved column types of a ``CREATE TABLE``.  Later stages
+    read these and the statement itself, and modify neither.
     """
 
     statement: ast.Statement
@@ -183,6 +212,12 @@ class ResolvedQuery:
     column_types: dict[str, SqlType] = field(default_factory=dict)
     output_types: dict[str, SqlType | None] = field(default_factory=dict)
     columns_needed: set[str] = field(default_factory=set)
+    star_columns: tuple[str, ...] = ()
+    group_by: list[ast.Expr] = field(default_factory=list)
+    having: ast.Expr | None = None
+    order_by: list[ast.OrderItem] = field(default_factory=list)
+    aggregates: list[ast.AggregateCall] = field(default_factory=list)
+    join: BoundJoin | None = None
     udtf_signature: UdtfSignature | None = None
     create_types: list[SqlType] | None = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -406,10 +441,6 @@ class _Scope:
             for bound in tables:
                 self.types.update(bound.columns)
 
-    @property
-    def aliases(self) -> list[str]:
-        return [bound.alias for bound in self.tables]
-
     def side_for(self, qualifier: str) -> BoundTable | None:
         for bound in self.tables:
             if bound.alias == qualifier:
@@ -422,6 +453,10 @@ class _Analyzer:
         self.provider = provider
         self.execution = execution
         self.out: list[Diagnostic] = []
+        # Batch keys of every column reference resolved so far, and the
+        # bare names among them per join input alias.
+        self.needed: set[str] = set()
+        self.side_columns: dict[str, set[str]] = {}
 
     # -- diagnostics plumbing ---------------------------------------------
 
@@ -524,8 +559,8 @@ class _Analyzer:
             self._udtf_select(stmt, scope, resolved)
             return
 
-        # Alias substitution for GROUP BY / HAVING / ORDER BY, mirroring the
-        # executor: a real table column of the same name wins over an alias.
+        # Alias substitution for GROUP BY / HAVING / ORDER BY: a real table
+        # column of the same name wins over an alias.
         alias_map = {
             item.alias: item.expr for item in stmt.items if item.alias is not None
         }
@@ -536,8 +571,12 @@ class _Analyzer:
                     for e in stmt.group_by]
         having = (None if stmt.having is None
                   else self._substitute(stmt.having, alias_map, real_columns))
-        order_exprs = [self._substitute(o.expr, alias_map, real_columns)
-                       for o in stmt.order_by]
+        order_by = [
+            ast.OrderItem(self._substitute(o.expr, alias_map, real_columns),
+                          o.ascending)
+            for o in stmt.order_by
+        ]
+        order_exprs = [order.expr for order in order_by]
 
         aggregates = self._collect_aggregates(stmt.items, having)
         grouped = bool(aggregates) or bool(group_by)
@@ -555,7 +594,21 @@ class _Analyzer:
         # Resolve and type-check every clause.
         for item in stmt.items:
             item_type = self._infer(item.expr, scope, aggregates_ok=True)
+            if item.output_name in resolved.output_types:
+                # Results are keyed by output name: the later item would
+                # silently overwrite the earlier one.
+                self.emit(
+                    "SA303",
+                    f"duplicate output name {item.output_name!r} in the "
+                    "select list; alias one of them",
+                    item.expr.position,
+                )
             resolved.output_types[item.output_name] = item_type
+        if stmt.select_star:
+            resolved.star_columns = tuple(
+                f"{bound.alias}.{name}" if joined else name
+                for bound in tables for name in bound.columns)
+            self.needed.update(resolved.star_columns)
         if stmt.where is not None:
             self._check_predicate(stmt.where, scope, "WHERE")
         for expr in group_by:
@@ -585,11 +638,14 @@ class _Analyzer:
             for expr in order_exprs:
                 self._forbid_aggregates(expr, "ORDER BY")
 
-        if joined and stmt.join is not None:
-            self._check_join_condition(stmt.join, scope)
+        if stmt.join is not None:
+            resolved.join = self._bind_join(stmt, stmt.join, scope)
 
-        resolved.columns_needed = self._columns_needed(
-            stmt, group_by, having, order_exprs)
+        resolved.columns_needed = self.needed
+        resolved.group_by = group_by
+        resolved.having = having
+        resolved.order_by = order_by
+        resolved.aggregates = aggregates
 
     def _udtf_select(self, stmt: ast.Select, scope: _Scope,
                      resolved: ResolvedQuery) -> None:
@@ -622,7 +678,7 @@ class _Analyzer:
                         report_aggregates=False)
         if stmt.where is not None:
             self._check_predicate(stmt.where, scope, "WHERE")
-        resolved.columns_needed = self._columns_needed(stmt, [], None, [])
+        resolved.columns_needed = self.needed
 
     def _check_udtf_signature(self, udtf: ast.UdtfCall,
                               signature: UdtfSignature, scope: _Scope) -> None:
@@ -766,7 +822,7 @@ class _Analyzer:
         scope = _Scope([bound], joined=False)
         if stmt.where is not None:
             self._check_predicate(stmt.where, scope, "WHERE")
-            resolved.columns_needed = expressions.columns_referenced(stmt.where)
+        resolved.columns_needed = self.needed
 
     def _update(self, stmt: ast.Update, resolved: ResolvedQuery) -> None:
         bound = self._mutation_table(stmt.table, stmt.table_position,
@@ -922,64 +978,71 @@ class _Analyzer:
 
     # -- join condition ----------------------------------------------------
 
-    def _check_join_condition(self, join: ast.JoinClause, scope: _Scope) -> None:
-        """Warn (SA401) when no conjunct is a cross-table equality — the
-        runtime hash join requires one, so this is a cartesian-style smell
-        caught before any scan starts."""
-        if scope.open:
-            return  # bare names cannot be side-classified without schemas
-        left_alias, right_alias = scope.aliases[0], scope.aliases[-1]
+    def _bind_join(self, stmt: ast.Select, join: ast.JoinClause,
+                   scope: _Scope) -> BoundJoin | None:
+        """Resolve and type-check ``ON`` like any other predicate, then
+        split it into the hash join's key pairs and residual filters.
 
-        def side_of(expr: ast.Expr) -> str | None:
-            refs = [n for n in expr.walk() if isinstance(n, ast.ColumnRef)]
-            if not refs:
-                return None
-            sides = set()
-            for ref in refs:
-                if ref.qualifier == left_alias:
-                    sides.add("left")
-                elif ref.qualifier == right_alias:
-                    sides.add("right")
-                elif ref.qualifier is None:
-                    bound = scope.tables[0]
-                    other = scope.tables[-1]
-                    if ref.name in bound.columns and ref.name not in other.columns:
-                        sides.add("left")
-                    elif ref.name in other.columns and ref.name not in bound.columns:
-                        sides.add("right")
-                    else:
-                        return None
-                else:
-                    return None
-            return sides.pop() if len(sides) == 1 else None
-
-        conjuncts: list[ast.Expr] = []
-
-        def split(expr: ast.Expr) -> None:
-            if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-                split(expr.left)
-                split(expr.right)
-            else:
-                conjuncts.append(expr)
-
-        split(join.condition)
-        for conjunct in conjuncts:
+        Runs after every other clause has resolved, so the per-side column
+        sets are complete.  Side classification needs both schemas, so an
+        open (lint) scope gets the predicate checks only.
+        """
+        reported = len(self.out)
+        self._check_predicate(join.condition, scope, "ON")
+        if scope.open or any(d.severity == "error"
+                             for d in self.out[reported:]):
+            return None
+        left, right = scope.tables
+        equalities: list[tuple[ast.Expr, ast.Expr]] = []
+        residual: list[ast.Expr] = []
+        for conjunct in expressions.conjuncts(join.condition):
             if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-                sides = {side_of(conjunct.left), side_of(conjunct.right)}
-                if sides == {"left", "right"}:
-                    return
-        self.emit(
-            "SA401",
-            "join condition has no cross-table equality; the hash join "
-            "will reject it (cartesian-style condition)",
-            join.condition.position,
+                sides = (self._sides(conjunct.left, scope),
+                         self._sides(conjunct.right, scope))
+                if sides == ({left.alias}, {right.alias}):
+                    equalities.append((conjunct.left, conjunct.right))
+                    continue
+                if sides == ({right.alias}, {left.alias}):
+                    equalities.append((conjunct.right, conjunct.left))
+                    continue
+            residual.append(conjunct)
+        if not equalities:
+            self.emit(
+                "SA313",
+                "join condition must include at least one cross-table "
+                "equality (e.g. ON a.key = b.key)",
+                join.condition.position,
+            )
+            return None
+        left_columns, right_columns = (
+            frozenset(bound.columns if stmt.select_star
+                      else self.side_columns.get(bound.alias, ()))
+            for bound in scope.tables)
+        return BoundJoin(
+            left_alias=left.alias,
+            right_alias=right.alias,
+            left_columns=left_columns,
+            right_columns=right_columns,
+            equalities=tuple(equalities),
+            residual=tuple(residual),
+            ambiguous=frozenset(scope.ambiguous),
         )
+
+    def _sides(self, expr: ast.Expr, scope: _Scope) -> set[str | None]:
+        """Aliases of the join inputs whose columns ``expr`` reads."""
+        sides: set[str | None] = set()
+        for node in expr.walk():
+            if isinstance(node, ast.ColumnRef):
+                bound = self._join_side(node, scope, report=False)
+                sides.add(None if bound is None else bound.alias)
+        return sides
 
     # -- scope helpers -----------------------------------------------------
 
     def _substitute(self, expr: ast.Expr, alias_map: Mapping[str, ast.Expr],
                     real_columns: set[str]) -> ast.Expr:
-        """Mirror the executor's alias resolution for GROUP/HAVING/ORDER."""
+        """Replace bare references to select-list aliases by the aliased
+        expression, unless a real table column carries the name."""
         if not alias_map:
             return expr
         if isinstance(expr, ast.ColumnRef):
@@ -1072,48 +1135,59 @@ class _Analyzer:
 
     # -- type inference ----------------------------------------------------
 
+    def _join_side(self, ref: ast.ColumnRef, scope: _Scope,
+                   report: bool) -> BoundTable | None:
+        """The join input ``ref`` binds to (None = unresolved)."""
+        left, right = scope.tables
+        if ref.qualifier is not None:
+            bound = scope.side_for(ref.qualifier)
+            if bound is None:
+                if report:
+                    self.emit(
+                        "SA106",
+                        f"unknown table qualifier {ref.qualifier!r} "
+                        f"(inputs: {left.alias!r}, {right.alias!r})",
+                        ref.position,
+                    )
+                return None
+            if ref.name not in bound.columns:
+                if report and not bound.open:
+                    self.emit(
+                        "SA102",
+                        f"{bound.alias!r} has no column {ref.name!r}",
+                        ref.position,
+                    )
+                return None
+            return bound
+        if ref.name in scope.ambiguous:
+            if report:
+                self.emit(
+                    "SA301",
+                    f"column {ref.name!r} is ambiguous; qualify it with "
+                    f"{left.alias!r} or {right.alias!r}",
+                    ref.position,
+                )
+            return None
+        for bound in scope.tables:
+            if ref.name in bound.columns:
+                return bound
+        if report and not scope.open:
+            self.emit(
+                "SA102",
+                f"unknown column {ref.name!r} in join query",
+                ref.position,
+            )
+        return None
+
     def _resolve_column(self, ref: ast.ColumnRef, scope: _Scope,
                         report: bool = True) -> SqlType | None:
         if scope.joined:
-            left, right = scope.tables[0], scope.tables[-1]
-            if ref.qualifier is not None:
-                bound = scope.side_for(ref.qualifier)
-                if bound is None:
-                    if report:
-                        self.emit(
-                            "SA106",
-                            f"unknown table qualifier {ref.qualifier!r} "
-                            f"(inputs: {left.alias!r}, {right.alias!r})",
-                            ref.position,
-                        )
-                    return None
-                if ref.name not in bound.columns:
-                    if report and not bound.open:
-                        self.emit(
-                            "SA102",
-                            f"{bound.alias!r} has no column {ref.name!r}",
-                            ref.position,
-                        )
-                    return None
-                return bound.columns[ref.name]
-            if ref.name in scope.ambiguous:
-                if report:
-                    self.emit(
-                        "SA301",
-                        f"column {ref.name!r} is ambiguous; qualify it with "
-                        f"{left.alias!r} or {right.alias!r}",
-                        ref.position,
-                    )
+            bound = self._join_side(ref, scope, report)
+            if bound is None:
                 return None
-            if ref.name not in scope.types:
-                if report and not scope.open:
-                    self.emit(
-                        "SA102",
-                        f"unknown column {ref.name!r} in join query",
-                        ref.position,
-                    )
-                return None
-            return scope.types[ref.name]
+            self.needed.add(ref.key)
+            self.side_columns.setdefault(bound.alias, set()).add(ref.name)
+            return bound.columns[ref.name]
         # Single table: batches are keyed by bare column names only, so a
         # qualified reference cannot resolve at runtime either.
         if ref.qualifier is not None:
@@ -1134,6 +1208,7 @@ class _Analyzer:
                     ref.position,
                 )
             return None
+        self.needed.add(ref.name)
         return scope.types[ref.name]
 
     def _infer(self, expr: ast.Expr, scope: _Scope, *,
@@ -1325,33 +1400,6 @@ class _Analyzer:
         if expr.name in ("SUM", "AVG"):
             return SqlType.FLOAT
         return arg_type  # MIN/MAX follow their argument
-
-    # -- projection set ----------------------------------------------------
-
-    def _columns_needed(self, stmt: ast.Select, group_by: list[ast.Expr],
-                        having: ast.Expr | None,
-                        order_exprs: list[ast.Expr]) -> set[str]:
-        """The column keys the planner's plan shapes read (post-alias)."""
-        needed: set[str] = set()
-        if stmt.udtf is not None:
-            for arg in stmt.udtf.args:
-                needed |= expressions.columns_referenced(arg)
-            if stmt.udtf.partition.expr is not None:
-                needed |= expressions.columns_referenced(stmt.udtf.partition.expr)
-            if stmt.where is not None:
-                needed |= expressions.columns_referenced(stmt.where)
-            return needed
-        for item in stmt.items:
-            needed |= expressions.columns_referenced(item.expr)
-        for expr in group_by:
-            needed |= expressions.columns_referenced(expr)
-        if stmt.where is not None:
-            needed |= expressions.columns_referenced(stmt.where)
-        if having is not None:
-            needed |= expressions.columns_referenced(having)
-        for expr in order_exprs:
-            needed |= expressions.columns_referenced(expr)
-        return needed
 
 
 # ---------------------------------------------------------------------------

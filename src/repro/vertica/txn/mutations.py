@@ -11,6 +11,9 @@ Neither statement rewrites read-optimized storage:
   snapshot sees either the old rows or the new rows, never both or
   neither.
 
+Both run behind the analyzer, which has already bound the table and
+validated every column reference and SET target.
+
 Statements against one table serialize on ``Table.write_lock``: the
 delete vector itself resolves write-write conflicts first-wins, but two
 interleaved collect/apply phases could, e.g., double-apply an UPDATE's
@@ -26,24 +29,25 @@ import numpy as np
 
 from repro.errors import SqlAnalysisError
 from repro.vertica import expressions
-from repro.vertica.expressions import columns_referenced
 from repro.vertica.table import ROWID_COLUMN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vertica.cluster import VerticaCluster
     from repro.vertica.sql import ast
+    from repro.vertica.sql.analyzer import ResolvedQuery
     from repro.vertica.table import Table
 
 __all__ = ["execute_delete", "execute_update"]
 
 
-def execute_delete(cluster: "VerticaCluster", stmt: "ast.Delete") -> int:
-    """Apply one DELETE statement; returns the number of rows deleted."""
-    table = _mutable_table(cluster, stmt.table)
+def execute_delete(cluster: "VerticaCluster", stmt: "ast.Delete",
+                   resolved: "ResolvedQuery") -> int:
+    """Apply one analyzed DELETE; returns the number of rows deleted."""
+    table = cluster.catalog.get_table(stmt.table)
     with table.write_lock:
         snapshot = table.resolve_snapshot()
         matched = _collect_matches(table, stmt.where, snapshot,
-                                   columns=_where_columns(table, stmt.where))
+                                   columns=sorted(resolved.columns_needed))
         total = sum(len(rowids) for _, rowids in matched)
         if total == 0:
             return 0
@@ -65,22 +69,10 @@ def execute_delete(cluster: "VerticaCluster", stmt: "ast.Delete") -> int:
 
 
 def execute_update(cluster: "VerticaCluster", stmt: "ast.Update") -> int:
-    """Apply one UPDATE statement; returns the number of rows updated."""
-    table = _mutable_table(cluster, stmt.table)
-    targets = [name for name, _ in stmt.assignments]
-    if len(set(targets)) != len(targets):
-        raise SqlAnalysisError(f"UPDATE sets a column twice: {targets}")
-    for name, expr in stmt.assignments:
-        if not table.has_column(name):
-            raise SqlAnalysisError(
-                f"table {table.name!r} has no column {name!r}")
-        for ref in columns_referenced(expr):
-            if not table.has_column(ref):
-                raise SqlAnalysisError(
-                    f"table {table.name!r} has no column {ref!r}")
+    """Apply one analyzed UPDATE; returns the number of rows updated."""
+    table = cluster.catalog.get_table(stmt.table)
     with table.write_lock:
         snapshot = table.resolve_snapshot()
-        _where_columns(table, stmt.where)  # validates references
         matched = _collect_matches(table, stmt.where, snapshot,
                                    columns=table.column_names,
                                    keep_batches=True)
@@ -117,27 +109,6 @@ def execute_update(cluster: "VerticaCluster", stmt: "ast.Update") -> int:
 
 
 # -- shared plumbing ---------------------------------------------------------
-
-
-def _mutable_table(cluster: "VerticaCluster", name: str) -> "Table":
-    from repro.vertica.models import R_MODELS_TABLE_NAME
-
-    if name.lower() == R_MODELS_TABLE_NAME:
-        raise SqlAnalysisError(
-            "R_Models is maintained through deploy.model / drop_model, "
-            "not DELETE/UPDATE")
-    return cluster.catalog.get_table(name)
-
-
-def _where_columns(table: "Table", where) -> list[str]:
-    if where is None:
-        return []
-    referenced = columns_referenced(where)
-    for name in referenced:
-        if not table.has_column(name):
-            raise SqlAnalysisError(
-                f"table {table.name!r} has no column {name!r}")
-    return sorted(referenced)
 
 
 def _collect_matches(table: "Table", where, snapshot, columns: list[str],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError, SqlAnalysisError
+from repro.errors import ExecutionError, SemanticError, SqlAnalysisError
 from repro.vertica import VerticaCluster
 
 
@@ -106,6 +106,11 @@ class TestResultSetEdgeCases:
         result = typed_cluster.sql("SELECT n FROM t")
         with pytest.raises(ExecutionError, match="columns"):
             result.column("zzz")
+
+    def test_colliding_output_names_rejected(self, typed_cluster):
+        # Results are keyed by output name: this used to return f twice.
+        with pytest.raises(SemanticError, match="SA303.*alias"):
+            typed_cluster.sql("SELECT n AS x, f AS x FROM t")
 
     def test_projection_of_constant(self, typed_cluster):
         result = typed_cluster.sql("SELECT 42 AS answer FROM t")

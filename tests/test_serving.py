@@ -10,8 +10,11 @@ session stress that runs green under ``REPROLINT_LOCK_CHECK=1``.
 
 from __future__ import annotations
 
+import copy
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +55,73 @@ def assert_results_identical(got, want):
         a, b = got.column(name), want.column(name)
         assert a.dtype == b.dtype
         assert np.array_equal(a, b), f"column {name!r} diverged"
+
+
+def olap_tables(rows=400, customers=20, seed=3):
+    """The `olap` workload's fact/dim shape (bench/workloads/olap.py), small."""
+    rng = np.random.default_rng(seed)
+    fact = {
+        "k": np.arange(rows), "ts": np.sort(rng.integers(0, 10 * rows, rows)),
+        "g": rng.integers(0, 7, rows), "cust": rng.integers(0, customers, rows),
+        "status": np.array(["open", "paid", "void"], dtype=object)[
+            rng.integers(0, 3, rows)],
+        "qty": rng.integers(1, 50, rows),
+        "price": rng.uniform(1.0, 100.0, rows),
+        "disc": rng.uniform(0.0, 0.3, rows),
+    }
+    dim = {"k": np.arange(customers), "cust": np.arange(customers),
+           "region": np.array([f"r{c % 4}" for c in range(customers)],
+                              dtype=object)}
+    return fact, dim
+
+
+def read_only_statements():
+    """(id, sql): bench/olap_queries.sql with its placeholders filled the
+    way the workload fills them, plus the statement shapes whose execution
+    used to rewrite the AST (aliases, join + WHERE) or derives a second
+    statement (WITHIN's exact fallback)."""
+    import sql_lint  # tools/ is on sys.path (tests/conftest.py)
+
+    ts = olap_tables()[0]["ts"]
+    n = len(ts)
+    parameters = {
+        "band1_lo": int(ts[int(0.50 * n)]), "band1_hi": int(ts[int(0.51 * n)]),
+        "band10_lo": int(ts[int(0.30 * n)]), "band10_hi": int(ts[int(0.40 * n)]),
+        "point_key": n // 3,
+    }
+    corpus = Path(sql_lint.REPO_ROOT, "bench", "olap_queries.sql").read_text()
+    statements = list(zip(
+        re.findall(r"-- name: (\w+)", corpus),
+        (" ".join(text.split()).format(**parameters)
+         for _, text in sql_lint.iter_sql_statements(corpus)),
+        strict=True))
+    aliased = ("SELECT g AS grp, COUNT(*) AS n, SUM(price) AS s FROM fact "
+               "GROUP BY grp HAVING n > 1 ORDER BY s DESC, grp LIMIT 5")
+    return statements + [
+        ("aliases", aliased),
+        ("join_where",
+         "SELECT f.k, d.region AS r FROM fact f JOIN dim d ON f.cust = d.cust "
+         "WHERE f.qty > 40 ORDER BY r, f.k"),
+        ("within_sample",
+         "SELECT AVG(price) FROM fact WHERE qty > 10 WITHIN 50% ERROR"),
+        ("within_exact", "SELECT SUM(price) FROM fact WITHIN 0.001% ERROR"),
+        ("explain", "EXPLAIN " + aliased),
+        ("profile", "PROFILE " + aliased),
+    ]
+
+
+READ_ONLY_STATEMENTS = read_only_statements()
+
+
+@pytest.fixture(scope="module")
+def olap_cluster():
+    fact, dim = olap_tables()
+    cluster = VerticaCluster(node_count=3)
+    for name, columns in (("fact", fact), ("dim", dim)):
+        cluster.create_table_like(name, columns, HashSegmentation("k"))
+        cluster.bulk_load(name, columns)
+    cluster.sql("CREATE SAMPLE fact_half ON fact UNIFORM RATE 50% SEED 1")
+    return cluster
 
 
 # -- sessions -------------------------------------------------------------
@@ -164,10 +234,41 @@ class TestPlanCache:
             cache.prepare(cluster, f"SELECT COUNT(*) AS n FROM pts WHERE k > {i}")
         assert len(cache) == 2
 
+    @pytest.mark.parametrize("sql", [sql for _, sql in READ_ONLY_STATEMENTS],
+                             ids=[name for name, _ in READ_ONLY_STATEMENTS])
+    def test_executor_leaves_the_statement_untouched(self, olap_cluster, sql):
+        """The executor reads its input: the AST equals a deep copy taken
+        before execution, and the one cached ``PreparedStatement.statement``
+        object, executed repeatedly, keeps answering like ``cluster.sql``."""
+        cluster = olap_cluster
+        # PROFILE reports wall times; its operator tree is the stable part.
+        columns = ["operator"] if sql.startswith("PROFILE") else None
+
+        def same(got, want):
+            if columns is None:
+                assert_results_identical(got, want)
+            else:
+                for name in columns:
+                    assert got.column(name).tolist() == want.column(name).tolist()
+
+        statement = parse(sql)
+        before = copy.deepcopy(statement)
+        direct = cluster.executor.execute(statement)
+        assert statement == before
+        same(direct, cluster.sql(sql))
+
+        with make_server(cluster) as server, server.session() as session:
+            prepared = server.plan_cache.prepare(cluster, sql)
+            before = copy.deepcopy(prepared.statement)
+            for _ in range(2):
+                same(session.execute(sql), direct)
+                server.result_cache.clear()   # force re-execution of the AST
+            assert server.plan_cache.prepare(cluster, sql) is prepared
+            assert prepared.statement == before
+
     def test_executor_mutation_does_not_corrupt_cached_ast(self):
-        # _resolve_aliases rewrites GROUP BY/ORDER BY aliases in place and
-        # the join path consumes WHERE; repeated executions must keep
-        # returning identical results.
+        # Alias resolution once rewrote GROUP BY/ORDER BY in place; repeated
+        # executions of the cached AST must keep returning identical results.
         cluster = make_cluster()
         sql = ("SELECT k AS key, COUNT(*) AS n FROM pts "
                "GROUP BY key ORDER BY key LIMIT 5")

@@ -26,6 +26,7 @@ from repro.vertica import VerticaCluster
 from repro.vertica.sql import parse
 from repro.vertica.sql.analyzer import (
     SA_CODES,
+    WARNING_CODES,
     ClusterProvider,
     Diagnostic,
     LenientProvider,
@@ -116,12 +117,27 @@ CORPUS: list[tuple[str, str, str | None]] = [
     ("SELECT 1", "SA310", None),
     ("AT EPOCH 1 SELECT * FROM R_Models", "SA311", None),
     ("SELECT MIN(a) FROM t WITHIN 5% ERROR", "SA312", "MIN"),
+    # (row 46 keeps its slot from when this was warning SA401)
+    ("SELECT t.a FROM t JOIN u ON t.k = 1", "SA313", "= 1"),
     # -- SA4xx: warnings ------------------------------------------------
-    ("SELECT t.a FROM t JOIN u ON t.k = 1", "SA401", "= 1"),
     ("SELECT a FROM t WHERE k = 1.5", "SA402", "= 1.5"),
     # -- cross-cutting extras -------------------------------------------
     ("CREATE TABLE seg (x INTEGER) SEGMENTED BY HASH(y) ALL NODES",
      "SA102", "y)"),
+    # -- the join's ON clause is analyzed like every other predicate ------
+    ("SELECT t.a FROM t JOIN u ON t.zzz = u.k", "SA102", "t.zzz"),
+    ("SELECT t.a FROM t JOIN u ON t.k = u.k AND x.k = 1", "SA106", "x.k"),
+    ("SELECT t.a FROM t JOIN u ON k = u.k", "SA301", "k = u.k"),
+    ("SELECT t.a FROM t JOIN u ON t.k = u.k AND nosuchfn(t.k) = 1",
+     "SA103", "nosuchfn"),
+    ("SELECT t.a FROM t JOIN u ON t.k = u.k AND SUM(t.k) = 1",
+     "SA306", "SUM"),
+    ("SELECT t.a FROM t JOIN u ON t.k = u.k AND t.a = 'x'", "SA201", "= 'x'"),
+    ("SELECT t.a FROM t JOIN u ON t.name", "SA207", "t.name"),
+    ("SELECT t.a FROM t JOIN u ON t.k > u.k", "SA313", "> u.k"),
+    # -- colliding output names (results are keyed by output name) --------
+    ("SELECT t.k, u.k FROM t JOIN u ON t.k = u.k", "SA303", "u.k FROM"),
+    ("SELECT k AS x, a AS x FROM t", "SA303", "a AS x"),
 ]
 
 
@@ -139,7 +155,7 @@ def test_golden_corpus(provider, sql, code, marker):
     assert hits[0].position == expected, (
         f"{code} for {sql!r}: position {hits[0].position}, expected {expected}"
     )
-    severity = "warning" if code in ("SA401", "SA402") else "error"
+    severity = "warning" if code in WARNING_CODES else "error"
     assert hits[0].severity == severity
 
 
@@ -153,7 +169,7 @@ def test_corpus_is_exhaustive():
 
 
 def test_corpus_is_large_enough():
-    errors = [sql for sql, code, _ in CORPUS if code not in ("SA401", "SA402")]
+    errors = [sql for sql, code, _ in CORPUS if code not in WARNING_CODES]
     assert len(errors) >= 25
 
 
@@ -335,3 +351,34 @@ def test_cluster_sql_explains_undeployed_model(analyzer_cluster):
     assert len(plan) > 0
     with pytest.raises(SemanticResolutionError):
         analyzer_cluster.sql(sql)
+
+
+# ---------------------------------------------------------------------------
+# tools/sql_lint.py: the .sql corpus reader
+# ---------------------------------------------------------------------------
+
+def test_sql_lint_reads_sql_corpora(tmp_path):
+    import io
+    from pathlib import Path
+
+    import sql_lint  # tools/ is on sys.path (tests/conftest.py)
+
+    corpus = Path(sql_lint.REPO_ROOT) / "bench" / "olap_queries.sql"
+    named = corpus.read_text().count("-- name:")
+    assert sql_lint.lint_file(corpus, out=io.StringIO()) == (named, 0, 0)
+
+    broken = tmp_path / "broken.sql"
+    broken.write_text(
+        "-- a comment; its semicolon separates nothing\n"
+        "SELECT a FROM t WHERE note = 'x;y -- z';\n"
+        "\n"
+        "SELECT a FROM t\n"
+        "HAVING a > {lo};\n"
+        "SELEC oops;\n"
+    )
+    out = io.StringIO()
+    assert sql_lint.lint_file(broken, out=out) == (3, 2, 0)
+    report = out.getvalue()
+    assert f"{broken}:4: SA304" in report
+    assert f"{broken}:6: syntax error" in report
+

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SqlAnalysisError
+from repro.errors import SemanticError, SqlAnalysisError
 from repro.vertica import VerticaCluster
 from repro.vertica.sql import ast, parse
 
@@ -20,6 +20,62 @@ def join_cluster():
     cluster.sql("INSERT INTO orders VALUES (100,1,5.0),(101,1,7.5),"
                 "(102,2,3.0),(103,9,99.0)")
     return cluster
+
+
+# The join_cluster rows as arrays, for numpy references.
+USERS = {"uid": np.array([1, 2, 3, 4]), "region": np.array([10, 20, 10, 30])}
+ORDERS = {"oid": np.array([100, 101, 102, 103]),
+          "uid": np.array([1, 1, 2, 9]),
+          "amount": np.array([5.0, 7.5, 3.0, 99.0])}
+
+
+def _joined_reference() -> dict[str, np.ndarray]:
+    """users JOIN orders ON uid, as parallel arrays in orders order."""
+    keep = np.isin(ORDERS["uid"], USERS["uid"])
+    at = np.searchsorted(USERS["uid"], ORDERS["uid"][keep])
+    return {"oid": ORDERS["oid"][keep], "o.uid": ORDERS["uid"][keep],
+            "amount": ORDERS["amount"][keep], "region": USERS["region"][at]}
+
+
+def _alias_cases():
+    """(id, sql, expected rows): the one rule for select-list aliases in
+    GROUP BY / HAVING / ORDER BY — a bare name that is a real column of
+    either input means the column; otherwise it means the aliased
+    expression, at any depth; qualified references are never aliases."""
+    j = _joined_reference()
+
+    def rows(order, *columns):
+        return [tuple(c[i] for c in columns) for i in order]
+
+    by_amount = np.lexsort((j["oid"], j["amount"]))
+    yield ("real-right-column-wins",
+           "SELECT u.region AS amount, o.oid FROM users u JOIN orders o "
+           "ON u.uid = o.uid ORDER BY amount, o.oid",
+           rows(by_amount, j["region"], j["oid"]))
+    by_region_desc = np.lexsort((j["oid"], -j["region"]))
+    yield ("real-left-column-wins",
+           "SELECT o.amount AS region, o.oid FROM users u JOIN orders o "
+           "ON u.uid = o.uid ORDER BY region DESC, o.oid",
+           rows(by_region_desc, j["amount"], j["oid"]))
+    by_uid = np.lexsort((j["oid"], j["o.uid"]))
+    yield ("qualified-never-substituted",
+           "SELECT o.amount * -1 AS uid, o.oid FROM users u JOIN orders o "
+           "ON u.uid = o.uid ORDER BY o.uid, o.oid",
+           rows(by_uid, -j["amount"], j["oid"]))
+    bumped = np.unique(ORDERS["uid"] + 1)[::-1]
+    yield ("alias-inside-aggregate-in-order-by",
+           "SELECT uid + 1 AS m, MAX(uid + 1) AS top FROM orders "
+           "GROUP BY m ORDER BY MAX(m) DESC",
+           rows(range(len(bumped)), bumped, bumped))
+    uids, idx = np.unique(ORDERS["uid"], return_inverse=True)
+    totals = np.bincount(idx, weights=ORDERS["amount"])
+    yield ("alias-in-having-arithmetic",
+           "SELECT uid, SUM(amount) AS total FROM orders GROUP BY uid "
+           "HAVING total * 2 > 10 ORDER BY uid",
+           rows(np.flatnonzero(totals * 2 > 10), uids, totals))
+
+
+ALIAS_CASES = list(_alias_cases())
 
 
 class TestJoinParsing:
@@ -104,6 +160,12 @@ class TestInnerJoin:
         ).rows()
         assert [r[0] for r in rows] == [100, 101]
 
+    @pytest.mark.parametrize("sql,expected",
+                             [case[1:] for case in ALIAS_CASES],
+                             ids=[case[0] for case in ALIAS_CASES])
+    def test_alias_resolution(self, join_cluster, sql, expected):
+        assert join_cluster.sql(sql).rows() == expected
+
     def test_select_star_uses_qualified_names(self, join_cluster):
         result = join_cluster.sql(
             "SELECT * FROM users u JOIN orders o ON u.uid = o.uid LIMIT 1"
@@ -171,6 +233,23 @@ class TestJoinErrors:
         with pytest.raises(SqlAnalysisError, match="equality"):
             join_cluster.sql(
                 "SELECT u.name FROM users u JOIN orders o ON u.uid > o.uid"
+            )
+
+    def test_on_clause_type_error_raises_before_any_scan(self, join_cluster):
+        scanned = join_cluster.telemetry.get("rows_scanned")
+        with pytest.raises(SemanticError, match="SA201"):
+            join_cluster.sql(
+                "SELECT u.name FROM users u JOIN orders o "
+                "ON u.uid = o.uid AND o.amount = 'x'"
+            )
+        assert join_cluster.telemetry.get("rows_scanned") == scanned
+
+    def test_colliding_output_names_rejected(self, join_cluster):
+        # Results are keyed by output name: this used to return o.uid twice.
+        with pytest.raises(SemanticError, match="SA303.*alias"):
+            join_cluster.sql(
+                "SELECT u.uid, o.uid FROM users u JOIN orders o "
+                "ON u.uid = o.uid"
             )
 
     def test_unknown_qualifier(self, join_cluster):

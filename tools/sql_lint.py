@@ -1,11 +1,14 @@
-"""Run the SQL semantic analyzer over every SQL literal in tests/ and examples/.
+"""Run the SQL semantic analyzer over every SQL literal in tests/, examples/
+and benchmarks/, and over the checked-in ``.sql`` corpora.
 
 ``make lint-sql`` entry point.  Walks the Python sources, extracts string
 literals that look like SQL statements (they start with a statement
 keyword), parses them with the real parser, and analyzes them in the
 schema-less lenient mode (:class:`LenientProvider`): no catalog is
 available, so only structural and scope diagnostics can fire — and none
-are allowed.  Warnings are reported but do not fail the run.
+are allowed.  Warnings are reported but do not fail the run.  A ``.sql``
+file is split on ``;`` and every statement in it is linted; its ``{name}``
+placeholders are rendered like f-string interpolations.
 
 Literals inside ``pytest.raises(...)`` blocks are skipped (they are
 *supposed* to be invalid), as is ``tests/test_sql_analyzer.py`` whose
@@ -25,7 +28,7 @@ from pathlib import Path
 from typing import Iterator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_PATHS = ("tests", "examples")
+DEFAULT_PATHS = ("tests", "examples", "benchmarks", "bench/olap_queries.sql")
 
 #: Files whose SQL is deliberately malformed.
 EXCLUDED_FILES = frozenset({
@@ -183,17 +186,51 @@ def iter_sql_literals(path: Path, source: str) -> Iterator[tuple[int, str]]:
         yield node.lineno, sql
 
 
+#: ``{name}`` slots of a ``.sql`` corpus, filled in by whoever runs it.
+_SQL_FILE_PLACEHOLDER = re.compile(r"\{\w+\}")
+
+#: Quoted literal | ``--`` comment | statement separator | anything else.
+_SQL_FILE_TOKEN = re.compile(r"'(?:[^']|'')*'|--[^\n]*|;|[^'\-;]+|['-]")
+
+
+def iter_sql_statements(source: str) -> Iterator[tuple[int, str]]:
+    """(first line, text) of each ``;``-separated statement of a ``.sql``
+    file, ``--`` comments dropped and ``{name}`` placeholders left in place.
+    Quoted literals are opaque: a ``;`` or ``--`` inside one is data."""
+    parts: list[str] = []
+    line = 1
+    for match in _SQL_FILE_TOKEN.finditer(source + ";"):
+        token = match.group()
+        if token != ";":
+            if not token.startswith("--"):
+                parts.append(token)
+            continue
+        raw = "".join(parts)
+        parts = []
+        if raw.strip():
+            lead = len(raw) - len(raw.lstrip())
+            yield line + raw.count("\n", 0, lead), raw.strip()
+        line += raw.count("\n")
+
+
 def lint_file(path: Path, *, out=sys.stdout) -> tuple[int, int, int]:
     """Lint one file; returns (statements, errors, warnings)."""
     from repro.errors import SqlSyntaxError
     from repro.vertica.sql import parse
     from repro.vertica.sql.analyzer import LenientProvider, analyze
 
-    rel = path.relative_to(REPO_ROOT).as_posix()
+    rel = (path.relative_to(REPO_ROOT).as_posix()
+           if path.is_relative_to(REPO_ROOT) else str(path))
     source = path.read_text(encoding="utf-8")
     statements = errors = warnings = 0
     provider = LenientProvider()
-    for lineno, template in iter_sql_literals(path, source):
+    if path.suffix == ".sql":
+        templates: Iterator[tuple[int, str]] = (
+            (lineno, _SQL_FILE_PLACEHOLDER.sub(PLACEHOLDER, text))
+            for lineno, text in iter_sql_statements(source))
+    else:
+        templates = iter_sql_literals(path, source)
+    for lineno, template in templates:
         statements += 1
         interpolated = PLACEHOLDER in template
         candidates = ([template.replace(PLACEHOLDER, r) for r in RENDERINGS]
@@ -232,15 +269,16 @@ def main(argv: list[str] | None = None) -> int:
         if path.is_file():
             files.append(path)
         elif path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
+            files.extend(sorted(p for p in path.rglob("*")
+                                if p.suffix in (".py", ".sql")))
         else:
             print(f"sql-lint: no such file or directory: {entry}",
                   file=sys.stderr)
             return 2
     statements = errors = warnings = 0
     for path in files:
-        rel = path.relative_to(REPO_ROOT).as_posix()
-        if rel in EXCLUDED_FILES:
+        if path.is_relative_to(REPO_ROOT) and \
+                path.relative_to(REPO_ROOT).as_posix() in EXCLUDED_FILES:
             continue
         file_counts = lint_file(path)
         statements += file_counts[0]
