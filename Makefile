@@ -5,7 +5,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck bench-ml bench-smoke all
+.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck experiments bench-ml bench-smoke all
 
 all: lint test
 
@@ -52,6 +52,11 @@ test-faults:
 # documented examples cannot drift from the code they demonstrate.
 docscheck:
 	PYTHONPATH=src $(PYTHON) tools/docscheck.py
+
+# Rewrite EXPERIMENTS.md (paper vs modelled figures) from the harness;
+# tier-1 fails when the committed file is not what this produces.
+experiments:
+	PYTHONPATH=src $(PYTHON) -m repro.harness --write EXPERIMENTS.md >/dev/null
 
 # The serving layer: the unit/concurrency suite under the lock probe, then
 # the 100+-session mixed-workload benchmark (drops BENCH_serving.json with

@@ -91,6 +91,11 @@ class RowGroup:
                 return False
         return True
 
+    def discard(self) -> None:
+        """Release whatever backs this row group once nothing can read it
+        any more.  In-memory blocks go with the object; file-backed row
+        groups (:mod:`repro.storage.files`) remove their file."""
+
     def validate(self) -> None:
         """Check structural invariants; raises :class:`StorageError` if broken."""
         counts = {name: blk.row_count for name, blk in self.columns.items()}

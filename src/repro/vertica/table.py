@@ -2,16 +2,18 @@
 
 A :class:`Table` is a schema plus a segmentation scheme plus one
 :class:`Segment` per database node.  Inserted batches are routed to segments
-row-by-row by the segmentation scheme; each segment stores row groups either
-in memory (the default, for fast tests) or as real on-disk segment files
-(used by benchmarks that charge file-system reads).
+row-by-row by the segmentation scheme; each segment keeps one ordered list of
+epoch-stamped row groups.  Their column blocks sit in memory by default; a
+cluster started with ``data_dir`` writes them to on-disk segment files and
+reads them back on use — the same row groups, scanned, moved out and merged
+out by the same code.
 
 Every row also carries a hidden global row id (``_rowid``) assigned at insert
 time.  Global row ids are what the ODBC path's ordered range fetches filter
 on — the operation that destroys locality, as §3 of the paper describes.
 
-Storage is MVCC'd per :mod:`repro.vertica.txn`: every rowgroup, segment
-file, and WOS batch is stamped with the commit epoch that created it, each
+Storage is MVCC'd per :mod:`repro.vertica.txn`: every rowgroup and WOS
+batch is stamped with the commit epoch that created it, each
 segment carries a delete vector, and scans resolve through a
 :class:`~repro.vertica.txn.epochs.Snapshot` — rows whose insert epoch is
 in the snapshot's future, or whose delete epoch is at-or-before it, never
@@ -66,12 +68,11 @@ class SegmentScanSet:
     the segment's mutation lock, immune to concurrent appends, moveout
     swaps, and delete-vector updates for the lifetime of the scan."""
 
-    __slots__ = ("rowgroups", "files", "wos", "deletes")
+    __slots__ = ("rowgroups", "wos", "deletes")
 
-    def __init__(self, rowgroups: list[RowGroup], files: list[SegmentFile],
-                 wos: list[WosBatch], deletes: FrozenDeleteIndex) -> None:
+    def __init__(self, rowgroups: list[RowGroup], wos: list[WosBatch],
+                 deletes: FrozenDeleteIndex) -> None:
         self.rowgroups = rowgroups
-        self.files = files
         self.wos = wos
         self.deletes = deletes
 
@@ -79,10 +80,12 @@ class SegmentScanSet:
 class Segment:
     """One node's slice of a table: epoch-stamped row groups plus a WOS.
 
-    Read-optimized storage (``_memory_rowgroups`` / ``_files``) and the
-    write-optimized store (``_wos``) are guarded by ``_mutation_lock``;
-    scans take a :class:`SegmentScanSet` under the lock and then decode
-    without it.  Scan order is always ROS rowgroups (memory, then files)
+    Read-optimized storage is one ordered list of ``(epoch, RowGroup)``
+    units (``_ros``); whether a unit's column blocks sit in memory or in a
+    segment file is the row group's business (:meth:`_persist`), not this
+    class's.  The list and the write-optimized store (``_wos``) are guarded
+    by ``_mutation_lock``; scans take a :class:`SegmentScanSet` under the
+    lock and then decode without it.  Scan order is always ROS units
     followed by WOS batches — the Tuple Mover's moveout flushes a *prefix*
     of the WOS to the *end* of the ROS, which preserves that order exactly.
     """
@@ -100,29 +103,18 @@ class Segment:
         self.schema = list(schema)
         self.codec = codec
         self._mutation_lock = threading.RLock()
-        self._memory_rowgroups: list[RowGroup] = []
-        self._memory_epochs: list[int] = []
-        self._files: list[SegmentFile] = []
-        self._file_epochs: list[int] = []
+        self._ros: list[tuple[int, RowGroup]] = []
         self._wos: list[WosBatch] = []
         self.delete_vector = DeleteVector()
         self._data_dir = data_dir
         self._file_counter = 0
-        if data_dir is not None:
-            data_dir.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def on_disk(self) -> bool:
-        return self._data_dir is not None
 
     @property
     def row_count(self) -> int:
         """Physical rows stored (ROS + WOS), ignoring delete vectors."""
         with self._mutation_lock:
-            memory_rows = sum(rg.row_count for rg in self._memory_rowgroups)
-            disk_rows = sum(f.row_count for f in self._files)
-            wos = sum(batch.rows for batch in self._wos)
-        return memory_rows + disk_rows + wos
+            return (sum(rg.row_count for _, rg in self._ros)
+                    + sum(batch.rows for batch in self._wos))
 
     @property
     def wos_rows(self) -> int:
@@ -138,17 +130,13 @@ class Segment:
         table whose batches were already moved out.
         """
         with self._mutation_lock:
-            return (len(self._memory_rowgroups)
-                    + sum(f.rowgroup_count for f in self._files)
-                    + len(self._wos))
+            return len(self._ros) + len(self._wos)
 
     @property
     def compressed_size(self) -> int:
         """Approximate on-disk footprint of this segment in bytes."""
         with self._mutation_lock:
-            memory = sum(rg.compressed_size for rg in self._memory_rowgroups)
-            disk = sum(f.file_size for f in self._files)
-        return memory + disk
+            return sum(rg.compressed_size for _, rg in self._ros)
 
     def visible_row_count(self, snapshot: "Snapshot | None" = None) -> int:
         """Rows a scan at ``snapshot`` yields from this segment.
@@ -157,43 +145,25 @@ class Segment:
         exact because a delete epoch is never smaller than its row's insert
         epoch (only visible rows can be deleted).
         """
-        cap = snapshot_epoch(snapshot)
-        with self._mutation_lock:
-            ros = sum(
-                rg.row_count
-                for rg, e in zip(self._memory_rowgroups, self._memory_epochs)
-                if e <= cap
-            )
-            disk = sum(
-                f.row_count
-                for f, e in zip(self._files, self._file_epochs)
-                if e <= cap
-            )
-            wos = sum(b.rows for b in self._wos if b.epoch <= cap)
-            deletes = self.delete_vector.frozen()
-        return ros + disk + wos - deletes.count_at(cap)
+        scan = self.capture(snapshot)
+        return (sum(rg.row_count for rg in scan.rowgroups)
+                + sum(batch.rows for batch in scan.wos)
+                - scan.deletes.count_at(snapshot_epoch(snapshot)))
 
     # -- writes ------------------------------------------------------------
 
     def append(self, arrays: dict[str, np.ndarray], epoch: int = 0) -> None:
         """Append one batch (already routed to this segment) as row groups.
 
-        The batch is encoded outside the mutation lock (compression is the
-        expensive part) and spliced in under it, stamped with ``epoch``.
+        The batch is encoded (and, on a ``data_dir`` deployment, written)
+        outside the mutation lock and spliced in under it, stamped with
+        ``epoch``.
         """
-        rows = self._validated_rows(arrays)
-        if rows == 0:
+        if self._validated_rows(arrays) == 0:
             return
-        rowgroups = self._encode_rowgroups(arrays, rows)
-        if self.on_disk:
-            segment_file = self._write_segment_file(rowgroups)
-            with self._mutation_lock:
-                self._files.append(segment_file)
-                self._file_epochs.append(epoch)
-        else:
-            with self._mutation_lock:
-                self._memory_rowgroups.extend(rowgroups)
-                self._memory_epochs.extend([epoch] * len(rowgroups))
+        rowgroups = self._build_rowgroups(arrays)
+        with self._mutation_lock:
+            self._ros.extend((epoch, rg) for rg in rowgroups)
 
     def append_wos(self, arrays: dict[str, np.ndarray], epoch: int) -> int:
         """Land one trickle-insert batch in the WOS, stamped with ``epoch``."""
@@ -209,20 +179,18 @@ class Segment:
         """Remove all storage stamped ``epoch`` (a failed insert's debris).
 
         Only ever called for a pending epoch — no snapshot can have seen
-        the rows, so dropping them is invisible to every reader.
+        the rows, so dropping them (and whatever backs them) is invisible
+        to every reader.
         """
         if epoch <= 0:
             return
         with self._mutation_lock:
-            keep = [i for i, e in enumerate(self._memory_epochs) if e != epoch]
-            if len(keep) != len(self._memory_epochs):
-                self._memory_rowgroups = [self._memory_rowgroups[i] for i in keep]
-                self._memory_epochs = [self._memory_epochs[i] for i in keep]
-            keep_files = [i for i, e in enumerate(self._file_epochs) if e != epoch]
-            if len(keep_files) != len(self._file_epochs):
-                self._files = [self._files[i] for i in keep_files]
-                self._file_epochs = [self._file_epochs[i] for i in keep_files]
+            doomed = [rg for e, rg in self._ros if e == epoch]
+            if doomed:
+                self._ros = [unit for unit in self._ros if unit[0] != epoch]
             self._wos = [b for b in self._wos if b.epoch != epoch]
+        for rowgroup in doomed:
+            rowgroup.discard()
 
     def _validated_rows(self, arrays: dict[str, np.ndarray]) -> int:
         if not arrays:
@@ -233,8 +201,10 @@ class Segment:
         (rows,) = lengths
         return rows
 
-    def _encode_rowgroups(self, arrays: dict[str, np.ndarray],
-                          rows: int) -> list[RowGroup]:
+    def _build_rowgroups(self, arrays: dict[str, np.ndarray]) -> list[RowGroup]:
+        """Encode equal-length arrays (an insert batch, a WOS prefix, a
+        mergeout run) into row groups with their final backing."""
+        rows = len(next(iter(arrays.values())))
         rowgroups = []
         for start in range(0, rows, DEFAULT_ROWGROUP_ROWS):
             stop = min(start + DEFAULT_ROWGROUP_ROWS, rows)
@@ -243,17 +213,28 @@ class Segment:
             rowgroups.append(
                 RowGroup.from_arrays(self.schema, chunk, codec=self.codec)
             )
-        return rowgroups
+        return self._persist(rowgroups)
 
-    def _write_segment_file(self, rowgroups: list[RowGroup]) -> SegmentFile:
+    def _persist(self, rowgroups: list[RowGroup]) -> list[RowGroup]:
+        """Give freshly encoded row groups their final backing.
+
+        The only place that knows the deployment's storage mode: without a
+        ``data_dir`` the row groups stay as they are; with one they are
+        written to a new segment file and handed back as row groups whose
+        column blocks load from that file on demand.  Either way the
+        caller splices ordinary :class:`RowGroup` units.
+        """
+        if self._data_dir is None or not rowgroups:
+            return rowgroups
         with self._mutation_lock:
             counter = self._file_counter
             self._file_counter += 1
+        self._data_dir.mkdir(parents=True, exist_ok=True)
         path = self._data_dir / f"{self.table_name}.seg{counter:06d}.bin"
         with SegmentFileWriter(path, self.schema) as writer:
             for rowgroup in rowgroups:
                 writer.append(rowgroup)
-        return SegmentFile(path)
+        return list(SegmentFile(path).iter_rowgroups())
 
     # -- reads -------------------------------------------------------------
 
@@ -267,19 +248,11 @@ class Segment:
         scans are unchanged.
         """
         cap = snapshot_epoch(snapshot)
-        since = since_epoch
         with self._mutation_lock:
-            rowgroups = [
-                rg for rg, e in zip(self._memory_rowgroups, self._memory_epochs)
-                if since < e <= cap
-            ]
-            files = [
-                f for f, e in zip(self._files, self._file_epochs)
-                if since < e <= cap
-            ]
-            wos = [b for b in self._wos if since < b.epoch <= cap]
+            rowgroups = [rg for e, rg in self._ros if since_epoch < e <= cap]
+            wos = [b for b in self._wos if since_epoch < b.epoch <= cap]
             deletes = self.delete_vector.frozen()
-        return SegmentScanSet(rowgroups, files, wos, deletes)
+        return SegmentScanSet(rowgroups, wos, deletes)
 
     def delete_epochs_between(self, since_epoch: int,
                               snapshot: "Snapshot | None" = None) -> bool:
@@ -296,28 +269,6 @@ class Segment:
         return bool(((frozen.epochs > since_epoch)
                      & (frozen.epochs <= cap)).any())
 
-    def iter_rowgroups(self, columns: list[str] | None = None,
-                       snapshot: "Snapshot | None" = None) -> Iterator[RowGroup]:
-        """Yield row groups; disk-backed groups are read from their files.
-
-        Without a snapshot this is raw physical ROS access (WOS batches and
-        delete vectors ignored) — storage-layer plumbing only.  With a
-        snapshot, surviving rows are re-encoded into fresh row groups so
-        the caller sees exactly the transactional view.
-        """
-        if snapshot is None:
-            with self._mutation_lock:
-                memory = list(self._memory_rowgroups)
-                files = list(self._files)
-            yield from memory
-            for segment_file in files:
-                yield from segment_file.iter_rowgroups(columns)
-            return
-        names = columns if columns is not None else [c.name for c in self.schema]
-        schema = [self._schema_column(name) for name in names]
-        for decoded in self.iter_batches(names, snapshot=snapshot):
-            yield RowGroup.from_arrays(schema, decoded, codec=self.codec)
-
     def iter_batches(self, columns: list[str] | None = None,
                      ranges: dict | None = None,
                      prune_counter=None,
@@ -330,9 +281,9 @@ class Segment:
         dict holds the requested columns of exactly one surviving row group,
         so peak memory is O(row group), not O(segment).  ``ranges`` maps
         column names to :class:`~repro.vertica.pruning.ColumnRange`
-        envelopes; row groups whose zone maps exclude any constrained column
+        envelopes; units whose zone maps exclude any constrained column
         are skipped without decompressing a single block (``prune_counter``
-        is called with the number of skipped row groups).
+        is called with the number of skipped units).
 
         ``snapshot`` fixes the transactional view: storage stamped after the
         snapshot epoch is not read, WOS batches visible at it are unioned in
@@ -348,41 +299,21 @@ class Segment:
         if filtering and ROWID_COLUMN not in read_names:
             read_names.append(ROWID_COLUMN)
 
-        def resolve(decoded: dict[str, np.ndarray]) -> dict[str, np.ndarray] | None:
-            if not filtering:
-                return decoded
-            keep = scan.deletes.keep_mask(decoded[ROWID_COLUMN], cap)
-            if keep.all():
-                return {name: decoded[name] for name in names}
-            if not keep.any():
-                return None
-            return {name: decoded[name][keep] for name in names}
-
-        for rowgroup in scan.rowgroups:
-            if constrained and not rowgroup.might_match(ranges, constrained):
+        for unit in itertools.chain(scan.rowgroups, scan.wos):
+            if constrained and not unit.might_match(ranges, constrained):
                 if prune_counter is not None:
                     prune_counter(1)
                 continue
-            batch = resolve(rowgroup.read(read_names))
-            if batch is not None:
-                yield batch
-        for segment_file in scan.files:
-            for index in range(segment_file.rowgroup_count):
-                if constrained and not self._zone_maps_match(
-                        lambda col, i=index, f=segment_file: f.read_block(i, col),
-                        constrained, ranges):
-                    if prune_counter is not None:
-                        prune_counter(1)
+            decoded = unit.read(read_names)
+            if filtering:
+                keep = scan.deletes.keep_mask(decoded[ROWID_COLUMN], cap)
+                if not keep.any():
                     continue
-                batch = resolve(
-                    segment_file.read_rowgroup(index, read_names).read(read_names)
-                )
-                if batch is not None:
-                    yield batch
-        for wos_batch in scan.wos:
-            batch = resolve(wos_batch.read(read_names))
-            if batch is not None:
-                yield batch
+                if keep.all():
+                    decoded = {name: decoded[name] for name in names}
+                else:
+                    decoded = {name: decoded[name][keep] for name in names}
+            yield decoded
 
     def typed_empty(self, columns: list[str] | None = None) -> dict[str, np.ndarray]:
         """Zero-row arrays carrying the schema's declared dtypes."""
@@ -445,30 +376,20 @@ class Segment:
                 prefix.append(batch)
         if not prefix:
             return 0
-        groups = self._group_wos_batches(prefix, ahm)
-        built: list[tuple[int, list[RowGroup]]] = []
-        for epoch, batches in groups:
-            arrays = _concat_stored(batches)
-            rows = len(next(iter(arrays.values())))
-            built.append((epoch, self._encode_rowgroups(arrays, rows)))
-        if self.on_disk:
-            files = [(epoch, self._write_segment_file(rowgroups))
-                     for epoch, rowgroups in built]
+        built: list[tuple[int, RowGroup]] = []
+        for epoch, batches in self._group_wos_batches(prefix, ahm):
+            arrays = _concat([batch.arrays for batch in batches])
+            built.extend((epoch, rg) for rg in self._build_rowgroups(arrays))
         with self._mutation_lock:
-            current = self._wos[:len(prefix)]
-            if len(current) != len(prefix) or any(
-                    a is not b for a, b in zip(current, prefix)):
-                return 0  # lost a race with another mover pass; retry later
-            del self._wos[:len(prefix)]
-            if self.on_disk:
-                for epoch, segment_file in files:
-                    self._files.append(segment_file)
-                    self._file_epochs.append(epoch)
-            else:
-                for epoch, rowgroups in built:
-                    self._memory_rowgroups.extend(rowgroups)
-                    self._memory_epochs.extend([epoch] * len(rowgroups))
-        return sum(batch.rows for batch in prefix)
+            if _same_units(self._wos[:len(prefix)], prefix):
+                del self._wos[:len(prefix)]
+                self._ros.extend(built)
+                return sum(batch.rows for batch in prefix)
+        # Lost a race with another mover pass: nothing was published, so
+        # nobody can be reading what was just built.  Retry later.
+        for _, rowgroup in built:
+            rowgroup.discard()
+        return 0
 
     @staticmethod
     def _group_wos_batches(prefix: list[WosBatch],
@@ -488,28 +409,14 @@ class Segment:
     def has_mergeout_work(self, ahm: int, small_rows: int,
                           min_run: int = 2) -> bool:
         """Cheap pre-check so the background mover only opens a
-        ``txn.mergeout`` span (and walks the candidate machinery) when a
-        pass could plausibly do something.  Conservative: may return True
-        for a pass that ends up merging nothing."""
-        frozen = self.delete_vector.frozen()
-        if len(frozen) and (frozen.epochs <= ahm).any():
+        ``txn.mergeout`` span (and decodes row ids) when a pass could
+        plausibly do something.  Conservative: may return True for a pass
+        that ends up merging nothing."""
+        if self.delete_vector.frozen().count_at(ahm):
             return True
         with self._mutation_lock:
-            for items, epochs, rows_of in (
-                (self._memory_rowgroups, self._memory_epochs,
-                 lambda rg: rg.row_count),
-                (self._files, self._file_epochs, lambda f: f.row_count),
-            ):
-                run_small = 0
-                for item, epoch in zip(items, epochs):
-                    if epoch <= ahm:
-                        if rows_of(item) < small_rows:
-                            run_small += 1
-                            if run_small >= min_run:
-                                return True
-                    else:
-                        run_small = 0
-        return False
+            units = list(self._ros)
+        return bool(self._mergeout_runs(units, ahm, small_rows, min_run))
 
     def mergeout(self, ahm: int, small_rows: int,
                  min_run: int = 2) -> tuple[int, int]:
@@ -525,176 +432,83 @@ class Segment:
 
         Returns ``(bytes_rewritten, rows_purged)``.
         """
-        frozen = self.delete_vector.frozen()
-        purgeable = frozen.rowids[frozen.epochs <= ahm]
+        deletes = self.delete_vector.frozen()
         bytes_rewritten = 0
         rows_purged = 0
-        done_memory, done_files = False, False
-        while not (done_memory and done_files):
-            if not done_memory:
-                result = self._mergeout_memory_once(ahm, small_rows, min_run,
-                                                    purgeable)
-                if result is None:
-                    done_memory = True
-                else:
-                    bytes_rewritten += result[0]
-                    rows_purged += result[1]
-            elif not done_files:
-                result = self._mergeout_files_once(ahm, small_rows, min_run,
-                                                   purgeable)
-                if result is None:
-                    done_files = True
-                else:
-                    bytes_rewritten += result[0]
-                    rows_purged += result[1]
-        return bytes_rewritten, rows_purged
+        while True:
+            result = self._mergeout_once(ahm, small_rows, min_run, deletes)
+            if result is None:
+                return bytes_rewritten, rows_purged
+            bytes_rewritten += result[0]
+            rows_purged += result[1]
 
-    def _mergeout_runs(self, items: list, epochs: list[int], ahm: int,
+    @staticmethod
+    def _mergeout_runs(units: list[tuple[int, RowGroup]], ahm: int,
                        small_rows: int, min_run: int,
-                       rows_of) -> list[tuple[int, list]]:
-        """Maximal runs of adjacent mergeable storage units.
+                       ) -> list[tuple[int, list[tuple[int, RowGroup]]]]:
+        """Maximal runs of adjacent units behind the AHM worth compacting:
+        at least two units, ≥ ``min_run`` of them under ``small_rows``.
+        Each run comes with its start index in ``units``."""
+        runs = []
+        start = 0
+        for stop in range(len(units) + 1):
+            if stop < len(units) and units[stop][0] <= ahm:
+                continue
+            run = units[start:stop]
+            small = sum(1 for _, rg in run if rg.row_count < small_rows)
+            if len(run) >= 2 and small >= min_run:
+                runs.append((start, run))
+            start = stop + 1
+        return runs
 
-        A run qualifies for rewrite when it holds ≥ ``min_run`` units
-        smaller than ``small_rows`` (compaction) — purge-only rewrites are
-        decided later, once the run's rowids have been decoded.
-        """
-        runs: list[tuple[int, list]] = []
-        start, run = 0, []
-        for i, (item, epoch) in enumerate(zip(items, epochs)):
-            if epoch <= ahm:
-                if not run:
-                    start = i
-                run.append(item)
-            else:
-                if run:
-                    runs.append((start, run))
-                run = []
-        if run:
-            runs.append((start, run))
-        selected = []
-        for start, members in runs:
-            small = sum(1 for m in members if rows_of(m) < small_rows)
-            if small >= min_run and len(members) >= 2:
-                selected.append((start, members))
-        return selected
-
-    def _purge_only_runs(self, items: list, epochs: list[int], ahm: int,
-                         purgeable: np.ndarray,
-                         decode_rowids) -> list[tuple[int, list]]:
+    @staticmethod
+    def _purge_only_runs(units: list[tuple[int, RowGroup]], ahm: int,
+                         deletes: FrozenDeleteIndex,
+                         ) -> list[tuple[int, list[tuple[int, RowGroup]]]]:
         """Single units (any size) that hold rows purgeable behind the AHM."""
-        selected = []
-        for i, (item, epoch) in enumerate(zip(items, epochs)):
+        runs = []
+        for i, (epoch, rowgroup) in enumerate(units):
             if epoch > ahm:
                 continue
-            rowids = decode_rowids(item)
-            pos = np.searchsorted(purgeable, rowids)
-            pos = np.minimum(pos, len(purgeable) - 1)
-            if (purgeable[pos] == rowids).any():
-                selected.append((i, [item]))
-        return selected
+            rowids = rowgroup.read([ROWID_COLUMN])[ROWID_COLUMN]
+            if not deletes.keep_mask(rowids, ahm).all():
+                runs.append((i, units[i:i + 1]))
+        return runs
 
-    def _mergeout_memory_once(self, ahm, small_rows, min_run, purgeable):
+    def _mergeout_once(self, ahm: int, small_rows: int, min_run: int,
+                       deletes: FrozenDeleteIndex) -> tuple[int, int] | None:
+        """Rewrite the first run that can be spliced back in; ``None`` when
+        no run is left.  Compaction runs come first; purge-only rewrites are
+        considered once nothing is left to compact."""
         with self._mutation_lock:
-            items = list(self._memory_rowgroups)
-            epochs = list(self._memory_epochs)
-        candidates = self._mergeout_runs(
-            items, epochs, ahm, small_rows, min_run,
-            rows_of=lambda rg: rg.row_count)
-        if not candidates and len(purgeable):
-            candidates = self._purge_only_runs(
-                items, epochs, ahm, purgeable,
-                decode_rowids=lambda rg: rg.read([ROWID_COLUMN])[ROWID_COLUMN])
-        for start, members in candidates:
-            merged = self._rewrite_run(members, ahm, purgeable)
-            if merged is None:
-                continue
-            rowgroups, purged_rowids, nbytes = merged
-            epoch = max(epochs[start:start + len(members)])
-            with self._mutation_lock:
-                current = self._memory_rowgroups[start:start + len(members)]
-                if len(current) != len(members) or any(
-                        a is not b for a, b in zip(current, members)):
-                    continue  # storage moved under us; try again next pass
-                self._memory_rowgroups[start:start + len(members)] = rowgroups
-                self._memory_epochs[start:start + len(members)] = \
-                    [epoch] * len(rowgroups)
-                self.delete_vector.purge(purged_rowids)
-            return nbytes, len(purged_rowids)
-        return None
-
-    def _mergeout_files_once(self, ahm, small_rows, min_run, purgeable):
-        with self._mutation_lock:
-            items = list(self._files)
-            epochs = list(self._file_epochs)
-        candidates = self._mergeout_runs(
-            items, epochs, ahm, small_rows, min_run,
-            rows_of=lambda f: f.row_count)
-        if not candidates and len(purgeable):
-            candidates = self._purge_only_runs(
-                items, epochs, ahm, purgeable,
-                decode_rowids=lambda f: np.concatenate([
-                    rg.read([ROWID_COLUMN])[ROWID_COLUMN]
-                    for rg in f.iter_rowgroups([ROWID_COLUMN])
-                ]) if f.rowgroup_count else np.empty(0, dtype=np.int64))
-        for start, members in candidates:
-            merged = self._rewrite_file_run(members, ahm, purgeable)
-            if merged is None:
-                continue
-            segment_file, purged_rowids, nbytes = merged
-            epoch = max(epochs[start:start + len(members)])
-            with self._mutation_lock:
-                current = self._files[start:start + len(members)]
-                if len(current) != len(members) or any(
-                        a is not b for a, b in zip(current, members)):
-                    continue
-                # Old segment files leave the scan set but are not unlinked:
-                # a concurrent capture may still hold a reference mid-read.
-                # Space is reclaimed when the segment's directory goes away.
-                self._files[start:start + len(members)] = [segment_file]
-                self._file_epochs[start:start + len(members)] = [epoch]
-                self.delete_vector.purge(purged_rowids)
-            return nbytes, len(purged_rowids)
-        return None
-
-    def _rewrite_run(self, members: list[RowGroup], ahm: int,
-                     purgeable: np.ndarray):
+            units = list(self._ros)
+        candidates = self._mergeout_runs(units, ahm, small_rows, min_run)
+        if not candidates and deletes.count_at(ahm):
+            candidates = self._purge_only_runs(units, ahm, deletes)
         names = [c.name for c in self.schema]
-        arrays = _concat_stored([_RowGroupReader(rg, names) for rg in members])
-        return self._filter_and_encode(arrays, ahm, purgeable)
-
-    def _rewrite_file_run(self, members: list[SegmentFile], ahm: int,
-                          purgeable: np.ndarray):
-        names = [c.name for c in self.schema]
-        decoded = []
-        for segment_file in members:
-            for rowgroup in segment_file.iter_rowgroups(names):
-                decoded.append(_RowGroupReader(rowgroup, names))
-        if not decoded:
-            return None
-        arrays = _concat_stored(decoded)
-        result = self._filter_and_encode(arrays, ahm, purgeable)
-        if result is None:
-            return None
-        rowgroups, purged_rowids, _ = result
-        segment_file = self._write_segment_file(rowgroups)
-        return segment_file, purged_rowids, segment_file.file_size
-
-    def _filter_and_encode(self, arrays: dict[str, np.ndarray], ahm: int,
-                           purgeable: np.ndarray):
-        rowids = arrays[ROWID_COLUMN]
-        if len(purgeable):
-            pos = np.searchsorted(purgeable, rowids)
-            pos = np.minimum(pos, max(len(purgeable) - 1, 0))
-            purge_mask = purgeable[pos] == rowids
-        else:
-            purge_mask = np.zeros(len(rowids), dtype=bool)
-        if purge_mask.any():
-            arrays = {name: arr[~purge_mask] for name, arr in arrays.items()}
-        purged_rowids = rowids[purge_mask]
-        rows = len(arrays[ROWID_COLUMN])
-        rowgroups = self._encode_rowgroups(arrays, rows) if rows else []
-        nbytes = sum(rg.compressed_size for rg in rowgroups)
-        return rowgroups, purged_rowids, nbytes
+        for start, run in candidates:
+            arrays = _concat([rg.read(names) for _, rg in run])
+            keep = deletes.keep_mask(arrays[ROWID_COLUMN], ahm)
+            purged_rowids = arrays[ROWID_COLUMN][~keep]
+            if len(purged_rowids):
+                arrays = {name: arr[keep] for name, arr in arrays.items()}
+            rowgroups = self._build_rowgroups(arrays)
+            epoch = max(e for e, _ in run)
+            stop = start + len(run)
+            with self._mutation_lock:
+                if _same_units(self._ros[start:stop], run):
+                    # Superseded units leave the scan set but their backing
+                    # is not discarded: a concurrent capture may still hold
+                    # a reference mid-read.  File-backed space is reclaimed
+                    # when the segment's directory goes away.
+                    self._ros[start:stop] = [(epoch, rg) for rg in rowgroups]
+                    self.delete_vector.purge(purged_rowids)
+                    return (sum(rg.compressed_size for rg in rowgroups),
+                            len(purged_rowids))
+            # Storage moved under us; what was built was never published.
+            for rowgroup in rowgroups:
+                rowgroup.discard()
+        return None
 
     # -- helpers -----------------------------------------------------------
 
@@ -705,16 +519,6 @@ class Segment:
         schema_names = {c.name for c in self.schema}
         return [name for name in ranges if name in schema_names]
 
-    @staticmethod
-    def _zone_maps_match(block_for, constrained: list[str], ranges: dict) -> bool:
-        """False when any constrained column's zone map excludes the range."""
-        for name in constrained:
-            envelope = ranges[name]
-            block = block_for(name)
-            if not block.might_contain(envelope.low, envelope.high):
-                return False
-        return True
-
     def _schema_column(self, name: str) -> ColumnSchema:
         for column in self.schema:
             if column.name == name:
@@ -722,22 +526,20 @@ class Segment:
         raise StorageError(f"segment schema has no column {name!r}")
 
 
-class _RowGroupReader:
-    """Adapts a RowGroup to the ``.arrays`` shape ``_concat_stored`` eats."""
+def _same_units(current: list, expected: list) -> bool:
+    """Whether a slice re-read under the lock still holds exactly the
+    objects a mover pass planned against (``expected`` must be a slice of
+    the list copy the pass took, never rebuilt units)."""
+    return len(current) == len(expected) and all(
+        a is b for a, b in zip(current, expected))
 
-    __slots__ = ("arrays",)
 
-    def __init__(self, rowgroup: RowGroup, names: list[str]) -> None:
-        self.arrays = rowgroup.read(names)
-
-
-def _concat_stored(batches: list) -> dict[str, np.ndarray]:
-    names = list(batches[0].arrays)
+def _concat(batches: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     if len(batches) == 1:
-        return dict(batches[0].arrays)
+        return dict(batches[0])
     return {
-        name: np.concatenate([b.arrays[name] for b in batches])
-        for name in names
+        name: np.concatenate([batch[name] for batch in batches])
+        for name in batches[0]
     }
 
 

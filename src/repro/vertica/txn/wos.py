@@ -39,5 +39,10 @@ class WosBatch:
     def read(self, names: list[str]) -> dict[str, np.ndarray]:
         return {name: self.arrays[name] for name in names}
 
+    def might_match(self, ranges: dict, constrained: list[str]) -> bool:
+        """The scan loop's zone-map test.  A WOS batch keeps no zone maps,
+        so it is never pruned."""
+        return True
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WosBatch(epoch={self.epoch}, rows={self.rows})"

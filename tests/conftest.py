@@ -35,6 +35,23 @@ def cluster():
 
 
 @pytest.fixture
+def data_dir():
+    """The ``VerticaCluster(data_dir=...)`` of storage-mode-agnostic tests:
+    ``None`` keeps read-optimized storage in memory."""
+    return None
+
+
+class OnDisk:
+    """Mixin that reruns a test class over file-backed storage:
+    ``class TestFooOnDisk(OnDisk, TestFoo)`` inherits every test of
+    ``TestFoo`` with ``data_dir`` pointing at a fresh directory."""
+
+    @pytest.fixture
+    def data_dir(self, tmp_path):
+        return tmp_path
+
+
+@pytest.fixture
 def session():
     """A 3-worker Distributed R session (2 R instances each)."""
     with start_session(node_count=3, instances_per_node=2) as s:

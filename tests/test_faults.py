@@ -43,6 +43,7 @@ from repro.transfer import db2darray
 from repro.vertica import HashSegmentation, VerticaCluster
 from repro.vertica.pipeline import BatchQueue
 from repro.workloads import make_regression
+from tests.conftest import OnDisk
 
 # The rotating CI seed: fixed default locally, overridden per CI run so the
 # matrix keeps exploring new jitter/timing interleavings.  Failures print it.
@@ -268,8 +269,9 @@ class TestDrWorkerFaults:
 # ---------------------------------------------------------------------------
 
 class TestMoverFaults:
-    def _cluster_with_wos(self):
-        cluster = VerticaCluster(node_count=3)
+    @pytest.fixture
+    def cluster_with_wos(self, data_dir):
+        cluster = VerticaCluster(node_count=3, data_dir=data_dir)
         rng = np.random.default_rng(11)
         columns = {"k": rng.integers(0, 10**6, 300),
                    "v": rng.normal(size=300)}
@@ -280,8 +282,8 @@ class TestMoverFaults:
         cluster.tuple_mover.stop()  # direct, deterministic passes only
         return cluster
 
-    def test_killed_moveout_leaves_scans_bit_identical(self):
-        cluster = self._cluster_with_wos()
+    def test_killed_moveout_leaves_scans_bit_identical(self, cluster_with_wos):
+        cluster = cluster_with_wos
         table = cluster.catalog.get_table("t")
         nonempty = sum(1 for seg in table.segments if seg.wos_rows)
         assert nonempty >= 2  # precondition: the kill lands mid-pass
@@ -307,8 +309,8 @@ class TestMoverFaults:
         assert "mover_restart" in mechanisms(cluster.tracer)
         cluster.tuple_mover.stop()
 
-    def test_background_mover_survives_injected_crash(self):
-        cluster = self._cluster_with_wos()
+    def test_background_mover_survives_injected_crash(self, cluster_with_wos):
+        cluster = cluster_with_wos
         plan = FaultPlan.single("txn.moveout", FaultKind.ERROR,
                                 seed=FAULT_SEED)
         cluster.install_fault_plan(plan)
@@ -319,6 +321,10 @@ class TestMoverFaults:
         cluster.tuple_mover.notify()
         assert cluster.tuple_mover.run_moveout() > 0
         cluster.tuple_mover.stop()
+
+
+class TestMoverFaultsOnDisk(OnDisk, TestMoverFaults):
+    pass
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from repro.vertica import VerticaCluster
 from repro.vertica.pruning import ColumnRange, extract_column_ranges
 from repro.vertica.sql import parse_expression
+from tests.conftest import OnDisk
 
 
 def ranges_of(text: str) -> dict[str, ColumnRange]:
@@ -64,9 +65,9 @@ class TestRangeExtraction:
 
 
 @pytest.fixture
-def clustered_cluster():
+def clustered_cluster(data_dir):
     """A table loaded in sorted batches: tight per-rowgroup zone maps."""
-    cluster = VerticaCluster(node_count=2)
+    cluster = VerticaCluster(node_count=2, data_dir=data_dir)
     cluster.sql("CREATE TABLE events (ts INT, v FLOAT)")
     for start in range(0, 50_000, 5_000):
         ts = np.arange(start, start + 5_000)
@@ -112,17 +113,8 @@ class TestPruningExecution:
         ).scalar()
         assert count == 200
 
-    def test_pruning_with_disk_backed_table(self, tmp_path):
-        cluster = VerticaCluster(node_count=2, data_dir=tmp_path)
-        cluster.sql("CREATE TABLE d (ts INT)")
-        for start in range(0, 20_000, 5_000):
-            cluster.bulk_load("d", {"ts": np.arange(start, start + 5_000)})
-        assert cluster.sql(
-            "SELECT COUNT(*) FROM d WHERE ts >= 19000").scalar() == 1_000
-        assert cluster.telemetry.get("rowgroups_pruned") > 0
-
-    def test_unclustered_data_prunes_little_but_stays_correct(self):
-        cluster = VerticaCluster(node_count=2)
+    def test_unclustered_data_prunes_little_but_stays_correct(self, data_dir):
+        cluster = VerticaCluster(node_count=2, data_dir=data_dir)
         rng = np.random.default_rng(80)
         values = rng.permutation(30_000)
         cluster.sql("CREATE TABLE shuffled (x INT)")
@@ -131,3 +123,7 @@ class TestPruningExecution:
         count = cluster.sql(
             "SELECT COUNT(*) FROM shuffled WHERE x < 1000").scalar()
         assert count == 1_000  # zone maps overlap everywhere: no wrong answers
+
+
+class TestPruningExecutionOnDisk(OnDisk, TestPruningExecution):
+    """Zone maps read from segment files prune exactly like in-memory ones."""

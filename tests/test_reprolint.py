@@ -393,8 +393,8 @@ def test_materialization_accepts_streaming_and_local_defs():
 
             sources = cluster.stream_table_per_node(table, needed)
             yield from cluster.stream_node_with_failover(table, 0, needed)
-            for rowgroup in table.segments[0].iter_rowgroups(sorted(needed)):
-                yield rowgroup
+            for batch in table.segments[0].iter_batches(sorted(needed)):
+                yield batch
     """
     assert check_snippet(
         "no-full-materialization", source,
@@ -426,16 +426,15 @@ def test_materialization_scoped_to_hot_paths():
 def test_snapshot_reads_flags_raw_segment_reads():
     source = """
         def pull(self, segment, columns):
-            groups = list(segment.iter_rowgroups(columns))
             batches = list(segment.iter_batches(columns, None, counter))
             whole = segment.read_columns(columns)
-            return groups, batches, whole
+            return batches, whole
     """
     violations = check_snippet(
         "snapshot-reads", source, relpath="src/repro/transfer/vft.py",
     )
     assert [v.message.split("'")[1] for v in violations] == [
-        "iter_rowgroups", "iter_batches", "read_columns",
+        "iter_batches", "read_columns",
     ]
     assert all("bypasses delete-vector" in v.message for v in violations)
 
@@ -443,8 +442,8 @@ def test_snapshot_reads_flags_raw_segment_reads():
 def test_snapshot_reads_accepts_explicit_snapshot():
     source = """
         def pull(self, segment, columns, snapshot):
-            for group in segment.iter_rowgroups(columns, snapshot=snapshot):
-                yield group
+            for batch in segment.iter_batches(columns, snapshot=snapshot):
+                yield batch
             # snapshot=None documents "resolve the latest committed epoch".
             yield segment.read_columns(columns, snapshot=None)
     """

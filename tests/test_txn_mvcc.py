@@ -9,28 +9,52 @@ invisible to any still-reachable snapshot.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError, SqlAnalysisError, SqlSyntaxError
+from repro.errors import (
+    ExecutionError,
+    SqlAnalysisError,
+    SqlSyntaxError,
+    StorageError,
+)
 from repro.storage import ColumnSchema, SqlType
 from repro.vertica import HashSegmentation, VerticaCluster
 from repro.vertica.txn import DeleteVector, EpochClock, TupleMoverConfig
+from repro.vertica.txn.epochs import Snapshot
+from tests.conftest import OnDisk
 
 NODE_COUNT = 3
 
 
-def make_cluster(mover: TupleMoverConfig | None = None) -> VerticaCluster:
-    cluster = VerticaCluster(node_count=NODE_COUNT, mover=mover)
+def make_cluster(mover: TupleMoverConfig | None = None,
+                 data_dir=None, **options) -> VerticaCluster:
+    cluster = VerticaCluster(node_count=NODE_COUNT, mover=mover,
+                             data_dir=data_dir, **options)
     cluster.create_table(
         "t",
         [ColumnSchema("k", SqlType.INTEGER), ColumnSchema("v", SqlType.FLOAT)],
         segmentation=HashSegmentation("k"),
     )
     return cluster
+
+
+@pytest.fixture
+def new_cluster(data_dir):
+    """``make_cluster`` in the storage mode of the requesting test class."""
+    return functools.partial(make_cluster, data_dir=data_dir)
+
+
+def segment_files(data_dir) -> list:
+    """Every file under a deployment's ``data_dir`` (none for in-memory)."""
+    if data_dir is None:
+        return []
+    return sorted(p for p in data_dir.rglob("*") if p.is_file())
 
 
 def load(cluster: VerticaCluster, n: int, key_base: int = 0) -> None:
@@ -135,29 +159,29 @@ class TestDeleteVector:
 # ---------------------------------------------------------------------------
 
 class TestSqlMutations:
-    def test_delete_filters_and_reports_count(self):
-        cluster = make_cluster()
+    def test_delete_filters_and_reports_count(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 100)
         assert cluster.sql("DELETE FROM t WHERE k < 30").scalar() == 30
         assert count(cluster) == 70
         # Deleted keys are gone from every query shape.
         assert cluster.sql("SELECT MIN(k) AS lo FROM t").scalar() == 30
 
-    def test_delete_without_where_empties_the_table(self):
-        cluster = make_cluster()
+    def test_delete_without_where_empties_the_table(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 50)
         assert cluster.sql("DELETE FROM t").scalar() == 50
         assert count(cluster) == 0
 
-    def test_redelete_is_a_noop(self):
-        cluster = make_cluster()
+    def test_redelete_is_a_noop(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 40)
         assert cluster.sql("DELETE FROM t WHERE k < 10").scalar() == 10
         assert cluster.sql("DELETE FROM t WHERE k < 10").scalar() == 0
         assert count(cluster) == 30
 
-    def test_update_rewrites_matched_rows(self):
-        cluster = make_cluster()
+    def test_update_rewrites_matched_rows(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 60)
         assert cluster.sql(
             "UPDATE t SET v = v + 9 WHERE k >= 50").scalar() == 10
@@ -165,8 +189,8 @@ class TestSqlMutations:
         assert cluster.sql("SELECT SUM(v) AS s FROM t").scalar() == \
             pytest.approx(60 + 90)
 
-    def test_update_is_atomic_under_at_epoch(self):
-        cluster = make_cluster()
+    def test_update_is_atomic_under_at_epoch(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 30)
         before = cluster.current_epoch
         cluster.sql("UPDATE t SET v = 5.0 WHERE k < 30")
@@ -174,35 +198,35 @@ class TestSqlMutations:
             f"AT EPOCH {before} SELECT SUM(v) AS s FROM t").scalar() == 30.0
         assert cluster.sql("SELECT SUM(v) AS s FROM t").scalar() == 150.0
 
-    def test_r_models_rejects_mutation(self):
-        cluster = make_cluster()
+    def test_r_models_rejects_mutation(self, new_cluster):
+        cluster = new_cluster()
         with pytest.raises(SqlAnalysisError):
             cluster.sql("DELETE FROM R_Models")
         with pytest.raises(SqlAnalysisError):
             cluster.sql("UPDATE R_Models SET owner = 'x'")
 
-    def test_update_validates_set_targets(self):
-        cluster = make_cluster()
+    def test_update_validates_set_targets(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 10)
         with pytest.raises(SqlAnalysisError):
             cluster.sql("UPDATE t SET nope = 1")
         with pytest.raises(SqlAnalysisError):
             cluster.sql("UPDATE t SET v = 1, v = 2")
 
-    def test_at_epoch_only_wraps_select(self):
-        cluster = make_cluster()
+    def test_at_epoch_only_wraps_select(self, new_cluster):
+        cluster = new_cluster()
         with pytest.raises(SqlSyntaxError):
             cluster.sql("AT EPOCH 1 DELETE FROM t")
 
-    def test_at_epoch_bounds_checked(self):
-        cluster = make_cluster()
+    def test_at_epoch_bounds_checked(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 10)
         with pytest.raises(ExecutionError):
             cluster.sql(f"AT EPOCH {cluster.current_epoch + 5} "
                         "SELECT count(*) FROM t")
 
-    def test_at_epoch_latest_matches_plain_select(self):
-        cluster = make_cluster()
+    def test_at_epoch_latest_matches_plain_select(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 25)
         cluster.sql("DELETE FROM t WHERE k < 5")
         assert cluster.sql(
@@ -210,8 +234,8 @@ class TestSqlMutations:
 
 
 class TestTimeTravel:
-    def test_every_mutation_epoch_is_replayable(self):
-        cluster = make_cluster()
+    def test_every_mutation_epoch_is_replayable(self, new_cluster):
+        cluster = new_cluster()
         history = []
         load(cluster, 50)
         history.append((cluster.current_epoch, 50))
@@ -230,8 +254,8 @@ class TestTimeTravel:
 # ---------------------------------------------------------------------------
 
 class TestWosAndMover:
-    def test_trickle_inserts_visible_before_moveout(self):
-        cluster = make_cluster()
+    def test_trickle_inserts_visible_before_moveout(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 20)
         for i in range(5):
             cluster.sql(f"INSERT INTO t VALUES ({1000 + i}, 2.0)")
@@ -240,9 +264,13 @@ class TestWosAndMover:
         assert count(cluster) == 25
         cluster.tuple_mover.stop()
 
-    def test_moveout_preserves_scan_order_bit_for_bit(self):
-        cluster = make_cluster()
+    def test_moveout_preserves_scan_order_bit_for_bit(self, new_cluster,
+                                                      data_dir):
+        cluster = new_cluster()
         load(cluster, 30)
+        loaded_files = segment_files(data_dir)
+        # A data_dir deployment keeps its ROS in segment files, and only it.
+        assert bool(loaded_files) == (data_dir is not None)
         for i in range(6):
             cluster.sql(f"INSERT INTO t VALUES ({1000 + i}, {float(i)})")
         query = "SELECT k, v FROM t"
@@ -252,10 +280,12 @@ class TestWosAndMover:
         table = cluster.catalog.get_table("t")
         assert sum(seg.wos_rows for seg in table.segments) == 0
         assert cluster.sql(query).rows() == before
+        assert (len(segment_files(data_dir)) > len(loaded_files)) == \
+            (data_dir is not None)
         cluster.tuple_mover.stop()
 
-    def test_mergeout_purges_only_behind_the_ahm(self):
-        cluster = make_cluster()
+    def test_mergeout_purges_only_behind_the_ahm(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 80)
         cluster.sql("DELETE FROM t WHERE k < 25")
         # AHM is still at 0: nothing is eligible.
@@ -273,8 +303,8 @@ class TestWosAndMover:
         assert count(cluster) == 55
         cluster.tuple_mover.stop()
 
-    def test_mover_gauges_reconcile(self):
-        cluster = make_cluster()
+    def test_mover_gauges_reconcile(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 40)
         cluster.sql("DELETE FROM t WHERE k < 10")
         for i in range(4):
@@ -289,8 +319,8 @@ class TestWosAndMover:
         assert cluster.telemetry.get("mergeout_bytes_rewritten") > 0
         cluster.tuple_mover.stop()
 
-    def test_mover_emits_spans(self):
-        cluster = make_cluster()
+    def test_mover_emits_spans(self, new_cluster):
+        cluster = new_cluster()
         load(cluster, 30)
         cluster.sql("DELETE FROM t WHERE k < 5")
         cluster.sql("INSERT INTO t VALUES (900, 1.0)")
@@ -310,14 +340,14 @@ class TestWosAndMover:
 class TestInsertAtomicity:
     BATCH = 50
 
-    def test_concurrent_scans_never_see_a_torn_batch(self):
+    def test_concurrent_scans_never_see_a_torn_batch(self, new_cluster):
         """Satellite regression: a whole insert batch commits at one epoch,
         so a scan racing the insert sees a multiple of the batch size.
 
         This is the stress test to run under ``REPROLINT_LOCK_CHECK=1``:
         the instrumented locks assert ordering while scans race inserts.
         """
-        cluster = make_cluster(
+        cluster = new_cluster(
             TupleMoverConfig(moveout_rows=1 << 30, moveout_age_seconds=1e9))
         table = cluster.catalog.get_table("t")
         stop = threading.Event()
@@ -355,11 +385,11 @@ class TestConcurrencyDemo:
     """The PR's demo: trickle INSERTs and DELETEs race repeated scans while
     the Tuple Mover runs; every scan lands on a committed epoch."""
 
-    def test_scans_are_epoch_consistent_under_mutation(self):
+    def test_scans_are_epoch_consistent_under_mutation(self, new_cluster):
         from repro.algorithms import KMeansModel
         from repro.deploy import deploy_model
 
-        cluster = make_cluster(
+        cluster = new_cluster(
             TupleMoverConfig(moveout_rows=32, moveout_age_seconds=0.01,
                              interval_seconds=0.005))
         cluster.create_table("pts", [
@@ -453,3 +483,179 @@ class TestConcurrencyDemo:
         cluster.tuple_mover.run_mergeout()
         assert cluster.sql(query).rows() == before
         cluster.tuple_mover.stop()
+
+
+# ---------------------------------------------------------------------------
+# the same engine over file-backed storage
+# ---------------------------------------------------------------------------
+
+class TestSqlMutationsOnDisk(OnDisk, TestSqlMutations):
+    pass
+
+
+class TestTimeTravelOnDisk(OnDisk, TestTimeTravel):
+    pass
+
+
+class TestWosAndMoverOnDisk(OnDisk, TestWosAndMover):
+    pass
+
+
+class TestInsertAtomicityOnDisk(OnDisk, TestInsertAtomicity):
+    pass
+
+
+class TestConcurrencyDemoOnDisk(OnDisk, TestConcurrencyDemo):
+    pass
+
+
+class TestFailedInsertOnDisk:
+    def test_rolled_back_load_leaves_no_files(self, tmp_path, monkeypatch):
+        """A bulk load that fails on the last node must take back the
+        segment files the earlier nodes already wrote: the epoch was
+        pending, so nothing can be reading them."""
+        cluster = make_cluster(data_dir=tmp_path)
+        table = cluster.catalog.get_table("t")
+        seen_at_failure = []
+
+        def failing_append(arrays, epoch=0):
+            seen_at_failure.extend(segment_files(tmp_path))
+            raise StorageError("injected: disk full")
+
+        monkeypatch.setattr(table.segments[-1], "append", failing_append)
+        with pytest.raises(StorageError, match="disk full"):
+            load(cluster, 300)
+        assert seen_at_failure, "precondition: earlier nodes had written"
+        assert segment_files(tmp_path) == []
+        assert count(cluster) == 0
+        # The aborted epoch does not wedge the clock: a retry commits.
+        monkeypatch.undo()
+        load(cluster, 300)
+        assert count(cluster) == 300
+        assert segment_files(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# physical layout: pinned in memory, identical on disk
+# ---------------------------------------------------------------------------
+
+def ros_layout(table) -> list[list[tuple[int, int]]]:
+    """Per segment, the ``(row_count, epoch)`` of every ROS unit in scan
+    order.  The stamp of a unit is the one epoch whose capture window
+    ``(epoch - 1, epoch]`` contains it."""
+    layout = []
+    for segment in table.segments:
+        stamp = {}
+        for epoch in range(table.epochs.current_epoch + 1):
+            window = segment.capture(Snapshot(epoch), since_epoch=epoch - 1)
+            for rowgroup in window.rowgroups:
+                stamp[id(rowgroup)] = epoch
+        layout.append([(rowgroup.row_count, stamp[id(rowgroup)])
+                       for rowgroup in segment.capture().rowgroups])
+    return layout
+
+
+def scripted_history(data_dir=None) -> list[dict]:
+    """Bulk load, trickle, DELETE, moveout, AHM advance, mergeout — three
+    rounds, so that moveout runs both ahead of and behind the AHM and
+    mergeout both compacts and rewrites for purge only.  After each Tuple
+    Mover pass, records the ROS layout, the mover counters, a zone-map
+    probe, and a digest of the full scan at every still-readable epoch and
+    of the insert delta since the AHM.
+    """
+    # codec="none" keeps mergeout_bytes_rewritten independent of the zlib
+    # build; the background mover would race the scripted passes.
+    cluster = make_cluster(data_dir=data_dir, codec="none")
+    cluster.tuple_mover.notify = lambda: None
+    table = cluster.catalog.get_table("t")
+    mover = cluster.tuple_mover
+    checkpoints = []
+
+    def digest(arrays) -> str:
+        return hashlib.sha256(
+            arrays["k"].tobytes() + arrays["v"].tobytes()).hexdigest()
+
+    def checkpoint(pass_result) -> None:
+        epochs = table.epochs
+        ahm = epochs.ancient_history_mark
+        pruned_before = cluster.telemetry.get("rowgroups_pruned")
+        probe = cluster.sql(
+            "SELECT count(*) FROM t WHERE k >= 1000000 AND k < 1001000"
+        ).scalar()
+        checkpoints.append({
+            "pass": pass_result,
+            "layout": ros_layout(table),
+            "bytes_rewritten": cluster.telemetry.get(
+                "mergeout_bytes_rewritten"),
+            "probe": (probe,
+                      cluster.telemetry.get("rowgroups_pruned") - pruned_before),
+            "scans": {
+                epoch: digest(table.scan_all(
+                    ["k", "v"], snapshot=epochs.snapshot(epoch)))
+                for epoch in range(ahm, epochs.current_epoch + 1)
+            },
+            "delta": digest(table.scan_delta(["k", "v"], since_epoch=ahm)),
+        })
+
+    load(cluster, 210_000)
+    load(cluster, 3_000, key_base=1_000_000)
+    for i in range(9):
+        cluster.sql(f"INSERT INTO t VALUES ({2_000_000 + i}, 2.0)")
+    cluster.sql("DELETE FROM t WHERE k < 600")
+    checkpoint(mover.run_moveout())             # 0: every batch ahead of the AHM
+    cluster.advance_ahm()
+    checkpoint(mover.run_mergeout())            # 1: compaction + purge
+    for i in range(6):
+        cluster.sql(f"INSERT INTO t VALUES ({3_000_000 + i}, 3.0)")
+    cluster.advance_ahm()
+    cluster.sql("INSERT INTO t VALUES "
+                "(4000000, 4.0), (4000001, 4.0), (4000002, 4.0)")
+    checkpoint(mover.run_moveout())             # 2: batches behind the AHM share units
+    checkpoint(mover.run_mergeout())            # 3: compaction, nothing to purge
+    cluster.sql("DELETE FROM t WHERE k >= 1000000 AND k < 1000100")
+    cluster.advance_ahm()
+    checkpoint(mover.run_mergeout())            # 4: purge-only rewrites on node 2
+    return checkpoints
+
+
+@pytest.fixture(scope="module")
+def memory_history():
+    return scripted_history()
+
+
+class TestRosLayout:
+    def test_memory_layout_is_pinned(self, memory_history):
+        """Characterisation: rowgroups, epochs and order after every append,
+        moveout and mergeout — ``space_amp`` in the benchmark hangs on it."""
+        assert [c["pass"] for c in memory_history] == [
+            9, (5098554, 600), 9, (5098698, 0), (3523383, 100)]
+        assert [c["bytes_rewritten"] for c in memory_history] == [
+            0, 5098554, 5098554, 10197252, 13720635]
+        assert [c["layout"] for c in memory_history] == [
+            [[(65536, 1), (4644, 1), (996, 2),
+              (1, 3), (1, 6), (1, 8), (1, 9), (1, 10)],
+             [(65536, 1), (4125, 1), (1020, 2), (1, 4)],
+             [(65536, 1), (4623, 1), (984, 2), (1, 5), (1, 7), (1, 11)]],
+            [[(65536, 10), (5438, 10)],
+             [(65536, 4), (4937, 4)],
+             [(65536, 11), (5426, 11)]],
+            [[(65536, 10), (5438, 10), (1, 17), (1, 19)],
+             [(65536, 4), (4937, 4), (1, 15), (2, 19)],
+             [(65536, 11), (5426, 11), (4, 18)]],
+            [[(65536, 17), (5439, 17), (1, 19)],
+             [(65536, 15), (4938, 15), (2, 19)],
+             [(65536, 18), (5430, 18)]],
+            [[(65536, 19), (5405, 19)],
+             [(65536, 19), (4908, 19)],
+             [(65536, 18), (5397, 18)]],
+        ]
+
+    def test_disk_storage_keeps_the_same_units_and_scans(self, memory_history,
+                                                         tmp_path):
+        """File-backed storage runs through the same code: same ROS units,
+        same zone-map pruning, bit-identical scans at every epoch.  (Bytes
+        rewritten differ: a block on disk also carries its zone-map header.)"""
+        disk_history = scripted_history(tmp_path)
+        for key in ("layout", "probe", "scans", "delta"):
+            assert [c[key] for c in disk_history] == \
+                [c[key] for c in memory_history], key

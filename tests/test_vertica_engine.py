@@ -142,14 +142,6 @@ class TestTable:
         data = loaded_cluster.catalog.get_table("pts").scan_all(["a"])
         assert len(data["a"]) == 900
 
-    def test_disk_backed_table(self, tmp_path):
-        cluster = VerticaCluster(node_count=2, data_dir=tmp_path)
-        cluster.create_table_like("d", {"x": np.arange(10)})
-        cluster.bulk_load("d", {"x": np.arange(10)})
-        files = list(tmp_path.rglob("*.bin"))
-        assert files, "disk mode must write segment files"
-        assert cluster.sql("SELECT SUM(x) FROM d").scalar() == 45
-
     def test_empty_insert_is_noop(self, cluster):
         cluster.create_table("t", [ColumnSchema("a", SqlType.INTEGER)])
         assert cluster.bulk_load("t", {"a": np.empty(0, dtype=np.int64)}) == 0

@@ -1,5 +1,7 @@
 """Tests for the workload generators and the figure-regeneration harness."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,12 @@ class TestHarness:
         assert "# EXPERIMENTS" in content
         assert "Fig 21" in content
         assert "Calibration provenance" in content
+
+    def test_committed_experiments_md_is_current(self, tmp_path):
+        """The paper-fidelity record at the repo root is what the harness
+        produces today, functional figures (Fig 10) included."""
+        committed = Path(__file__).parent.parent / "EXPERIMENTS.md"
+        fresh = write_experiments_md(all_figures(), tmp_path / "EXPERIMENTS.md")
+        assert fresh.read_bytes() == committed.read_bytes(), (
+            "EXPERIMENTS.md drifted from the harness; run `make experiments`"
+        )

@@ -33,7 +33,7 @@ HOT_PATHS = (
 )
 
 # Entry points that materialize a whole table / segment / node slice in one
-# call.  Streaming code uses Segment.iter_rowgroups, stream_node_with_failover
+# call.  Streaming code uses Segment.iter_batches, stream_node_with_failover
 # and stream_table_per_node instead.
 MATERIALIZING_CALLS = {
     "scan_all": "materializes the entire table across all nodes",
