@@ -8,7 +8,7 @@ from repro.vertica.executor import ResultSet
 from repro.vertica.models import ModelRecord, Privilege, RModelsCatalog
 from repro.vertica.node import DatabaseNode, NodeResources
 from repro.vertica.odbc import OdbcConnection
-from repro.vertica.pipeline import PipelineConfig, RecordBatch
+from repro.vertica.pipeline import PipelineConfig
 from repro.vertica.segmentation import (
     HashSegmentation,
     RoundRobinSegmentation,
@@ -28,7 +28,6 @@ __all__ = [
     "ResultSet",
     "OdbcConnection",
     "PipelineConfig",
-    "RecordBatch",
     "DatabaseNode",
     "NodeResources",
     "DistributedFileSystem",

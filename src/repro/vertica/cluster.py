@@ -52,7 +52,6 @@ class VerticaCluster:
         codec: str = "zlib",
         node_resources: NodeResources | None = None,
         dfs_replication: int = 2,
-        executor_threads: int | None = None,
         pipeline: PipelineConfig | None = None,
         mover: TupleMoverConfig | None = None,
     ) -> None:
@@ -75,7 +74,6 @@ class VerticaCluster:
         # and tracer (it predates both in the constructor order).
         self.dfs.telemetry = self.telemetry
         self.dfs.tracer = self.tracer
-        self.executor_threads = executor_threads or max(4, node_count)
         self.pipeline = pipeline or PipelineConfig()
         self.catalog.epochs.on_advance = (
             lambda delta: self.telemetry.gauge_add("current_epoch", delta))

@@ -8,15 +8,18 @@ Executes the three plan shapes from :mod:`repro.vertica.planner`:
   states per group, the initiator merges and evaluates the final
   expressions (AVG becomes sum/count, etc.).
 * **UDTF** — the fan-out engine behind ``ExportToDistributedR`` and the
-  prediction functions: ``PARTITION NODES`` runs one instance per node on
-  its local segment, ``PARTITION BEST`` splits each node's local data into
-  planner-chosen chunks, and ``PARTITION BY`` hash-shuffles rows so equal
-  keys land in one instance (charging cross-node traffic to telemetry).
+  prediction functions: one producer per node streams into bounded queues,
+  one consumer per instance drains them, and the partition kind only picks
+  the router.  Range routing (``PARTITION NODES``: one instance per node;
+  ``PARTITION BEST``: planner-chosen chunks of each node's rows) cuts row
+  positions; hash routing (``PARTITION BY``) sends equal keys to one
+  instance, charging cross-node traffic to telemetry.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vertica.txn.epochs import Snapshot
 
 __all__ = ["ResultSet", "QueryExecutor"]
+
+#: Smallest worker pool a fan-out gets; a wider cluster gets one per node.
+_MIN_POOL_WORKERS = 4
 
 
 class ResultSet:
@@ -107,6 +113,7 @@ class QueryExecutor:
 
     def __init__(self, cluster: "VerticaCluster") -> None:
         self.cluster = cluster
+        self._pool_size = max(_MIN_POOL_WORKERS, cluster.node_count)
 
     # -- statement dispatch ---------------------------------------------------
 
@@ -400,14 +407,14 @@ class QueryExecutor:
         """Run ``task(0) .. task(count - 1)``; results in index order.
 
         A single task runs inline on the calling thread.  Otherwise the
-        tasks share a pool of ``min(count, executor_threads)`` threads,
-        unless ``workers`` fixes the pool size (consumers that must all be
-        schedulable at once pass ``workers=count``).
+        tasks share a pool of ``min(count, max(4, node_count))`` threads,
+        unless ``workers`` fixes the pool size; tasks start in index order.
+        This is the executor's only thread-creation site.
         """
         if count <= 1:
             return [task(index) for index in range(count)]
         if workers is None:
-            workers = min(count, self.cluster.executor_threads)
+            workers = min(count, self._pool_size)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, range(count)))
 
@@ -623,301 +630,140 @@ class QueryExecutor:
 
     def _execute_udtf(self, plan: UdtfPlan, user: str,
                       snapshot: "Snapshot | None" = None) -> ResultSet:
-        """Backpressured UDTF fan-out (``PARTITION BY`` hash-routes instead:
-        :meth:`_execute_udtf_by_key`).
+        """Backpressured UDTF fan-out: one producer per node streams
+        rowgroup-granular batches into bounded :class:`BatchQueue`\\ s, and
+        one consumer per instance feeds its queues to
+        :meth:`TransformFunction.process_stream`.  The queue depth bounds
+        batches in flight, so a slow instance throttles the scan instead of
+        the scan buffering the whole segment.
 
-        One producer thread per node streams rowgroup-granular batches into
-        bounded per-instance :class:`BatchQueue`\\ s; each instance consumes
-        its queue through :meth:`TransformFunction.process_stream`.  The
-        queue depth bounds batches in flight, so a slow instance throttles
-        the scan instead of the scan buffering the whole segment.
+        The partition kind only picks the router that sends rows to queues:
+        :class:`_RangeRouter` for ``PARTITION NODES`` / ``BEST``,
+        :class:`_HashRouter` for ``PARTITION BY``.  Producers and consumers
+        share one pool; the producer tasks come first, each on its own
+        worker, and the routing fixes how many consumer workers suffice:
 
-        Deadlock-freedom with fewer pool workers than instances: producers
-        write (and close) queues in instance order, and the FIFO pool always
-        has the earliest unfinished instance scheduled, so the queue a
-        producer blocks on is always being drained.
+        * range: ``min(instances, pool size)``.  A producer closes its
+          node's queues in instance order, each once a batch carries it past
+          that instance's range, so it can only block on the earliest open
+          queue of its node; the FIFO pool always runs the earliest
+          unfinished instance, whose queue is therefore drained or closed.
+        * hash: every instance.  Producers interleave writes across all
+          instances, and an instance drains its per-node queues in node
+          order, so a producer blocked on instance *i* waits for *i* to
+          finish a lower node's queue; following that chain ends at node 0,
+          whose queues are drained first.
         """
-        # Built-in transfer/prediction functions install on first use.
-        if not self.cluster.catalog.has_udtf(plan.udtf.name):
-            self.cluster.install_standard_functions()
-        udtf = self.cluster.catalog.get_udtf(plan.udtf.name)
-        kind = plan.udtf.partition.kind
-        if kind is ast.PartitionKind.BY_COLUMN:
-            return self._execute_udtf_by_key(plan, udtf, user, snapshot)
-
         cluster = self.cluster
         config = cluster.pipeline
+        udtf = cluster.catalog.get_udtf(plan.udtf.name)
         sources = self._node_sources(plan, plan.columns_needed, snapshot)
-        if plan.table.lower() == R_MODELS_TABLE_NAME:
-            # The catalog table is one in-memory source with one row group:
-            # a single instance on node 0 takes every row it yields.
-            segment_rows = [sys.maxsize]
+        abort = threading.Event()
+
+        def new_queue() -> BatchQueue:
+            return BatchQueue(config.queue_depth, cluster.telemetry, abort,
+                              stall_timeout=config.stall_timeout_seconds)
+
+        router: _RangeRouter | _HashRouter
+        if plan.udtf.partition.kind is ast.PartitionKind.BY_COLUMN:
+            router = _HashRouter(plan, len(sources), cluster.node_count,
+                                 new_queue, cluster.telemetry)
         else:
-            # Boundary math must count the rows the streams will actually
-            # yield, so the counts resolve at the same snapshot as the scan.
-            segment_rows = cluster.catalog.get_table(
-                plan.table).segment_row_counts(snapshot)
-        abort = threading.Event()
-
-        # Node-major instance layout.  Boundaries cut each node's pre-filter
-        # row positions (see planner.instance_boundaries).
-        node_plans: list[tuple[int, list[int], list[BatchQueue]]] = []
-        slots: list[tuple[int, BatchQueue]] = []
-        for node in range(len(sources)):
-            if kind is ast.PartitionKind.NODES:
-                boundaries = [0, segment_rows[node]]
-            else:  # PARTITION BEST
-                rowgroups = cluster.node_rowgroup_count(plan.table, node)
-                nominal = cluster.nodes[node].best_udtf_parallelism(rowgroups)
-                boundaries = instance_boundaries(segment_rows[node], nominal)
-            queues = [BatchQueue(config.queue_depth, cluster.telemetry, abort,
-                                 stall_timeout=config.stall_timeout_seconds)
-                      for _ in range(len(boundaries) - 1)]
-            node_plans.append((node, boundaries, queues))
-            slots.extend((node, queue) for queue in queues)
-
-        cluster.telemetry.add("udtf_instances", len(slots))
+            router = _RangeRouter(plan, self._range_boundaries(plan, snapshot),
+                                  new_queue)
+        instances = router.instances
+        producers = len(sources)
         errors: list[BaseException] = []
-        errors_lock = threading.Lock()
         tracer = cluster.tracer
         parent = tracer.current()
-
-        def record_error(exc: BaseException) -> None:
-            with errors_lock:
-                errors.append(exc)
-            abort.set()
-
-        def produce(node: int, boundaries: list[int],
-                    queues: list[BatchQueue]) -> None:
-            with tracer.span("udtf.producer", parent=parent, node=node):
-                _produce(node, boundaries, queues)
-
-        def _produce(node: int, boundaries: list[int],
-                     queues: list[BatchQueue]) -> None:
-            cursor = 0    # first queue not yet closed
-            position = 0  # row offset within this node's (pruned) stream
-            stream = sources[node]()
-            try:
-                for batch in stream:
-                    rows = _batch_rows(batch)
-                    start, end = position, position + rows
-                    while cursor < len(queues) and boundaries[cursor + 1] <= start:
-                        queues[cursor].close()
-                        cursor += 1
-                    for i in range(cursor, len(queues)):
-                        if boundaries[i] >= end:
-                            break
-                        lo = max(boundaries[i], start)
-                        hi = min(boundaries[i + 1], end)
-                        if lo >= hi:
-                            continue
-                        piece = {name: arr[lo - start:hi - start]
-                                 for name, arr in batch.items()}
-                        piece = _apply_where(plan.where, piece)
-                        if _batch_rows(piece):
-                            queues[i].put(self._bind_args(plan.udtf.args, piece))
-                    position = end
-            except PipelineCancelled:
-                pass
-            except BaseException as exc:  # reprolint: ignore[exception-hygiene] -- recorded, re-raised after teardown
-                record_error(exc)
-                for queue in queues[cursor:]:
-                    queue.fail(exc)
-                return
-            finally:
-                close = getattr(stream, "close", None)
-                if close is not None:
-                    close()
-            for queue in queues[cursor:]:
-                queue.close()
-
-        results: list[dict[str, np.ndarray] | None] = [None] * len(slots)
-
-        def run_instance(index: int) -> None:
-            node, queue = slots[index]
-            ctx = UdtfContext(
-                cluster=cluster,
-                node_index=node,
-                instance_index=index,
-                instance_count=len(slots),
-                session_user=user,
-            )
-            params = dict(plan.udtf.parameters)
-            try:
-                with tracer.span("udtf.instance", parent=parent, node=node,
-                                 instance=index) as span:
-                    if cluster.faults is not None:
-                        cluster.faults.perturb("udtf.instance", node=node,
-                                               instance=index)
-                    stream = iter(queue)
-                    try:
-                        first = next(stream)
-                    except StopIteration:
-                        # Zero surviving batches: run the instance over typed
-                        # empty args, so it still emits its (empty) output.
-                        empty = self._bind_args(
-                            plan.udtf.args,
-                            cluster.typed_empty_batch(plan.table,
-                                                      plan.columns_needed))
-                        output = udtf.process(ctx, empty, params)
-                    else:
-                        output = udtf.process_stream(
-                            ctx, _chain_one(first, stream), params)
-                        for _ in stream:  # drain anything the UDTF didn't pull
-                            pass
-                    udtf.validate_output(output)
-                    span.set(rows_in=queue.total_rows,
-                             bytes_in=queue.total_bytes,
-                             rows_out=_batch_rows(output),
-                             backpressure_s=queue.blocked_seconds)
-                    results[index] = output
-            except PipelineCancelled:
-                pass
-            except BaseException as exc:  # reprolint: ignore[exception-hygiene] -- recorded, re-raised after teardown
-                record_error(exc)
-
-        producers = [
-            threading.Thread(target=produce, args=entry)
-            for entry in node_plans
-        ]
-        for thread in producers:
-            thread.start()
-        self._fan_out(run_instance, len(slots))
-        for thread in producers:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return self._collect_udtf_outputs(udtf, plan, results)
-
-    def _execute_udtf_by_key(self, plan: UdtfPlan, udtf, user: str,
-                             snapshot: "Snapshot | None" = None) -> ResultSet:
-        """``PARTITION BY``: hash-route rows batch by batch.
-
-        Producers route each filtered batch's rows to per-``(instance,
-        node)`` queues; each instance consumes its node queues in node index
-        order, so a key's rows reach it in node-major scan order.  Every
-        consumer must be schedulable at once (producers interleave writes
-        across all instances' queues), hence one worker per instance.
-        """
-        cluster = self.cluster
-        config = cluster.pipeline
-        telemetry = cluster.telemetry
-        node_count = cluster.node_count
-        sources = self._node_sources(plan, plan.columns_needed, snapshot)
-        abort = threading.Event()
-        queues = {
-            (instance, node): BatchQueue(config.queue_depth, telemetry, abort,
-                                         stall_timeout=config.stall_timeout_seconds)
-            for instance in range(node_count)
-            for node in range(len(sources))
-        }
-        errors: list[BaseException] = []
-        errors_lock = threading.Lock()
-        tracer = cluster.tracer
-        parent = tracer.current()
-
-        def record_error(exc: BaseException) -> None:
-            with errors_lock:
-                errors.append(exc)
-            abort.set()
+        params = dict(plan.udtf.parameters)
 
         def produce(node: int) -> None:
-            with tracer.span("udtf.producer", parent=parent, node=node):
-                _produce(node)
-
-        def _produce(node: int) -> None:
-            own = [queues[(instance, node)] for instance in range(node_count)]
-            stream = sources[node]()
-            try:
-                for batch in stream:
-                    batch = _apply_where(plan.where, batch)
-                    rows = _batch_rows(batch)
-                    if not rows:
-                        continue
-                    args = self._bind_args(plan.udtf.args, batch)
-                    keys = _broadcast_rows(
-                        np.asarray(expressions.evaluate(
-                            plan.udtf.partition.expr, batch)), rows)
-                    destination = (hash64(keys)
-                                   % np.uint64(node_count)).astype(np.int64)
-                    for instance in range(node_count):
-                        mask = destination == instance
-                        if not mask.any():
-                            continue
-                        chunk = {name: arr[mask] for name, arr in args.items()}
-                        if instance != node:
-                            telemetry.add("shuffle_bytes", batch_nbytes(chunk))
-                        own[instance].put(chunk)
-            except PipelineCancelled:
-                pass
-            except BaseException as exc:  # reprolint: ignore[exception-hygiene] -- recorded, re-raised after teardown
-                record_error(exc)
-                for queue in own:
-                    queue.fail(exc)
-                return
-            finally:
-                close = getattr(stream, "close", None)
-                if close is not None:
-                    close()
-            for queue in own:
+            with tracer.span("udtf.producer", parent=parent, node=node), \
+                    closing(sources[node]()) as stream:
+                router.route(node, stream)
+            for queue in router.node_queues[node]:
                 queue.close()
 
-        results: list[dict[str, np.ndarray] | None] = [None] * node_count
-        live = [False] * node_count
-
-        def run_instance(instance: int) -> None:
-            ctx = UdtfContext(
-                cluster=cluster,
-                node_index=instance % node_count,
-                instance_index=instance,
-                instance_count=node_count,
-                session_user=user,
-            )
-            params = dict(plan.udtf.parameters)
-            node_queues = [queues[(instance, node)]
-                           for node in range(len(sources))]
-
-            def batches() -> Iterator[dict[str, np.ndarray]]:
-                for queue in node_queues:
-                    yield from queue
-
-            try:
-                with tracer.span("udtf.instance", parent=parent,
-                                 instance=instance) as span:
-                    stream = batches()
-                    try:
-                        first = next(stream)
-                    except StopIteration:
-                        return  # empty bucket: no instance, no output
-                    live[instance] = True
+        def run_instance(index: int) -> dict[str, np.ndarray] | None:
+            node, queues = instances[index]
+            ctx = UdtfContext(cluster=cluster, node_index=node,
+                              instance_index=index,
+                              instance_count=len(instances),
+                              session_user=user)
+            with tracer.span("udtf.instance", parent=parent, node=node,
+                             instance=index) as span:
+                if cluster.faults is not None:
+                    cluster.faults.perturb("udtf.instance", node=node,
+                                           instance=index)
+                stream = (batch for queue in queues for batch in queue)
+                first = next(stream, None)
+                if first is not None:
                     output = udtf.process_stream(
-                        ctx, _chain_one(first, stream), params)
+                        ctx, itertools.chain([first], stream), params)
                     for _ in stream:  # drain anything the UDTF didn't pull
                         pass
-                    udtf.validate_output(output)
-                    span.set(
-                        rows_in=sum(q.total_rows for q in node_queues),
-                        bytes_in=sum(q.total_bytes for q in node_queues),
-                        rows_out=_batch_rows(output))
-                    results[instance] = output
-            except PipelineCancelled:
-                pass
-            except BaseException as exc:  # reprolint: ignore[exception-hygiene] -- recorded, re-raised after teardown
-                record_error(exc)
+                elif router.planned:
+                    # Zero surviving batches: run the instance over typed
+                    # empty args, so it still emits its (empty) output.
+                    empty = cluster.typed_empty_batch(plan.table,
+                                                      plan.columns_needed)
+                    output = udtf.process(
+                        ctx, _bind_args(plan.udtf.args, empty), params)
+                else:
+                    return None  # empty hash bucket: no instance
+                udtf.validate_output(output)
+                span.set(rows_in=sum(q.total_rows for q in queues),
+                         bytes_in=sum(q.total_bytes for q in queues),
+                         rows_out=_batch_rows(output),
+                         backpressure_s=sum(q.blocked_seconds for q in queues))
+                return output
 
-        producers = [
-            threading.Thread(target=produce, args=(node,))
-            for node in range(len(sources))
-        ]
-        for thread in producers:
-            thread.start()
-        self._fan_out(run_instance, node_count, workers=node_count)
-        for thread in producers:
-            thread.join()
-        telemetry.add("udtf_instances", sum(live))
+        def task(index: int) -> dict[str, np.ndarray] | None:
+            try:
+                if index < producers:
+                    return produce(index)
+                return run_instance(index - producers)
+            except PipelineCancelled:
+                return None
+            except BaseException as exc:  # reprolint: ignore[exception-hygiene] -- recorded, re-raised after teardown
+                errors.append(exc)
+                abort.set()
+                return None
+
+        outputs = self._fan_out(
+            task, producers + len(instances),
+            workers=producers + router.consumer_workers(self._pool_size))
+        cluster.telemetry.add("udtf_instances", sum(
+            router.planned or any(q.total_batches for q in queues)
+            for _, queues in instances))
         if errors:
+            for _, queues in instances:
+                for queue in queues:
+                    queue.discard()
             raise errors[0]
-        return self._collect_udtf_outputs(udtf, plan, results)
+        return self._collect_udtf_outputs(udtf, plan, outputs[producers:])
+
+    def _range_boundaries(self, plan: UdtfPlan,
+                          snapshot: "Snapshot | None") -> list[list[int]]:
+        """Per-node instance boundaries over pre-filter row positions (see
+        :func:`~repro.vertica.planner.instance_boundaries`)."""
+        cluster = self.cluster
+        if plan.table.lower() == R_MODELS_TABLE_NAME:
+            # The catalog table is one in-memory source: a single instance
+            # on node 0 takes every row it yields.
+            return [[0, sys.maxsize]]
+        # Boundary math must count the rows the streams will actually
+        # yield, so the counts resolve at the same snapshot as the scan.
+        segment_rows = cluster.catalog.get_table(
+            plan.table).segment_row_counts(snapshot)
+        if plan.udtf.partition.kind is ast.PartitionKind.NODES:
+            return [[0, rows] for rows in segment_rows]
+        return [
+            instance_boundaries(rows, cluster.nodes[node].best_udtf_parallelism(
+                cluster.node_rowgroup_count(plan.table, node)))
+            for node, rows in enumerate(segment_rows)
+        ]
 
     def _collect_udtf_outputs(
         self, udtf, plan: UdtfPlan,
@@ -940,21 +786,109 @@ class QueryExecutor:
         }
         return ResultSet(names, columns)
 
-    def _bind_args(
-        self, args: tuple[ast.Expr, ...], batch: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        rows = _batch_rows(batch)
-        bound: dict[str, np.ndarray] = {}
-        for position, arg in enumerate(args):
-            if isinstance(arg, ast.ColumnRef):
-                name = arg.name
-            else:
-                name = f"arg{position}"
-            if name in bound:
-                name = f"arg{position}"
-            value = np.asarray(expressions.evaluate(arg, batch))
-            bound[name] = _broadcast_rows(value, rows)
-        return bound
+
+# -- UDTF routing -------------------------------------------------------------
+
+
+class _RangeRouter:
+    """``PARTITION NODES`` / ``BEST``: planned instances, each owning one
+    contiguous range of its node's pre-filter row positions.
+
+    Pieces are ``arr[lo:hi]`` views, so a batch inside one range reaches its
+    instance uncopied.  WHERE runs per piece, after the cut, so the ranges
+    depend neither on the filter nor on how the scan was batched.
+    """
+
+    planned = True  # every instance runs, even over zero surviving rows
+
+    def __init__(self, plan: UdtfPlan, boundaries: list[list[int]],
+                 new_queue: Callable[[], BatchQueue]) -> None:
+        self.plan = plan
+        self.boundaries = boundaries
+        self.node_queues = [[new_queue() for _ in bounds[1:]]
+                            for bounds in boundaries]
+        self.instances = [(node, [queue])
+                          for node, queues in enumerate(self.node_queues)
+                          for queue in queues]
+
+    def consumer_workers(self, pool_size: int) -> int:
+        return min(len(self.instances), pool_size)
+
+    def route(self, node: int, stream: Iterator[dict[str, np.ndarray]]) -> None:
+        bounds, queues = self.boundaries[node], self.node_queues[node]
+        closed = start = 0  # first open queue; row offset of ``batch``
+        for batch in stream:
+            end = start + _batch_rows(batch)
+            for i in range(closed, len(queues)):
+                lo, hi = max(bounds[i], start), min(bounds[i + 1], end)
+                if lo >= end:
+                    break
+                piece = _apply_where(self.plan.where, {
+                    name: arr[lo - start:hi - start]
+                    for name, arr in batch.items()})
+                if _batch_rows(piece):
+                    queues[i].put(_bind_args(self.plan.udtf.args, piece))
+            while closed < len(queues) and bounds[closed + 1] <= end:
+                queues[closed].close()
+                closed += 1
+            start = end
+
+
+class _HashRouter:
+    """``PARTITION BY``: a row goes to instance ``hash64(key) % node_count``,
+    so equal keys meet in one instance; a chunk leaving its node is charged
+    to ``shuffle_bytes``.  Instance *i* has one queue per node and drains
+    them in node order, so it sees a key's rows in node-major scan order.
+    """
+
+    planned = False  # an instance appears with its first batch
+
+    def __init__(self, plan: UdtfPlan, nodes: int, instances: int,
+                 new_queue: Callable[[], BatchQueue], telemetry) -> None:
+        self.plan = plan
+        self.telemetry = telemetry
+        self.node_queues = [[new_queue() for _ in range(instances)]
+                            for _ in range(nodes)]
+        self.instances = [(i, [queues[i] for queues in self.node_queues])
+                          for i in range(instances)]
+
+    def consumer_workers(self, pool_size: int) -> int:
+        return len(self.instances)
+
+    def route(self, node: int, stream: Iterator[dict[str, np.ndarray]]) -> None:
+        queues = self.node_queues[node]
+        for batch in stream:
+            batch = _apply_where(self.plan.where, batch)
+            rows = _batch_rows(batch)
+            if not rows:
+                continue
+            args = _bind_args(self.plan.udtf.args, batch)
+            keys = _broadcast_rows(np.asarray(expressions.evaluate(
+                self.plan.udtf.partition.expr, batch)), rows)
+            destination = (hash64(keys)
+                           % np.uint64(len(queues))).astype(np.int64)
+            for instance, queue in enumerate(queues):
+                mask = destination == instance
+                if not mask.any():
+                    continue
+                chunk = {name: arr[mask] for name, arr in args.items()}
+                if instance != node:
+                    self.telemetry.add("shuffle_bytes", batch_nbytes(chunk))
+                queue.put(chunk)
+
+
+def _bind_args(args: tuple[ast.Expr, ...],
+               batch: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Evaluate UDTF arguments over one batch, named by source column (or
+    ``arg<position>`` for expressions and repeats)."""
+    rows = _batch_rows(batch)
+    bound: dict[str, np.ndarray] = {}
+    for position, arg in enumerate(args):
+        name = (arg.name if isinstance(arg, ast.ColumnRef)
+                and arg.name not in bound else f"arg{position}")
+        value = np.asarray(expressions.evaluate(arg, batch))
+        bound[name] = _broadcast_rows(value, rows)
+    return bound
 
 
 # -- aggregation state --------------------------------------------------------
@@ -1076,14 +1010,6 @@ def _merge_partials(
         else:
             for existing, incoming in zip(merged[key], states):
                 existing.merge(incoming)
-
-
-def _chain_one(first: dict[str, np.ndarray],
-               rest: Iterator[dict[str, np.ndarray]]
-               ) -> Iterator[dict[str, np.ndarray]]:
-    """Re-attach a probed first batch to the remainder of its stream."""
-    yield first
-    yield from rest
 
 
 class _TopK:

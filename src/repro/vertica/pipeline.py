@@ -3,10 +3,9 @@
 The paper's transfer engine streams column blocks from database segments to
 analytics workers in parallel; materializing a whole segment before the
 first filter or frame defeats that.  This module provides the shared
-vocabulary for the streaming executor:
+vocabulary for the streaming executor, whose unit of flow is a batch (dict
+of column arrays, equal-length and 1-D):
 
-* :class:`RecordBatch` — an immutable-ish columnar batch (dict of equal
-  length 1-D arrays) with cheap slicing and byte accounting.
 * :class:`PipelineConfig` — the knobs: ``batch_rows`` (granularity of
   batches pulled out of row groups), ``queue_depth`` (bound on batches
   queued per UDTF instance — the backpressure window) and
@@ -45,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "PipelineConfig",
-    "RecordBatch",
     "BatchQueue",
     "PipelineCancelled",
     "INFLIGHT_BYTES_GAUGE",
@@ -79,32 +77,6 @@ class PipelineConfig:
             raise ExecutionError(
                 f"stall_timeout_seconds must be positive, got {self.stall_timeout_seconds}"
             )
-
-
-class RecordBatch:
-    """One columnar batch: equal-length 1-D arrays keyed by column name."""
-
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
-        self.columns = {name: np.atleast_1d(np.asarray(arr))
-                        for name, arr in columns.items()}
-        lengths = {len(arr) for arr in self.columns.values()}
-        if len(lengths) > 1:
-            raise ExecutionError(f"ragged record batch: {lengths}")
-        self.rows = lengths.pop() if lengths else 0
-
-    @property
-    def nbytes(self) -> int:
-        return batch_nbytes(self.columns)
-
-    def slice(self, start: int, stop: int) -> "RecordBatch":
-        return RecordBatch(
-            {name: arr[start:stop] for name, arr in self.columns.items()}
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RecordBatch(rows={self.rows}, columns={sorted(self.columns)})"
 
 
 def batch_nbytes(columns: Mapping[str, np.ndarray]) -> int:
@@ -165,7 +137,8 @@ class BatchQueue:
     batches — that is the backpressure that keeps a fast scan from racing
     ahead of a slow UDTF instance.  The queue is cancellable via a shared
     abort :class:`threading.Event` so one failing instance unblocks every
-    producer instead of deadlocking the thread pool.
+    producer and consumer instead of deadlocking the thread pool; after an
+    abort, :meth:`discard` releases whatever is still queued.
     """
 
     def __init__(self, maxdepth: int, telemetry: "Telemetry | None" = None,
@@ -182,7 +155,6 @@ class BatchQueue:
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
-        self._error: BaseException | None = None
         self.total_rows = 0
         self.total_bytes = 0
         self.total_batches = 0
@@ -243,12 +215,18 @@ class BatchQueue:
             self._closed = True
             self._not_empty.notify_all()
 
-    def fail(self, error: BaseException) -> None:
-        """Propagate a producer error to the consumer."""
-        with self._not_empty:
-            self._error = error
+    def discard(self) -> None:
+        """Close the queue and drop every batch still in it, discharging
+        them from the in-flight gauges (teardown of an aborted pipeline,
+        whose consumers stop pulling with batches left behind)."""
+        with self._lock:
+            dropped = list(self._items)
+            self._items.clear()
             self._closed = True
-            self._not_empty.notify_all()
+        if self.telemetry is not None and dropped:
+            self.telemetry.gauge_add(INFLIGHT_BYTES_GAUGE,
+                                     -sum(nbytes for _, _, nbytes in dropped))
+            self.telemetry.gauge_add(INFLIGHT_BATCHES_GAUGE, -len(dropped))
 
     # -- consumer side -----------------------------------------------------
 
@@ -273,13 +251,10 @@ class BatchQueue:
                         )
                 if self.abort.is_set() and not self._items:
                     raise PipelineCancelled("pipeline aborted while dequeueing")
-                if self._items:
-                    batch, _rows, nbytes = self._items.popleft()
-                    self._not_full.notify()
-                else:
-                    if self._error is not None:
-                        raise self._error
+                if not self._items:
                     return
+                batch, _rows, nbytes = self._items.popleft()
+                self._not_full.notify()
             if self.telemetry is not None:
                 self.telemetry.gauge_add(INFLIGHT_BYTES_GAUGE, -nbytes)
                 self.telemetry.gauge_add(INFLIGHT_BATCHES_GAUGE, -1)

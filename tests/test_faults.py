@@ -17,6 +17,7 @@ through ``REPRO_FAULT_SEED``).
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.faults import (
 )
 from repro.dr import start_session
 from repro.transfer import db2darray
-from repro.vertica import HashSegmentation, VerticaCluster
+from repro.vertica import HashSegmentation, TransformFunction, VerticaCluster
 from repro.vertica.pipeline import BatchQueue
 from repro.workloads import make_regression
 from tests.conftest import OnDisk
@@ -398,6 +399,41 @@ class TestDfsFaults:
         live_holders = [n for n in healed.replica_nodes
                         if n != info.replica_nodes[0]]
         assert len(live_holders) >= cluster.dfs.replication
+
+
+# ---------------------------------------------------------------------------
+# UDTF fan-out: an instance fails mid-query
+# ---------------------------------------------------------------------------
+
+class _Twice(TransformFunction):
+    name = "twice"
+
+    def process(self, ctx, args, params):
+        return {"v": np.asarray(args["v"], dtype=np.float64) * 2.0}
+
+
+class TestUdtfFaults:
+    @pytest.mark.parametrize("partition", ["NODES", "BEST", "BY k"])
+    def test_instance_fault_fails_statement_and_leaves_nothing_behind(
+            self, partition):
+        cluster, columns = make_safe_cluster(k_safety=0)
+        cluster.bulk_load("t", columns)  # a second row group per segment
+        cluster.register_udtf(_Twice())
+        query = f"SELECT twice(v) OVER (PARTITION {partition}) FROM t"
+        threads = threading.active_count()
+        plan = FaultPlan.single("udtf.instance", FaultKind.ERROR,
+                                match={"instance": 1}, seed=FAULT_SEED)
+        cluster.install_fault_plan(plan)
+        with pytest.raises(InjectedFault):
+            cluster.sql(query)
+        assert plan.fired("udtf.instance")
+        assert cluster.telemetry.get("pipeline_inflight_batches_now") == 0
+        assert cluster.telemetry.get("pipeline_inflight_bytes_now") == 0
+        assert threading.active_count() == threads
+        # The plan's one shot is spent: the same cluster answers exactly.
+        result = cluster.sql(query)
+        expected = np.sort(np.concatenate([columns["v"]] * 2) * 2.0)
+        assert np.array_equal(np.sort(result.column("v")), expected)
 
 
 # ---------------------------------------------------------------------------

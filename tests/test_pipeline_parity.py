@@ -25,6 +25,7 @@ in-flight bytes bounded by the queue depth, not the table.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 
 import numpy as np
@@ -438,6 +439,89 @@ class TestUdtfParity:
                                        rtol=1e-12, atol=1e-12)
 
 
+class _Arrivals(TransformFunction):
+    """Echoes its rows in arrival order, tagged with the receiving instance."""
+
+    name = "arrivals"
+
+    def process(self, ctx, args, params):
+        seq = np.asarray(args["seq"])
+        return {"instance": np.full(len(seq), ctx.instance_index),
+                "k": np.asarray(args["k"]), "seq": seq}
+
+
+class TestFanOutScheduling:
+    """The tightest schedule the fan-out must finish: one-row batches,
+    one-deep queues and, under ``PARTITION BEST``, more instances than the
+    pool has consumer workers.  The stall timeout turns a deadlock into a
+    failure within seconds instead of a hang."""
+
+    CHUNKS = 8  # bulk loads -> row groups per node -> BEST instances per node
+    ROWS = 40
+
+    @pytest.fixture(autouse=True)
+    def _frequent_thread_switches(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(previous)
+
+    def _cluster(self) -> tuple[VerticaCluster, dict[str, np.ndarray]]:
+        cluster = VerticaCluster(node_count=2, pipeline=PipelineConfig(
+            batch_rows=1, queue_depth=1, stall_timeout_seconds=5.0))
+        rng = np.random.default_rng(5)
+        loads = [{"k": rng.integers(0, 12, self.ROWS),
+                  "seq": np.arange(chunk * self.ROWS, (chunk + 1) * self.ROWS)}
+                 for chunk in range(self.CHUNKS)]
+        cluster.create_table_like("ev", loads[0])  # round-robin segments
+        for columns in loads:
+            cluster.bulk_load("ev", columns)
+        cluster.register_udtf(_Arrivals())
+        return cluster, {name: np.concatenate([c[name] for c in loads])
+                         for name in loads[0]}
+
+    def test_partition_best_with_more_instances_than_workers(self):
+        cluster, table = self._cluster()
+        result = cluster.sql(
+            "SELECT arrivals(k, seq) OVER (PARTITION BEST) FROM ev")
+        # 16 instances against max(4, node_count) = 4 consumer workers.
+        assert cluster.telemetry.get("udtf_instances") == 2 * self.CHUNKS
+        # Contiguous node-major ranges, concatenated in instance order, are
+        # exactly the table in storage order.
+        scanned = cluster.catalog.get_table("ev").scan_all(["k", "seq"])
+        assert np.array_equal(result.column("seq"), scanned["seq"])
+        order = np.argsort(result.column("seq"))
+        assert np.array_equal(result.column("seq")[order], table["seq"])
+        assert np.array_equal(result.column("k")[order], table["k"])
+
+    def test_partition_by_delivers_node_major_scan_order(self):
+        cluster, table = self._cluster()
+        result = cluster.sql(
+            "SELECT arrivals(k, seq) OVER (PARTITION BY k) FROM ev")
+        instance, k, seq = (result.column(name)
+                            for name in ("instance", "k", "seq"))
+        order = np.argsort(seq)
+        assert np.array_equal(seq[order], table["seq"])
+        assert np.array_equal(k[order], table["k"])
+        for key in np.unique(k):
+            assert len(np.unique(instance[k == key])) == 1
+        # Each instance sees its rows in node-major scan order.
+        scanned = cluster.catalog.get_table("ev").scan_all(["seq"])["seq"]
+        position = np.empty(len(scanned), dtype=np.int64)
+        position[scanned] = np.arange(len(scanned))
+        for i in np.unique(instance):
+            assert np.all(np.diff(position[seq[instance == i]]) > 0)
+        # Every instance span carries the same attributes as under NODES.
+        spans = [span for span in cluster.tracer.roots()[-1].walk()
+                 if span.name == "udtf.instance"]
+        assert len(spans) == 2
+        for span in spans:
+            assert span.attributes["node"] == span.attributes["instance"]
+            assert span.attributes["backpressure_s"] >= 0.0
+
+
 class _SlowWatcher(TransformFunction):
     """Consumes its stream slowly, recording the live-batch gauge."""
 
@@ -461,6 +545,17 @@ class _SlowWatcher(TransformFunction):
         return {"rows": np.asarray([total], dtype=np.int64)}
 
 
+class _FailOnFirstBatch(TransformFunction):
+    """Raises once the producers have queued batches behind its first."""
+
+    name = "failFirst"
+
+    def process_stream(self, ctx, batches, params):
+        next(batches)
+        time.sleep(0.05)  # let the producers fill the queues
+        raise ValueError("instance failed")
+
+
 class TestBackpressure:
     def test_queue_depth_bounds_live_batches(self):
         queue_depth = 2
@@ -480,6 +575,19 @@ class TestBackpressure:
         assert cluster.telemetry.get(
             "pipeline_inflight_batches_peak") <= bound
         # Everything charged to the gauges was discharged.
+        assert cluster.telemetry.get("pipeline_inflight_batches_now") == 0
+        assert cluster.telemetry.get("pipeline_inflight_bytes_now") == 0
+
+    @pytest.mark.parametrize("partition", ["NODES", "BEST", "BY k"])
+    def test_failed_udtf_discharges_inflight_gauges(self, partition):
+        """Batches still queued when an instance fails are released from
+        the in-flight gauges, so a failed statement cannot inflate every
+        later statement's peak."""
+        cluster = build_cluster(batch_rows=8, queue_depth=2)
+        cluster.register_udtf(_FailOnFirstBatch())
+        with pytest.raises(ValueError, match="instance failed"):
+            cluster.sql(
+                f"SELECT failFirst(a) OVER (PARTITION {partition}) FROM pts")
         assert cluster.telemetry.get("pipeline_inflight_batches_now") == 0
         assert cluster.telemetry.get("pipeline_inflight_bytes_now") == 0
 

@@ -361,6 +361,49 @@ def test_thread_hygiene_accepts_none_default_and_joined_threads():
     assert check_snippet("thread-hygiene", source) == []
 
 
+ENGINE_THREADS = """
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    class QueryExecutor:
+        def _fan_out(self, task, count):
+            with ThreadPoolExecutor(max_workers=count) as pool:
+                return list(pool.map(task, range(count)))
+
+        def _execute_udtf(self, produce):
+            producer = threading.Thread(target=produce)
+            producer.start()
+            producer.join()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                pool.submit(produce)
+
+    class TupleMover:
+        def notify(self):
+            self._thread = threading.Thread(target=self._run)
+            self._thread.start()
+"""
+
+
+def test_thread_hygiene_flags_engine_threads_outside_the_fan_out():
+    violations = check_snippet("thread-hygiene", ENGINE_THREADS,
+                               relpath="src/repro/vertica/executor.py")
+    assert sorted((v.symbol, v.message.split("(")[0]) for v in violations) == [
+        ("QueryExecutor._execute_udtf", "Thread"),
+        ("QueryExecutor._execute_udtf", "ThreadPoolExecutor"),
+        ("TupleMover.notify", "Thread"),  # the mover's site is mover.py
+    ]
+
+
+def test_thread_hygiene_allows_the_engine_thread_sites_only_there():
+    mover = check_snippet("thread-hygiene", ENGINE_THREADS,
+                          relpath="src/repro/vertica/txn/mover.py")
+    assert {v.symbol for v in mover} == {"QueryExecutor._fan_out",
+                                         "QueryExecutor._execute_udtf"}
+    # Outside the query engine, joined threads and pools are fine.
+    assert check_snippet("thread-hygiene", ENGINE_THREADS,
+                         relpath="src/repro/dr/session.py") == []
+
+
 # ---------------------------------------------------------------------------
 # no-full-materialization
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""thread-hygiene (TH601): no mutable default args, no fire-and-forget daemons.
+"""thread-hygiene (TH601): no mutable default args, no fire-and-forget daemons,
+and one place that starts the query engine's threads.
 
-Two defect classes that bite threaded engines:
+Three defect classes that bite threaded engines:
 
 * **Mutable default arguments** — a ``def f(x, acc=[])`` default is created
   once and shared by every call *and every thread*; in a thread-pool worker
@@ -11,6 +12,11 @@ Two defect classes that bite threaded engines:
   worker lifetimes through ``ThreadPoolExecutor`` / explicit ``shutdown()``;
   a daemon thread is almost always a missing ``join()``.  Suppress with a
   justification if a true background sentinel is intended.
+* **Threads started outside the scheduler** — under ``src/repro/vertica/``
+  a ``Thread(`` or ``ThreadPoolExecutor(`` call may appear only in
+  ``QueryExecutor._fan_out`` (every statement's parallel work runs as its
+  tasks) and ``TupleMover.notify`` (the Tuple Mover's parked background
+  thread).  Anything else that wants a thread submits a fan-out task.
 """
 
 from __future__ import annotations
@@ -23,6 +29,13 @@ from reprolint.core import Checker, FileContext, Violation, register
 MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 MUTABLE_FACTORIES = {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
 
+ENGINE_PREFIX = "src/repro/vertica/"
+#: (path, enclosing symbol) of the only thread-creation sites in the engine.
+ENGINE_THREAD_SITES = {
+    ("src/repro/vertica/executor.py", "QueryExecutor._fan_out"),
+    ("src/repro/vertica/txn/mover.py", "TupleMover.notify"),
+}
+
 
 def _is_mutable_default(node: ast.AST) -> bool:
     if isinstance(node, MUTABLE_LITERALS):
@@ -32,13 +45,13 @@ def _is_mutable_default(node: ast.AST) -> bool:
     return False
 
 
-def _is_thread_ctor(call: ast.Call) -> bool:
+def _callee_name(call: ast.Call) -> str | None:
     fn = call.func
     if isinstance(fn, ast.Attribute):
-        return fn.attr == "Thread"
+        return fn.attr
     if isinstance(fn, ast.Name):
-        return fn.id == "Thread"
-    return False
+        return fn.id
+    return None
 
 
 @register
@@ -46,16 +59,21 @@ class ThreadHygieneChecker(Checker):
     rule = "thread-hygiene"
     code = "TH601"
     description = (
-        "no mutable default arguments (cross-thread state leakage) and no "
-        "daemon threads without an explicit shutdown/join path"
+        "no mutable default arguments (cross-thread state leakage), no "
+        "daemon threads without an explicit shutdown/join path, and no "
+        "engine threads outside QueryExecutor._fan_out / the Tuple Mover"
     )
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_defaults(ctx, node)
-            elif isinstance(node, ast.Call) and _is_thread_ctor(node):
-                yield from self._check_thread(ctx, node)
+            elif isinstance(node, ast.Call):
+                callee = _callee_name(node)
+                if callee == "Thread":
+                    yield from self._check_thread(ctx, node)
+                if callee in ("Thread", "ThreadPoolExecutor"):
+                    yield from self._check_site(ctx, node, callee)
             elif isinstance(node, ast.Assign):
                 yield from self._check_daemon_assign(ctx, node)
 
@@ -90,6 +108,21 @@ class ThreadHygieneChecker(Checker):
                     "shutdown() instead (suppress with a justification if a "
                     "background sentinel is truly intended)",
                 )
+
+    def _check_site(
+        self, ctx: FileContext, call: ast.Call, callee: str
+    ) -> Iterable[Violation]:
+        if not ctx.relpath.startswith(ENGINE_PREFIX):
+            return
+        if (ctx.relpath, ctx.symbol_at(call.lineno)) in ENGINE_THREAD_SITES:
+            return
+        yield self.violation(
+            ctx,
+            call,
+            f"{callee}() in the query engine outside its thread sites "
+            "(QueryExecutor._fan_out, TupleMover.notify) — run the work as "
+            "a _fan_out task instead of starting threads of its own",
+        )
 
     def _check_daemon_assign(self, ctx: FileContext, stmt: ast.Assign) -> Iterable[Violation]:
         for target in stmt.targets:
