@@ -175,13 +175,21 @@ def _decode_varchar(buffer: bytes, count: int) -> np.ndarray:
     offsets_end = 8 + 8 * (count + 1)
     if len(buffer) < offsets_end:
         raise StorageError("varchar buffer truncated in offsets section")
-    offsets = np.frombuffer(buffer, dtype=np.int64, count=count + 1, offset=8)
+    offsets = np.frombuffer(buffer, dtype=np.int64, count=count + 1,
+                            offset=8).tolist()
     payload = buffer[offsets_end:]
-    if len(payload) != int(offsets[-1]):
+    if len(payload) != offsets[-1]:
         raise StorageError("varchar payload length mismatch")
+    text = payload.decode("utf-8")
+    # ASCII text has one character per byte, so byte offsets index the
+    # decoded string directly; otherwise decode value by value.
+    if len(text) == len(payload):
+        values = [text[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    else:
+        values = [payload[lo:hi].decode("utf-8")
+                  for lo, hi in zip(offsets, offsets[1:])]
     out = np.empty(count, dtype=object)
-    for i in range(count):
-        out[i] = payload[offsets[i]:offsets[i + 1]].decode("utf-8")
+    out[:] = values
     return out
 
 

@@ -23,7 +23,7 @@ import itertools
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, nullcontext
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -31,6 +31,7 @@ import numpy as np
 from repro.errors import ExecutionError, SqlAnalysisError
 from repro.obs.trace import Span
 from repro.vertica import expressions
+from repro.vertica.joins import join_sources
 from repro.vertica.models import R_MODELS_TABLE_NAME
 from repro.vertica.pipeline import (
     BatchQueue,
@@ -374,21 +375,14 @@ class QueryExecutor:
 
     def _execute_join_select(self, stmt: ast.Select, resolved: ResolvedQuery,
                              snapshot: "Snapshot | None" = None) -> ResultSet:
-        """Joined SELECT: materialize the hash join, then run the normal
-        scan/aggregate driver (WHERE included) over the joined batch as its
-        one source."""
-        from repro.vertica.joins import materialize_join
-
-        batch = materialize_join(self.cluster, stmt, resolved.join,
-                                 snapshot=snapshot)
+        """Joined SELECT: build the joined side once, then run the normal
+        scan/aggregate driver (WHERE included) over one probe source per
+        node of the left input."""
+        sources = join_sources(self.cluster, stmt, resolved.join, snapshot)
         plan = plan_select(stmt, resolved)
-
-        def joined() -> Iterator[dict[str, np.ndarray]]:
-            yield batch
-
         if isinstance(plan, AggregatePlan):
-            return self._execute_aggregate(plan, sources=[joined])
-        return self._execute_scan(plan, sources=[joined])
+            return self._execute_aggregate(plan, sources=sources)
+        return self._execute_scan(plan, sources=sources)
 
     def _scan_ranges(self, where: ast.Expr | None):
         from repro.vertica.pruning import extract_column_ranges
@@ -485,7 +479,9 @@ class QueryExecutor:
             return ResultSet(names, self._typed_empty_outputs(plan))
         columns = {name: np.concatenate(chunks) for name, chunks in outputs.items()}
         if plan.distinct:
-            keep = _distinct_indices([columns[name] for name in names])
+            codes, _ = expressions.factorize([columns[name] for name in names])
+            # First occurrence of each distinct row, in row order.
+            keep = np.sort(np.unique(codes, return_index=True)[1])
             columns = {name: arr[keep] for name, arr in columns.items()}
             for i in range(len(order_values)):
                 order_values[i] = [np.concatenate(order_values[i])[keep]] \
@@ -504,12 +500,9 @@ class QueryExecutor:
         batch (mirroring what :meth:`_execute_udtf` does via the declared
         UDTF output schema)."""
         base = self.cluster.typed_empty_batch(plan.table, plan.columns_needed)
-        out: dict[str, np.ndarray] = {}
-        for item in plan.items:
-            value = np.atleast_1d(
-                np.asarray(expressions.evaluate(item.expr, base)))
-            out[item.output_name] = value[:0]
-        return out
+        return {item.output_name: np.atleast_1d(np.asarray(
+                    expressions.evaluate(item.expr, base)))[:0]
+                for item in plan.items}
 
     # -- aggregation ------------------------------------------------------------
 
@@ -517,114 +510,77 @@ class QueryExecutor:
                            snapshot: "Snapshot | None" = None,
                            sources: list | None = None) -> ResultSet:
         """Fold each source's batches (by default the table's per-node
-        streams) into partial states as they stream past; only O(groups)
-        state is held per node, never the node's segment."""
-        if sources is None:
-            sources = self._node_sources(plan, plan.columns_needed, snapshot)
+        streams) into a :class:`_GroupTable` as they stream past; a node
+        holds O(groups + _FOLD_ROWS) state, never its segment.
+
+        Join probe ``sources`` run each node's fold inside that node's
+        probe-side ``scan.node`` span.
+        """
         tracer = self.cluster.tracer
         parent = tracer.current()
+        probe = sources is not None
+        if sources is None:
+            sources = self._node_sources(plan, plan.columns_needed, snapshot)
 
-        def fold_node(node: int) -> dict[tuple, list[_AggState]]:
-            local: dict[tuple, list[_AggState]] = {}
-            with tracer.span("aggregate.node", parent=parent, node=node), \
+        def fold_node(node: int) -> list[_GroupTable]:
+            # Batch tables queue until they cover max(_FOLD_ROWS, groups)
+            # rows, so a reduce costs O(rows) per batch, not O(groups), and
+            # the queue holds no more entries than those rows.  Folding
+            # sooner or later gives the same bits, as a reduce adds each
+            # group's entries in list order.
+            tables: list[_GroupTable] = []
+            queued = 0
+            scan = (tracer.span("scan.node", parent=parent, node=node)
+                    if probe else nullcontext(parent))
+            with scan as outer, \
+                    tracer.span("aggregate.node", parent=outer, node=node), \
                     closing(sources[node]()) as stream:
                 for batch in stream:
                     batch = _apply_where(plan.where, batch)
-                    if not _batch_rows(batch):
+                    rows = _batch_rows(batch)
+                    if not rows:
                         continue
-                    _merge_partials(local,
-                                    self._partial_aggregate(plan, batch))
-            return local
+                    tables.append(_GroupTable.of_batch(plan, batch))
+                    queued += rows
+                    if queued >= max(_FOLD_ROWS, tables[0].size):
+                        tables, queued = [_GroupTable.reduce(tables, plan)], 0
+            return tables
 
+        # Each node folds its batches in scan order, and the node tables
+        # merge in node index order: a float SUM adds its partials in that
+        # order.
         per_node = self._fan_out(fold_node, len(sources))
-        merged: dict[tuple, list[_AggState]] = {}
-        for local in per_node:  # merge in node index order
-            _merge_partials(merged, local)
-        return self._finalize_aggregate(plan, merged)
+        return self._finalize_aggregate(plan, _GroupTable.reduce(
+            [table for tables in per_node for table in tables], plan))
 
     def _finalize_aggregate(self, plan: AggregatePlan,
-                            merged: dict[tuple, list["_AggState"]]) -> ResultSet:
+                            table: "_GroupTable") -> ResultSet:
         """Initiator tail: finalize states, project, HAVING, order, limit."""
-        if not plan.group_by and not merged:
-            # Global aggregate over zero rows still yields one row.
-            merged[()] = [_AggState(agg) for agg in plan.aggregates]
-
-        group_keys = sorted(merged.keys(), key=_sort_key_tuple)
-        env: dict[str, np.ndarray] = {}
-        for i, expr in enumerate(plan.group_by):
-            env[_group_alias(i)] = np.asarray(
-                [key[i] for key in group_keys],
-                dtype=object if any(isinstance(k[i], str) for k in group_keys) else None,
-            )
+        env = {_group_alias(i): keys for i, keys in enumerate(table.keys)}
         for j, agg in enumerate(plan.aggregates):
-            env[_agg_alias(j)] = np.asarray(
-                [merged[key][j].finalize() for key in group_keys]
-            )
+            env[_agg_alias(j)] = table.result(j, agg)
 
-        rewritten_items = [
-            ast.SelectItem(_rewrite(item.expr, plan), item.output_name)
-            for item in plan.items
-        ]
         names = [item.output_name for item in plan.items]
-        columns = {}
-        rows = len(group_keys)
-        for item, name in zip(rewritten_items, names):
-            value = np.asarray(expressions.evaluate(item.expr, env))
-            columns[name] = _broadcast_rows(value, rows)
+        rows = table.size
+        columns = {item.output_name: _evaluate_rows(_rewrite(item.expr, plan),
+                                                    env, rows)
+                   for item in plan.items}
 
         if plan.having is not None:
-            mask = np.atleast_1d(np.asarray(
-                expressions.evaluate(_rewrite(plan.having, plan), env), dtype=bool
-            ))
-            mask = _broadcast_rows(mask, rows).astype(bool)
+            mask = _evaluate_rows(_rewrite(plan.having, plan), env,
+                                  rows).astype(bool)
             columns = {name: arr[mask] for name, arr in columns.items()}
             env = {name: arr[mask] for name, arr in env.items()}
             rows = int(mask.sum())
 
         if plan.order_by:
-            keys = []
-            for order in plan.order_by:
-                value = np.asarray(
-                    expressions.evaluate(_rewrite(order.expr, plan), env)
-                )
-                keys.append(_broadcast_rows(value, rows))
+            keys = [_evaluate_rows(_rewrite(order.expr, plan), env, rows)
+                    for order in plan.order_by]
             index = _sort_index(keys, [o.ascending for o in plan.order_by])
             columns = {name: arr[index] for name, arr in columns.items()}
         if plan.limit is not None:
             columns = {name: arr[: plan.limit] for name, arr in columns.items()}
         return ResultSet(names, columns)
-
-    def _partial_aggregate(
-        self, plan: AggregatePlan, batch: dict[str, np.ndarray]
-    ) -> dict[tuple, list["_AggState"]]:
-        rows = _batch_rows(batch)
-        if plan.group_by:
-            key_arrays = [
-                _broadcast_rows(np.asarray(expressions.evaluate(e, batch)), rows)
-                for e in plan.group_by
-            ]
-            group_keys, inverse = _factorize(key_arrays)
-        else:
-            group_keys, inverse = [()], np.zeros(rows, dtype=np.int64)
-
-        agg_inputs = []
-        for agg in plan.aggregates:
-            if agg.arg is None:
-                agg_inputs.append(None)
-            else:
-                value = np.asarray(expressions.evaluate(agg.arg, batch))
-                agg_inputs.append(_broadcast_rows(value, rows))
-
-        partials: dict[tuple, list[_AggState]] = {}
-        for g, key in enumerate(group_keys):
-            mask = inverse == g
-            states = []
-            for agg, values in zip(plan.aggregates, agg_inputs):
-                state = _AggState(agg)
-                state.update(None if values is None else values[mask], int(mask.sum()))
-                states.append(state)
-            partials[key] = states
-        return partials
 
     # -- UDTF fan-out -----------------------------------------------------------
 
@@ -886,84 +842,171 @@ def _bind_args(args: tuple[ast.Expr, ...],
     for position, arg in enumerate(args):
         name = (arg.name if isinstance(arg, ast.ColumnRef)
                 and arg.name not in bound else f"arg{position}")
-        value = np.asarray(expressions.evaluate(arg, batch))
-        bound[name] = _broadcast_rows(value, rows)
+        bound[name] = _evaluate_rows(arg, batch, rows)
     return bound
 
 
 # -- aggregation state --------------------------------------------------------
 
 
-class _AggState:
-    """Mergeable partial state for one aggregate call."""
+_FOLD_ROWS = 32_768  # input rows a node's batch tables cover before a reduce
 
-    def __init__(self, call: ast.AggregateCall) -> None:
-        self.call = call
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Any = None
-        self.maximum: Any = None
-        self.distinct: set | None = set() if call.distinct else None
 
-    def update(self, values: np.ndarray | None, row_count: int) -> None:
-        name = self.call.name
-        if name == "COUNT" and self.call.arg is None:
-            self.count += row_count
-            return
-        if values is None:
-            raise SqlAnalysisError(f"{name} requires an argument")
-        values = np.atleast_1d(values)
-        if self.distinct is not None:
-            self.distinct.update(values.tolist())
-            return
-        self.count += len(values)
-        if name in ("SUM", "AVG"):
-            if len(values):
-                self.total += float(np.sum(values.astype(np.float64)))
-        elif name == "MIN":
-            if len(values):
-                candidate = values.min()
-                self.minimum = candidate if self.minimum is None else min(self.minimum, candidate)
-        elif name == "MAX":
-            if len(values):
-                candidate = values.max()
-                self.maximum = candidate if self.maximum is None else max(self.maximum, candidate)
-        elif name != "COUNT":
-            raise SqlAnalysisError(f"unknown aggregate {name}")
+class _GroupTable:
+    """Columnar GROUP BY state: row *g* of every array belongs to group *g*.
 
-    def merge(self, other: "_AggState") -> None:
-        self.count += other.count
-        self.total += other.total
-        if other.minimum is not None:
-            self.minimum = other.minimum if self.minimum is None else min(
-                self.minimum, other.minimum)
-        if other.maximum is not None:
-            self.maximum = other.maximum if self.maximum is None else max(
-                self.maximum, other.maximum)
-        if self.distinct is not None and other.distinct is not None:
-            self.distinct |= other.distinct
+    ``keys`` holds one value array per GROUP BY expression.  For aggregate
+    *j*, ``counts[j]`` is each group's number of non-NULL inputs (of rows,
+    for ``COUNT(*)``) and ``values[j]`` its SUM, MIN or MAX so far, which
+    means something only where that count is positive (``None`` for
+    COUNT).  A DISTINCT aggregate keeps ``values[j] = (groups, values)``
+    instead: its distinct non-NULL (group, value) pairs.
 
-    def finalize(self) -> Any:
-        name = self.call.name
-        if self.distinct is not None:
-            if name == "COUNT":
-                return len(self.distinct)
-            if name == "SUM":
-                return float(sum(self.distinct)) if self.distinct else None
-            if name == "AVG":
-                return float(sum(self.distinct)) / len(self.distinct) if self.distinct else None
-            raise SqlAnalysisError(f"DISTINCT not supported for {name}")
-        if name == "COUNT":
-            return self.count
-        if name == "SUM":
-            return self.total if self.count else None
-        if name == "AVG":
-            return self.total / self.count if self.count else None
-        if name == "MIN":
-            return self.minimum
-        if name == "MAX":
-            return self.maximum
-        raise SqlAnalysisError(f"unknown aggregate {name}")
+    :meth:`of_batch` folds one batch into a table, one row per group, and
+    :meth:`reduce` merges tables by key: COUNT and SUM are ``np.bincount``,
+    MIN and MAX a ``reduceat`` over the entries sorted by group, DISTINCT a
+    sort-unique of the pairs.  Keys are factorized once per reduce
+    (:func:`~repro.vertica.expressions.factorize`), so groups come out in
+    sorted key order, NULL keys forming one group after every other key.
+    """
+
+    def __init__(self, size: int, keys: list[np.ndarray],
+                 counts: list[np.ndarray], values: list[Any]) -> None:
+        self.size = size
+        self.keys = keys
+        self.counts = counts
+        self.values = values
+
+    @classmethod
+    def of_batch(cls, plan: AggregatePlan,
+                 batch: dict[str, np.ndarray]) -> "_GroupTable":
+        rows = _batch_rows(batch)
+        keys = [_evaluate_rows(expr, batch, rows) for expr in plan.group_by]
+        counts: list[np.ndarray] = []
+        values: list[Any] = []
+        for agg in plan.aggregates:
+            arg = (np.ones(rows, dtype=bool) if agg.arg is None  # COUNT(*)
+                   else _evaluate_rows(agg.arg, batch, rows))
+            valid = ~expressions.is_null(arg)
+            counts.append(valid.astype(np.int64))
+            if agg.distinct:
+                values.append((np.flatnonzero(valid), arg[valid]))
+            elif agg.name in ("SUM", "AVG"):
+                values.append(np.where(valid, arg, 0).astype(np.float64))
+            else:
+                values.append(arg if agg.name in ("MIN", "MAX") else None)
+        table = cls(rows, keys, counts, values)
+        return cls.reduce([table], plan) if plan.group_by else table._total(plan)
+
+    def _total(self, plan: AggregatePlan) -> "_GroupTable":
+        """This ungrouped batch as its one group, reduced by whole-array
+        ufuncs: its float SUM is ``np.sum``'s, a partial like any other."""
+        counts, values = [], []
+        for agg, count, value in zip(plan.aggregates, self.counts, self.values):
+            present = count > 0
+            counts.append(count.sum(keepdims=True))
+            if agg.distinct:
+                value = (np.zeros_like(value[0]), value[1])
+            elif agg.name in ("SUM", "AVG"):
+                value = value.sum(keepdims=True)
+            elif agg.name in ("MIN", "MAX"):
+                op = np.minimum if agg.name == "MIN" else np.maximum
+                value = (op.reduce(value[present], keepdims=True)
+                         if present.any() else value[:1])
+            values.append(value)
+        return _GroupTable(1, [], counts, values)
+
+    @classmethod
+    def reduce(cls, tables: list["_GroupTable"],
+               plan: AggregatePlan) -> "_GroupTable":
+        """One group per distinct key of ``tables``.  A group's entries fold
+        in list order, so a float SUM adds the tables' partials in order.
+        With no GROUP BY there is exactly one group, even over no rows."""
+        if plan.group_by:
+            codes, keys = expressions.factorize([
+                _concat([table.keys[i] for table in tables])
+                for i in range(len(plan.group_by))])
+            size = len(keys[0])
+        else:
+            codes = np.zeros(sum(t.size for t in tables), dtype=np.int64)
+            keys, size = [], 1
+        counts: list[np.ndarray] = []
+        values: list[Any] = []
+        for j, agg in enumerate(plan.aggregates):
+            count = _concat([table.counts[j] for table in tables])
+            counts.append(np.bincount(codes, weights=count,
+                                      minlength=size).astype(np.int64))
+            parts = [table.values[j] for table in tables]
+            if agg.distinct:
+                offsets = np.cumsum([0] + [table.size for table in tables])
+                values.append(_distinct_pairs(
+                    _concat([codes[rows + offset]
+                             for (rows, _), offset in zip(parts, offsets)],
+                            np.int64),
+                    _concat([distinct for _, distinct in parts])))
+            elif agg.name in ("SUM", "AVG"):
+                values.append(np.bincount(codes, weights=_concat(parts),
+                                          minlength=size))
+            elif agg.name in ("MIN", "MAX"):
+                values.append(_extreme_per_group(
+                    np.minimum if agg.name == "MIN" else np.maximum,
+                    codes, count, _concat(parts), size))
+            else:
+                values.append(None)
+        return cls(size, keys, counts, values)
+
+    def result(self, j: int, agg: ast.AggregateCall) -> np.ndarray:
+        """Aggregate ``j``'s value per group: NULL (``None``) for a group
+        it saw no non-NULL input in, except COUNT, which is 0 there."""
+        count, value = self.counts[j], self.values[j]
+        if agg.distinct:
+            groups, distinct = value
+            count = np.bincount(groups, minlength=self.size)
+            if agg.name != "COUNT":
+                value = np.bincount(groups, minlength=self.size,
+                                    weights=distinct.astype(np.float64))
+        if agg.name == "COUNT":
+            return count
+        if agg.name == "AVG":
+            value = value / np.maximum(count, 1)
+        if count.all():
+            return value
+        value = value.astype(object)
+        value[count == 0] = None
+        return value
+
+
+def _extreme_per_group(op: np.ufunc, codes: np.ndarray, counts: np.ndarray,
+                       values: np.ndarray, size: int) -> np.ndarray:
+    """``op`` (``np.minimum``/``np.maximum``) over each group's entries that
+    carry a value: sort them by group, then one ``op.reduceat``."""
+    present = counts > 0
+    if not present.all():
+        codes, values = codes[present], values[present]
+    order = np.argsort(codes, kind="stable")
+    out = np.zeros(size, dtype=values.dtype)
+    if len(order):
+        groups = codes[order]
+        starts = np.concatenate(
+            ([0], np.flatnonzero(groups[1:] != groups[:-1]) + 1))
+        out[groups[starts]] = op.reduceat(values[order], starts)
+    return out
+
+
+def _distinct_pairs(groups: np.ndarray,
+                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (group, value) pairs, sorted: one sort-unique over
+    ``group * len(uniques) + value code`` (a plain sort; ``np.unique``
+    hashes, which is slower here)."""
+    uniques, codes = expressions.factorize_column(values)
+    width = max(len(uniques), 1)
+    pairs = np.sort(groups * width + codes)
+    pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))[:len(pairs)]]
+    return pairs // width, uniques[pairs % width]
+
+
+def _concat(parts: list[np.ndarray], dtype: Any = np.float64) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
 # -- streaming helpers --------------------------------------------------------
@@ -974,11 +1017,7 @@ def _apply_where(where: ast.Expr | None,
     """Filter one batch by the WHERE predicate (pass-through when absent)."""
     if where is None:
         return batch
-    mask = np.atleast_1d(
-        np.asarray(expressions.evaluate(where, batch), dtype=bool)
-    )
-    if mask.shape == (1,) and _batch_rows(batch) != 1:
-        mask = np.broadcast_to(mask, (_batch_rows(batch),))
+    mask = _evaluate_rows(where, batch, _batch_rows(batch)).astype(bool)
     return {name: arr[mask] for name, arr in batch.items()}
 
 
@@ -988,28 +1027,10 @@ def _project_batch(
 ) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
     """Evaluate the select list (and ORDER BY keys) over one batch."""
     rows = _batch_rows(batch)
-    projected: dict[str, np.ndarray] = {}
-    for item, name in zip(items, names):
-        value = np.asarray(expressions.evaluate(item.expr, batch))
-        projected[name] = _broadcast_rows(value, rows)
-    order_vals = []
-    for order in order_by:
-        value = np.asarray(expressions.evaluate(order.expr, batch))
-        order_vals.append(_broadcast_rows(value, rows))
+    projected = {name: _evaluate_rows(item.expr, batch, rows)
+                 for item, name in zip(items, names)}
+    order_vals = [_evaluate_rows(order.expr, batch, rows) for order in order_by]
     return projected, order_vals
-
-
-def _merge_partials(
-    merged: dict[tuple, list["_AggState"]],
-    partials: dict[tuple, list["_AggState"]],
-) -> None:
-    """Merge per-group partial aggregate states into ``merged`` in place."""
-    for key, states in partials.items():
-        if key not in merged:
-            merged[key] = states
-        else:
-            for existing, incoming in zip(merged[key], states):
-                existing.merge(incoming)
 
 
 class _TopK:
@@ -1112,28 +1133,16 @@ def _render_profile(root: Span) -> ResultSet:
 # -- small helpers ------------------------------------------------------------
 
 
-def _distinct_indices(columns: list[np.ndarray]) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row (stable)."""
-    if not columns:
-        return np.arange(0)
-    rows = len(columns[0])
-    seen: dict[tuple, None] = {}
-    keep: list[int] = []
-    for i in range(rows):
-        key = tuple(
-            arr[i].item() if isinstance(arr[i], np.generic) else arr[i]
-            for arr in columns
-        )
-        if key not in seen:
-            seen[key] = None
-            keep.append(i)
-    return np.asarray(keep, dtype=np.int64)
-
-
 def _batch_rows(batch: Mapping[str, np.ndarray]) -> int:
     for arr in batch.values():
         return len(np.atleast_1d(arr))
     return 0
+
+
+def _evaluate_rows(expr: ast.Expr, batch: Mapping[str, np.ndarray],
+                   rows: int) -> np.ndarray:
+    """``expr`` over ``batch`` as one value per row."""
+    return _broadcast_rows(np.asarray(expressions.evaluate(expr, batch)), rows)
 
 
 def _broadcast_rows(value: np.ndarray, rows: int) -> np.ndarray:
@@ -1153,6 +1162,8 @@ def _sort_index(keys: list[np.ndarray], ascending: list[bool]) -> np.ndarray:
     # Apply keys from least to most significant for a stable composite sort.
     for key, asc in reversed(list(zip(keys, ascending))):
         current = key[index]
+        if current.dtype == object:  # rank strings; NULL ranks last
+            current = expressions.factorize_column(current)[1]
         if asc:
             order = np.argsort(current, kind="stable")
         else:
@@ -1163,45 +1174,6 @@ def _sort_index(keys: list[np.ndarray], ascending: list[bool]) -> np.ndarray:
             order = (len(current) - 1 - reverse_order)[::-1]
         index = index[order]
     return index
-
-
-def _factorize(key_arrays: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
-    """Group rows by composite key; returns (unique keys, inverse indices)."""
-    codes = []
-    uniques = []
-    for arr in key_arrays:
-        unique_vals, inverse = np.unique(np.asarray(arr), return_inverse=True)
-        codes.append(inverse.astype(np.int64))
-        uniques.append(unique_vals)
-    combined = codes[0].copy()
-    for code, unique_vals in zip(codes[1:], uniques[1:]):
-        combined = combined * len(unique_vals) + code
-    unique_combined, inverse = np.unique(combined, return_inverse=True)
-    keys: list[tuple] = []
-    for combo in unique_combined:
-        parts = []
-        remaining = int(combo)
-        for unique_vals in reversed(uniques[1:]):
-            remaining, digit = divmod(remaining, len(unique_vals))
-            parts.append(unique_vals[digit])
-        parts.append(uniques[0][remaining])
-        keys.append(tuple(_to_python(v) for v in reversed(parts)))
-    return keys, inverse
-
-
-def _to_python(value: Any) -> Any:
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def _sort_key_tuple(key: tuple) -> tuple:
-    """Sort group keys robustly across mixed types."""
-    return tuple(
-        (0, v) if isinstance(v, (int, float)) and not isinstance(v, bool)
-        else (1, str(v))
-        for v in key
-    )
 
 
 def _group_alias(index: int) -> str:

@@ -19,7 +19,7 @@ from repro.errors import SqlAnalysisError
 from repro.vertica.sql import ast
 
 __all__ = ["evaluate", "columns_referenced", "register_scalar_function",
-           "scalar_function_names"]
+           "scalar_function_names", "is_null", "factorize", "factorize_column"]
 
 _SCALAR_FUNCTIONS: dict[str, Callable[..., np.ndarray]] = {}
 
@@ -51,7 +51,7 @@ register_scalar_function("power", lambda x, y: np.power(
 register_scalar_function("mod", lambda x, y: np.mod(x, y))
 register_scalar_function("round", lambda x, d=0: np.round(
     np.asarray(x, dtype=np.float64), int(np.asarray(d).flat[0]) if np.ndim(d) else int(d)))
-register_scalar_function("is_null", lambda x: _is_null(x))
+register_scalar_function("is_null", lambda x: is_null(x))
 register_scalar_function("coalesce", lambda *xs: _coalesce(*xs))
 register_scalar_function("least", lambda *xs: _fold_pairwise(np.minimum, xs))
 register_scalar_function("greatest", lambda *xs: _fold_pairwise(np.maximum, xs))
@@ -70,13 +70,55 @@ register_scalar_function("length", lambda x: np.asarray(
     [len(v) if v is not None else 0 for v in np.asarray(x, dtype=object)], dtype=np.int64))
 
 
-def _is_null(x: Any) -> np.ndarray:
+def is_null(x: Any) -> np.ndarray:
+    """SQL NULL mask: ``None`` in object columns, NaN in float columns."""
     arr = np.asarray(x)
     if arr.dtype == object:
-        return np.asarray([v is None for v in arr], dtype=bool)
+        return np.equal(arr, None)
     if arr.dtype.kind == "f":
         return np.isnan(arr)
     return np.zeros(arr.shape, dtype=bool)
+
+
+def factorize_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``values`` and each row's index into them.
+
+    NULL is one value, sorted after every other.  Strings go through a
+    sorted set of the distinct values and a dict lookup rather than
+    ``np.unique`` over objects; other dtypes go through ``np.unique``.
+    """
+    if values.dtype != object:
+        uniques, codes = np.unique(values, return_inverse=True)
+        return uniques, codes.reshape(-1)
+    items = values.tolist()
+    distinct = set(items)
+    ordered = sorted(distinct - {None}) + [None] * (None in distinct)
+    lookup = dict(zip(ordered, range(len(ordered))))
+    codes = np.fromiter(map(lookup.__getitem__, items), dtype=np.int64,
+                        count=len(items))
+    return np.array(ordered, dtype=object), codes
+
+
+def factorize(columns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Group rows by their values across ``columns``.
+
+    Returns a dense group code per row and the key columns with one row per
+    group.  Groups are numbered in sorted key order, the first column most
+    significant and NULL last within each column.
+    """
+    if len(columns) == 1:
+        uniques, codes = factorize_column(columns[0])
+        return codes, [uniques]
+    codes, groups = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for values in columns:
+        uniques, column = factorize_column(values)
+        if groups * len(uniques) >= 2 ** 62:  # renumber to stay in int64
+            kept, codes = np.unique(codes, return_inverse=True)
+            groups = len(kept)
+        codes = codes * len(uniques) + column
+        groups *= len(uniques)
+    _, first, codes = np.unique(codes, return_index=True, return_inverse=True)
+    return codes.reshape(-1), [values[first] for values in columns]
 
 
 def _coalesce(*xs: Any) -> np.ndarray:
@@ -84,7 +126,7 @@ def _coalesce(*xs: Any) -> np.ndarray:
         raise SqlAnalysisError("coalesce() requires at least one argument")
     result = np.asarray(xs[0])
     for candidate in xs[1:]:
-        mask = _is_null(result)
+        mask = is_null(result)
         if not mask.any():
             break
         result = np.where(mask, np.asarray(candidate), result)

@@ -1,27 +1,35 @@
-"""Hash equi-joins for the SQL layer.
+"""Hash equi-joins for the SQL layer: build one side once, stream the other.
 
 Supports ``FROM a [alias] [INNER|LEFT] JOIN b [alias] ON <cond>`` where the
 condition contains at least one cross-table equality (further conjuncts are
 applied as residual filters).  The analyzer resolves the statement's names
 and splits the condition (:class:`~repro.vertica.sql.analyzer.BoundJoin`);
-this module only executes that binding.  The initiator gathers both inputs
-through the cluster's per-node scan sources (failover, scan slots and scan
-telemetry included) and builds a classic hash join: factorize both sides'
-keys into shared integer codes, sort the build side, and probe with
-``searchsorted`` — fully vectorized.
+this module only executes that binding.
 
-Column naming in the joined batch: every column appears under its qualified
+The joined (right) input is the build side: it is gathered once through the
+cluster's per-node scan sources (failover, scan slots and scan telemetry
+included), and its rows are sorted by key code.  The left input is the
+probe side: :func:`join_sources` hands the executor one source per node
+that probes each scanned batch with ``searchsorted`` as it streams past, so
+the left table is never held whole.  Rows come out in left-input order, a
+left row's matches in build-input order; a LEFT join emits a left row with
+no surviving match once, its right-side columns NULL.
+
+Column naming in a joined batch: every column appears under its qualified
 key (``alias.column``); columns whose bare name is unambiguous across the
 two inputs also appear under the bare name, matching SQL resolution rules.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from contextlib import closing
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
+from repro.errors import ExecutionError
 from repro.vertica import expressions
 from repro.vertica.pipeline import concat_batches
 from repro.vertica.sql import ast
@@ -31,86 +39,48 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vertica.sql.analyzer import BoundJoin
     from repro.vertica.txn.epochs import Snapshot
 
-__all__ = ["materialize_join"]
+__all__ = ["join_sources"]
+
+Batch = dict[str, np.ndarray]
 
 
-def materialize_join(cluster: "VerticaCluster", stmt: ast.Select,
-                     bound: "BoundJoin",
-                     snapshot: "Snapshot | None" = None,
-                     ) -> dict[str, np.ndarray]:
-    """Execute the join of ``stmt`` as the analyzer bound it.
+def join_sources(cluster: "VerticaCluster", stmt: ast.Select,
+                 bound: "BoundJoin", snapshot: "Snapshot | None" = None,
+                 ) -> list[Callable[[], Iterator[Batch]]]:
+    """Build the join of ``stmt`` as the analyzer bound it, and return one
+    joined-batch source per node of the left input.
 
-    The returned batch maps qualified (and unambiguous bare) column keys to
-    aligned arrays.  Both sides read at the same ``snapshot`` (epochs come
-    from one shared clock).
+    Both inputs read at the same ``snapshot`` (epochs come from one shared
+    clock).  A node whose scan yields no batch yields one empty joined
+    batch, so the output keeps its column types.
     """
-    join = stmt.join
-    left_alias, right_alias = bound.left_alias, bound.right_alias
-    left_data = _gather_input(cluster, stmt.table, bound.left_columns,
-                              snapshot)
-    right_data = _gather_input(cluster, join.table, bound.right_columns,
-                               snapshot)
-    cluster.telemetry.add("join_rows_scanned",
-                          _rows(left_data) + _rows(right_data))
+    build = _BuildSide(cluster, stmt, bound, snapshot)
 
-    left_env = _side_env(left_data, left_alias)
-    right_env = _side_env(right_data, right_alias)
-    left_key_codes, right_key_codes = _composite_codes(
-        [np.atleast_1d(np.asarray(expressions.evaluate(e, left_env)))
-         for e, _ in bound.equalities],
-        [np.atleast_1d(np.asarray(expressions.evaluate(e, right_env)))
-         for _, e in bound.equalities],
-    )
+    def probe_source(source: Callable[[], Iterator[Batch]]):
+        def joined() -> Iterator[Batch]:
+            empty = True
+            with closing(source()) as stream:
+                for batch in stream:
+                    empty = False
+                    yield build.probe(batch)
+            if empty:
+                yield build.probe(cluster.typed_empty_batch(
+                    stmt.table, bound.left_columns))
+        return joined
 
-    left_index, right_index, matched = _hash_join(
-        left_key_codes, right_key_codes, join.kind)
-    cluster.telemetry.add("join_rows_produced", len(left_index))
-
-    batch: dict[str, np.ndarray] = {}
-    for column in sorted(bound.left_columns):
-        values = np.atleast_1d(np.asarray(left_data[column]))[left_index]
-        batch[f"{left_alias}.{column}"] = values
-    for column in sorted(bound.right_columns):
-        source = np.atleast_1d(np.asarray(right_data[column]))
-        if len(source) == 0 and len(right_index):
-            # LEFT JOIN against an empty right side: every output row is
-            # unmatched; fabricate a placeholder column to null out below.
-            values = np.zeros(len(right_index), dtype=source.dtype) \
-                if source.dtype != object \
-                else np.full(len(right_index), None, dtype=object)
-        else:
-            values = source[right_index]
-        if join.kind == "left" and not matched.all():
-            values = _null_out(values, ~matched)
-        batch[f"{right_alias}.{column}"] = values
-    # Unambiguous bare names resolve without qualification.
-    for alias, columns in ((left_alias, bound.left_columns),
-                           (right_alias, bound.right_columns)):
-        for column in columns - bound.ambiguous:
-            batch[column] = batch[f"{alias}.{column}"]
-
-    # Residual (non-equality) join conjuncts filter the joined rows; for a
-    # LEFT join they only apply to matched rows (unmatched rows survive).
-    for conj in bound.residual:
-        mask = np.atleast_1d(
-            np.asarray(expressions.evaluate(conj, batch), dtype=bool))
-        if join.kind == "left":
-            mask = mask | ~matched
-        batch = {key: arr[mask] for key, arr in batch.items()}
-        matched = matched[mask]
-    return batch
+    return [probe_source(source) for source in cluster.stream_table_per_node(
+        stmt.table, bound.left_columns, snapshot=snapshot)]
 
 
-def _gather_input(cluster: "VerticaCluster", table_name: str,
-                  columns: frozenset[str], snapshot: "Snapshot | None",
-                  ) -> dict[str, np.ndarray]:
-    """Collect one join input from the table's per-node scan sources.
+def _gather(cluster: "VerticaCluster", table_name: str,
+            columns: frozenset[str], snapshot: "Snapshot | None") -> Batch:
+    """Collect the build input from the table's per-node scan sources.
 
     Nodes are read one at a time in node-index order, each stream closed
     before the next opens: rows arrive in node-major storage order and the
-    join never holds two scan slots at once.
+    build never holds two scan slots at once.
     """
-    batches: list[dict[str, np.ndarray]] = []
+    batches: list[Batch] = []
     sources = cluster.stream_table_per_node(table_name, columns,
                                             snapshot=snapshot)
     for node, source in enumerate(sources):
@@ -122,73 +92,137 @@ def _gather_input(cluster: "VerticaCluster", table_name: str,
     return concat_batches(batches)
 
 
-def _rows(data: dict[str, np.ndarray]) -> int:
+class _BuildSide:
+    """The right input, gathered once and grouped by join key.
+
+    A key value's position among its column's sorted distinct non-NULL
+    build values (-1 when NULL or absent, so NULL never matches) combines
+    across the key columns into a row's key code.  ``codes`` are the build
+    rows' sorted distinct codes, and a row's key id is its code's index
+    there (-1: no match).  ``order`` lists the matchable build rows grouped
+    by key id, in build-input order within a key: key *i*'s rows are
+    ``order[first[i]:first[i] + count[i]]``.
+    """
+
+    def __init__(self, cluster: "VerticaCluster", stmt: ast.Select,
+                 bound: "BoundJoin", snapshot: "Snapshot | None") -> None:
+        self.bound = bound
+        self.left = stmt.join.kind == "left"
+        self.telemetry = cluster.telemetry
+        data = _gather(cluster, stmt.join.table, bound.right_columns,
+                       snapshot)
+        # One placeholder row past the end: what an unmatched LEFT-join row
+        # reads before its right-side values are nulled.
+        self.null_row = _rows(data)
+        self.data = {name: np.concatenate([arr, np.zeros(1, arr.dtype)])
+                     for name, arr in data.items()}
+        self.telemetry.add("join_rows_scanned", self.null_row)
+        keys = _evaluate(data, bound.right_alias,
+                         [right for _, right in bound.equalities])
+        self.uniques = [uniques[~expressions.is_null(uniques)] for uniques in
+                        (expressions.factorize_column(v)[0] for v in keys)]
+        if math.prod(map(len, self.uniques)) >= 2 ** 63:
+            raise ExecutionError("join key space exceeds 64-bit codes")
+        self.lookups = [dict(zip(uniques.tolist(), range(len(uniques))))
+                        for uniques in self.uniques]
+        codes = self._codes(keys)
+        matchable = np.flatnonzero(codes >= 0)
+        self.codes, ids = np.unique(codes[matchable], return_inverse=True)
+        self.order = matchable[np.argsort(ids, kind="stable")]
+        # A trailing zero count is what id -1 (no match) reads.
+        self.count = np.append(np.bincount(ids, minlength=len(self.codes)), 0)
+        self.first = np.cumsum(self.count) - self.count
+
+    def _codes(self, keys: list[np.ndarray]) -> np.ndarray:
+        """Each row's key code, -1 where a key is NULL or absent from the
+        build side.  Strings, and keys compared with them, look up a dict;
+        numbers search the sorted build values."""
+        codes = np.zeros(len(keys[0]), dtype=np.int64)
+        for values, uniques, lookup in zip(keys, self.uniques, self.lookups):
+            if object in (values.dtype, uniques.dtype):
+                position = np.fromiter(
+                    map(lookup.get, values.tolist(), itertools.repeat(-1)),
+                    dtype=np.int64, count=len(values))
+            else:
+                position = _find(uniques, values)
+            codes = np.where((codes < 0) | (position < 0), -1,
+                             codes * len(uniques) + position)
+        return codes
+
+    def probe(self, batch: Batch) -> Batch:
+        """Join one left-input batch against the build side."""
+        bound = self.bound
+        rows = _rows(batch)
+        ids = _find(self.codes, self._codes(_evaluate(
+            batch, bound.left_alias, [left for left, _ in bound.equalities])))
+        starts, counts = self.first[ids], self.count[ids]
+        left_index = np.repeat(np.arange(rows), counts)
+        offsets = np.cumsum(counts) - counts
+        right_index = self.order[np.repeat(starts - offsets, counts)
+                                 + np.arange(len(left_index))]
+        if bound.residual:
+            joined = self._assemble(batch, left_index, right_index)
+            keep = np.ones(len(left_index), dtype=bool)
+            for conj in bound.residual:
+                keep &= np.broadcast_to(np.asarray(
+                    expressions.evaluate(conj, joined), dtype=bool), keep.shape)
+            left_index, right_index = left_index[keep], right_index[keep]
+        if self.left:  # each left row left without a match, in its place
+            lost = np.flatnonzero(np.bincount(left_index, minlength=rows) == 0)
+            at = np.searchsorted(left_index, lost)
+            left_index = np.insert(left_index, at, lost)
+            right_index = np.insert(right_index, at, self.null_row)
+        self.telemetry.add("join_rows_scanned", rows)
+        self.telemetry.add("join_rows_produced", len(left_index))
+        return self._assemble(batch, left_index, right_index)
+
+    def _assemble(self, batch: Batch, left_index: np.ndarray,
+                  right_index: np.ndarray) -> Batch:
+        bound = self.bound
+        out: Batch = {}
+        for column in sorted(bound.left_columns):
+            out[f"{bound.left_alias}.{column}"] = \
+                np.atleast_1d(np.asarray(batch[column]))[left_index]
+        unmatched = right_index == self.null_row
+        for column in sorted(bound.right_columns):
+            values = self.data[column][right_index]
+            out[f"{bound.right_alias}.{column}"] = \
+                _null_out(values, unmatched) if unmatched.any() else values
+        # Unambiguous bare names resolve without qualification.
+        for alias, columns in ((bound.left_alias, bound.left_columns),
+                               (bound.right_alias, bound.right_columns)):
+            for column in columns - bound.ambiguous:
+                out[column] = out[f"{alias}.{column}"]
+        return out
+
+
+def _find(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's index in the sorted array ``ordered``, -1 where absent."""
+    index = np.searchsorted(ordered, values)
+    hit = index < len(ordered)
+    hit[hit] = ordered[index[hit]] == values[hit]
+    return np.where(hit, index, -1)
+
+
+def _rows(data: Batch) -> int:
     for arr in data.values():
         return len(np.atleast_1d(arr))
     return 0
 
 
-def _side_env(data: dict[str, np.ndarray], alias: str) -> dict[str, np.ndarray]:
+def _evaluate(data: Batch, alias: str,
+              exprs: list[ast.Expr]) -> list[np.ndarray]:
+    """Key expressions over one input's batch, bare or ``alias.``-qualified."""
     env = {name: np.atleast_1d(np.asarray(arr)) for name, arr in data.items()}
     env.update({f"{alias}.{name}": arr for name, arr in env.items()
                 if "." not in name})
-    return env
-
-
-def _composite_codes(left_keys: list[np.ndarray], right_keys: list[np.ndarray]):
-    """Factorize multi-column keys into comparable integer codes."""
-    left_rows = len(left_keys[0]) if left_keys else 0
-    right_rows = len(right_keys[0]) if right_keys else 0
-    left_combined = np.zeros(left_rows, dtype=np.int64)
-    right_combined = np.zeros(right_rows, dtype=np.int64)
-    for left_arr, right_arr in zip(left_keys, right_keys):
-        left_side = np.asarray(left_arr)
-        right_side = np.asarray(right_arr)
-        if (left_side.dtype.kind in "biuf" and right_side.dtype.kind in "biuf"):
-            # Numeric keys compare numerically (int 5 joins float 5.0).
-            both = np.concatenate([
-                left_side.astype(np.float64), right_side.astype(np.float64)
-            ])
-        else:
-            both = np.concatenate([
-                left_side.astype(object), right_side.astype(object)
-            ]).astype(str)
-        _, inverse = np.unique(both, return_inverse=True)
-        cardinality = int(inverse.max()) + 1 if len(inverse) else 1
-        left_combined = left_combined * cardinality + inverse[:left_rows]
-        right_combined = right_combined * cardinality + inverse[left_rows:]
-    return (left_combined, right_combined)
-
-
-def _hash_join(left_codes: np.ndarray, right_codes: np.ndarray, kind: str):
-    """Match rows by code; returns (left_index, right_index, matched_mask)."""
-    order = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[order]
-    starts = np.searchsorted(sorted_codes, left_codes, side="left")
-    ends = np.searchsorted(sorted_codes, left_codes, side="right")
-    counts = ends - starts
-    if kind == "left":
-        effective = np.maximum(counts, 1)  # unmatched rows appear once
-    else:
-        effective = counts
-    left_index = np.repeat(np.arange(len(left_codes)), effective)
-    total = int(effective.sum())
-    offsets = np.repeat(np.cumsum(effective) - effective, effective)
-    within = np.arange(total) - offsets
-    matched_row = np.repeat(counts > 0, effective)
-    probe = np.repeat(starts, effective) + within
-    probe = np.clip(probe, 0, max(len(order) - 1, 0))
-    right_index = order[probe] if len(order) else np.zeros(total, dtype=np.int64)
-    return left_index, right_index, matched_row
+    rows = _rows(data)
+    return [np.broadcast_to(np.atleast_1d(np.asarray(
+        expressions.evaluate(expr, env))), (rows,)) for expr in exprs]
 
 
 def _null_out(values: np.ndarray, null_mask: np.ndarray) -> np.ndarray:
     """Null the unmatched rows of a LEFT join's right-side column."""
-    values = np.atleast_1d(values)
-    if values.dtype == object:
-        out = values.copy()
-        out[null_mask] = None
-        return out
-    out = values.astype(np.float64, copy=True)
-    out[null_mask] = np.nan
+    out = values.astype(object if values.dtype == object else np.float64)
+    out[null_mask] = None if out.dtype == object else np.nan
     return out

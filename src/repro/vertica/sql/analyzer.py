@@ -171,7 +171,7 @@ class BoundTable:
 
 @dataclass(frozen=True)
 class BoundJoin:
-    """A SELECT's join, bound: what ``joins.materialize_join`` executes.
+    """A SELECT's join, bound: what ``joins.join_sources`` executes.
 
     ``left_columns`` / ``right_columns`` are the bare column names each
     input must scan (every column under ``SELECT *``).  ``equalities`` are

@@ -335,6 +335,22 @@ class TestProfile:
         assert columns["rows"][0] \
             == cluster.telemetry.get("rows_scanned") - before == 1200
 
+    @pytest.mark.parametrize("select", [
+        "COUNT(*) AS n, SUM(x.a) AS s",   # aggregate over the probe side
+        "x.k, y.b AS yb",                 # plain scan over the probe side
+    ])
+    def test_join_emits_one_scan_span_per_node_per_input(self, select):
+        cluster = make_cluster()
+        before = cluster.telemetry.get("rows_scanned")
+        cluster.sql(f"SELECT {select} FROM pts x JOIN pts y ON x.k = y.k")
+        join = cluster.tracer.last_root().children[0]
+        assert join.name == "join"
+        scans = [span for span in join.children if span.name == "scan.node"]
+        # The build input's node scans, then the probe input's.
+        assert [span.attributes["node"] for span in scans] == [0, 1, 2] * 2
+        assert sum(span.total("rows") for span in scans) \
+            == cluster.telemetry.get("rows_scanned") - before == 1200
+
     def test_profile_rejects_non_select(self):
         cluster = make_cluster()
         with pytest.raises(SqlSyntaxError, match="SELECT"):

@@ -462,6 +462,35 @@ def test_materialization_scoped_to_hot_paths():
             "no-full-materialization", source, relpath=relpath)) == 1
 
 
+def test_materialization_flags_gathering_in_operators_only():
+    source = """
+        from repro.vertica.pipeline import concat_batches
+
+        def probe(sources):
+            batch = concat_batches([b for source in sources for b in source()])
+            return batch
+    """
+    for relpath in ("src/repro/vertica/executor.py",
+                    "src/repro/vertica/joins.py"):
+        violations = check_snippet("no-full-materialization", source,
+                                   relpath=relpath)
+        assert [v.message.split("'")[1] for v in violations] \
+            == ["concat_batches"]
+        assert [v.symbol for v in violations] == ["probe"]
+    # Framing code may buffer batches: VFT packs them into frames.
+    for relpath in ("src/repro/transfer/vft.py", "src/repro/vertica/cluster.py"):
+        assert check_snippet("no-full-materialization", source,
+                             relpath=relpath) == []
+
+
+def test_materialization_baseline_holds_only_the_join_build_side():
+    baseline = load_baseline(REPO_ROOT / "reprolint.baseline")
+    entries = [entry for entry in baseline.entries
+               if entry.rule == "no-full-materialization"]
+    assert [(entry.path, entry.symbol) for entry in entries] \
+        == [("src/repro/vertica/joins.py", "_gather")]
+
+
 # ---------------------------------------------------------------------------
 # snapshot-reads
 # ---------------------------------------------------------------------------

@@ -93,6 +93,25 @@ class TestEncoding:
         )
         assert list(decoded) == list(values)
 
+    @pytest.mark.parametrize("values", [
+        ["é", "", "ab", "日本", "", "z"],      # non-ASCII beside ASCII and empties
+        ["", "", ""],                          # only empty strings
+        ["only"],                              # a single value
+        ["ü"],                                 # a single non-ASCII value
+        [],                                    # no values
+    ])
+    def test_varchar_roundtrip_shapes(self, values):
+        array = np.array(values, dtype=object)
+        decoded = decode_values(encode_values(array, SqlType.VARCHAR),
+                                SqlType.VARCHAR, len(values))
+        assert decoded.dtype == object and decoded.shape == (len(values),)
+        assert decoded.tolist() == values
+
+    def test_varchar_payload_length_mismatch_rejected(self):
+        buffer = encode_values(np.array(["ab", "c"], dtype=object), SqlType.VARCHAR)
+        with pytest.raises(StorageError):
+            decode_values(buffer[:-1], SqlType.VARCHAR, 2)
+
     def test_varchar_none_becomes_empty(self):
         values = np.array(["a", None], dtype=object)
         decoded = decode_values(

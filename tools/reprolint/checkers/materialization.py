@@ -15,6 +15,12 @@ and transfer hot paths (``src/repro/vertica/executor.py``,
 ``src/repro/vertica/cluster.py``, ``src/repro/vertica/joins.py``,
 ``src/repro/vertica/odbc.py``, ``src/repro/transfer/``).  Anything new must
 either stream or justify itself with a baseline entry.
+
+In the operators themselves (``executor.py``, ``joins.py``) it also flags
+``concat_batches``: gathering a stream's batches into one batch holds the
+whole input, so a join's probe side or an aggregate's input cannot quietly
+fall back to it.  A join's build side, which is held whole by design, is
+the one baseline entry.
 """
 
 from __future__ import annotations
@@ -41,6 +47,16 @@ MATERIALIZING_CALLS = {
     "scan_node": "materializes a node's entire segment",
 }
 
+# Operators that must fold batches as they stream past, and the call that
+# would gather a stream instead.
+GATHER_PATHS = (
+    "src/repro/vertica/executor.py",
+    "src/repro/vertica/joins.py",
+)
+GATHERING_CALLS = {
+    "concat_batches": "gathers a whole stream of batches into one batch",
+}
+
 
 def _called_name(node: ast.Call) -> str | None:
     func = node.func
@@ -57,8 +73,9 @@ class MaterializationChecker(Checker):
     code = "RL701"
     description = (
         "no whole-table/segment materialization (scan_all, unbatched "
-        "read_columns, scan_node) on executor/transfer hot paths; pull "
-        "rowgroup batches through the streaming pipeline instead"
+        "read_columns, scan_node) on executor/transfer hot paths, and no "
+        "concat_batches in the executor or join operator; pull rowgroup "
+        "batches through the streaming pipeline instead"
     )
 
     def applies_to(self, relpath: str) -> bool:
@@ -67,11 +84,14 @@ class MaterializationChecker(Checker):
         )
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
+        calls = dict(MATERIALIZING_CALLS)
+        if ctx.relpath in GATHER_PATHS:
+            calls.update(GATHERING_CALLS)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = _called_name(node)
-            why = MATERIALIZING_CALLS.get(name) if name else None
+            why = calls.get(name) if name else None
             if why is None:
                 continue
             yield self.violation(
