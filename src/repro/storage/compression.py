@@ -7,6 +7,11 @@ genuinely compressed and decompressed.
 
 Codecs are registered by name so tests and ablation benchmarks can switch
 them per-table (``none``, ``zlib``, ``rle`` for integer runs).
+
+Beside the registry, :func:`shuffle_compress` / :func:`shuffle_decompress`
+are the byte-plane form of ``zlib`` for 8-byte words, one of the block
+layouts the table codec ``zlib`` chooses between
+(:class:`~repro.storage.column.ColumnBlock`).
 """
 
 from __future__ import annotations
@@ -19,7 +24,11 @@ import numpy as np
 
 from repro.errors import StorageError
 
-__all__ = ["compress", "decompress", "available_codecs", "register_codec"]
+__all__ = ["compress", "decompress", "available_codecs", "register_codec",
+           "shuffle_compress", "shuffle_decompress"]
+
+_ZLIB_LEVEL = 1
+_WORD = 8  # bytes per value of the columns the byte-plane layout serves
 
 _CompressFn = Callable[[bytes], bytes]
 _DecompressFn = Callable[[bytes], bytes]
@@ -91,10 +100,48 @@ def _rle_decompress(data: bytes) -> bytes:
     return np.repeat(runs[:, 1], lengths).tobytes()
 
 
+def _zlib_decompress(data: bytes) -> bytes:
+    try:
+        return zlib.decompress(data)
+    except zlib.error as error:
+        raise StorageError(f"corrupt zlib payload: {error}") from None
+
+
+def _regroup(raw: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A copy of the byte array ``raw`` whose first ``rows * cols`` bytes,
+    read as a ``(rows, cols)`` matrix, are written out transposed; the
+    bytes after them are copied as they are."""
+    out = np.empty_like(raw)
+    split = rows * cols
+    out[:split].reshape(cols, rows)[:] = raw[:split].reshape(rows, cols).T
+    out[split:] = raw[split:]
+    return out
+
+
+def shuffle_compress(data: bytes | np.ndarray) -> bytes:
+    """zlib over ``data`` regrouped into byte planes: byte 0 of every
+    8-byte word, then byte 1 of every word, and so on.
+
+    Neighbouring numbers share sign, exponent and high-order bytes, so each
+    plane holds the long runs and repeats that zlib cannot see while they
+    are interleaved with noisy low-order bytes.  A tail shorter than a word
+    is kept after the planes.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    return zlib.compress(_regroup(raw, raw.size // _WORD, _WORD), _ZLIB_LEVEL)
+
+
+def shuffle_decompress(payload: bytes) -> np.ndarray:
+    """Invert :func:`shuffle_compress` into a fresh, writable byte array:
+    one copy beyond zlib's output, which the caller may adopt as is."""
+    planes = np.frombuffer(_zlib_decompress(payload), dtype=np.uint8)
+    return _regroup(planes, _WORD, planes.size // _WORD)
+
+
 register_codec("none", lambda data: data, lambda data: data)
 register_codec(
     "zlib",
-    lambda data: zlib.compress(data, level=1),
-    zlib.decompress,
+    lambda data: zlib.compress(data, level=_ZLIB_LEVEL),
+    _zlib_decompress,
 )
 register_codec("rle", _rle_compress, _rle_decompress)

@@ -4,7 +4,9 @@ Vertica is a columnar store: table data lives on disk as per-column blocks.
 This module maps the SQL type system used by the reproduction onto numpy
 arrays and defines how each type is serialized to bytes.  Fixed-width types
 round-trip through raw little-endian buffers; VARCHAR uses an offsets +
-UTF-8 payload layout (the classic Arrow/Parquet string encoding).
+UTF-8 payload layout (the classic Arrow/Parquet string encoding), or, for
+few distinct values, a dictionary layout: the distinct strings once in the
+offsets layout plus one small unsigned code per row.
 
 Null handling: a column block carries an optional validity bitmap next to the
 value buffer; encoding and decoding of the bitmap is shared across types.
@@ -21,7 +23,10 @@ import numpy as np
 from repro.errors import StorageError
 
 __all__ = ["SqlType", "ColumnSchema", "encode_values", "decode_values",
+           "encode_dictionary", "decode_dictionary",
            "pack_validity", "unpack_validity", "coerce_to_dtype"]
+
+_DICTIONARY_HEADER = struct.Struct("<qq")  # row count, distinct count
 
 
 class SqlType(enum.Enum):
@@ -135,12 +140,18 @@ def encode_values(values: np.ndarray, sql_type: SqlType) -> bytes:
     if arr.ndim != 1:
         raise StorageError(f"column values must be 1-D, got shape {arr.shape}")
     if sql_type is SqlType.VARCHAR:
-        return _encode_varchar(arr)
+        return _encode_varchar(_texts(arr))
     return np.ascontiguousarray(arr).tobytes()
 
 
-def decode_values(buffer: bytes, sql_type: SqlType, count: int) -> np.ndarray:
-    """Inverse of :func:`encode_values`."""
+def decode_values(buffer: bytes | np.ndarray, sql_type: SqlType,
+                  count: int) -> np.ndarray:
+    """Inverse of :func:`encode_values`.
+
+    A fixed-width column is copied out of a read-only ``buffer`` (bytes, a
+    file read) so that it can be written to; a writable buffer (a numpy
+    array the caller just filled) is adopted without a copy.
+    """
     if sql_type is SqlType.VARCHAR:
         return _decode_varchar(buffer, count)
     width = sql_type.fixed_width
@@ -151,17 +162,77 @@ def decode_values(buffer: bytes, sql_type: SqlType, count: int) -> np.ndarray:
             f"for {count} values of {sql_type.value}"
         )
     arr = np.frombuffer(buffer, dtype=sql_type.numpy_dtype, count=count)
-    return arr.copy()  # detach from the (possibly mmapped) buffer
+    return arr if arr.flags.writeable else arr.copy()
 
 
-def _encode_varchar(arr: np.ndarray) -> bytes:
-    encoded = [("" if v is None else str(v)).encode("utf-8") for v in arr]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    for i, blob in enumerate(encoded):
-        offsets[i + 1] = offsets[i] + len(blob)
-    payload = b"".join(encoded)
-    header = struct.pack("<q", len(encoded))
-    return header + offsets.tobytes() + payload
+def encode_dictionary(values: np.ndarray) -> bytes | None:
+    """Encode VARCHAR ``values`` in the dictionary layout, or return
+    ``None`` when it would not be smaller than the offsets layout.
+
+    Layout: row count and distinct count (two ``<q``), the distinct strings
+    in first-seen order in the offsets layout, then one unsigned code per
+    row, as narrow as the distinct count allows.
+    """
+    texts = _texts(coerce_to_dtype(values, SqlType.VARCHAR))
+    distinct = list(dict.fromkeys(texts))
+    code_dtype = _code_dtype(len(distinct))
+    # Against the offsets layout this trades one 8-byte offset per row for
+    # a code per row plus a header and an offset per distinct string; the
+    # strings themselves are stored once instead of once per row, which can
+    # only save more.
+    header_and_offsets = _DICTIONARY_HEADER.size + 8 * len(distinct)
+    if header_and_offsets + code_dtype.itemsize * len(texts) >= 8 * len(texts):
+        return None
+    index = {text: code for code, text in enumerate(distinct)}
+    codes = np.fromiter(map(index.__getitem__, texts), dtype=code_dtype,
+                        count=len(texts))
+    return (_DICTIONARY_HEADER.pack(len(texts), len(distinct))
+            + _encode_varchar(distinct) + codes.tobytes())
+
+
+def decode_dictionary(buffer: bytes, count: int) -> np.ndarray:
+    """Inverse of :func:`encode_dictionary`: the same object array the
+    offsets layout decodes to."""
+    if len(buffer) < _DICTIONARY_HEADER.size:
+        raise StorageError("dictionary buffer too short for its header")
+    stored_count, distinct_count = _DICTIONARY_HEADER.unpack_from(buffer, 0)
+    if stored_count != count:
+        raise StorageError(
+            f"dictionary buffer holds {stored_count} values, expected {count}"
+        )
+    if distinct_count < 0:
+        raise StorageError(f"corrupt dictionary size {distinct_count}")
+    code_dtype = _code_dtype(distinct_count)
+    split = len(buffer) - code_dtype.itemsize * count
+    if split < _DICTIONARY_HEADER.size:
+        raise StorageError("dictionary buffer truncated in codes section")
+    distinct = _decode_varchar(buffer[_DICTIONARY_HEADER.size:split],
+                               distinct_count)
+    codes = np.frombuffer(buffer, dtype=code_dtype, count=count, offset=split)
+    if count and int(codes.max()) >= distinct_count:
+        raise StorageError("dictionary code out of range")
+    return distinct[codes]
+
+
+def _code_dtype(distinct_count: int) -> np.dtype:
+    for dtype in (np.uint8, np.uint16):
+        if distinct_count <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.uint32)
+
+
+def _texts(arr: np.ndarray) -> list[str]:
+    """What a VARCHAR slot stores: its string, ``""`` for a NULL."""
+    return ["" if v is None else str(v) for v in arr]
+
+
+def _encode_varchar(texts: list[str]) -> bytes:
+    blobs = [text.encode("utf-8") for text in texts]
+    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs)),
+              out=offsets[1:])
+    header = struct.pack("<q", len(blobs))
+    return header + offsets.tobytes() + b"".join(blobs)
 
 
 def _decode_varchar(buffer: bytes, count: int) -> np.ndarray:

@@ -423,7 +423,8 @@ class VerticaCluster:
     # -- introspection ------------------------------------------------------------------
 
     def table_stats(self, table_name: str) -> dict:
-        """Row counts and per-segment distribution for one table."""
+        """Row counts, per-segment distribution and stored size of one
+        table; ``layouts`` counts its stored column blocks per layout."""
         table = self.catalog.get_table(table_name)
         counts = table.segment_row_counts()
         return {
@@ -431,6 +432,7 @@ class VerticaCluster:
             "rows": table.row_count,
             "segments": counts,
             "compressed_bytes": table.compressed_size,
+            "layouts": table.block_layouts(),
             "segmentation": table.segmentation.describe(),
             "skew": (max(counts) / (sum(counts) / len(counts)))
             if table.row_count else 1.0,

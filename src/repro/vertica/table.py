@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -137,6 +138,13 @@ class Segment:
         """Approximate on-disk footprint of this segment in bytes."""
         with self._mutation_lock:
             return sum(rg.compressed_size for _, rg in self._ros)
+
+    def block_layouts(self) -> Counter:
+        """ROS column blocks per layout (the codec field each records)."""
+        with self._mutation_lock:
+            rowgroups = [rg for _, rg in self._ros]
+        return Counter(block.codec for rg in rowgroups
+                       for block in rg.columns.values())
 
     def visible_row_count(self, snapshot: "Snapshot | None" = None) -> int:
         """Rows a scan at ``snapshot`` yields from this segment.
@@ -631,6 +639,13 @@ class Table:
     @property
     def compressed_size(self) -> int:
         return sum(segment.compressed_size for segment in self.segments)
+
+    def block_layouts(self) -> dict[str, int]:
+        """Column blocks per layout over the segments ``compressed_size``
+        counts, by layout name."""
+        counts = sum((segment.block_layouts() for segment in self.segments),
+                     Counter())
+        return dict(sorted(counts.items()))
 
     def column(self, name: str) -> ColumnSchema:
         for column in self.user_schema:

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.storage import ColumnBlock, SqlType, compress, decompress
+from repro.storage import ColumnBlock, SqlType, available_codecs, compress, decompress
+from repro.storage.compression import shuffle_compress, shuffle_decompress
 from repro.storage.encoding import decode_values, encode_values
 from repro.transfer.streams import decode_frames, encode_frame
 from repro.vertica.segmentation import (
@@ -57,16 +58,47 @@ class TestEncodingProperties:
         assert list(decode_values(buffer, SqlType.VARCHAR, len(values))) == values
 
     @common_settings
-    @given(st.binary(max_size=5000), st.sampled_from(["none", "zlib", "rle"]))
+    @given(st.binary(max_size=5000), st.sampled_from(available_codecs()))
     def test_compression_roundtrip(self, data, codec):
         assert decompress(compress(data, codec), codec) == data
 
     @common_settings
-    @given(float_arrays, st.sampled_from(["none", "zlib"]))
+    @given(st.binary(max_size=5000))
+    def test_shuffle_roundtrip(self, data):
+        assert shuffle_decompress(shuffle_compress(data)).tobytes() == data
+
+    @common_settings
+    @given(float_arrays, st.sampled_from(available_codecs()))
     def test_column_block_wire_roundtrip(self, values, codec):
         block = ColumnBlock.from_values(values, SqlType.FLOAT, codec=codec)
         restored = ColumnBlock.from_bytes(block.to_bytes())
         assert np.array_equal(restored.values(), values)
+
+    @common_settings
+    @given(npst.arrays(np.float64, st.integers(0, 1100),
+                       elements=st.floats(width=64) | st.sampled_from(
+                           [0.5, 1.25, -0.0])),
+           st.sampled_from(available_codecs()))
+    def test_numeric_block_bits_survive_every_layout(self, values, codec):
+        """NaN payloads, infinities and -0.0 come back bit for bit, and
+        integers too, whichever layout the block picked."""
+        for column, sql_type in ((values, SqlType.FLOAT),
+                                 (values.view(np.int64), SqlType.INTEGER)):
+            block = ColumnBlock.from_values(column, sql_type, codec=codec)
+            restored = ColumnBlock.from_bytes(block.to_bytes()).values()
+            assert restored.tobytes() == column.tobytes()
+
+    @common_settings
+    @given(st.lists(st.sampled_from(["", "a", "é", "日本", "paid"]) | st.text(max_size=4),
+                    max_size=1100),
+           st.sampled_from(available_codecs()))
+    def test_varchar_block_matches_offsets_layout(self, values, codec):
+        array = np.asarray(values, dtype=object)
+        block = ColumnBlock.from_values(array, SqlType.VARCHAR, codec=codec)
+        restored = ColumnBlock.from_bytes(block.to_bytes()).values()
+        assert restored.tolist() == decode_values(
+            encode_values(array, SqlType.VARCHAR), SqlType.VARCHAR,
+            len(values)).tolist()
 
     @common_settings
     @given(npst.arrays(
