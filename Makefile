@@ -5,7 +5,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck experiments bench-ml bench-smoke all
+.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck experiments bench-ml bench-smoke benchmarks-smoke all
 
 all: lint test
 
@@ -79,6 +79,12 @@ bench-ml:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		benchmarks/bench_ablation_incremental.py \
 		benchmarks/bench_ablation_solvers.py
+
+# Every module under benchmarks/ (ablations, figure reproductions, serving,
+# AQP, solvers) once, timing disabled and no trace artifacts: a change to an
+# engine API the benchmarks call fails here instead of going unnoticed.
+benchmarks-smoke:
+	REPRO_TRACE_DIR=off PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks --benchmark-disable
 
 # The repo benchmark (`python3 -m bench`, contract in BENCHMARK.json) at
 # smoke scale: it drives the engine through the documented public API only

@@ -67,10 +67,10 @@ def test_ablation_batchsize_queue_depth(benchmark, batch_rows, queue_depth):
     benchmark.extra_info.update({
         "batch_rows": batch_rows,
         "queue_depth": queue_depth,
-        "peak_batch_bytes": int(cluster.telemetry.get("peak_batch_bytes")),
+        "peak_batch_bytes": int(cluster.metrics.gauge("peak_batch_bytes").peak),
         "pipeline_inflight_bytes_peak": int(
-            cluster.telemetry.get("pipeline_inflight_bytes_peak")),
-        "batches_scanned": int(cluster.telemetry.get("batches_scanned")),
+            cluster.metrics.gauge("pipeline_inflight_bytes").peak),
+        "batches_scanned": int(cluster.metrics.counter("batches_scanned").value),
     })
 
 
@@ -79,14 +79,14 @@ def test_ablation_smaller_batches_lower_peak():
     for batch_rows in (1024, 16384):
         cluster, names = build(batch_rows=batch_rows, queue_depth=2)
         load_once(cluster, names)
-        peaks[batch_rows] = cluster.telemetry.get("pipeline_inflight_bytes_peak")
+        peaks[batch_rows] = cluster.metrics.gauge("pipeline_inflight_bytes").peak
     assert 0 < peaks[1024] < peaks[16384], peaks
 
 
 def test_ablation_peak_memory_bounded_by_queue_depth():
     cluster, names = build(batch_rows=256, queue_depth=2)
     load_once(cluster, names)
-    peak = cluster.telemetry.get("pipeline_inflight_bytes_peak")
+    peak = cluster.metrics.gauge("pipeline_inflight_bytes").peak
     bound = inflight_bytes_bound(cluster)
     assert 0 < peak <= bound, (peak, bound)
     table_bytes = ROWS * FEATURES * 8

@@ -39,7 +39,7 @@ def test_ablation_vft_by_codec(benchmark, codec):
         )
         assert result.nrow == ROWS
     benchmark.extra_info["wire_bytes"] = int(
-        cluster.telemetry.get("vft_bytes_sent"))
+        cluster.metrics.counter("vft_bytes_sent").value)
 
 
 def test_ablation_zlib_shrinks_wire_bytes():
@@ -48,8 +48,8 @@ def test_ablation_zlib_shrinks_wire_bytes():
     with start_session(node_count=3, instances_per_node=1) as session:
         db2darray(baseline_cluster, "bench", names, session)
         db2darray(compressed_cluster, "bench", names, session)
-    raw = baseline_cluster.telemetry.get("vft_bytes_sent")
-    compressed = compressed_cluster.telemetry.get("vft_bytes_sent")
+    raw = baseline_cluster.metrics.counter("vft_bytes_sent").value
+    compressed = compressed_cluster.metrics.counter("vft_bytes_sent").value
     assert compressed < raw, "zlib must reduce bytes on the wire"
 
 
@@ -69,9 +69,9 @@ def test_ablation_small_chunks_cost_more_frames():
     cluster, names = build_cluster("zlib")
     with start_session(node_count=3, instances_per_node=1) as session:
         db2darray(cluster, "bench", names, session, chunk_rows=256)
-        small_bytes = cluster.telemetry.get("vft_bytes_sent")
-        cluster.telemetry.reset()
+        small_bytes = cluster.metrics.counter("vft_bytes_sent").value
+        cluster.metrics.reset()
         db2darray(cluster, "bench", names, session, chunk_rows=16_384)
-        large_bytes = cluster.telemetry.get("vft_bytes_sent")
+        large_bytes = cluster.metrics.counter("vft_bytes_sent").value
     # Smaller buffers mean more frame headers and worse compression ratios.
     assert small_bytes > large_bytes

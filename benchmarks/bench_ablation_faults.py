@@ -67,14 +67,14 @@ def test_ablation_vft_recovery_overhead(benchmark, scenario):
     cluster, plan, collected = benchmark.pedantic(run, rounds=2, iterations=1)
     assert collected.shape == (ROWS, FEATURES)
     if scenario == "healthy":
-        assert cluster.telemetry.get("failovers") == 0
+        assert cluster.metrics.counter("failovers").value == 0
     else:
         assert plan.fired("vft.send_chunk")
     if scenario == "node_crash":
-        assert cluster.telemetry.get("failovers") >= 1
-        assert cluster.telemetry.get("vft_frames_deduped") >= 1
+        assert cluster.metrics.counter("failovers").value >= 1
+        assert cluster.metrics.counter("vft_frames_deduped").value >= 1
     if scenario == "stall":
-        assert cluster.telemetry.get("transfer_retries") >= 1
+        assert cluster.metrics.counter("transfer_retries").value >= 1
 
 
 def test_ablation_failfast_when_unrecoverable(benchmark):

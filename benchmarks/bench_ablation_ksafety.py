@@ -54,7 +54,7 @@ def test_ablation_scan_healthy_vs_failover(benchmark, failed):
         lambda: cluster.sql("SELECT SUM(c0) FROM t"), rounds=3, iterations=1)
     assert result.scalar() == pytest.approx(columns["c0"].sum())
     if failed:
-        assert cluster.telemetry.get("buddy_scans") > 0
+        assert cluster.metrics.counter("buddy_scans").value > 0
 
 
 def test_ablation_vft_under_failover(benchmark):

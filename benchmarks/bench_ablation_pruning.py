@@ -38,7 +38,7 @@ def test_ablation_selective_scan_by_layout(benchmark, layout):
                                 rounds=5, iterations=1)
     assert result.scalar() == pytest.approx(expected)
     benchmark.extra_info["rowgroups_pruned"] = int(
-        cluster.telemetry.get("rowgroups_pruned"))
+        cluster.metrics.counter("rowgroups_pruned").value)
 
 
 def test_ablation_pruning_skips_most_rowgroups_when_clustered():
@@ -46,8 +46,8 @@ def test_ablation_pruning_skips_most_rowgroups_when_clustered():
     shuffled = build(clustered=False)
     query = "SELECT COUNT(*) FROM events WHERE ts >= 190000"
     assert clustered.sql(query).scalar() == shuffled.sql(query).scalar() == 10_000
-    assert clustered.telemetry.get("rowgroups_pruned") >= 30
-    assert shuffled.telemetry.get("rowgroups_pruned") == 0
+    assert clustered.metrics.counter("rowgroups_pruned").value >= 30
+    assert shuffled.metrics.counter("rowgroups_pruned").value == 0
 
 
 def test_ablation_clustered_scan_faster():

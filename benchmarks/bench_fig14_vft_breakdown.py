@@ -48,7 +48,7 @@ def _pipeline_peak(instances: int) -> dict[str, int]:
     cluster, names = build_numeric_table(3, ROWS, FEATURES, seed=14)
     with start_session(node_count=3, instances_per_node=instances) as session:
         db2darray(cluster, "bench", names, session, chunk_rows=2048)
-    peak = int(cluster.telemetry.get("pipeline_inflight_bytes_peak"))
+    peak = int(cluster.metrics.gauge("pipeline_inflight_bytes").peak)
     bound = inflight_bytes_bound(cluster)
     assert 0 < peak <= bound, (peak, bound)
     return {"streaming_inflight_bytes_peak": peak}

@@ -115,22 +115,23 @@ def test_serving_mixed_load_qps_p99(record_property):
     wall = time.perf_counter() - t0
 
     assert served == SESSIONS * STATEMENTS_PER_SESSION
-    t = cluster.telemetry
-    assert t.get("statements_served") == served
-    assert t.get("statements_rejected") == 0
-    assert t.get("sessions_active") == 0
+    m = cluster.metrics
+    hits = m.counter("result_cache_hits")
+    assert m.counter("statements_served").value == served
+    assert m.counter("statements_rejected").value == 0
+    assert m.gauge("sessions_active").now == 0
     # The peak proves the sessions were genuinely concurrent.
-    assert t.registry.gauge("sessions_active").peak >= 100
-    assert t.get("result_cache_hits") > 0
+    assert m.gauge("sessions_active").peak >= 100
+    assert hits.value > 0
 
     # Bit-identity: every hot cached SELECT equals uncached re-execution.
-    assert t.get("aqp_rewrites") > 0  # approximate class was served
+    assert m.counter("aqp_rewrites").value > 0  # approximate class was served
     with server.session(pool="serve", user="u0") as s:
         for sql in OLAP_TEXTS + APPROX_TEXTS + [PREDICT_TEXT]:
-            hits_before = t.get("result_cache_hits")
+            hits_before = hits.value
             s.execute(sql)                       # warm (or refresh) the key
             cached = s.execute(sql)
-            assert t.get("result_cache_hits") >= hits_before + 1
+            assert hits.value >= hits_before + 1
             direct = cluster.sql(sql)
             assert cached.column_names == direct.column_names
             for name in direct.column_names:
@@ -143,12 +144,10 @@ def test_serving_mixed_load_qps_p99(record_property):
     record_property("qps", round(served / wall, 1))
     record_property("p50_ms", round(float(np.percentile(lat, 50)) * 1e3, 3))
     record_property("p99_ms", round(float(np.percentile(lat, 99)) * 1e3, 3))
-    record_property("plan_cache_hit_rate", round(
-        t.get("plan_cache_hits")
-        / max(1, t.get("plan_cache_hits") + t.get("plan_cache_misses")), 4))
-    record_property("result_cache_hit_rate", round(
-        t.get("result_cache_hits")
-        / max(1, t.get("result_cache_hits") + t.get("result_cache_misses")), 4))
+    for cache in ("plan_cache", "result_cache"):
+        cache_hits = m.counter(f"{cache}_hits").value
+        lookups = cache_hits + m.counter(f"{cache}_misses").value
+        record_property(f"{cache}_hit_rate", round(cache_hits / max(1, lookups), 4))
     server.close()
 
 

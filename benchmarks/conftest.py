@@ -162,10 +162,10 @@ def inflight_bytes_bound(cluster: VerticaCluster) -> float:
     """The most the cluster's UDTF statements so far can have had in flight:
     every instance's queue full, plus per node one batch in the source
     hand-over and one in a consumer's hands — never a node's segment."""
-    telemetry = cluster.telemetry
-    batches = (telemetry.get("udtf_instances") * cluster.pipeline.queue_depth
+    metrics = cluster.metrics
+    batches = (metrics.counter("udtf_instances").value * cluster.pipeline.queue_depth
                + 2 * cluster.node_count)
-    return batches * telemetry.get("peak_batch_bytes")
+    return batches * metrics.gauge("peak_batch_bytes").peak
 
 
 @pytest.fixture(scope="session")

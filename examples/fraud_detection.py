@@ -99,7 +99,7 @@ def main() -> None:
 
     cluster.fail_node(2)
     flagged_after = int(cluster.sql(query).column("label").sum())
-    buddy_scans = int(cluster.telemetry.get("buddy_scans"))
+    buddy_scans = int(cluster.metrics.counter("buddy_scans").value)
     print(f"node 2 failed: still flagged {flagged_after:,} "
           f"(identical: {flagged == flagged_after}; "
           f"{buddy_scans} buddy-replica scans)")

@@ -169,7 +169,7 @@ def build_sample(
         stamped = materialize_sample(cluster, record)
         span.set(base_rows=stamped.base_rows, sample_rows=stamped.sample_rows)
     catalog.add(stamped, user=user)
-    cluster.telemetry.add("samples_built")
+    cluster.metrics.counter("samples_built").add()
     return stamped
 
 

@@ -1,22 +1,29 @@
 """The AQP subsystem's observability manifest.
 
 Every metric, span, and fault site the approximate-query-processing layer
-emits is listed here by name.  The ``aqp-registry-drift`` reprolint rule
-(RL906) holds this manifest against the central registries — the metrics
+emits is listed here by name.  The ``manifest-drift`` reprolint rule
+(RL905) holds this manifest against the central registries — the metrics
 ``CATALOG`` (:mod:`repro.obs.metrics`), the ``SPAN_TAXONOMY``
 (:mod:`repro.obs.trace`), and ``FAULT_SITES`` (:mod:`repro.faults.sites`)
 — in **both** directions: a name listed here but missing from its registry
-fails lint, and so does an AQP-owned registry entry that this manifest
-forgot.  The manifest is what keeps ``docs/aqp.md`` honest about the
-subsystem's complete operational surface.
+fails lint, and so does a registry entry the prefixes below mark as the
+AQP layer's that this manifest forgot.  The manifest is what keeps
+``docs/aqp.md`` honest about the subsystem's complete operational surface.
 """
 
 from __future__ import annotations
 
-__all__ = ["AQP_METRICS", "AQP_SPANS", "AQP_FAULT_SITES"]
+__all__ = ["METRICS", "SPANS", "FAULT_SITES"]
 
-#: Instruments declared under ``repro.aqp.*`` modules in the metrics CATALOG.
-AQP_METRICS: tuple[str, ...] = (
+#: The page whose operations tables this manifest keeps complete.
+DOCS = "docs/aqp.md"
+#: Registry entries the AQP layer owns: metrics emitted from modules under
+#: this package, spans and fault sites with these name prefixes.
+METRICS_MODULE_PREFIX = "repro.aqp"
+SPAN_PREFIX = "aqp."
+FAULT_SITE_PREFIX = "aqp."
+
+METRICS: tuple[str, ...] = (
     "samples_built",
     "aqp_rewrites",
     "aqp_fallbacks",
@@ -25,15 +32,12 @@ AQP_METRICS: tuple[str, ...] = (
     "sample_staleness_epochs",
 )
 
-#: Span names the AQP layer opens (the ``aqp.*`` slice of SPAN_TAXONOMY).
-AQP_SPANS: tuple[str, ...] = (
+SPANS: tuple[str, ...] = (
     "aqp.build",
     "aqp.rewrite",
     "aqp.refresh",
 )
 
-#: Fault-injection sites owned by the AQP layer (the ``aqp.*`` slice of
-#: FAULT_SITES).
-AQP_FAULT_SITES: tuple[str, ...] = (
+FAULT_SITES: tuple[str, ...] = (
     "aqp.refresh",
 )

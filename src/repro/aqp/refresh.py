@@ -94,8 +94,7 @@ def _refresh_locked(
     snapshot = epochs.snapshot()
     since = record.commit_epoch
     staleness = max(0, snapshot.epoch - since)
-    gauge = cluster.telemetry.registry.gauge("sample_staleness_epochs")
-    gauge.add(staleness - gauge.now)
+    cluster.metrics.gauge("sample_staleness_epochs").set(staleness)
     if since >= snapshot.epoch:
         return SampleRefreshResult(name, "noop", 0, 0, record)
 
@@ -118,7 +117,7 @@ def _refresh_locked(
             cleared = dataclasses.replace(record, strata_counts={})
             stamped = materialize_sample(cluster, cleared, snapshot)
             cluster.aqp.add(stamped, replace=True, user=user)
-            cluster.telemetry.add("sample_rebuilds")
+            cluster.metrics.counter("sample_rebuilds").add()
             span.set(strategy="rebuild", staleness=staleness,
                      sample_rows=stamped.sample_rows)
             return SampleRefreshResult(name, "rebuild", staleness, 0, stamped)
@@ -153,7 +152,7 @@ def _refresh_locked(
         _write_provenance(cluster, stamped)
         cluster.aqp.add(stamped, replace=True, user=user)
         if kept:
-            cluster.telemetry.add("sample_rows_folded", kept)
+            cluster.metrics.counter("sample_rows_folded").add(kept)
         span.set(strategy="incremental", staleness=staleness,
                  rows_folded=kept, delta_rows=len(rowids))
     return SampleRefreshResult(name, "incremental", staleness, kept, stamped)

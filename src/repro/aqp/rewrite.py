@@ -154,7 +154,7 @@ def answer_within(
                         if record.base_rows else record.rate)
             span.set(sample=record.name, served=1,
                      half_width=estimate.half_width)
-            cluster.telemetry.add("aqp_rewrites")
+            cluster.metrics.counter("aqp_rewrites").add()
             return ApproximateAnswer(
                 estimate=estimate.estimate,
                 ci_low=estimate.ci_low,
@@ -163,5 +163,5 @@ def answer_within(
                 sample=record.name,
             )
         span.set(served=0)
-        cluster.telemetry.add("aqp_fallbacks")
+        cluster.metrics.counter("aqp_fallbacks").add()
     return None

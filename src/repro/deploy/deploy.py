@@ -76,7 +76,7 @@ def deploy_model(
     cluster.r_models.add(record, replace=replace, user=owner)
     with _MODEL_CACHE_LOCK:
         _MODEL_CACHE.pop((id(cluster), path, info.version - 1), None)
-    cluster.telemetry.add("models_deployed")
+    cluster.metrics.counter("models_deployed").add()
     return record
 
 

@@ -89,7 +89,7 @@ class _PredictBase(TransformFunction):
         if len(features) == 0:
             return {self.output_column: np.empty(0, dtype=self.output_sql_type.numpy_dtype)}
         predictions = self.score(model, features, params)
-        ctx.cluster.telemetry.add("rows_predicted", len(features))
+        ctx.cluster.metrics.counter("rows_predicted").add(len(features))
         # Ambient span is this instance's udtf.instance span.
         add_to_current(rows_predicted=len(features))
         return {self.output_column: predictions}
@@ -101,13 +101,14 @@ class _PredictBase(TransformFunction):
         match single-matrix scoring (:meth:`process`) exactly.
         """
         model = self._resolve_model(ctx, params)
+        rows_predicted = ctx.cluster.metrics.counter("rows_predicted")
         chunks: list[np.ndarray] = []
         for args in batches:
             features = _stack_features(args)
             if len(features) == 0:
                 continue
             chunks.append(np.asarray(self.score(model, features, params)))
-            ctx.cluster.telemetry.add("rows_predicted", len(features))
+            rows_predicted.add(len(features))
             add_to_current(rows_predicted=len(features))
         if not chunks:
             return {self.output_column: np.empty(0, dtype=self.output_sql_type.numpy_dtype)}

@@ -212,8 +212,7 @@ def refresh_model(cluster: "VerticaCluster", name: str,
     since = record.commit_epoch
     staleness = max(0, snapshot.epoch - since)
     # Level = staleness seen by the latest refresh; peak = worst ever seen.
-    gauge = cluster.telemetry.registry.gauge("model_staleness_epochs")
-    gauge.add(staleness - gauge.now)
+    cluster.metrics.gauge("model_staleness_epochs").set(staleness)
     if since >= snapshot.epoch:
         return RefreshResult(name, "noop", 0, 0, record)
 

@@ -431,7 +431,7 @@ def repartition(array: DArray, npartitions: int) -> DArray:
             pieces.append(part[lo - src_start:hi - src_start])
             if result.worker_of(target) != array.worker_of(source):
                 moved = pieces[-1].nbytes
-                array.session.telemetry.add("dr_repartition_bytes", moved)
+                array.session.metrics.counter("dr_repartition_bytes").add(moved)
         if pieces:
             result.fill_partition(target, np.vstack(pieces))
         else:

@@ -147,7 +147,7 @@ class DistributedObject:
 
         ``others`` must be co-partitioned with this object (same partition
         count); partitions that live on a different worker are fetched, and
-        the fetch is charged to session telemetry (co-located inputs — the
+        the fetch is charged to session metrics (co-located inputs — the
         ``clone`` pattern — stay local).
         """
         self._check_copartitioned(others)
@@ -177,6 +177,6 @@ class DistributedObject:
         value = obj.get_partition(index)
         anchor = relative_to or obj
         if obj.worker_of(index) != anchor.worker_of(index):
-            self.session.telemetry.add("dr_remote_partition_fetches")
-            self.session.telemetry.add("dr_remote_bytes", obj.partitions[index].nbytes)
+            self.session.metrics.counter("dr_remote_partition_fetches").add()
+            self.session.metrics.counter("dr_remote_bytes").add(obj.partitions[index].nbytes)
         return value

@@ -26,8 +26,8 @@ from repro.dr.master import Master
 from repro.dr.worker import Worker
 from repro.errors import SessionError
 from repro.faults.plan import FaultPlan, InjectedFault
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.vertica.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.yarn.resource_manager import ResourceManager
@@ -52,7 +52,7 @@ class DRSession:
         if instances_per_node < 1:
             raise SessionError("each worker needs at least one R instance")
         self.instances_per_node = instances_per_node
-        self.telemetry = Telemetry()
+        self.metrics = MetricsRegistry()
         self.tracer = Tracer()
         self.faults: FaultPlan | None = None
         #: Re-executions allowed per task after a worker failure (YARN-style
@@ -178,7 +178,7 @@ class DRSession:
                     if attempt > self.task_retries or survivor is None:
                         raise
                     self.master.handle_worker_failure(current, survivor)
-                    self.telemetry.add("tasks_reexecuted")
+                    self.metrics.counter("tasks_reexecuted").add()
                     with self.tracer.span("fault.recovered", parent=parent,
                                           mechanism="task_reexecution",
                                           partition=partition_index,
@@ -191,7 +191,7 @@ class DRSession:
             self._pool.submit(run, worker_index, fn, partition_index)
             for worker_index, fn, partition_index in tasks
         ]
-        self.telemetry.add("dr_tasks", len(futures))
+        self.metrics.counter("dr_tasks").add(len(futures))
         return [future.result() for future in futures]
 
     def _survivor_for(self, dead: int) -> int | None:

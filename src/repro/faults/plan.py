@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import ReproError
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -165,19 +166,14 @@ class FaultPlan:
     consult the plan on every visit.  ``plan.history`` records every fired
     fault, ``plan.tracer`` holds the ``fault.injected`` spans (nested under
     whatever engine span was ambient at injection time, when one was), and
-    ``plan.telemetry`` counts ``faults_injected``.
+    ``plan.metrics`` counts ``faults_injected``.
     """
 
     def __init__(self, specs: Iterable[FaultSpec] = (), seed: int = 0) -> None:
-        # Imported here, not at module top: the engine modules that host
-        # injection sites import this module, so a top-level import of
-        # repro.vertica would be circular.
-        from repro.vertica.telemetry import Telemetry
-
         self.seed = seed
         self.rng = random.Random(seed)
         self.clock = FaultClock()
-        self.telemetry = Telemetry()
+        self.metrics = MetricsRegistry()
         self.tracer = Tracer()
         self.history: list[FaultEvent] = []
         self._injected_spans: list[Span] = []
@@ -284,7 +280,7 @@ class FaultPlan:
         event = FaultEvent(site=site, kind=spec.kind, visit=visit, context=ctx, note=spec.note)
         with self._lock:
             self.history.append(event)
-        self.telemetry.add("faults_injected")
+        self.metrics.counter("faults_injected").add()
         with self.tracer.span(
             "fault.injected", site=site, kind=spec.kind, visit=visit, **ctx
         ) as injected:
@@ -313,7 +309,7 @@ class FaultPlan:
             if session is not None and worker is not None:
                 if not session.workers[worker].is_down:
                     session.workers[worker].fail()
-                    session.telemetry.add("dr_worker_failures")
+                    session.metrics.counter("dr_worker_failures").add()
             raise InjectedFault(f"injected worker death at {site!r}: worker {worker} is dead")
 
         if spec.kind == FaultKind.BLOB_LOSS:

@@ -1,7 +1,6 @@
 """Typed metrics registry: every metric is declared once, with a unit.
 
-The flat string-keyed counter dict that :class:`~repro.vertica.telemetry
-.Telemetry` grew up as made two failure modes invisible: a typo silently
+A flat string-keyed counter dict hides two failure modes: a typo silently
 creates a new counter, and nobody can enumerate what the system measures.
 This module replaces it with *declared instruments*:
 
@@ -12,13 +11,17 @@ This module replaces it with *declared instruments*:
 * :class:`Histogram` — a value distribution summarised as
   count/sum/min/max (``query_seconds``).
 
-The static :data:`CATALOG` below is the single source of truth for every
-instrument the engines emit — name, kind, unit, description, and the module
-that emits it.  ``docs/metrics_reference.md`` renders this catalog and
-``tests/test_docs_drift.py`` fails when the two diverge.  Undeclared names
-are still accepted (tests and user code invent ad-hoc counters); they are
-registered as *dynamic* instruments and excluded from the documented
-catalog.
+The static :data:`CATALOG` below is the only way a metric exists — name,
+kind, unit, description, and the module that emits it.  Asking a
+:class:`MetricsRegistry` for a name the catalog does not declare raises.
+``docs/metrics_reference.md`` renders this catalog and
+``tests/test_docs_drift.py`` fails when the two diverge.
+
+Engines emit through the instrument they name — ``counter(name).add(n)``,
+``gauge(name).add(delta)`` / ``.set(level)`` / ``.observe_max(v)``,
+``histogram(name).observe(v)`` — and hot paths resolve each instrument
+once, not once per batch.  Reads are typed too: ``Counter.value``,
+``Gauge.now`` / ``.peak``, ``Histogram.stats()``.
 
 Thread safety: the registry guards its instrument table with one lock and
 each instrument guards its own state with another; registry locks are never
@@ -343,9 +346,8 @@ def catalog_markdown_table() -> str:
 class _Instrument:
     """Base: spec + per-instrument lock."""
 
-    def __init__(self, spec: InstrumentSpec, dynamic: bool = False) -> None:
+    def __init__(self, spec: InstrumentSpec) -> None:
         self.spec = spec
-        self.dynamic = dynamic  # auto-registered, not part of the catalog
         self._lock = threading.Lock()
 
     @property
@@ -362,12 +364,12 @@ class _Instrument:
 class Counter(_Instrument):
     """A monotonically increasing total."""
 
-    def __init__(self, spec: InstrumentSpec, dynamic: bool = False) -> None:
-        super().__init__(spec, dynamic)
+    def __init__(self, spec: InstrumentSpec) -> None:
+        super().__init__(spec)
         self._value = 0.0
 
     def add(self, amount: float = 1.0) -> None:
-        if amount < 0 and not self.dynamic:
+        if amount < 0:
             raise ValueError(
                 f"counter {self.name!r} is monotonic; got negative {amount}"
             )
@@ -395,8 +397,8 @@ class Gauge(_Instrument):
     snapshot under the bare name.
     """
 
-    def __init__(self, spec: InstrumentSpec, dynamic: bool = False) -> None:
-        super().__init__(spec, dynamic)
+    def __init__(self, spec: InstrumentSpec) -> None:
+        super().__init__(spec)
         self._now = 0.0
         self._peak = 0.0
 
@@ -412,6 +414,17 @@ class Gauge(_Instrument):
             if self._now > self._peak:
                 self._peak = self._now
             return self._now
+
+    def set(self, level: float) -> None:
+        """Replace the level (clamped at zero) in one step.
+
+        Reading :attr:`now` and adding the difference is two steps, so two
+        writers setting levels concurrently could leave their sum behind.
+        """
+        with self._lock:
+            self._now = max(0.0, level)
+            if self._now > self._peak:
+                self._peak = self._now
 
     def observe_max(self, value: float) -> None:
         """Record ``value`` into the high-water mark only."""
@@ -446,8 +459,8 @@ class Gauge(_Instrument):
 class Histogram(_Instrument):
     """A value distribution summarised as count / sum / min / max."""
 
-    def __init__(self, spec: InstrumentSpec, dynamic: bool = False) -> None:
-        super().__init__(spec, dynamic)
+    def __init__(self, spec: InstrumentSpec) -> None:
+        super().__init__(spec)
         self._count = 0
         self._sum = 0.0
         self._min = float("inf")
@@ -487,11 +500,16 @@ _KIND_CLASSES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
-    """Holds one live instrument per declared (or dynamic) metric name.
+    """Holds one live instrument per declared metric name.
 
-    Each :class:`~repro.vertica.cluster.VerticaCluster` and
-    :class:`~repro.dr.session.DRSession` owns a registry (via its
-    ``Telemetry``), so concurrently running engines never share values.
+    Every engine that emits metrics owns a registry as its ``metrics``
+    attribute — :class:`~repro.vertica.cluster.VerticaCluster`,
+    :class:`~repro.dr.session.DRSession`, :class:`~repro.faults.plan
+    .FaultPlan`, the YARN ``ResourceManager`` and the Spark comparator's
+    ``SparkContext`` — so concurrently running engines never share values.
+    An instrument is created on first use and lives as long as the
+    registry; :meth:`reset` zeroes it in place, so a resolved handle stays
+    valid.
     """
 
     def __init__(self) -> None:
@@ -499,56 +517,32 @@ class MetricsRegistry:
         self._instruments: dict[str, _Instrument] = {}
         _REGISTRIES.add(self)
 
-    def _get(self, name: str, kind: str,
-             watermark: bool = False) -> _Instrument:
+    def _get(self, name: str, kind: str) -> _Instrument:
+        spec = CATALOG.get(name)
+        if spec is None:
+            raise ValueError(
+                f"metric {name!r} is not declared in the CATALOG of "
+                "repro.obs.metrics"
+            )
+        if spec.kind != kind:
+            raise TypeError(
+                f"metric {name!r} is declared as a {spec.kind}, "
+                f"used as a {kind}"
+            )
         with self._lock:
             instrument = self._instruments.get(name)
-            if instrument is not None:
-                if instrument.spec.kind != kind:
-                    raise TypeError(
-                        f"metric {name!r} is a {instrument.spec.kind}, "
-                        f"used as a {kind}"
-                    )
-                return instrument
-            spec = CATALOG.get(name)
-            dynamic = spec is None
-            if dynamic:
-                spec = InstrumentSpec(name, kind, "1",
-                                      "(dynamically registered)", "(dynamic)",
-                                      watermark=watermark and kind == "gauge")
-            elif spec.kind != kind:
-                raise TypeError(
-                    f"metric {name!r} is declared as a {spec.kind}, "
-                    f"used as a {kind}"
-                )
-            instrument = _KIND_CLASSES[kind](spec, dynamic=dynamic)
-            self._instruments[name] = instrument
+            if instrument is None:
+                instrument = self._instruments[name] = _KIND_CLASSES[kind](spec)
             return instrument
 
     def counter(self, name: str) -> Counter:
         return self._get(name, "counter")  # type: ignore[return-value]
 
-    def gauge(self, name: str, watermark: bool = False) -> Gauge:
-        """``watermark`` only affects *dynamic* creation; declared gauges
-        keep their catalog spec."""
-        return self._get(name, "gauge", watermark)  # type: ignore[return-value]
+    def gauge(self, name: str) -> Gauge:
+        return self._get(name, "gauge")  # type: ignore[return-value]
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, "histogram")  # type: ignore[return-value]
-
-    def find(self, name: str) -> _Instrument | None:
-        """A live instrument by exact name, or None — never creates."""
-        with self._lock:
-            return self._instruments.get(name)
-
-    def kind_of(self, name: str) -> str | None:
-        """The kind of a live or declared instrument, or None."""
-        with self._lock:
-            instrument = self._instruments.get(name)
-        if instrument is not None:
-            return instrument.spec.kind
-        spec = CATALOG.get(name)
-        return spec.kind if spec is not None else None
 
     def instruments(self) -> list[_Instrument]:
         with self._lock:

@@ -130,7 +130,7 @@ class PlanCache:
                 del self._entries[norm]
                 entry = None
         if entry is not None:
-            cluster.telemetry.add("plan_cache_hits")
+            cluster.metrics.counter("plan_cache_hits").add()
             return entry
         # Parse + analyze outside the cache lock: analysis reads catalog
         # state and may install standard functions.
@@ -148,7 +148,7 @@ class PlanCache:
             self._entries.move_to_end(norm)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-        cluster.telemetry.add("plan_cache_misses")
+        cluster.metrics.counter("plan_cache_misses").add()
         return entry
 
 

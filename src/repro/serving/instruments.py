@@ -1,23 +1,29 @@
 """The serving layer's observability manifest.
 
 Every metric, span, and fault site the serving layer emits is listed here
-by name.  The ``serving-registry-drift`` reprolint rule (RL905) holds this
+by name.  The ``manifest-drift`` reprolint rule (RL905) holds this
 manifest against the central registries — the metrics ``CATALOG``
 (:mod:`repro.obs.metrics`), the ``SPAN_TAXONOMY``
 (:mod:`repro.obs.trace`), and ``FAULT_SITES`` (:mod:`repro.faults.sites`)
 — in **both** directions: a name listed here but missing from its registry
-fails lint, and so does a serving-owned registry entry that this manifest
-forgot.  The manifest is what keeps ``docs/serving.md`` honest about the
-layer's complete operational surface.
+fails lint, and so does a registry entry the prefixes below mark as the
+serving layer's that this manifest forgot.  The manifest is what keeps
+``docs/serving.md`` honest about the layer's complete operational surface.
 """
 
 from __future__ import annotations
 
-__all__ = ["SERVING_METRICS", "SERVING_SPANS", "SERVING_FAULT_SITES"]
+__all__ = ["METRICS", "SPANS", "FAULT_SITES"]
 
-#: Instruments declared under ``repro.serving.*`` modules in the metrics
-#: CATALOG.
-SERVING_METRICS: tuple[str, ...] = (
+#: The page whose operations tables this manifest keeps complete.
+DOCS = "docs/serving.md"
+#: Registry entries the serving layer owns: metrics emitted from modules
+#: under this package, spans and fault sites with these name prefixes.
+METRICS_MODULE_PREFIX = "repro.serving"
+SPAN_PREFIX = "serve."
+FAULT_SITE_PREFIX = "serving."
+
+METRICS: tuple[str, ...] = (
     "sessions_active",
     "statements_served",
     "statements_rejected",
@@ -28,16 +34,12 @@ SERVING_METRICS: tuple[str, ...] = (
     "result_cache_misses",
 )
 
-#: Span names the serving layer opens (the ``serve.*`` slice of the
-#: SPAN_TAXONOMY).
-SERVING_SPANS: tuple[str, ...] = (
+SPANS: tuple[str, ...] = (
     "serve.session",
     "serve.admit",
     "serve.execute",
 )
 
-#: Fault-injection sites owned by the serving layer (the ``serving.*``
-#: slice of FAULT_SITES).
-SERVING_FAULT_SITES: tuple[str, ...] = (
+FAULT_SITES: tuple[str, ...] = (
     "serving.admit",
 )

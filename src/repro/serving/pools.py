@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import AdmissionError, ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.vertica.telemetry import Telemetry
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["PoolConfig", "ResourcePool", "AdmissionTicket"]
 
@@ -93,9 +93,10 @@ class AdmissionTicket:
 class ResourcePool:
     """One named pool: a worker thread pool behind a bounded queue."""
 
-    def __init__(self, config: PoolConfig, telemetry: "Telemetry") -> None:
+    def __init__(self, config: PoolConfig, metrics: "MetricsRegistry") -> None:
         self.config = config
-        self.telemetry = telemetry
+        self.rejected = metrics.counter("statements_rejected")
+        self.queue_seconds = metrics.histogram("admission_queue_seconds")
         self._lock = threading.Lock()
         self._queued = 0
         self._running = 0
@@ -131,7 +132,7 @@ class ResourcePool:
             if self._closed:
                 raise ServingError(f"pool {self.config.name!r} is closed")
             if self._queued >= self.config.queue_depth:
-                self.telemetry.add("statements_rejected")
+                self.rejected.add()
                 raise AdmissionError(
                     f"pool {self.config.name!r} queue is full "
                     f"({self._queued} waiting, depth {self.config.queue_depth})"
@@ -144,9 +145,7 @@ class ResourcePool:
                 self._queued -= 1
                 self._running += 1
             ticket.started.set()
-            self.telemetry.registry.histogram(
-                "admission_queue_seconds"
-            ).observe(time.perf_counter() - ticket.submitted_at)
+            self.queue_seconds.observe(time.perf_counter() - ticket.submitted_at)
             try:
                 return fn()
             finally:
@@ -175,7 +174,7 @@ class ResourcePool:
             # Never started: undo the queue accounting and reject.
             with self._lock:
                 self._queued -= 1
-            self.telemetry.add("statements_rejected")
+            self.rejected.add()
             raise AdmissionError(
                 f"pool {self.config.name!r}: no execution slot within "
                 f"{timeout:g}s (concurrency {self.config.concurrency}, "

@@ -127,7 +127,7 @@ class Server:
                         require_all=True,
                     )
                 self._applications.append(app)
-            self._pools[config.name] = ResourcePool(config, cluster.telemetry)
+            self._pools[config.name] = ResourcePool(config, cluster.metrics)
 
     # -- sessions ---------------------------------------------------------
 
@@ -141,7 +141,7 @@ class Server:
                     f"unknown pool {pool!r}; pools: {sorted(self._pools)}")
             self._active_sessions += 1
         session = Session(self, pool, user)
-        self.cluster.telemetry.gauge_add("sessions_active", 1)
+        self.cluster.metrics.gauge("sessions_active").add(1)
         with self.cluster.tracer.span(
                 "serve.session", session=session.session_id):
             # A marker span: session open is cheap, but the span records
@@ -152,7 +152,7 @@ class Server:
     def _session_closed(self, session: Session) -> None:
         with self._lock:
             self._active_sessions -= 1
-        self.cluster.telemetry.gauge_add("sessions_active", -1)
+        self.cluster.metrics.gauge("sessions_active").add(-1)
 
     @property
     def active_sessions(self) -> int:
@@ -177,10 +177,10 @@ class Server:
             key_pre = result_cache_key(cluster, prepared, session.user)
             cached = self.result_cache.lookup(key_pre)
             if cached is not None:
-                cluster.telemetry.add("result_cache_hits")
-                cluster.telemetry.add("statements_served")
+                cluster.metrics.counter("result_cache_hits").add()
+                cluster.metrics.counter("statements_served").add()
                 return cached
-            cluster.telemetry.add("result_cache_misses")
+            cluster.metrics.counter("result_cache_misses").add()
         result = self._admit_and_run(session, prepared)
         if cacheable:
             # Store-guard: only cache when no mutation landed between the
@@ -189,7 +189,7 @@ class Server:
             key_post = result_cache_key(cluster, prepared, session.user)
             if key_post == key_pre:
                 self.result_cache.store(key_post, result)
-        cluster.telemetry.add("statements_served")
+        cluster.metrics.counter("statements_served").add()
         return result
 
     def _admit_and_run(self, session: Session,
@@ -212,13 +212,13 @@ class Server:
                     with cluster.tracer.span(
                             "query", parent=span,
                             statement=prepared.sql[:200]) as query_span:
-                        cluster.telemetry.add("queries_executed")
+                        cluster.metrics.counter("queries_executed").add()
                         result = cluster.executor.execute(
                             prepared.statement, user=session.user,
                             resolved=prepared.resolved)
                         query_span.set(result_rows=len(result))
-                    cluster.telemetry.registry.histogram(
-                        "query_seconds").observe(time.perf_counter() - start)
+                    cluster.metrics.histogram("query_seconds").observe(
+                        time.perf_counter() - start)
                     return result
 
             ticket = pool.submit(run)

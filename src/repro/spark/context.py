@@ -9,9 +9,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.obs.metrics import MetricsRegistry
 from repro.spark.hdfs import HdfsCluster
 from repro.spark.rdd import RDD
-from repro.vertica.telemetry import Telemetry
 
 __all__ = ["SparkContext"]
 
@@ -24,7 +24,7 @@ class SparkContext:
             raise ExecutionError("need at least one executor per node")
         self.hdfs = hdfs
         self.executors_per_node = executors_per_node
-        self.telemetry = Telemetry()
+        self.metrics = MetricsRegistry()
         total = hdfs.datanode_count * executors_per_node
         self._pool = ThreadPoolExecutor(max_workers=total, thread_name_prefix="spark-exec")
         self._stopped = False
@@ -38,7 +38,7 @@ class SparkContext:
         if self._stopped:
             raise ExecutionError("SparkContext is stopped")
         futures = [self._pool.submit(fn, arg) for _, fn, arg in tasks]
-        self.telemetry.add("spark_tasks", len(futures))
+        self.metrics.counter("spark_tasks").add(len(futures))
         return [future.result() for future in futures]
 
     # -- RDD constructors ------------------------------------------------------

@@ -135,14 +135,14 @@ class RDD:
         if cached is not None:
             hit = cached.get(partition)
             if hit is not None:
-                self.context.telemetry.add("rdd_cache_hits")
+                self.context.metrics.counter("rdd_cache_hits").add()
                 return hit
         items = self._compute(partition)
         if cached is not None:
             with self._cache_lock:
                 if self._cached is not None:
                     self._cached[partition] = items
-        self.context.telemetry.add("rdd_partitions_computed")
+        self.context.metrics.counter("rdd_partitions_computed").add()
         return items
 
     def _compute_all(self) -> list[list]:

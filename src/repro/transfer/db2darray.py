@@ -90,7 +90,7 @@ def _run_transfer(
             except (TransferError, ExecutionError, InjectedFault) as exc:
                 if attempt >= retry_policy.max_attempts:
                     raise
-                session.telemetry.add("transfer_retries")
+                session.metrics.counter("transfer_retries").add()
                 with session.tracer.span(
                     "fault.recovered", mechanism="transfer_retry",
                     table=table_name, attempt=attempt, error=str(exc)[:120],
@@ -147,12 +147,8 @@ def _transfer_attempt(
         span.set(rows_transferred=expected,
                  bytes_transferred=target.bytes_streamed,
                  db_seconds=db_seconds, r_seconds=r_seconds)
-    session.telemetry.add("vft_db_seconds", db_seconds)
-    session.telemetry.add("vft_r_seconds", r_seconds)
-    session.telemetry.record_event(
-        "vft_transfer", table=table_name, rows=expected,
-        db_seconds=db_seconds, r_seconds=r_seconds, policy=policy_name,
-    )
+    session.metrics.counter("vft_db_seconds").add(db_seconds)
+    session.metrics.counter("vft_r_seconds").add(r_seconds)
     return loaded
 
 

@@ -59,7 +59,7 @@ def load_via_single_odbc(
     )
     result = DArray(session, npartitions=1, worker_assignment=[0])
     result.fill_partition(0, matrix)
-    session.telemetry.add("odbc_loads", 1)
+    session.metrics.counter("odbc_loads").add()
     return result
 
 
@@ -112,6 +112,6 @@ def load_via_parallel_odbc(
         raise TransferError(
             f"parallel ODBC load fetched {sum(fetched)} of {total_rows} rows"
         )
-    session.telemetry.add("odbc_loads", 1)
-    session.telemetry.add("odbc_parallel_connections", k)
+    session.metrics.counter("odbc_loads").add()
+    session.metrics.counter("odbc_parallel_connections").add(k)
     return result

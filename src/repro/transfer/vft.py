@@ -89,6 +89,12 @@ class TransferTarget:
         self._acked: dict[tuple[int, int, int], int] = {}
         self.rows_streamed = 0
         self.bytes_streamed = 0
+        # The session instruments every staged frame charges (each is
+        # internally synchronized).
+        metrics = session.metrics
+        self.bytes_received = metrics.counter("vft_bytes_received")
+        self.rows_received = metrics.counter("vft_rows_received")
+        self.frames_received = metrics.counter("vft_frames_received")
         with _TARGETS_LOCK:
             _TARGETS[self.token] = self
 
@@ -132,12 +138,12 @@ class TransferTarget:
                 self.rows_streamed += rows
                 self.bytes_streamed += len(frame)
         if duplicate:
-            self.session.telemetry.add("vft_frames_deduped")
+            self.session.metrics.counter("vft_frames_deduped").add()
             return
         buffer.append(frame)
-        self.session.telemetry.add("vft_bytes_received", len(frame))
-        self.session.telemetry.add("vft_rows_received", rows)
-        self.session.telemetry.add("vft_frames_received")
+        self.bytes_received.add(len(frame))
+        self.rows_received.add(rows)
+        self.frames_received.add()
 
     def finalize(self, db_node_count: int) -> "DArray | DFrame":
         """Convert staged bytes into a filled darray (or dframe).
@@ -337,6 +343,8 @@ class _FrameSender:
         # Per destination worker: the next frame number on this instance's
         # stream to that worker (streams are keyed by worker+node+instance).
         self._stream_seq: dict[int, int] = {}
+        self._bytes_sent = ctx.cluster.metrics.counter("vft_bytes_sent")
+        self._frame_bytes = ctx.cluster.metrics.histogram("vft_frame_bytes")
 
     def emit(self, chunk: dict[str, np.ndarray], rows: int) -> None:
         ctx, target = self.ctx, self.target
@@ -349,12 +357,11 @@ class _FrameSender:
         self._stream_seq[worker] = seq + 1
         if seq < target.acked_frames(worker, ctx.node_index, ctx.instance_index):
             # This frame survived an earlier attempt; skip the wire entirely.
-            ctx.cluster.telemetry.add("vft_frames_deduped")
+            ctx.cluster.metrics.counter("vft_frames_deduped").add()
             return
         self._send_with_retry(worker, seq, frame, rows)
-        ctx.cluster.telemetry.add("vft_bytes_sent", len(frame))
-        ctx.cluster.telemetry.registry.histogram("vft_frame_bytes").observe(
-            len(frame))
+        self._bytes_sent.add(len(frame))
+        self._frame_bytes.observe(len(frame))
         # Ambient span here is this instance's udtf.instance span.
         add_to_current(vft_frames=1, vft_bytes=len(frame), vft_rows=rows)
         self.total_bytes += len(frame)
@@ -398,7 +405,7 @@ class _FrameSender:
                 attempt += 1
                 if attempt >= policy.max_attempts:
                     raise
-                ctx.cluster.telemetry.add("transfer_retries")
+                ctx.cluster.metrics.counter("transfer_retries").add()
                 with ctx.cluster.tracer.span(
                     "fault.recovered", mechanism="frame_resend", seq=seq,
                     worker=worker, attempt=attempt, error=str(exc)[:120],
@@ -408,7 +415,7 @@ class _FrameSender:
 
     def summary(self, rows: int) -> dict[str, np.ndarray]:
         ctx = self.ctx
-        ctx.cluster.telemetry.add("vft_rows_sent", rows)
+        ctx.cluster.metrics.counter("vft_rows_sent").add(rows)
         return {
             "node": np.asarray([ctx.node_index], dtype=np.int64),
             "instance": np.asarray([ctx.instance_index], dtype=np.int64),

@@ -17,6 +17,7 @@ import numpy as np
 from repro.aqp.catalog import AqpCatalog
 from repro.errors import CatalogError, NodeDownError, SqlAnalysisError
 from repro.faults.plan import FaultPlan, InjectedFault
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, add_to_current, max_to_current
 from repro.storage.encoding import ColumnSchema, SqlType
 from repro.vertica.catalog import Catalog
@@ -35,7 +36,6 @@ from repro.vertica.pipeline import (
 from repro.vertica.segmentation import HashSegmentation, RoundRobinSegmentation, SegmentationScheme
 from repro.vertica.sql.parser import parse
 from repro.vertica.table import Table
-from repro.vertica.telemetry import Telemetry
 from repro.vertica.txn.mover import TupleMover, TupleMoverConfig
 from repro.vertica.udtf import TransformFunction
 
@@ -67,16 +67,15 @@ class VerticaCluster:
         self.dfs = DistributedFileSystem(node_count, replication=dfs_replication)
         self.r_models = RModelsCatalog()
         self.aqp = AqpCatalog()
-        self.telemetry = Telemetry()
+        self.metrics = MetricsRegistry()
         self.tracer = Tracer()
         self.faults: FaultPlan | None = None
-        # Let the DFS report read-repairs through the cluster's telemetry
+        # Let the DFS report read-repairs through the cluster's metrics
         # and tracer (it predates both in the constructor order).
-        self.dfs.telemetry = self.telemetry
+        self.dfs.metrics = self.metrics
         self.dfs.tracer = self.tracer
         self.pipeline = pipeline or PipelineConfig()
-        self.catalog.epochs.on_advance = (
-            lambda delta: self.telemetry.gauge_add("current_epoch", delta))
+        self.catalog.epochs.on_advance = self.metrics.gauge("current_epoch").add
         self.tuple_mover = TupleMover(self, mover)
         self._executor = QueryExecutor(self)
         self._lock = threading.Lock()
@@ -112,7 +111,7 @@ class VerticaCluster:
         # stamp commit epochs from the shared clock, and its WOS feeds the
         # ``wos_rows`` gauge.
         table.epochs = self.catalog.epochs
-        table.telemetry = self.telemetry
+        table.metrics = self.metrics
         self.catalog.add_table(table)
         return table
 
@@ -132,7 +131,7 @@ class VerticaCluster:
         """COPY-style bulk insert of per-column arrays."""
         table = self.catalog.get_table(table_name)
         inserted = table.insert(columns)
-        self.telemetry.add("rows_loaded", inserted)
+        self.metrics.counter("rows_loaded").add(inserted)
         return inserted
 
     def load_dataframe_style(
@@ -164,10 +163,10 @@ class VerticaCluster:
             "query", statement=" ".join(query.split())[:200]
         ) as span:
             statement = parse(query)
-            self.telemetry.add("queries_executed")
+            self.metrics.counter("queries_executed").add()
             result = self._executor.execute(statement, user=user)
             span.set(result_rows=len(result))
-        self.telemetry.registry.histogram("query_seconds").observe(
+        self.metrics.histogram("query_seconds").observe(
             time.perf_counter() - start)
         return result
 
@@ -255,8 +254,8 @@ class VerticaCluster:
 
     def _record_failover(self, table: Table, node_index: int, buddy: int,
                          resumed_after: int = 0) -> None:
-        self.telemetry.add("buddy_scans")
-        self.telemetry.add("failovers")
+        self.metrics.counter("buddy_scans").add()
+        self.metrics.counter("failovers").add()
         with self.tracer.span(
             "fault.recovered", mechanism="buddy_failover", table=table.name,
             node=node_index, buddy=buddy, resumed_after_batches=resumed_after,
@@ -285,7 +284,7 @@ class VerticaCluster:
         identical rowgroups, so the stitched stream is bit-identical to an
         uninterrupted primary scan.
         """
-        prune_counter = lambda n: self.telemetry.add("rowgroups_pruned", n)
+        prune_counter = self.metrics.counter("rowgroups_pruned").add
         if snapshot is None:
             snapshot = table.resolve_snapshot()
         node = self.nodes[node_index]
@@ -379,6 +378,15 @@ class VerticaCluster:
         if snapshot is None:
             snapshot = table.resolve_snapshot()
 
+        metrics = self.metrics
+        batches_scanned = metrics.counter("batches_scanned")
+        rows_scanned = metrics.counter("rows_scanned")
+        bytes_scanned = metrics.counter("bytes_scanned")
+        rows_streamed = metrics.counter("rows_streamed")
+        peak_batch_bytes = metrics.gauge("peak_batch_bytes")
+        inflight_bytes = metrics.gauge(INFLIGHT_BYTES_GAUGE)
+        inflight_batches = metrics.gauge(INFLIGHT_BATCHES_GAUGE)
+
         def make_source(node_index: int):
             def source():
                 raw = self.stream_node_with_failover(
@@ -387,14 +395,13 @@ class VerticaCluster:
                 for batch in rechunk(raw, config.batch_rows):
                     rows = len(next(iter(batch.values()))) if batch else 0
                     nbytes = batch_nbytes(batch)
-                    self.telemetry.add("batches_scanned")
-                    self.telemetry.add("rows_scanned", rows)
-                    self.telemetry.add("bytes_scanned", nbytes)
-                    self.telemetry.add("rows_streamed", rows)
-                    self.telemetry.observe_max("peak_batch_bytes", nbytes)
-                    level = self.telemetry.gauge_add(INFLIGHT_BYTES_GAUGE,
-                                                     nbytes)
-                    self.telemetry.gauge_add(INFLIGHT_BATCHES_GAUGE, 1)
+                    batches_scanned.add()
+                    rows_scanned.add(rows)
+                    bytes_scanned.add(nbytes)
+                    rows_streamed.add(rows)
+                    peak_batch_bytes.observe_max(nbytes)
+                    level = inflight_bytes.add(nbytes)
+                    inflight_batches.add(1)
                     # The generator body runs in the consuming thread, so
                     # the ambient span here is that consumer's scan/producer
                     # span — rows and bytes land on the right tree node.
@@ -403,8 +410,8 @@ class VerticaCluster:
                     try:
                         yield batch
                     finally:
-                        self.telemetry.gauge_add(INFLIGHT_BYTES_GAUGE, -nbytes)
-                        self.telemetry.gauge_add(INFLIGHT_BATCHES_GAUGE, -1)
+                        inflight_bytes.add(-nbytes)
+                        inflight_batches.add(-1)
             return source
 
         return [make_source(node) for node in range(self.node_count)]

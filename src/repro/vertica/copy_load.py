@@ -76,7 +76,7 @@ def copy_from_csv(
                 columns[column_name] = _parse_column(
                     raw, column.sql_type, null_token, column_name)
             total += table.insert(columns)
-    cluster.telemetry.add("rows_loaded", total)
+    cluster.metrics.counter("rows_loaded").add(total)
     return total
 
 

@@ -20,8 +20,8 @@ from repro.errors import DfsError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
-    from repro.vertica.telemetry import Telemetry
 
 __all__ = ["DistributedFileSystem", "DfsFileInfo"]
 
@@ -56,7 +56,7 @@ class DistributedFileSystem:
         self._placement_cursor = 0
         # Wired up by the owning cluster so read-repair events surface
         # through the shared observability pipeline (None standalone).
-        self.telemetry: "Telemetry | None" = None
+        self.metrics: "MetricsRegistry | None" = None
         self.tracer: "Tracer | None" = None
         self.faults: "FaultPlan | None" = None
 
@@ -174,12 +174,14 @@ class DistributedFileSystem:
     def read(self, path: str, from_node: int | None = None) -> bytes:
         """Read a file, transparently falling over to a live replica.
 
-        A read that touches a degraded replica set — a down node, a lost
-        blob, or a checksum-corrupt copy — triggers *read-repair*: the
+        A read that touches a degraded replica set — a down node, a blob
+        lost from any live replica node, or a checksum-corrupt copy —
+        triggers *read-repair*: the
         first intact copy found is rewritten onto every reachable replica
         node and, if the file is still under-replicated, onto fresh live
         nodes.  Repairs count ``dfs_read_repairs`` and emit a
-        ``fault.recovered`` span when the cluster has wired telemetry in.
+        ``fault.recovered`` span when the cluster has wired its metrics and
+        tracer in.
         """
         faults = self.faults
         if faults is not None:
@@ -221,11 +223,17 @@ class DistributedFileSystem:
                     f"all replicas of {path!r} are on failed nodes "
                     f"{info.replica_nodes}"
                 )
+            # A lost copy past the one read degrades the set too: a reader
+            # that prefers an intact local copy must not leave the file
+            # under-replicated for good.
+            degraded = degraded or any(
+                path not in self._blobs[node]
+                for node in candidates if node not in self._down)
             if degraded:
                 restored = self._read_repair_locked(path, info, data)
         if restored:
-            if self.telemetry is not None:
-                self.telemetry.add("dfs_read_repairs")
+            if self.metrics is not None:
+                self.metrics.counter("dfs_read_repairs").add()
             if self.tracer is not None:
                 with self.tracer.span("fault.recovered",
                                       mechanism="read_repair",

@@ -13,7 +13,7 @@ Executes the three plan shapes from :mod:`repro.vertica.planner`:
   the router.  Range routing (``PARTITION NODES``: one instance per node;
   ``PARTITION BEST``: planner-chosen chunks of each node's rows) cuts row
   positions; hash routing (``PARTITION BY``) sends equal keys to one
-  instance, charging cross-node traffic to telemetry.
+  instance, charging cross-node traffic to ``shuffle_bytes``.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from repro.vertica.txn.mutations import execute_delete, execute_update
 from repro.vertica.udtf import UdtfContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.metrics import Counter
     from repro.vertica.cluster import VerticaCluster
     from repro.vertica.txn.epochs import Snapshot
 
@@ -617,13 +618,14 @@ class QueryExecutor:
         abort = threading.Event()
 
         def new_queue() -> BatchQueue:
-            return BatchQueue(config.queue_depth, cluster.telemetry, abort,
+            return BatchQueue(config.queue_depth, cluster.metrics, abort,
                               stall_timeout=config.stall_timeout_seconds)
 
         router: _RangeRouter | _HashRouter
         if plan.udtf.partition.kind is ast.PartitionKind.BY_COLUMN:
             router = _HashRouter(plan, len(sources), cluster.node_count,
-                                 new_queue, cluster.telemetry)
+                                 new_queue,
+                                 cluster.metrics.counter("shuffle_bytes"))
         else:
             router = _RangeRouter(plan, self._range_boundaries(plan, snapshot),
                                   new_queue)
@@ -690,7 +692,7 @@ class QueryExecutor:
         outputs = self._fan_out(
             task, producers + len(instances),
             workers=producers + router.consumer_workers(self._pool_size))
-        cluster.telemetry.add("udtf_instances", sum(
+        cluster.metrics.counter("udtf_instances").add(sum(
             router.planned or any(q.total_batches for q in queues)
             for _, queues in instances))
         if errors:
@@ -800,9 +802,10 @@ class _HashRouter:
     planned = False  # an instance appears with its first batch
 
     def __init__(self, plan: UdtfPlan, nodes: int, instances: int,
-                 new_queue: Callable[[], BatchQueue], telemetry) -> None:
+                 new_queue: Callable[[], BatchQueue],
+                 shuffle_bytes: "Counter") -> None:
         self.plan = plan
-        self.telemetry = telemetry
+        self.shuffle_bytes = shuffle_bytes
         self.node_queues = [[new_queue() for _ in range(instances)]
                             for _ in range(nodes)]
         self.instances = [(i, [queues[i] for queues in self.node_queues])
@@ -829,7 +832,7 @@ class _HashRouter:
                     continue
                 chunk = {name: arr[mask] for name, arr in args.items()}
                 if instance != node:
-                    self.telemetry.add("shuffle_bytes", batch_nbytes(chunk))
+                    self.shuffle_bytes.add(batch_nbytes(chunk))
                 queue.put(chunk)
 
 

@@ -7,7 +7,7 @@ and splits the condition (:class:`~repro.vertica.sql.analyzer.BoundJoin`);
 this module only executes that binding.
 
 The joined (right) input is the build side: it is gathered once through the
-cluster's per-node scan sources (failover, scan slots and scan telemetry
+cluster's per-node scan sources (failover, scan slots and scan counters
 included), and its rows are sorted by key code.  The left input is the
 probe side: :func:`join_sources` hands the executor one source per node
 that probes each scanned batch with ``searchsorted`` as it streams past, so
@@ -108,7 +108,8 @@ class _BuildSide:
                  bound: "BoundJoin", snapshot: "Snapshot | None") -> None:
         self.bound = bound
         self.left = stmt.join.kind == "left"
-        self.telemetry = cluster.telemetry
+        self.rows_scanned = cluster.metrics.counter("join_rows_scanned")
+        self.rows_produced = cluster.metrics.counter("join_rows_produced")
         data = _gather(cluster, stmt.join.table, bound.right_columns,
                        snapshot)
         # One placeholder row past the end: what an unmatched LEFT-join row
@@ -116,7 +117,7 @@ class _BuildSide:
         self.null_row = _rows(data)
         self.data = {name: np.concatenate([arr, np.zeros(1, arr.dtype)])
                      for name, arr in data.items()}
-        self.telemetry.add("join_rows_scanned", self.null_row)
+        self.rows_scanned.add(self.null_row)
         keys = _evaluate(data, bound.right_alias,
                          [right for _, right in bound.equalities])
         self.uniques = [uniques[~expressions.is_null(uniques)] for uniques in
@@ -172,8 +173,8 @@ class _BuildSide:
             at = np.searchsorted(left_index, lost)
             left_index = np.insert(left_index, at, lost)
             right_index = np.insert(right_index, at, self.null_row)
-        self.telemetry.add("join_rows_scanned", rows)
-        self.telemetry.add("join_rows_produced", len(left_index))
+        self.rows_scanned.add(rows)
+        self.rows_produced.add(len(left_index))
         return self._assemble(batch, left_index, right_index)
 
     def _assemble(self, batch: Batch, left_index: np.ndarray,

@@ -43,7 +43,7 @@ class OdbcConnection:
         self._cursor_position = 0
         self.bytes_transferred = 0
         self.rows_transferred = 0
-        cluster.telemetry.add("odbc_connections_opened")
+        cluster.metrics.counter("odbc_connections_opened").add()
 
     # -- standard cursor API -------------------------------------------------
 
@@ -75,10 +75,10 @@ class OdbcConnection:
         }
         wire = _serialize_rows(self._result.column_names, window)
         self.bytes_transferred += len(wire)
-        self.cluster.telemetry.add("odbc_bytes", len(wire))
+        self.cluster.metrics.counter("odbc_bytes").add(len(wire))
         rows = _parse_rows(wire, self._column_kinds(window))
         self.rows_transferred += len(rows)
-        self.cluster.telemetry.add("odbc_rows", len(rows))
+        self.cluster.metrics.counter("odbc_rows").add(len(rows))
         return rows
 
     def fetchall(self) -> list[tuple]:
@@ -148,8 +148,8 @@ class OdbcConnection:
         wire = _serialize_rows(columns, ordered)
         self.bytes_transferred += len(wire)
         self.rows_transferred += len(ordered[columns[0]]) if columns else 0
-        self.cluster.telemetry.add("odbc_bytes", len(wire))
-        self.cluster.telemetry.add("odbc_rows", len(order))
+        self.cluster.metrics.counter("odbc_bytes").add(len(wire))
+        self.cluster.metrics.counter("odbc_rows").add(len(order))
         kinds = self._column_kinds(ordered)
         parsed_rows = _parse_rows(wire, kinds)
         out: dict[str, np.ndarray] = {}

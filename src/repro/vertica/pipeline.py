@@ -15,15 +15,17 @@ of column arrays, equal-length and 1-D):
   behind, so peak in-flight bytes stay O(queue_depth * batch) instead of
   O(segment).
 
-Telemetry (all recorded on the cluster's :class:`~repro.vertica.telemetry
-.Telemetry`):
+Metrics (all recorded on the cluster's :class:`~repro.obs.metrics
+.MetricsRegistry`, ``cluster.metrics``):
 
 * ``batches_scanned`` — batches emitted by the per-node scan sources;
 * ``peak_batch_bytes`` — largest single batch observed;
 * ``rows_streamed`` — rows delivered through the scan sources;
-* ``pipeline_inflight_bytes_now`` / ``_peak`` — live (produced but not yet
-  consumed) batch bytes;
-* ``pipeline_inflight_batches_now`` / ``_peak`` — same, in batch counts.
+* ``pipeline_inflight_bytes`` — live (produced but not yet consumed)
+  batch bytes, a level gauge read as ``.now`` / ``.peak``;
+* ``pipeline_inflight_batches`` — same, in batch counts;
+* ``pipeline_backpressure_seconds`` — time producers spent blocked on
+  full queues.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.errors import ExecutionError
 from repro.obs.trace import add_to_current
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.vertica.telemetry import Telemetry
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "PipelineConfig",
@@ -141,13 +143,17 @@ class BatchQueue:
     abort, :meth:`discard` releases whatever is still queued.
     """
 
-    def __init__(self, maxdepth: int, telemetry: "Telemetry | None" = None,
+    def __init__(self, maxdepth: int, metrics: "MetricsRegistry",
                  abort: threading.Event | None = None,
                  stall_timeout: float | None = None) -> None:
         if maxdepth < 1:
             raise ExecutionError(f"queue depth must be positive, got {maxdepth}")
         self.maxdepth = maxdepth
-        self.telemetry = telemetry
+        # The instruments this queue charges, resolved once; each is
+        # internally synchronized.
+        self.backpressure = metrics.counter("pipeline_backpressure_seconds")
+        self.inflight_bytes = metrics.gauge(INFLIGHT_BYTES_GAUGE)
+        self.inflight_batches = metrics.gauge(INFLIGHT_BATCHES_GAUGE)
         self.abort = abort or threading.Event()
         self.stall_timeout = stall_timeout
         self._items: deque = deque()
@@ -203,11 +209,10 @@ class BatchQueue:
             self._not_empty.notify()
         if blocked:
             add_to_current(backpressure_s=blocked)
-        if self.telemetry is not None:
-            if blocked:
-                self.telemetry.add("pipeline_backpressure_seconds", blocked)
-            self.telemetry.gauge_add(INFLIGHT_BYTES_GAUGE, nbytes)
-            self.telemetry.gauge_add(INFLIGHT_BATCHES_GAUGE, 1)
+        if blocked:
+            self.backpressure.add(blocked)
+        self.inflight_bytes.add(nbytes)
+        self.inflight_batches.add(1)
 
     def close(self) -> None:
         """Signal end-of-stream; consumers drain remaining batches first."""
@@ -223,10 +228,9 @@ class BatchQueue:
             dropped = list(self._items)
             self._items.clear()
             self._closed = True
-        if self.telemetry is not None and dropped:
-            self.telemetry.gauge_add(INFLIGHT_BYTES_GAUGE,
-                                     -sum(nbytes for _, _, nbytes in dropped))
-            self.telemetry.gauge_add(INFLIGHT_BATCHES_GAUGE, -len(dropped))
+        if dropped:
+            self.inflight_bytes.add(-sum(nbytes for _, _, nbytes in dropped))
+            self.inflight_batches.add(-len(dropped))
 
     # -- consumer side -----------------------------------------------------
 
@@ -255,7 +259,6 @@ class BatchQueue:
                     return
                 batch, _rows, nbytes = self._items.popleft()
                 self._not_full.notify()
-            if self.telemetry is not None:
-                self.telemetry.gauge_add(INFLIGHT_BYTES_GAUGE, -nbytes)
-                self.telemetry.gauge_add(INFLIGHT_BATCHES_GAUGE, -1)
+            self.inflight_bytes.add(-nbytes)
+            self.inflight_batches.add(-1)
             yield batch

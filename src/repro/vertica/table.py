@@ -42,7 +42,7 @@ from repro.vertica.txn.delete_vector import DeleteVector, FrozenDeleteIndex
 from repro.vertica.txn.wos import WosBatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.vertica.telemetry import Telemetry
+    from repro.obs.metrics import MetricsRegistry
     from repro.vertica.txn.epochs import EpochClock, Snapshot
 
 __all__ = ["Table", "Segment", "ROWID_COLUMN"]
@@ -590,7 +590,7 @@ class Table:
         # Bound by the owning cluster; a standalone Table has no epoch
         # clock and stamps everything with epoch 0 (always visible).
         self.epochs: "EpochClock | None" = None
-        self.telemetry: "Telemetry | None" = None
+        self.metrics: "MetricsRegistry | None" = None
         # Serializes DELETE/UPDATE statements against each other (write-
         # write conflict resolution is first-wins via the delete vector,
         # but interleaved collect/apply phases would double-apply SETs).
@@ -768,8 +768,8 @@ class Table:
         if own_epoch:
             self.note_commit(commit_epoch)
             self.epochs.commit(commit_epoch)
-        if not direct and self.telemetry is not None:
-            self.telemetry.gauge_add("wos_rows", rows)
+        if not direct and self.metrics is not None:
+            self.metrics.gauge("wos_rows").add(rows)
         return rows
 
     def insert_rows(self, rows: list[list]) -> int:

@@ -125,6 +125,7 @@ class TupleMover:
         committed = epochs.current_epoch
         ahm = epochs.ancient_history_mark
         total = 0
+        wos_gauge = self.cluster.metrics.gauge("wos_rows")
         with self._pass_lock:
             try:
                 for table in self.cluster.catalog.tables():
@@ -149,8 +150,7 @@ class TupleMover:
                             # Gauges track primary copies; buddy WOS mirrors
                             # move in the same pass but aren't double-counted.
                             if segment in table.segments:
-                                self.cluster.telemetry.gauge_add(
-                                    "wos_rows", -moved)
+                                wos_gauge.add(-moved)
             except ReproError:
                 # The pass died between segment splices.  Already-flushed
                 # segments keep their new ROS; untouched segments keep their
@@ -169,7 +169,7 @@ class TupleMover:
         if not self._interrupted:
             return
         self._interrupted = False
-        self.cluster.telemetry.add("mover_restarts")
+        self.cluster.metrics.counter("mover_restarts").add()
         with self.cluster.tracer.span("fault.recovered",
                                       mechanism="mover_restart",
                                       operation=operation):
@@ -192,6 +192,8 @@ class TupleMover:
         ahm = self.cluster.catalog.epochs.ancient_history_mark
         total_bytes = 0
         total_purged = 0
+        rewritten = self.cluster.metrics.counter("mergeout_bytes_rewritten")
+        delete_vector_rows = self.cluster.metrics.gauge("delete_vector_rows")
         with self._pass_lock:
             try:
                 for table in self.cluster.catalog.tables():
@@ -212,13 +214,15 @@ class TupleMover:
                                 small_rows=self.config.mergeout_small_rows,
                                 min_run=self.config.mergeout_min_run,
                             )
+                        # Charged per splice: a pass that dies on a later
+                        # segment has still rewritten this one for good.
+                        rewritten.add(nbytes)
                         total_bytes += nbytes
                         total_purged += purged
                         if purged:
                             table.note_purge()
                         if purged and segment in table.segments:
-                            self.cluster.telemetry.gauge_add(
-                                "delete_vector_rows", -purged)
+                            delete_vector_rows.add(-purged)
             except ReproError:
                 # Same crash-safety argument as moveout: mergeout splices
                 # rewritten rowgroups atomically per segment, so a killed
@@ -227,8 +231,6 @@ class TupleMover:
                 raise
             self._mark_recovered_locked("mergeout")
             if total_bytes:
-                self.cluster.telemetry.add(
-                    "mergeout_bytes_rewritten", total_bytes)
                 self.mergeout_passes += 1
         return total_bytes, total_purged
 

@@ -62,8 +62,8 @@ def execute_delete(cluster: "VerticaCluster", stmt: "ast.Delete",
             raise
         table.note_commit(epoch)
         epochs.commit(epoch)
-    cluster.telemetry.gauge_add("delete_vector_rows", added)
-    cluster.telemetry.add("rows_deleted", total)
+    cluster.metrics.gauge("delete_vector_rows").add(added)
+    cluster.metrics.counter("rows_deleted").add(total)
     cluster.tuple_mover.notify()
     return total
 
@@ -102,8 +102,8 @@ def execute_update(cluster: "VerticaCluster", stmt: "ast.Update") -> int:
             raise
         table.note_commit(epoch)
         epochs.commit(epoch)
-    cluster.telemetry.gauge_add("delete_vector_rows", added)
-    cluster.telemetry.add("rows_updated", total)
+    cluster.metrics.gauge("delete_vector_rows").add(added)
+    cluster.metrics.counter("rows_updated").add(total)
     cluster.tuple_mover.notify()
     return total
 

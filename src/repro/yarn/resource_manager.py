@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.errors import ResourceError
-from repro.vertica.telemetry import Telemetry
+from repro.obs.metrics import MetricsRegistry
 from repro.yarn.container import Container
 from repro.yarn.scheduler import Scheduler, make_scheduler
 
@@ -91,12 +91,11 @@ class ResourceManager:
     """Cluster-wide allocator with pluggable scheduling policy."""
 
     def __init__(self, nodes: list[NodeCapacity], policy: str = "capacity",
-                 queue_capacities: dict[str, float] | None = None,
-                 telemetry: Telemetry | None = None) -> None:
+                 queue_capacities: dict[str, float] | None = None) -> None:
         if not nodes:
             raise ResourceError("resource manager requires at least one node")
         self.nodes = list(nodes)
-        self.telemetry = telemetry or Telemetry()
+        self.metrics = MetricsRegistry()
         self.scheduler: Scheduler = make_scheduler(policy, queue_capacities)
         self._lock = threading.Lock()
         self._free_cores = [n.cores for n in nodes]
@@ -182,7 +181,7 @@ class ResourceManager:
                 self._free_cores[container.node_index] += container.cores
                 self._free_memory[container.node_index] += container.memory_bytes
                 container.release()
-                self.telemetry.add("yarn_containers_released")
+                self.metrics.counter("yarn_containers_released").add()
             stored.containers.clear()
             self._pending = [
                 r for r in self._pending if r.application_id != app.application_id
@@ -212,9 +211,9 @@ class ResourceManager:
                     else node == request.preferred_node
                 )
                 container.start()
-                # Telemetry instrument locks are leaves: acquired under the
+                # Instrument locks are leaves: acquired under the
                 # manager lock, never the other way around.
-                self.telemetry.add("yarn_containers_granted")
+                self.metrics.counter("yarn_containers_granted").add()
                 app.containers.append(container)
                 app.pending -= 1
                 self._free_cores[node] -= request.cores
@@ -246,7 +245,7 @@ class ResourceManager:
             self._free_cores[container.node_index] += container.cores
             self._free_memory[container.node_index] += container.memory_bytes
             container.release()
-            self.telemetry.add("yarn_containers_released")
+            self.metrics.counter("yarn_containers_released").add()
         app.containers.clear()
         self._pending = [
             r for r in self._pending if r.application_id != app.application_id

@@ -224,8 +224,8 @@ class TestSqlFlow:
         assert 0.0 < result.column("sample_fraction")[0] < 1.0
         # The realized half-width honors the requested relative bound.
         assert (result.column("ci_high")[0] - est) <= 0.02 * abs(est)
-        assert cluster.telemetry.get("aqp_rewrites") == 1
-        assert cluster.telemetry.get("samples_built") == 1
+        assert cluster.metrics.counter("aqp_rewrites").value == 1
+        assert cluster.metrics.counter("samples_built").value == 1
         assert "aqp.build" in span_names(cluster)
         assert "aqp.rewrite" in span_names(cluster)
 
@@ -251,14 +251,14 @@ class TestSqlFlow:
         assert r.column("estimate")[0] == pytest.approx(exact)
         assert r.column("ci_low")[0] == r.column("ci_high")[0]
         assert r.column("sample_fraction")[0] == 1.0
-        assert cluster.telemetry.get("aqp_fallbacks") == 1
+        assert cluster.metrics.counter("aqp_fallbacks").value == 1
         # A bound no 2% sample can meet: transparent exact fallback again.
         cluster.sql("CREATE SAMPLE s1 ON t UNIFORM RATE 2%")
         tight = cluster.sql(
             "SELECT AVG(x) FROM t WITHIN 0.01% ERROR CONFIDENCE 99")
         assert tight.column("estimate")[0] == pytest.approx(exact)
         assert tight.column("sample_fraction")[0] == 1.0
-        assert cluster.telemetry.get("aqp_fallbacks") == 2
+        assert cluster.metrics.counter("aqp_fallbacks").value == 2
 
     def test_confidence_widens_the_interval(self):
         cluster = make_cluster()
@@ -386,7 +386,7 @@ class TestMaintenance:
         r1, r2 = cluster.aqp.get("s1"), cluster.aqp.get("s2")
         assert r1.sample_rows == r2.sample_rows
         assert r1.base_rows == r2.base_rows == 4040
-        assert cluster.telemetry.get("sample_rows_folded") >= 1
+        assert cluster.metrics.counter("sample_rows_folded").value >= 1
 
     def test_refresh_without_mutations_is_a_noop(self):
         cluster = make_cluster()
@@ -406,7 +406,7 @@ class TestMaintenance:
         cluster.sql("DELETE FROM t WHERE k < 100")
         result = refresh_sample(cluster, "s1")
         assert result.strategy == "rebuild"
-        assert cluster.telemetry.get("sample_rebuilds") == 1
+        assert cluster.metrics.counter("sample_rebuilds").value == 1
         cluster.sql("CREATE SAMPLE s2 ON t UNIFORM RATE 30% SEED 42")
         assert_samples_identical(sample_contents(cluster, "s1"),
                                  sample_contents(cluster, "s2"))
@@ -462,7 +462,7 @@ class TestMaintenance:
         # Folded by this call or by a background cycle it raced with —
         # either way the sample is current and rows were folded.
         assert cluster.aqp.get("s1").commit_epoch > epoch_before
-        assert cluster.telemetry.get("sample_rows_folded") >= 1
+        assert cluster.metrics.counter("sample_rows_folded").value >= 1
         # Deletes in the window: the background pass skips (a rebuild would
         # drop the backing table under concurrent readers).
         cluster.sql("DELETE FROM t WHERE k < 100")
@@ -479,11 +479,11 @@ class TestMaintenance:
         wos_trickle(cluster, 5)
         result = refresh_sample(cluster, "s1")
         assert result.staleness_epochs >= 5
-        assert (cluster.telemetry.get("sample_staleness_epochs")
+        assert (cluster.metrics.gauge("sample_staleness_epochs").now
                 == result.staleness_epochs)
         refresh_sample(cluster, "s1")  # absorbs the fold's own commit epoch
         assert refresh_sample(cluster, "s1").strategy == "noop"
-        assert cluster.telemetry.get("sample_staleness_epochs") == 0
+        assert cluster.metrics.gauge("sample_staleness_epochs").now == 0
 
     def test_refresh_spans_and_fold_after_moveout(self):
         cluster = make_cluster()

@@ -1,5 +1,5 @@
-"""Tests for thinly-covered corners: telemetry, simkit failure paths,
-baseline convergence, and the UDTF context."""
+"""Tests for thinly-covered corners: simkit failure paths, baseline
+convergence, and the UDTF context."""
 
 import numpy as np
 import pytest
@@ -7,49 +7,6 @@ import pytest
 from repro.errors import ConvergenceError, SimulationError
 from repro.rbase import glm_fit
 from repro.simkit import Environment
-from repro.vertica.telemetry import Telemetry
-
-
-class TestTelemetry:
-    def test_counters_accumulate(self):
-        telemetry = Telemetry()
-        telemetry.add("x")
-        telemetry.add("x", 2.5)
-        assert telemetry.get("x") == 3.5
-        assert telemetry.get("never") == 0.0
-
-    def test_snapshot_is_a_copy(self):
-        telemetry = Telemetry()
-        telemetry.add("a", 1)
-        snapshot = telemetry.snapshot()
-        telemetry.add("a", 1)
-        assert snapshot["a"] == 1.0
-
-    def test_event_log_filters_by_kind(self):
-        telemetry = Telemetry()
-        telemetry.record_event("load", rows=10)
-        telemetry.record_event("scan", rows=5)
-        telemetry.record_event("load", rows=20)
-        loads = telemetry.events("load")
-        assert len(loads) == 2
-        assert loads[1][1]["rows"] == 20
-        assert len(telemetry.events()) == 3
-
-    def test_event_log_is_bounded(self):
-        telemetry = Telemetry(max_events=5)
-        for i in range(20):
-            telemetry.record_event("tick", i=i)
-        events = telemetry.events()
-        assert len(events) == 5
-        assert events[-1][1]["i"] == 19  # newest kept, oldest dropped
-
-    def test_reset_clears_everything(self):
-        telemetry = Telemetry()
-        telemetry.add("a", 5)
-        telemetry.record_event("e")
-        telemetry.reset()
-        assert telemetry.get("a") == 0.0
-        assert telemetry.events() == []
 
 
 class TestSimkitFailurePaths:

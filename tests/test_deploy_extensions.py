@@ -69,6 +69,7 @@ class TestModelExportImport:
 
 class TestVftTimingBreakdown:
     def test_breakdown_recorded(self, session):
+        """The vft.transfer span carries the Fig 14 DB/R split."""
         rng = np.random.default_rng(51)
         columns = {"k": rng.integers(0, 10**6, 2000),
                    "v": rng.normal(size=2000)}
@@ -76,13 +77,15 @@ class TestVftTimingBreakdown:
         cluster.create_table_like("t", columns, HashSegmentation("k"))
         cluster.bulk_load("t", columns)
         db2darray(cluster, "t", ["v"], session)
-        assert session.telemetry.get("vft_db_seconds") > 0
-        assert session.telemetry.get("vft_r_seconds") > 0
-        events = session.telemetry.events("vft_transfer")
-        assert len(events) == 1
-        _, fields = events[0]
-        assert fields["rows"] == 2000
+        assert session.metrics.counter("vft_db_seconds").value > 0
+        assert session.metrics.counter("vft_r_seconds").value > 0
+        transfers = [span for root in session.tracer.roots()
+                     for span in root.walk() if span.name == "vft.transfer"]
+        assert len(transfers) == 1
+        fields = transfers[0].attributes
+        assert fields["rows_transferred"] == 2000
         assert fields["policy"] == "locality"
+        assert fields["db_seconds"] > 0 and fields["r_seconds"] > 0
 
 
 class TestConcurrency:

@@ -19,6 +19,9 @@ import pytest
 
 from repro.obs.metrics import (
     CATALOG,
+    Counter,
+    Gauge,
+    Histogram,
     MetricsRegistry,
     catalog_markdown_table,
     declared_instruments,
@@ -65,11 +68,12 @@ def test_declared_metric_instantiates_as_declared_kind(spec):
     """Every cataloged name creates a live instrument of its declared kind
     (so the doc's type column describes what snapshots actually contain)."""
     registry = MetricsRegistry()
-    getter = {"counter": registry.counter, "gauge": registry.gauge,
-              "histogram": registry.histogram}[spec.kind]
+    getter, kind = {"counter": (registry.counter, Counter),
+                    "gauge": (registry.gauge, Gauge),
+                    "histogram": (registry.histogram, Histogram)}[spec.kind]
     instrument = getter(spec.name)
     assert instrument.spec is spec
-    assert not instrument.dynamic
+    assert isinstance(instrument, kind)
 
 
 def test_emitting_modules_exist():

@@ -286,9 +286,9 @@ class TestExecution:
         x.fill_from(np.ones((4, 1)))
         y = session.darray(npartitions=2, worker_assignment=[1, 2])
         y.fill_from(np.ones((4, 1)))
-        before = session.telemetry.get("dr_remote_partition_fetches")
+        before = session.metrics.counter("dr_remote_partition_fetches").value
         x.map_partitions(lambda i, a, b: None, y)
-        assert session.telemetry.get("dr_remote_partition_fetches") > before
+        assert session.metrics.counter("dr_remote_partition_fetches").value > before
 
 
 class TestSessionLifecycle:

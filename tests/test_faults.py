@@ -39,6 +39,7 @@ from repro.faults import (
     RetryPolicy,
     spans_named,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.dr import start_session
 from repro.transfer import db2darray
 from repro.vertica import HashSegmentation, TransformFunction, VerticaCluster
@@ -115,10 +116,10 @@ class TestVftFaults:
             )
             assert cluster.nodes[1].is_down
             assert plan.fired("vft.send_chunk")
-            assert session.telemetry.get("transfer_retries") >= 1
-            assert cluster.telemetry.get("failovers") >= 1
+            assert session.metrics.counter("transfer_retries").value >= 1
+            assert cluster.metrics.counter("failovers").value >= 1
             # Attempt 2's senders skip already-acked frames at the source.
-            assert cluster.telemetry.get("vft_frames_deduped") >= 1
+            assert cluster.metrics.counter("vft_frames_deduped").value >= 1
             assert "transfer_retry" in mechanisms(session.tracer)
             assert "buddy_failover" in mechanisms(cluster.tracer,
                                                    session.tracer)
@@ -141,8 +142,8 @@ class TestVftFaults:
             assert np.array_equal(got, baseline)
             # The stalled frame *was* staged, so the in-place resend is
             # recognized as a duplicate by the receiver's ack cursor.
-            assert cluster.telemetry.get("transfer_retries") >= 1
-            assert session.telemetry.get("vft_frames_deduped") >= 1
+            assert cluster.metrics.counter("transfer_retries").value >= 1
+            assert session.metrics.counter("vft_frames_deduped").value >= 1
             assert "frame_resend" in mechanisms(cluster.tracer,
                                                  session.tracer)
 
@@ -160,7 +161,7 @@ class TestVftFaults:
             assert np.array_equal(got, baseline)
             # Torn bytes never reach the staging buffer: the receiver's
             # structural validation rejects them before the ack advances.
-            assert cluster.telemetry.get("transfer_retries") >= 1
+            assert cluster.metrics.counter("transfer_retries").value >= 1
             assert "frame_resend" in mechanisms(cluster.tracer,
                                                  session.tracer)
 
@@ -170,7 +171,7 @@ class TestVftFaults:
             with pytest.raises(TransferError, match="torn frame"):
                 from repro.transfer.streams import validate_frame
                 validate_frame(b"\x01\x02\x03")
-            session.telemetry.get("vft_frames_received")  # no crash
+            session.metrics.counter("vft_frames_received").value  # no crash
 
     def test_node_and_buddy_both_down_fails_fast(self):
         cluster, _ = make_safe_cluster()
@@ -186,7 +187,7 @@ class TestVftFaults:
             # rounds, no hang, and no partial darray was ever registered.
             assert elapsed < 10.0
             assert len(session.master.live_objects()) == before
-            assert session.telemetry.get("transfer_retries") == 0
+            assert session.metrics.counter("transfer_retries").value == 0
 
     def test_node_down_error_is_execution_error(self):
         assert issubclass(NodeDownError, ExecutionError)
@@ -216,7 +217,7 @@ class TestOdbcFaults:
             assert np.array_equal(got[name], expected[name]), name
         assert plan.fired("scan.stream")
         assert cluster.nodes[1].is_down
-        assert cluster.telemetry.get("failovers") == 1
+        assert cluster.metrics.counter("failovers").value == 1
         assert "buddy_failover" in mechanisms(cluster.tracer)
 
 
@@ -245,8 +246,8 @@ class TestDrWorkerFaults:
         # The dead worker's partition was reassigned and refilled elsewhere.
         assert session.workers[1].is_down
         assert d.worker_of(1) != 1
-        assert session.telemetry.get("tasks_reexecuted") >= 1
-        assert session.telemetry.get("dr_worker_failures") == 1
+        assert session.metrics.counter("tasks_reexecuted").value >= 1
+        assert session.metrics.counter("dr_worker_failures").value == 1
         assert "task_reexecution" in mechanisms(session.tracer)
 
     def test_all_workers_down_raises_cleanly(self, session):
@@ -306,7 +307,7 @@ class TestMoverFaults:
         assert moved > 0
         assert sum(seg.wos_rows for seg in table.segments) == 0
         assert cluster.sql(query).rows() == before
-        assert cluster.telemetry.get("mover_restarts") == 1
+        assert cluster.metrics.counter("mover_restarts").value == 1
         assert "mover_restart" in mechanisms(cluster.tracer)
         cluster.tuple_mover.stop()
 
@@ -322,6 +323,41 @@ class TestMoverFaults:
         cluster.tuple_mover.notify()
         assert cluster.tuple_mover.run_moveout() > 0
         cluster.tuple_mover.stop()
+
+    def test_killed_mergeout_counts_every_spliced_byte(self, data_dir):
+        """A pass killed after splicing some segments still charges the
+        bytes it rewrote for good: crashed + recovery pass == clean pass."""
+        def purgeable_cluster(name):
+            cluster = VerticaCluster(
+                node_count=2, data_dir=data_dir and data_dir / name)
+            for load in range(12):
+                k = np.arange(load * 50, load * 50 + 50)
+                columns = {"k": k, "v": k * 0.5}
+                if load == 0:
+                    cluster.create_table_like("t", columns, HashSegmentation("k"))
+                cluster.bulk_load("t", columns)
+            cluster.sql("DELETE FROM t WHERE k < 30")
+            cluster.tuple_mover.stop()  # direct, deterministic passes only
+            cluster.catalog.epochs.advance_ahm()
+            return cluster
+
+        clean = purgeable_cluster("clean")
+        clean.tuple_mover.run_mergeout()
+        clean_bytes = clean.metrics.counter("mergeout_bytes_rewritten").value
+        assert clean_bytes > 0
+
+        crashed = purgeable_cluster("crashed")
+        rewritten = crashed.metrics.counter("mergeout_bytes_rewritten")
+        crashed.install_fault_plan(FaultPlan.single(
+            "txn.mergeout", FaultKind.ERROR, after=1, seed=FAULT_SEED))
+        with pytest.raises(InjectedFault):
+            crashed.tuple_mover.run_mergeout()
+        assert 0 < rewritten.value < clean_bytes  # the first splice landed
+        crashed.clear_fault_plan()
+        crashed.tuple_mover.run_mergeout()
+        assert rewritten.value == clean_bytes
+        assert crashed.sql("SELECT k, v FROM t").rows() \
+            == clean.sql("SELECT k, v FROM t").rows()
 
 
 class TestMoverFaultsOnDisk(OnDisk, TestMoverFaults):
@@ -373,7 +409,7 @@ class TestDfsFaults:
         assert np.allclose(np.sort(result.column("prediction")),
                            np.sort(local))
         assert plan.fired("dfs.read")
-        assert cluster.telemetry.get("dfs_read_repairs") >= 1
+        assert cluster.metrics.counter("dfs_read_repairs").value >= 1
         assert "read_repair" in mechanisms(cluster.tracer)
         # The blob is fully re-replicated: every copy is physically back.
         info = cluster.dfs.stat(record.dfs_path)
@@ -386,7 +422,19 @@ class TestDfsFaults:
         lost = cluster.dfs.lose_replica("/models/m1")
         assert lost in info.replica_nodes
         assert cluster.dfs.read("/models/m1") == payload
-        assert cluster.telemetry.get("dfs_read_repairs") == 1
+        assert cluster.metrics.counter("dfs_read_repairs").value == 1
+        assert cluster.dfs.total_bytes() == len(payload) * cluster.dfs.replication
+
+    def test_read_of_intact_local_copy_still_heals_lost_replica(self):
+        """Whichever copy a reader prefers, one read restores a lost one —
+        concurrent prediction instances race to fetch a model first."""
+        cluster = VerticaCluster(node_count=3)
+        payload = b"model-bytes" * 100
+        info = cluster.dfs.write("/models/m3", payload)
+        lost, intact = info.replica_nodes
+        assert cluster.dfs.lose_replica("/models/m3", node=lost) == lost
+        assert cluster.dfs.read("/models/m3", from_node=intact) == payload
+        assert cluster.metrics.counter("dfs_read_repairs").value == 1
         assert cluster.dfs.total_bytes() == len(payload) * cluster.dfs.replication
 
     def test_replica_down_recruits_fresh_node(self):
@@ -427,8 +475,8 @@ class TestUdtfFaults:
         with pytest.raises(InjectedFault):
             cluster.sql(query)
         assert plan.fired("udtf.instance")
-        assert cluster.telemetry.get("pipeline_inflight_batches_now") == 0
-        assert cluster.telemetry.get("pipeline_inflight_bytes_now") == 0
+        assert cluster.metrics.gauge("pipeline_inflight_batches").now == 0
+        assert cluster.metrics.gauge("pipeline_inflight_bytes").now == 0
         # No thread the statement started outlives it (threads left by
         # earlier tests may exit meanwhile, so compare sets, not counts).
         assert set(threading.enumerate()) <= threads
@@ -444,13 +492,15 @@ class TestUdtfFaults:
 
 class TestPipelineStalls:
     def test_producer_stall_raises_instead_of_hanging(self):
-        queue = BatchQueue(maxdepth=1, stall_timeout=0.05)
+        queue = BatchQueue(maxdepth=1, metrics=MetricsRegistry(),
+                           stall_timeout=0.05)
         queue.put({"v": np.ones(4)})
         with pytest.raises(ExecutionError, match="pipeline stalled: producer"):
             queue.put({"v": np.ones(4)})
 
     def test_consumer_stall_raises_instead_of_hanging(self):
-        queue = BatchQueue(maxdepth=1, stall_timeout=0.05)
+        queue = BatchQueue(maxdepth=1, metrics=MetricsRegistry(),
+                           stall_timeout=0.05)
         with pytest.raises(ExecutionError, match="pipeline stalled: consumer"):
             next(iter(queue))
 
@@ -469,7 +519,7 @@ class TestHarnessDeterminism:
             plan.perturb("x.op")
         assert plan.perturb("x.op") is None  # times=1: window closed
         assert [e.visit for e in plan.fired()] == [3]
-        assert plan.telemetry.get("faults_injected") == 1
+        assert plan.metrics.counter("faults_injected").value == 1
 
     def test_match_pins_context(self):
         plan = FaultPlan.single("x.op", FaultKind.ERROR,

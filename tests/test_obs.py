@@ -2,9 +2,9 @@
 
 Covers the contracts the rest of the system leans on:
 
-* instruments enforce their declared kinds and clamp/accumulate correctly
-  (including the ``gauge_add``-after-``reset`` regression);
-* the legacy ``Telemetry`` facade stays drop-in compatible;
+* instruments exist only as declared in the ``CATALOG``, enforce their
+  declared kinds and clamp/accumulate correctly (including the
+  gauge-after-``reset`` regression and atomic ``Gauge.set``);
 * span trees nest across threads and engines, and ``PROFILE`` subtree
   row/byte totals reconcile with the scan counters;
 * exporters produce loadable chrome-trace payloads.
@@ -13,6 +13,8 @@ Covers the contracts the rest of the system leans on:
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from repro.obs.export import (
 from repro.obs.metrics import CATALOG, MetricsRegistry
 from repro.obs.trace import Tracer, add_to_current, max_to_current
 from repro.vertica import HashSegmentation, VerticaCluster
-from repro.vertica.telemetry import Telemetry
 
 
 def make_cluster(rows=600, nodes=3, seed=0, **kwargs):
@@ -57,12 +58,50 @@ class TestInstruments:
         with pytest.raises(ValueError, match="monotonic"):
             registry.counter("rows_scanned").add(-1)
 
-    def test_dynamic_counter_allows_negative(self):
+    def test_undeclared_name_raises_at_first_use(self):
         registry = MetricsRegistry()
-        counter = registry.counter("ad_hoc_test_counter")
-        assert counter.dynamic
-        counter.add(-2)  # legacy callers use counters as accumulators
-        assert counter.value == -2
+        for get in (registry.counter, registry.gauge, registry.histogram):
+            with pytest.raises(ValueError, match="not declared"):
+                get("not_in_catalog")
+        assert registry.snapshot() == {}
+
+    def test_gauge_set_replaces_level_and_raises_peak(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("model_staleness_epochs")
+        gauge.set(4)
+        gauge.set(1)  # below the peak: level drops, peak stays
+        assert (gauge.now, gauge.peak) == (1, 4)
+        gauge.set(9)  # above the peak: both move
+        assert (gauge.now, gauge.peak) == (9, 9)
+        gauge.set(-3)  # clamped like add()
+        assert (gauge.now, gauge.peak) == (0, 9)
+
+    def test_gauge_set_from_many_threads_keeps_one_level(self):
+        """Concurrent setters leave one of their levels, never a sum."""
+        registry = MetricsRegistry()
+        gauge = registry.gauge("sample_staleness_epochs")
+        levels = range(1, 17)
+        start = threading.Barrier(len(levels))
+
+        def setter(level):
+            start.wait(timeout=10)
+            for _ in range(200):
+                gauge.set(level)
+
+        threads = [threading.Thread(target=setter, args=(level,))
+                   for level in levels]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gauge.now in levels
+        assert gauge.peak == max(levels)
 
     def test_gauge_level_clamps_at_zero_and_tracks_peak(self):
         registry = MetricsRegistry()
@@ -76,7 +115,7 @@ class TestInstruments:
 
     def test_gauge_clamp_after_reset_regression(self):
         """In-flight decrements arriving after reset() must not leave the
-        level stuck below zero (the pre-registry Telemetry bug)."""
+        level stuck below zero."""
         registry = MetricsRegistry()
         gauge = registry.gauge("pipeline_inflight_bytes")
         gauge.add(4096)  # producer charges
@@ -128,59 +167,6 @@ class TestInstruments:
             assert spec.description.endswith(".")
             assert spec.module.startswith("repro.")
             assert not (spec.watermark and spec.kind != "gauge")
-
-
-# -- the Telemetry facade ------------------------------------------------------
-
-
-class TestTelemetryShim:
-    def test_add_and_get_round_trip(self):
-        telemetry = Telemetry()
-        telemetry.add("rows_scanned", 10)
-        telemetry.add("rows_scanned")
-        assert telemetry.get("rows_scanned") == 11
-        assert telemetry.get("never_touched") == 0
-
-    def test_add_routes_by_declared_kind(self):
-        telemetry = Telemetry()
-        telemetry.add("query_seconds", 0.25)  # histogram in the catalog
-        assert telemetry.registry.histogram("query_seconds").stats()["count"] == 1
-        telemetry.add("pipeline_inflight_bytes", 64)  # gauge in the catalog
-        assert telemetry.registry.gauge("pipeline_inflight_bytes").now == 64
-
-    def test_gauge_add_returns_clamped_level(self):
-        telemetry = Telemetry()
-        assert telemetry.gauge_add("pipeline_inflight_bytes", 10) == 10
-        assert telemetry.gauge_add("pipeline_inflight_bytes", -25) == 0
-
-    def test_gauge_add_after_reset_regression(self):
-        telemetry = Telemetry()
-        telemetry.gauge_add("pipeline_inflight_bytes", 2048)
-        telemetry.reset()
-        telemetry.gauge_add("pipeline_inflight_bytes", -2048)
-        snap = telemetry.snapshot()
-        assert snap["pipeline_inflight_bytes_now"] == 0
-        assert telemetry.gauge_add("pipeline_inflight_bytes", 7) == 7
-
-    def test_observe_max_compat_for_peak_suffix(self):
-        telemetry = Telemetry()
-        telemetry.gauge_add("pipeline_inflight_bytes", 5)
-        telemetry.observe_max("pipeline_inflight_bytes_peak", 999)
-        assert telemetry.get("pipeline_inflight_bytes_peak") == 999
-
-    def test_observe_max_dynamic_name_readable_by_get(self):
-        telemetry = Telemetry()
-        telemetry.observe_max("my_custom_peak_thing", 42)
-        telemetry.observe_max("my_custom_peak_thing", 17)
-        assert telemetry.get("my_custom_peak_thing") == 42
-
-    def test_events_cleared_by_reset(self):
-        telemetry = Telemetry()
-        telemetry.record_event("vft_transfer", rows=5)
-        kind, fields = telemetry.events("vft_transfer")[0]
-        assert kind == "vft_transfer" and fields["rows"] == 5
-        telemetry.reset()
-        assert telemetry.events() == []
 
 
 # -- tracing -------------------------------------------------------------------
@@ -270,9 +256,9 @@ class TestTracer:
 class TestProfile:
     def test_profile_scan_reconciles_with_counters(self):
         cluster = make_cluster()
-        before = cluster.telemetry.snapshot()
+        before = cluster.metrics.snapshot()
         result = cluster.sql("PROFILE SELECT k, a FROM pts WHERE a > 0")
-        after = cluster.telemetry.snapshot()
+        after = cluster.metrics.snapshot()
         columns = result.as_arrays()
         assert list(columns) == ["operator", "wall_ms", "rows", "bytes",
                                  "detail"]
@@ -322,7 +308,7 @@ class TestProfile:
 
     def test_profile_join_shows_both_input_scans(self):
         cluster = make_cluster()
-        before = cluster.telemetry.get("rows_scanned")
+        before = cluster.metrics.counter("rows_scanned").value
         result = cluster.sql(
             "PROFILE SELECT COUNT(*) AS n FROM pts x JOIN pts y ON x.k = y.k")
         columns = result.as_arrays()
@@ -333,7 +319,7 @@ class TestProfile:
         assert operators.count("scan.node") == 6
         assert operators[-1] == "aggregate.node"
         assert columns["rows"][0] \
-            == cluster.telemetry.get("rows_scanned") - before == 1200
+            == cluster.metrics.counter("rows_scanned").value - before == 1200
 
     @pytest.mark.parametrize("select", [
         "COUNT(*) AS n, SUM(x.a) AS s",   # aggregate over the probe side
@@ -341,7 +327,7 @@ class TestProfile:
     ])
     def test_join_emits_one_scan_span_per_node_per_input(self, select):
         cluster = make_cluster()
-        before = cluster.telemetry.get("rows_scanned")
+        before = cluster.metrics.counter("rows_scanned").value
         cluster.sql(f"SELECT {select} FROM pts x JOIN pts y ON x.k = y.k")
         join = cluster.tracer.last_root().children[0]
         assert join.name == "join"
@@ -349,7 +335,7 @@ class TestProfile:
         # The build input's node scans, then the probe input's.
         assert [span.attributes["node"] for span in scans] == [0, 1, 2] * 2
         assert sum(span.total("rows") for span in scans) \
-            == cluster.telemetry.get("rows_scanned") - before == 1200
+            == cluster.metrics.counter("rows_scanned").value - before == 1200
 
     def test_profile_rejects_non_select(self):
         cluster = make_cluster()
@@ -368,25 +354,23 @@ class TestQueryInstrumentation:
         assert root.name == "query"
         assert root.attributes["statement"].startswith("SELECT COUNT(*)")
         assert root.attributes["result_rows"] == 1
-        stats = cluster.telemetry.registry.histogram("query_seconds").stats()
+        stats = cluster.metrics.histogram("query_seconds").stats()
         assert stats["count"] >= 1
         assert stats["sum"] > 0
 
     def test_backpressure_counter_counts_blocking(self):
         from repro.vertica.pipeline import BatchQueue
 
-        telemetry = Telemetry()
-        queue = BatchQueue(maxdepth=1, telemetry=telemetry)
+        metrics = MetricsRegistry()
+        queue = BatchQueue(maxdepth=1, metrics=metrics)
         queue.put({"a": np.zeros(4)})
-        import threading
-
         consumer = iter(queue)
         timer = threading.Timer(0.05, lambda: next(consumer))
         timer.start()
         queue.put({"a": np.zeros(4)})  # blocks until the timer drains one
         timer.join()
         assert queue.blocked_seconds > 0
-        assert telemetry.get("pipeline_backpressure_seconds") > 0
+        assert metrics.counter("pipeline_backpressure_seconds").value > 0
 
 
 # -- exporters -----------------------------------------------------------------
@@ -479,9 +463,9 @@ class TestTransferTrace:
         allocate = [root for root in session.tracer.roots()
                     if root.name == "yarn.allocate"]
         assert allocate and allocate[0].attributes["granted"] == 2
-        assert manager.telemetry.get("yarn_containers_granted") == 2
+        assert manager.metrics.counter("yarn_containers_granted").value == 2
         session.shutdown()
         release = [root for root in session.tracer.roots()
                    if root.name == "yarn.release"]
         assert release
-        assert manager.telemetry.get("yarn_containers_released") == 2
+        assert manager.metrics.counter("yarn_containers_released").value == 2

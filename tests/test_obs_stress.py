@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.vertica.telemetry import Telemetry
 
 THREADS = 8
 ROUNDS = 400
@@ -79,22 +78,25 @@ class TestRegistryStress:
         hammer(work)
         assert len({id(instrument) for instrument in seen}) == 1
 
-    def test_telemetry_shim_concurrent_mixed_traffic(self):
-        telemetry = Telemetry()
+    def test_registry_concurrent_mixed_traffic(self):
+        """Every instrument kind written at once through one registry,
+        each thread resolving its handles per call as cold paths do."""
+        registry = MetricsRegistry()
 
         def work(i):
             for _ in range(ROUNDS):
-                telemetry.add("rows_scanned", 2)
-                telemetry.gauge_add("pipeline_inflight_bytes", 8)
-                telemetry.gauge_add("pipeline_inflight_bytes", -8)
-                telemetry.observe_max("custom_peak", i)
-                telemetry.record_event("tick", thread=i)
+                registry.counter("rows_scanned").add(2)
+                registry.gauge("pipeline_inflight_bytes").add(8)
+                registry.gauge("pipeline_inflight_bytes").add(-8)
+                registry.gauge("peak_batch_bytes").observe_max(i)
+                registry.histogram("query_seconds").observe(0.5)
 
         hammer(work)
-        snap = telemetry.snapshot()
+        snap = registry.snapshot()
         assert snap["rows_scanned"] == THREADS * ROUNDS * 2
         assert snap["pipeline_inflight_bytes_now"] == 0
-        assert telemetry.get("custom_peak") == THREADS - 1
+        assert snap["peak_batch_bytes"] == THREADS - 1
+        assert snap["query_seconds_count"] == THREADS * ROUNDS
 
 
 class TestTracerStress:

@@ -228,7 +228,7 @@ class TestScanParity:
             result, {"k": scan_order(clusters[0], ["k"])["k"][:25]},
             ordered=True)
         # The small-batch configs stop pulling long before the table ends.
-        assert clusters[0].telemetry.get("rows_scanned") \
+        assert clusters[0].metrics.counter("rows_scanned").value \
             < ROUNDS * ROWS_PER_ROUND
 
     def test_distinct(self):
@@ -243,7 +243,7 @@ class TestScanParity:
         _, clusters = check("SELECT k, a FROM pts WHERE k < 900", oracle,
                             sorted_keys=True)
         for cluster in clusters:
-            assert cluster.telemetry.get("rowgroups_pruned") > 0
+            assert cluster.metrics.counter("rowgroups_pruned").value > 0
 
     def test_empty_scan_keeps_schema_dtypes(self):
         """Zero surviving rows must not collapse every column to float64."""
@@ -358,7 +358,7 @@ class TestUdtfParity:
             setup=_register_udtfs)
         assert result.column("total").sum() == loaded()["k"].sum()
         for cluster in clusters:
-            assert cluster.telemetry.get("udtf_instances") == NODE_COUNT
+            assert cluster.metrics.counter("udtf_instances").value == NODE_COUNT
 
     def test_partition_best_over_r_models(self):
         """The catalog table is one in-memory source: one instance on node
@@ -385,10 +385,10 @@ class TestUdtfParity:
             deploy_model(cluster, model, name)
         sizes = cluster.sql("SELECT size FROM R_Models").column("size")
         assert len(sizes) == 2
-        before = cluster.telemetry.get("udtf_instances")
+        before = cluster.metrics.counter("udtf_instances").value
         result = cluster.sql(
             "SELECT whereAmI(size) OVER (PARTITION BEST) FROM R_Models")
-        assert cluster.telemetry.get("udtf_instances") == before + 1
+        assert cluster.metrics.counter("udtf_instances").value == before + 1
         assert np.array_equal(result.column("size"), sizes)
         assert result.column("node").tolist() == [0, 0]
         assert result.column("instances").tolist() == [1, 1]
@@ -487,7 +487,7 @@ class TestFanOutScheduling:
         result = cluster.sql(
             "SELECT arrivals(k, seq) OVER (PARTITION BEST) FROM ev")
         # 16 instances against max(4, node_count) = 4 consumer workers.
-        assert cluster.telemetry.get("udtf_instances") == 2 * self.CHUNKS
+        assert cluster.metrics.counter("udtf_instances").value == 2 * self.CHUNKS
         # Contiguous node-major ranges, concatenated in instance order, are
         # exactly the table in storage order.
         scanned = cluster.catalog.get_table("ev").scan_all(["k", "seq"])
@@ -527,8 +527,8 @@ class _SlowWatcher(TransformFunction):
 
     name = "slowWatch"
 
-    def __init__(self, telemetry):
-        self.telemetry = telemetry
+    def __init__(self, metrics):
+        self.metrics = metrics
         self.peak_live_batches = 0.0
 
     def process(self, ctx, args, params):
@@ -538,7 +538,7 @@ class _SlowWatcher(TransformFunction):
     def process_stream(self, ctx, batches, params):
         total = 0
         for batch in batches:
-            live = self.telemetry.get("pipeline_inflight_batches_now")
+            live = self.metrics.gauge("pipeline_inflight_batches").now
             self.peak_live_batches = max(self.peak_live_batches, live)
             time.sleep(0.002)  # let producers race ahead into the queues
             total += len(next(iter(batch.values())))
@@ -560,23 +560,22 @@ class TestBackpressure:
     def test_queue_depth_bounds_live_batches(self):
         queue_depth = 2
         cluster = build_cluster(batch_rows=32, queue_depth=queue_depth)
-        watcher = _SlowWatcher(cluster.telemetry)
+        watcher = _SlowWatcher(cluster.metrics)
         cluster.register_udtf(watcher)
         result = cluster.sql(
             "SELECT slowWatch(a) OVER (PARTITION NODES) FROM pts")
         assert result.column("rows").sum() == ROUNDS * ROWS_PER_ROUND
 
-        total_batches = cluster.telemetry.get("batches_scanned")
+        total_batches = cluster.metrics.counter("batches_scanned").value
         # Per node: queue_depth batches queued, one in the consumer's hands,
         # one in the producer/source hand-over.
         bound = NODE_COUNT * (queue_depth + 2)
         assert total_batches > bound  # the bound is actually exercised
         assert watcher.peak_live_batches <= bound
-        assert cluster.telemetry.get(
-            "pipeline_inflight_batches_peak") <= bound
+        assert cluster.metrics.gauge("pipeline_inflight_batches").peak <= bound
         # Everything charged to the gauges was discharged.
-        assert cluster.telemetry.get("pipeline_inflight_batches_now") == 0
-        assert cluster.telemetry.get("pipeline_inflight_bytes_now") == 0
+        assert cluster.metrics.gauge("pipeline_inflight_batches").now == 0
+        assert cluster.metrics.gauge("pipeline_inflight_bytes").now == 0
 
     @pytest.mark.parametrize("partition", ["NODES", "BEST", "BY k"])
     def test_failed_udtf_discharges_inflight_gauges(self, partition):
@@ -588,13 +587,13 @@ class TestBackpressure:
         with pytest.raises(ValueError, match="instance failed"):
             cluster.sql(
                 f"SELECT failFirst(a) OVER (PARTITION {partition}) FROM pts")
-        assert cluster.telemetry.get("pipeline_inflight_batches_now") == 0
-        assert cluster.telemetry.get("pipeline_inflight_bytes_now") == 0
+        assert cluster.metrics.gauge("pipeline_inflight_batches").now == 0
+        assert cluster.metrics.gauge("pipeline_inflight_bytes").now == 0
 
     def test_streaming_telemetry_counters(self):
         cluster = build_cluster(batch_rows=64)
         cluster.sql("SELECT k FROM pts")
-        snapshot = cluster.telemetry.snapshot()
+        snapshot = cluster.metrics.snapshot()
         assert snapshot["batches_scanned"] > NODE_COUNT
         assert snapshot["rows_streamed"] == ROUNDS * ROWS_PER_ROUND
         assert snapshot["peak_batch_bytes"] > 0
@@ -625,8 +624,8 @@ class TestTransferParity:
                 darray = db2darray(cluster, "pts", ["a", "b", "y"],
                                    session, chunk_rows=4_096)
                 collected = darray.collect()
-                frames = session.telemetry.get("vft_frames_received")
-            return collected, frames, cluster.telemetry.snapshot()
+                frames = session.metrics.counter("vft_frames_received").value
+            return collected, frames, cluster.metrics.snapshot()
 
         runs = [transfer(batch_rows) for batch_rows in (64, 1_024, 8_192)]
         first_data, first_frames, first_tel = runs[0]
@@ -712,7 +711,7 @@ class TestMutationTransferParity:
 
         # Preconditions: the mutations really are live, not materialized.
         assert sum(seg.wos_rows for seg in table.segments) == 21
-        assert mutated.telemetry.get("delete_vector_rows_now") > 0
+        assert mutated.metrics.gauge("delete_vector_rows").now > 0
 
         keep = base["k"] >= self.DELETE_BELOW
         survivors = {name: array[keep] for name, array in base.items()}
@@ -732,8 +731,8 @@ class TestMutationTransferParity:
                 darray = db2darray(cluster, "m", ["c0", "c1", "c2"],
                                    session, chunk_rows=256)
                 collected = darray.collect()
-                frames = session.telemetry.get("vft_frames_received")
-            return collected, frames, cluster.telemetry.snapshot()
+                frames = session.metrics.counter("vft_frames_received").value
+            return collected, frames, cluster.metrics.snapshot()
 
         live_data, live_frames, live_tel = transfer(mutated)
         flat_data, flat_frames, flat_tel = transfer(materialized)
@@ -745,7 +744,7 @@ class TestMutationTransferParity:
         # The transfer itself must not have flushed or purged anything.
         table = mutated.catalog.get_table("m")
         assert sum(seg.wos_rows for seg in table.segments) == 21
-        assert mutated.telemetry.get("delete_vector_rows_now") > 0
+        assert mutated.metrics.gauge("delete_vector_rows").now > 0
 
     def test_prediction_udtf_parity_over_live_mutations(self):
         mutated, materialized = self._clusters()

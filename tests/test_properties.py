@@ -338,7 +338,7 @@ class TestFaultToleranceProperties:
             # The rows above came through a buddy replica, and the
             # recovery was accounted for.
             assert cluster.nodes[node].is_down
-            assert cluster.telemetry.get("failovers") >= 1
+            assert cluster.metrics.counter("failovers").value >= 1
 
     @common_settings
     @given(data_seed=st.integers(0, 50), node=st.integers(0, 2))

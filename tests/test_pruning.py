@@ -80,7 +80,7 @@ class TestPruningExecution:
         result = clustered_cluster.sql(
             "SELECT COUNT(*) FROM events WHERE ts >= 45000")
         assert result.scalar() == 5_000
-        assert clustered_cluster.telemetry.get("rowgroups_pruned") > 0
+        assert clustered_cluster.metrics.counter("rowgroups_pruned").value > 0
 
     def test_results_identical_with_and_without_pruning(self, clustered_cluster):
         query = ("SELECT SUM(v) FROM events "
@@ -90,15 +90,15 @@ class TestPruningExecution:
         assert pruned == pytest.approx(expected)
 
     def test_full_scan_prunes_nothing(self, clustered_cluster):
-        before = clustered_cluster.telemetry.get("rowgroups_pruned")
+        before = clustered_cluster.metrics.counter("rowgroups_pruned").value
         clustered_cluster.sql("SELECT COUNT(*) FROM events")
-        assert clustered_cluster.telemetry.get("rowgroups_pruned") == before
+        assert clustered_cluster.metrics.counter("rowgroups_pruned").value == before
 
     def test_impossible_predicate_prunes_everything(self, clustered_cluster):
         assert clustered_cluster.sql(
             "SELECT COUNT(*) FROM events WHERE ts > 10000000").scalar() == 0
         # every row group on every node skipped
-        assert clustered_cluster.telemetry.get("rowgroups_pruned") >= 10
+        assert clustered_cluster.metrics.counter("rowgroups_pruned").value >= 10
 
     def test_pruning_on_unprojected_column(self, clustered_cluster):
         """The constrained column need not be in the SELECT list."""

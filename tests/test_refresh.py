@@ -117,12 +117,12 @@ class TestIncrementalGlmParity:
             trickle(table, [[0.0, 0.0, 0.5]])
         result = refresh_model(cluster, "sales_model")
         assert result.staleness_epochs == 4
-        assert cluster.telemetry.get("model_staleness_epochs") == 4.0
+        assert cluster.metrics.gauge("model_staleness_epochs").now == 4.0
         # The redeploy inside the refresh commits one epoch of its own, so
         # the immediate follow-up sees lag 1; the peak remembers the worst.
         refresh_model(cluster, "sales_model")
-        assert cluster.telemetry.get("model_staleness_epochs") == 1.0
-        assert cluster.telemetry.get("model_staleness_epochs_peak") == 4.0
+        assert cluster.metrics.gauge("model_staleness_epochs").now == 1.0
+        assert cluster.metrics.gauge("model_staleness_epochs").peak == 4.0
 
     def test_epoch_advance_without_table_rows_restamps(self, cluster):
         """Commits to *other* tables advance the global epoch; the refresh

@@ -582,19 +582,39 @@ def test_metric_drift_catches_undeclared_metric_names(tmp_path):
         tmp_path,
         """
         def run(self, plan):
-            self.telemetry.add("rows.scanned", 3)        # declared: fine
-            self.telemetry.observe_max("rows.scaned", 9) # typo: drift
-            counter = self.registry.counter("bytes.snt") # typo: drift
-            plan.record("anything.goes")                 # not a metric API
+            self.metrics.counter("rows.scanned").add(3)      # declared: fine
+            self.metrics.gauge("rows.scaned").observe_max(9) # typo: drift
+            counter = self.registry.counter("bytes.snt")     # typo: drift
+            plan.record("anything.goes")                     # not a metric API
         """,
     )
     checker = get_checker("metric-drift")
     violations = list(checker.check_project(project))
-    assert [v.message.split("'")[1] for v in violations] == [
-        "rows.scaned", "bytes.snt",
+    assert sorted(v.message.split("'")[1] for v in violations) == [
+        "bytes.snt", "rows.scaned",
     ]
     assert all(v.code == "RL901" for v in violations)
     assert all("CATALOG" in v.message for v in violations)
+
+
+def test_metric_drift_checks_every_receiver(tmp_path):
+    """A hoisted handle or any other receiver name is checked too: only
+    the method and the literal first argument matter."""
+    project = _drift_project(
+        tmp_path,
+        """
+        def run(self, cluster):
+            m = cluster.metrics
+            m.counter("rows.scaned").add()          # typo: drift
+            sink = self._sink
+            sink.histogram("bytes.snt").observe(1)  # typo: drift
+            m.gauge("bytes.sent")                   # declared: fine
+        """,
+    )
+    violations = list(get_checker("metric-drift").check_project(project))
+    assert sorted(v.message.split("'")[1] for v in violations) == [
+        "bytes.snt", "rows.scaned",
+    ]
 
 
 def test_fault_site_drift_catches_unregistered_sites(tmp_path):
@@ -638,8 +658,8 @@ def test_registry_drift_clean_engine_passes(tmp_path):
         tmp_path,
         """
         def run(self, plan):
-            self.telemetry.add("rows.scanned", 1)
-            self.telemetry.gauge_add("bytes.sent", 64)
+            self.metrics.counter("rows.scanned").add(1)
+            self.metrics.gauge("bytes.sent").add(64)
             plan.perturb("dr.task")
             with self.tracer.span("scan", node=0):
                 pass
@@ -777,225 +797,177 @@ def test_model_type_drift_clean_on_real_tree():
 
 
 # ---------------------------------------------------------------------------
-# serving-registry-drift (RL905, project scope)
+# manifest-drift (RL905, project scope)
 # ---------------------------------------------------------------------------
 
-def _serving_manifest_project(tmp_path: Path,
-                              manifest_body: str) -> ProjectContext:
-    """Fake tree: registries with one serving-owned entry each, plus the
-    serving instruments manifest under test."""
+#: Per subsystem: its package, the owner prefixes its manifest declares, and
+#: one owned entry per central registry (metric name, emitting module).
+SUBSYSTEMS = {
+    "serving": {
+        "package": "serving",
+        "prefixes": ("repro.serving", "serve.", "serving."),
+        "metric": ("sessions_active", "repro.serving.server"),
+        "span": "serve.admit",
+        "site": "serving.admit",
+    },
+    "aqp": {
+        "package": "aqp",
+        "prefixes": ("repro.aqp", "aqp.", "aqp."),
+        "metric": ("samples_built", "repro.aqp.build"),
+        "span": "aqp.rewrite",
+        "site": "aqp.refresh",
+    },
+    "widget": {
+        "package": "widget",
+        "prefixes": ("repro.widget", "widget.", "widget."),
+        "metric": ("widgets_made", "repro.widget.factory"),
+        "span": "widget.make",
+        "site": "widget.make",
+    },
+}
+
+
+def _manifest(subsystem: str, metrics=None, spans=None, sites=None,
+              omit: str | None = None) -> str:
+    """A manifest body for ``subsystem``; each section defaults to exactly
+    the names it owns, and ``omit`` drops one constant entirely."""
+    sub = SUBSYSTEMS[subsystem]
+    module_prefix, span_prefix, site_prefix = sub["prefixes"]
+    constants = {
+        "DOCS": repr(f"docs/{subsystem}.md"),
+        "METRICS_MODULE_PREFIX": repr(module_prefix),
+        "SPAN_PREFIX": repr(span_prefix),
+        "FAULT_SITE_PREFIX": repr(site_prefix),
+        "METRICS": repr(tuple(metrics if metrics is not None
+                              else [sub["metric"][0]])),
+        "SPANS": repr(tuple(spans if spans is not None else [sub["span"]])),
+        "FAULT_SITES": repr(tuple(sites if sites is not None
+                                  else [sub["site"]])),
+    }
+    return "".join(f"{name} = {value}\n" for name, value in constants.items()
+                   if name != omit)
+
+
+def _manifest_project(tmp_path: Path, manifests: dict[str, str],
+                      registered=tuple(SUBSYSTEMS)) -> ProjectContext:
+    """Fake tree: central registries holding one unowned entry plus one
+    owned entry per ``registered`` subsystem, and the given manifests."""
+    specs = {"rows.scanned": "repro.vertica.engine"}
+    spans, sites = {"query": "q"}, {"dr.task": "t"}
+    for subsystem in registered:
+        sub = SUBSYSTEMS[subsystem]
+        name, module = sub["metric"]
+        specs[name] = module
+        spans[sub["span"]] = "s"
+        sites[sub["site"]] = "s"
+
     metrics = tmp_path / "src/repro/obs/metrics.py"
     metrics.parent.mkdir(parents=True)
     metrics.write_text(
-        textwrap.dedent(
-            """
-            def _spec(name, kind, unit, description, module):
-                return name
-
-            CATALOG = {
-                "rows.scanned": _spec(
-                    "rows.scanned", "counter", "1", "rows",
-                    "repro.vertica.engine"),
-                "sessions_active": _spec(
-                    "sessions_active", "gauge", "1", "open sessions",
-                    "repro.serving.server"),
-            }
-            """
-        ),
+        "def _spec(name, kind, unit, description, module):\n"
+        "    return name\n\nCATALOG = {\n" + "".join(
+            f"    {name!r}: _spec({name!r}, 'counter', '1', 'd', {module!r}),\n"
+            for name, module in specs.items()) + "}\n",
         encoding="utf-8",
     )
-
-    sites = tmp_path / "src/repro/faults/sites.py"
-    sites.parent.mkdir(parents=True)
-    sites.write_text(
-        'FAULT_SITES = {"dr.task": "task", "serving.admit": "slot grant"}\n',
-        encoding="utf-8",
-    )
-
+    faults = tmp_path / "src/repro/faults/sites.py"
+    faults.parent.mkdir(parents=True)
+    faults.write_text(f"FAULT_SITES = {sites!r}\n", encoding="utf-8")
     trace = tmp_path / "src/repro/obs/trace.py"
-    trace.write_text(
-        'SPAN_TAXONOMY = {"query": "one statement", '
-        '"serve.admit": "queue wait"}\n',
-        encoding="utf-8",
-    )
+    trace.write_text(f"SPAN_TAXONOMY = {spans!r}\n", encoding="utf-8")
 
-    manifest = tmp_path / "src/repro/serving/instruments.py"
-    manifest.parent.mkdir(parents=True)
-    manifest.write_text(textwrap.dedent(manifest_body), encoding="utf-8")
-
-    return ProjectContext(tmp_path, [metrics, sites, trace, manifest])
+    files = [metrics, faults, trace]
+    for subsystem, body in manifests.items():
+        manifest = tmp_path / f"src/repro/{SUBSYSTEMS[subsystem]['package']}/instruments.py"
+        manifest.parent.mkdir(parents=True)
+        manifest.write_text(body, encoding="utf-8")
+        files.append(manifest)
+    return ProjectContext(tmp_path, files)
 
 
-COMPLETE_SERVING_MANIFEST = """
-    SERVING_METRICS = ("sessions_active",)
-    SERVING_SPANS = ("serve.admit",)
-    SERVING_FAULT_SITES = ("serving.admit",)
-"""
+def _manifest_violations(project: ProjectContext) -> list:
+    return list(get_checker("manifest-drift").check_project(project))
 
 
-def test_serving_manifest_complete_passes(tmp_path):
-    project = _serving_manifest_project(tmp_path, COMPLETE_SERVING_MANIFEST)
-    checker = get_checker("serving-registry-drift")
-    assert list(checker.check_project(project)) == []
+@pytest.mark.parametrize("subsystem", ["serving", "aqp"])
+def test_manifest_complete_passes(tmp_path, subsystem):
+    project = _manifest_project(
+        tmp_path, {subsystem: _manifest(subsystem)}, registered=[subsystem])
+    assert _manifest_violations(project) == []
 
 
-def test_serving_manifest_catches_unregistered_names(tmp_path):
+@pytest.mark.parametrize("subsystem", ["serving", "aqp"])
+def test_manifest_catches_unregistered_names(tmp_path, subsystem):
     """Forward direction: every manifest entry must exist in its registry."""
-    project = _serving_manifest_project(
-        tmp_path,
-        """
-        SERVING_METRICS = ("sessions_active", "sessions_actve")
-        SERVING_SPANS = ("serve.admit",)
-        SERVING_FAULT_SITES = ("serving.admit",)
-        """,
-    )
-    checker = get_checker("serving-registry-drift")
-    violations = list(checker.check_project(project))
+    owned = SUBSYSTEMS[subsystem]["metric"][0]
+    project = _manifest_project(
+        tmp_path, {subsystem: _manifest(subsystem, metrics=[owned, owned + "x"])},
+        registered=[subsystem])
+    violations = _manifest_violations(project)
     assert len(violations) == 1
     assert violations[0].code == "RL905"
-    assert "sessions_actve" in violations[0].message
+    assert owned + "x" in violations[0].message
     assert "does not exist" in violations[0].message
 
 
-def test_serving_manifest_catches_unlisted_registry_entries(tmp_path):
-    """Reverse direction: a serving-owned registry entry (serve.* span,
-    serving.* site, repro.serving-module metric) must be in the manifest."""
-    project = _serving_manifest_project(
-        tmp_path,
-        """
-        SERVING_METRICS = ("sessions_active",)
-        SERVING_SPANS = ()
-        SERVING_FAULT_SITES = ("serving.admit",)
-        """,
-    )
-    checker = get_checker("serving-registry-drift")
-    violations = list(checker.check_project(project))
+@pytest.mark.parametrize("subsystem", ["serving", "aqp"])
+def test_manifest_catches_unlisted_registry_entries(tmp_path, subsystem):
+    """Reverse direction: a registry entry the manifest's prefixes mark as
+    owned (span, site, or metric emitting module) must be listed."""
+    project = _manifest_project(
+        tmp_path, {subsystem: _manifest(subsystem, spans=[])},
+        registered=[subsystem])
+    violations = _manifest_violations(project)
     assert len(violations) == 1
-    assert "serve.admit" in violations[0].message
-    assert "missing from SERVING_SPANS" in violations[0].message
+    assert SUBSYSTEMS[subsystem]["span"] in violations[0].message
+    assert "missing from SPANS" in violations[0].message
+    assert f"docs/{subsystem}.md" in violations[0].message
+
+
+def test_third_subsystem_needs_no_lint_code(tmp_path):
+    """Adding a manifest is all a new subsystem does: the rule finds it and
+    checks it beside the others, each against its own prefixes."""
+    manifests = {name: _manifest(name) for name in SUBSYSTEMS}
+    manifests["widget"] = _manifest("widget", metrics=[])
+    project = _manifest_project(tmp_path, manifests)
+    violations = _manifest_violations(project)
+    assert len(violations) == 1
+    assert violations[0].path == "src/repro/widget/instruments.py"
+    assert "'widgets_made'" in violations[0].message
+    assert "missing from METRICS" in violations[0].message
 
 
 def test_serving_manifest_missing_file_is_a_finding(tmp_path):
-    project = _serving_manifest_project(tmp_path, COMPLETE_SERVING_MANIFEST)
+    """No manifest at all is reported, never a silent pass."""
+    project = _manifest_project(
+        tmp_path, {"serving": _manifest("serving")}, registered=["serving"])
     (tmp_path / "src/repro/serving/instruments.py").unlink()
-    checker = get_checker("serving-registry-drift")
-    violations = list(checker.check_project(project))
+    violations = _manifest_violations(project)
     assert len(violations) == 1
     assert "cannot extract the instruments manifest" in violations[0].message
 
 
-# ---------------------------------------------------------------------------
-# aqp-registry-drift (RL906, project scope)
-# ---------------------------------------------------------------------------
-
-def _aqp_manifest_project(tmp_path: Path, manifest_body: str) -> ProjectContext:
-    """Fake tree: registries with one AQP-owned entry each, plus the AQP
-    instruments manifest under test."""
-    metrics = tmp_path / "src/repro/obs/metrics.py"
-    metrics.parent.mkdir(parents=True)
-    metrics.write_text(
-        textwrap.dedent(
-            """
-            def _spec(name, kind, unit, description, module):
-                return name
-
-            CATALOG = {
-                "rows.scanned": _spec(
-                    "rows.scanned", "counter", "1", "rows",
-                    "repro.vertica.engine"),
-                "samples_built": _spec(
-                    "samples_built", "counter", "1", "samples",
-                    "repro.aqp.build"),
-            }
-            """
-        ),
-        encoding="utf-8",
-    )
-
-    sites = tmp_path / "src/repro/faults/sites.py"
-    sites.parent.mkdir(parents=True)
-    sites.write_text(
-        'FAULT_SITES = {"dr.task": "task", "aqp.refresh": "refresh pass"}\n',
-        encoding="utf-8",
-    )
-
-    trace = tmp_path / "src/repro/obs/trace.py"
-    trace.write_text(
-        'SPAN_TAXONOMY = {"query": "one statement", '
-        '"aqp.rewrite": "sample estimation"}\n',
-        encoding="utf-8",
-    )
-
-    manifest = tmp_path / "src/repro/aqp/instruments.py"
-    manifest.parent.mkdir(parents=True)
-    manifest.write_text(textwrap.dedent(manifest_body), encoding="utf-8")
-
-    return ProjectContext(tmp_path, [metrics, sites, trace, manifest])
-
-
-COMPLETE_AQP_MANIFEST = """
-    AQP_METRICS = ("samples_built",)
-    AQP_SPANS = ("aqp.rewrite",)
-    AQP_FAULT_SITES = ("aqp.refresh",)
-"""
-
-
-def test_aqp_manifest_complete_passes(tmp_path):
-    project = _aqp_manifest_project(tmp_path, COMPLETE_AQP_MANIFEST)
-    checker = get_checker("aqp-registry-drift")
-    assert list(checker.check_project(project)) == []
-
-
-def test_aqp_manifest_catches_unregistered_names(tmp_path):
-    project = _aqp_manifest_project(
-        tmp_path,
-        """
-        AQP_METRICS = ("samples_built", "samples_bilt")
-        AQP_SPANS = ("aqp.rewrite",)
-        AQP_FAULT_SITES = ("aqp.refresh",)
-        """,
-    )
-    checker = get_checker("aqp-registry-drift")
-    violations = list(checker.check_project(project))
-    assert len(violations) == 1
-    assert violations[0].code == "RL906"
-    assert "samples_bilt" in violations[0].message
-    assert "does not exist" in violations[0].message
-
-
-def test_aqp_manifest_catches_unlisted_registry_entries(tmp_path):
-    project = _aqp_manifest_project(
-        tmp_path,
-        """
-        AQP_METRICS = ("samples_built",)
-        AQP_SPANS = ()
-        AQP_FAULT_SITES = ("aqp.refresh",)
-        """,
-    )
-    checker = get_checker("aqp-registry-drift")
-    violations = list(checker.check_project(project))
-    assert len(violations) == 1
-    assert "aqp.rewrite" in violations[0].message
-    assert "missing from AQP_SPANS" in violations[0].message
-
-
 def test_serving_manifest_missing_tuple_is_a_finding(tmp_path):
-    project = _serving_manifest_project(
-        tmp_path,
-        """
-        SERVING_METRICS = ("sessions_active",)
-        SERVING_SPANS = ("serve.admit",)
-        """,
-    )
-    checker = get_checker("serving-registry-drift")
-    violations = list(checker.check_project(project))
-    assert any("SERVING_FAULT_SITES tuple" in v.message for v in violations)
+    project = _manifest_project(
+        tmp_path, {"serving": _manifest("serving", omit="FAULT_SITES")},
+        registered=["serving"])
+    violations = _manifest_violations(project)
+    assert any("FAULT_SITES tuple" in v.message for v in violations)
+
+
+def test_manifest_missing_prefix_is_a_finding(tmp_path):
+    project = _manifest_project(
+        tmp_path, {"aqp": _manifest("aqp", omit="SPAN_PREFIX")},
+        registered=["aqp"])
+    violations = _manifest_violations(project)
+    assert len(violations) == 1
+    assert "cannot extract the SPAN_PREFIX constant" in violations[0].message
 
 
 def test_serving_registry_drift_clean_on_real_tree():
-    """The live manifest agrees with the live registries, both directions."""
-    checker = get_checker("serving-registry-drift")
-    assert list(checker.check_project(ProjectContext(REPO_ROOT, []))) == []
+    """Every live manifest (serving's and AQP's) agrees with the live
+    registries, both ways."""
+    assert _manifest_violations(ProjectContext(REPO_ROOT, [])) == []
 
 
 # ---------------------------------------------------------------------------

@@ -131,17 +131,17 @@ class TestSessions:
     def test_session_lifecycle_and_gauge(self):
         cluster = make_cluster()
         with make_server(cluster) as server:
-            assert cluster.telemetry.get("sessions_active") == 0
+            assert cluster.metrics.gauge("sessions_active").now == 0
             with server.session() as session:
-                assert cluster.telemetry.get("sessions_active") == 1
+                assert cluster.metrics.gauge("sessions_active").now == 1
                 assert server.active_sessions == 1
                 result = session.execute("SELECT COUNT(*) AS n FROM pts")
                 assert result.scalar() == 600
                 assert session.statements == 1
-            assert cluster.telemetry.get("sessions_active") == 0
+            assert cluster.metrics.gauge("sessions_active").now == 0
             # Closing twice is idempotent: the gauge never goes negative.
             session.close()
-            assert cluster.telemetry.get("sessions_active") == 0
+            assert cluster.metrics.gauge("sessions_active").now == 0
             with pytest.raises(ServingError):
                 session.execute("SELECT 1")
 
@@ -189,8 +189,8 @@ class TestPlanCache:
             session.execute("SELECT SUM(a) FROM pts")
             session.execute("SELECT SUM(a) FROM pts")
             session.execute("SELECT   SUM(a)\n  FROM   pts")  # normalizes
-        assert cluster.telemetry.get("plan_cache_misses") == 1
-        assert cluster.telemetry.get("plan_cache_hits") == 2
+        assert cluster.metrics.counter("plan_cache_misses").value == 1
+        assert cluster.metrics.counter("plan_cache_hits").value == 2
         assert len(server.plan_cache) == 1
 
     def test_comment_stripping_shares_one_plan_entry(self):
@@ -202,8 +202,8 @@ class TestPlanCache:
             session.execute("SELECT SUM(a) -- total\nFROM pts")
             session.execute("-- leading banner\nSELECT SUM(a)\nFROM pts"
                             " -- trailing, no newline")
-        assert cluster.telemetry.get("plan_cache_misses") == 1
-        assert cluster.telemetry.get("plan_cache_hits") == 2
+        assert cluster.metrics.counter("plan_cache_misses").value == 1
+        assert cluster.metrics.counter("plan_cache_hits").value == 2
         assert len(server.plan_cache) == 1
 
     def test_comment_stripping_preserves_string_literals(self):
@@ -225,7 +225,7 @@ class TestPlanCache:
             session.execute("SELECT SUM(a) FROM pts")
         # The second SELECT re-analyzed: its plan was bound to the old
         # catalog version.
-        assert cluster.telemetry.get("plan_cache_misses") >= 2
+        assert cluster.metrics.counter("plan_cache_misses").value >= 2
 
     def test_lru_eviction(self):
         cluster = make_cluster()
@@ -293,8 +293,8 @@ class TestResultCache:
         with make_server(cluster) as server, server.session() as session:
             miss = session.execute(self.SQL)
             hit = session.execute(self.SQL)
-        assert cluster.telemetry.get("result_cache_hits") == 1
-        assert cluster.telemetry.get("result_cache_misses") == 1
+        assert cluster.metrics.counter("result_cache_hits").value == 1
+        assert cluster.metrics.counter("result_cache_misses").value == 1
         assert_results_identical(miss, direct)
         assert_results_identical(hit, direct)
 
@@ -308,12 +308,12 @@ class TestResultCache:
         with make_server(cluster) as server, server.session() as session:
             session.execute(self.SQL)
             session.execute(self.SQL)
-            assert cluster.telemetry.get("result_cache_hits") == 1
+            assert cluster.metrics.counter("result_cache_hits").value == 1
             session.execute(mutation)
             fresh = session.execute(self.SQL)
             # The mutated-table key missed and re-executed...
-            assert cluster.telemetry.get("result_cache_hits") == 1
-            assert cluster.telemetry.get("result_cache_misses") == 2
+            assert cluster.metrics.counter("result_cache_hits").value == 1
+            assert cluster.metrics.counter("result_cache_misses").value == 2
             # ...and the answer matches direct execution of the new state.
             assert_results_identical(fresh, cluster.sql(self.SQL))
 
@@ -323,11 +323,11 @@ class TestResultCache:
             session.execute("DELETE FROM pts WHERE k < 500")
             session.execute(self.SQL)
             session.execute(self.SQL)
-            assert cluster.telemetry.get("result_cache_hits") == 1
+            assert cluster.metrics.counter("result_cache_hits").value == 1
             cluster.advance_ahm()
             cluster.tuple_mover.run_mergeout()
             fresh = session.execute(self.SQL)
-            assert cluster.telemetry.get("result_cache_hits") == 1
+            assert cluster.metrics.counter("result_cache_hits").value == 1
             assert_results_identical(fresh, cluster.sql(self.SQL))
 
     def test_at_epoch_bypasses_the_result_cache(self):
@@ -337,13 +337,13 @@ class TestResultCache:
             epoch = cluster.catalog.epochs.current_epoch
             session.execute("DELETE FROM pts WHERE k < 500")
             historical_sql = f"AT EPOCH {epoch} {self.SQL}"
-            hits0 = cluster.telemetry.get("result_cache_hits")
-            misses0 = cluster.telemetry.get("result_cache_misses")
+            hits0 = cluster.metrics.counter("result_cache_hits").value
+            misses0 = cluster.metrics.counter("result_cache_misses").value
             first = session.execute(historical_sql)
             second = session.execute(historical_sql)
             # Neither execution touched the result cache.
-            assert cluster.telemetry.get("result_cache_hits") == hits0
-            assert cluster.telemetry.get("result_cache_misses") == misses0
+            assert cluster.metrics.counter("result_cache_hits").value == hits0
+            assert cluster.metrics.counter("result_cache_misses").value == misses0
             assert_results_identical(first, before)
             assert_results_identical(second, before)
 
@@ -361,7 +361,7 @@ class TestResultCache:
         with make_server(cluster) as server, server.session() as session:
             session.execute("INSERT INTO pts VALUES (1, 1.0, 1.0)")
             session.execute("INSERT INTO pts VALUES (1, 1.0, 1.0)")
-        assert cluster.telemetry.get("result_cache_misses") == 0
+        assert cluster.metrics.counter("result_cache_misses").value == 0
         assert len(server.result_cache) == 0
         assert cluster.sql("SELECT COUNT(*) FROM pts").scalar() == 602
 
@@ -405,10 +405,10 @@ class TestResultCache:
         with make_server(cluster) as server, server.session() as session:
             first = session.execute(sql)
             session.execute(sql)
-            assert cluster.telemetry.get("result_cache_hits") == 1
+            assert cluster.metrics.counter("result_cache_hits").value == 1
             deploy_model(cluster, model(2.0), "m", replace=True)
             fresh = session.execute(sql)
-            assert cluster.telemetry.get("result_cache_hits") == 1
+            assert cluster.metrics.counter("result_cache_hits").value == 1
             assert not np.array_equal(fresh.column("prediction"),
                                       first.column("prediction"))
             assert_results_identical(fresh, cluster.sql(sql))
@@ -438,12 +438,12 @@ class TestResultCache:
             first = session.execute(sql)
             assert first.column("sample_fraction")[0] < 1.0
             session.execute(sql)
-            assert cluster.telemetry.get("result_cache_hits") == 1
+            assert cluster.metrics.counter("result_cache_hits").value == 1
             session.execute("DROP SAMPLE sp")
             fresh = session.execute(sql)
             # The AQP-catalog version is in the key: the cached approximate
             # answer missed, and the re-run fell back to exact.
-            assert cluster.telemetry.get("result_cache_hits") == 1
+            assert cluster.metrics.counter("result_cache_hits").value == 1
             assert fresh.column("sample_fraction")[0] == 1.0
             assert fresh.column("estimate")[0] == 2000.0
 
@@ -484,8 +484,8 @@ class TestAdmission:
                 session.execute("SELECT COUNT(*) + 2 FROM pts")
             stalled.join()
             filler.join()
-        assert cluster.telemetry.get("statements_rejected") == 2
-        assert cluster.telemetry.get("admission_queue_seconds_count") >= 1
+        assert cluster.metrics.counter("statements_rejected").value == 2
+        assert cluster.metrics.histogram("admission_queue_seconds").stats()["count"] >= 1
 
     def test_admission_timeout_rejection(self):
         cluster = make_cluster()
@@ -507,9 +507,9 @@ class TestAdmission:
             with pytest.raises(AdmissionError, match="no execution slot"):
                 session.execute("SELECT COUNT(*) + 1 FROM pts")
             stalled.join()
-        assert cluster.telemetry.get("statements_rejected") == 1
+        assert cluster.metrics.counter("statements_rejected").value == 1
         # The stalled statement itself completed fine.
-        assert cluster.telemetry.get("statements_served") == 1
+        assert cluster.metrics.counter("statements_served").value == 1
 
     def test_error_fault_fails_the_statement(self):
         cluster = make_cluster()
@@ -538,10 +538,10 @@ class TestAdmission:
             pools=[PoolConfig("budgeted", memory_budget_bytes=256 * MB)],
             resource_manager=rm,
         )
-        granted = rm.telemetry.get("yarn_containers_granted")
+        granted = rm.metrics.counter("yarn_containers_granted").value
         assert granted >= 1
         server.close()
-        assert rm.telemetry.get("yarn_containers_released") == granted
+        assert rm.metrics.counter("yarn_containers_released").value == granted
         # An unsatisfiable budget fails construction instead of overcommitting.
         with pytest.raises(ResourceError):
             Server(cluster,
@@ -579,10 +579,10 @@ class TestConcurrentSessions:
             with ThreadPoolExecutor(max_workers=16) as pool:
                 done = list(pool.map(client, range(16)))
         assert done == [8] * 16
-        assert cluster.telemetry.get("plan_cache_misses") == len(texts)
-        assert cluster.telemetry.get("plan_cache_hits") == 16 * 8 - len(texts)
-        assert cluster.telemetry.get("sessions_active") == 0
-        assert cluster.telemetry.get("statements_served") == 16 * 8
+        assert cluster.metrics.counter("plan_cache_misses").value == len(texts)
+        assert cluster.metrics.counter("plan_cache_hits").value == 16 * 8 - len(texts)
+        assert cluster.metrics.gauge("sessions_active").now == 0
+        assert cluster.metrics.counter("statements_served").value == 16 * 8
 
     def test_concurrent_readers_and_writers_stay_correct(self):
         """Cached reads racing trickle inserts: every served SUM must equal

@@ -128,7 +128,7 @@ class TestRdd:
         first = len(calls)
         rdd.collect()
         assert len(calls) == first  # second action served from cache
-        assert sc.telemetry.get("rdd_cache_hits") >= 3
+        assert sc.metrics.counter("rdd_cache_hits").value >= 3
 
     def test_unpersist_recomputes(self, sc):
         calls = []

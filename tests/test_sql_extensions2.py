@@ -113,7 +113,7 @@ class TestKSafety:
         assert cluster.sql("SELECT COUNT(*) FROM t").scalar() == 1200
         assert cluster.sql("SELECT SUM(v) FROM t").scalar() == pytest.approx(
             expected_sum)
-        assert cluster.telemetry.get("buddy_scans") > 0
+        assert cluster.metrics.counter("buddy_scans").value > 0
 
     def test_double_failure_is_loud(self):
         cluster, _ = self.make_cluster()
@@ -127,9 +127,9 @@ class TestKSafety:
         cluster.fail_node(0)
         cluster.sql("SELECT COUNT(*) FROM t")
         cluster.recover_node(0)
-        before = cluster.telemetry.get("buddy_scans")
+        before = cluster.metrics.counter("buddy_scans").value
         cluster.sql("SELECT COUNT(*) FROM t")
-        assert cluster.telemetry.get("buddy_scans") == before
+        assert cluster.metrics.counter("buddy_scans").value == before
 
     def test_unprotected_table_fails_hard(self):
         cluster, _ = self.make_cluster(k_safety=0)

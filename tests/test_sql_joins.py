@@ -236,13 +236,13 @@ class TestJoinErrors:
             )
 
     def test_on_clause_type_error_raises_before_any_scan(self, join_cluster):
-        scanned = join_cluster.telemetry.get("rows_scanned")
+        scanned = join_cluster.metrics.counter("rows_scanned").value
         with pytest.raises(SemanticError, match="SA201"):
             join_cluster.sql(
                 "SELECT u.name FROM users u JOIN orders o "
                 "ON u.uid = o.uid AND o.amount = 'x'"
             )
-        assert join_cluster.telemetry.get("rows_scanned") == scanned
+        assert join_cluster.metrics.counter("rows_scanned").value == scanned
 
     def test_colliding_output_names_rejected(self, join_cluster):
         # Results are keyed by output name: this used to return o.uid twice.
@@ -346,10 +346,10 @@ class TestJoinReadsThroughScanSources:
         expected = self._cluster(k_safety=1).sql(self.QUERY).rows()
         cluster = self._cluster(k_safety=1)
         cluster.fail_node(1)
-        before = cluster.telemetry.get("buddy_scans")
+        before = cluster.metrics.counter("buddy_scans").value
         assert cluster.sql(self.QUERY).rows() == expected
         # One failover per input table.
-        assert cluster.telemetry.get("buddy_scans") == before + 2
+        assert cluster.metrics.counter("buddy_scans").value == before + 2
 
     def test_failed_node_without_k_safety_raises(self):
         from repro.errors import NodeDownError
@@ -361,10 +361,10 @@ class TestJoinReadsThroughScanSources:
 
     def test_join_charges_both_inputs_to_scan_telemetry(self):
         cluster = self._cluster(k_safety=0)
-        telemetry = cluster.telemetry
-        rows = telemetry.get("rows_scanned")
-        nbytes = telemetry.get("bytes_scanned")
+        rows_scanned = cluster.metrics.counter("rows_scanned")
+        bytes_scanned = cluster.metrics.counter("bytes_scanned")
+        rows, nbytes = rows_scanned.value, bytes_scanned.value
         cluster.sql("SELECT COUNT(*) FROM ta x JOIN tb y ON x.k = y.k")
         # Only the int64 key column of each side is read: 300 + 200 rows.
-        assert telemetry.get("rows_scanned") - rows == 500
-        assert telemetry.get("bytes_scanned") - nbytes == 500 * 8
+        assert rows_scanned.value - rows == 500
+        assert bytes_scanned.value - nbytes == 500 * 8

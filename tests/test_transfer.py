@@ -208,8 +208,8 @@ class TestDb2Darray:
         cluster, _ = make_loaded_cluster()
         with start_session(node_count=3, instances_per_node=1) as session:
             db2darray(cluster, "t", ["a"], session)
-            assert cluster.telemetry.get("vft_bytes_sent") > 0
-            assert session.telemetry.get("vft_rows_received") == 1200
+            assert cluster.metrics.counter("vft_bytes_sent").value > 0
+            assert session.metrics.counter("vft_rows_received").value == 1200
 
 
 class TestDb2DFrame:

@@ -309,14 +309,14 @@ class TestWosAndMover:
         cluster.sql("DELETE FROM t WHERE k < 10")
         for i in range(4):
             cluster.sql(f"INSERT INTO t VALUES ({500 + i}, 1.0)")
-        assert cluster.telemetry.get("wos_rows_now") == 4
-        assert cluster.telemetry.get("delete_vector_rows_now") == 10
+        assert cluster.metrics.gauge("wos_rows").now == 4
+        assert cluster.metrics.gauge("delete_vector_rows").now == 10
         cluster.tuple_mover.run_moveout()
         cluster.advance_ahm()
         cluster.tuple_mover.run_mergeout()
-        assert cluster.telemetry.get("wos_rows_now") == 0
-        assert cluster.telemetry.get("delete_vector_rows_now") == 0
-        assert cluster.telemetry.get("mergeout_bytes_rewritten") > 0
+        assert cluster.metrics.gauge("wos_rows").now == 0
+        assert cluster.metrics.gauge("delete_vector_rows").now == 0
+        assert cluster.metrics.counter("mergeout_bytes_rewritten").value > 0
         cluster.tuple_mover.stop()
 
     def test_mover_emits_spans(self, new_cluster):
@@ -578,17 +578,16 @@ def scripted_history(data_dir=None) -> list[dict]:
     def checkpoint(pass_result) -> None:
         epochs = table.epochs
         ahm = epochs.ancient_history_mark
-        pruned_before = cluster.telemetry.get("rowgroups_pruned")
+        pruned_before = cluster.metrics.counter("rowgroups_pruned").value
         probe = cluster.sql(
             "SELECT count(*) FROM t WHERE k >= 1000000 AND k < 1001000"
         ).scalar()
         checkpoints.append({
             "pass": pass_result,
             "layout": ros_layout(table),
-            "bytes_rewritten": cluster.telemetry.get(
-                "mergeout_bytes_rewritten"),
+            "bytes_rewritten": cluster.metrics.counter("mergeout_bytes_rewritten").value,
             "probe": (probe,
-                      cluster.telemetry.get("rowgroups_pruned") - pruned_before),
+                      cluster.metrics.counter("rowgroups_pruned").value - pruned_before),
             "scans": {
                 epoch: digest(table.scan_all(
                     ["k", "v"], snapshot=epochs.snapshot(epoch)))

@@ -398,10 +398,10 @@ class TestOdbc:
             connection.execute("SELECT 1 FROM pts")
 
     def test_telemetry_counts_connections(self, loaded_cluster):
-        before = loaded_cluster.telemetry.get("odbc_connections_opened")
+        before = loaded_cluster.metrics.counter("odbc_connections_opened").value
         loaded_cluster.connect()
         loaded_cluster.connect()
-        assert loaded_cluster.telemetry.get("odbc_connections_opened") == before + 2
+        assert loaded_cluster.metrics.counter("odbc_connections_opened").value == before + 2
 
 
 class TestDfs:

@@ -4,11 +4,11 @@ Cross-module invariants the type system cannot see, each enforced by
 holding the *string literals* engine code emits to the corresponding
 registry module:
 
-* **RL901 (metric-drift)** — metric names passed to ``telemetry.add`` /
-  ``observe_max`` / ``gauge_add`` and to ``registry.counter`` / ``gauge`` /
-  ``histogram`` must be declared in the ``CATALOG`` of
-  ``src/repro/obs/metrics.py``.  An undeclared name silently creates a
-  dynamic instrument that never appears in ``docs/metrics_reference.md``.
+* **RL901 (metric-drift)** — a string literal passed as the first
+  argument of any ``.counter`` / ``.gauge`` / ``.histogram`` call, whatever
+  the receiver (``cluster.metrics``, a hoisted ``m``, ...), must be
+  declared in the ``CATALOG`` of ``src/repro/obs/metrics.py``.  The
+  registry raises on an undeclared name, but only when that line runs.
 * **RL902 (fault-site-drift)** — injection-site strings passed to
   ``perturb("...")`` must be registered in ``FAULT_SITES`` of
   ``src/repro/faults/sites.py``.  A typo'd site never matches any
@@ -23,22 +23,19 @@ registry module:
   function in ``src/repro/deploy/predict_functions.py``.  A model family
   missing either cannot be deployed or cannot be scored in SQL — a gap
   only discovered at runtime.
-* **RL905 (serving-registry-drift)** — the serving layer's manifest
-  (``SERVING_METRICS`` / ``SERVING_SPANS`` / ``SERVING_FAULT_SITES`` in
-  ``src/repro/serving/instruments.py``) must agree with the central
-  registries in **both** directions: every manifest name must exist in
-  its registry, and every serving-owned registry entry (metrics declared
-  under ``repro.serving`` modules, ``serve.*`` spans, ``serving.*`` fault
-  sites) must be listed in the manifest.  The manifest is what keeps
-  ``docs/serving.md``'s operations tables complete.
-* **RL906 (aqp-registry-drift)** — the same two-way manifest check for the
-  AQP subsystem (``AQP_METRICS`` / ``AQP_SPANS`` / ``AQP_FAULT_SITES`` in
-  ``src/repro/aqp/instruments.py`` against ``repro.aqp`` metrics,
-  ``aqp.*`` spans, and ``aqp.*`` fault sites), keeping ``docs/aqp.md``
-  complete.
+* **RL905 (manifest-drift)** — every subsystem manifest
+  ``src/repro/<subsystem>/instruments.py`` must agree with the central
+  registries in **both** directions.  A manifest declares what it owns as
+  uniform module constants: the tuples ``METRICS`` / ``SPANS`` /
+  ``FAULT_SITES``, the prefixes ``METRICS_MODULE_PREFIX`` /
+  ``SPAN_PREFIX`` / ``FAULT_SITE_PREFIX`` that mark a registry entry as
+  the subsystem's, and ``DOCS``, the page whose operations tables the
+  manifest keeps complete.  Every listed name must exist in its registry,
+  and every owned registry entry must be listed.  A new subsystem only
+  adds a manifest; the rule finds it.
 
 All are project-scope and apply to ``src/`` only: tests deliberately
-invent ad-hoc counters, sites, and spans to exercise the dynamic paths.
+invent ad-hoc sites and spans to exercise the checkers.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from reprolint.core import (
     FileContext,
     ProjectContext,
     Violation,
-    iter_attr_chain,
     register,
 )
 
@@ -61,33 +57,20 @@ TRACE_MODULE = "src/repro/obs/trace.py"
 ALGORITHMS_DIR = "src/repro/algorithms/"
 SERIALIZE_MODULE = "src/repro/deploy/serialize.py"
 PREDICT_MODULE = "src/repro/deploy/predict_functions.py"
-SERVING_MANIFEST = "src/repro/serving/instruments.py"
-SERVING_METRICS_PREFIX = "repro.serving"
-SERVING_SPAN_PREFIX = "serve."
-SERVING_SITE_PREFIX = "serving."
-AQP_MANIFEST = "src/repro/aqp/instruments.py"
-AQP_METRICS_PREFIX = "repro.aqp"
-AQP_SPAN_PREFIX = "aqp."
-AQP_SITE_PREFIX = "aqp."
+MANIFEST_GLOB = "src/repro/*/instruments.py"
 
-#: telemetry-facade methods whose first argument is a metric name.
-_TELEMETRY_METHODS = frozenset({"add", "observe_max", "gauge_add"})
 #: registry methods whose first argument is a metric name.
 _REGISTRY_METHODS = frozenset({"counter", "gauge", "histogram"})
 
 
-def _first_str_arg(call: ast.Call) -> str | None:
-    if call.args and isinstance(call.args[0], ast.Constant) \
-            and isinstance(call.args[0].value, str):
-        return call.args[0].value
+def _str_constant(value: ast.expr | None) -> str | None:
+    if isinstance(value, ast.Constant) and isinstance(value.value, str):
+        return value.value
     return None
 
 
-def _receiver_parts(call: ast.Call) -> list[str]:
-    """Dotted receiver names of an attribute call (without the method)."""
-    if not isinstance(call.func, ast.Attribute):
-        return []
-    return list(iter_attr_chain(call.func.value))
+def _first_str_arg(call: ast.Call) -> str | None:
+    return _str_constant(call.args[0]) if call.args else None
 
 
 def _iter_source_files(project: ProjectContext,
@@ -121,19 +104,36 @@ def _registry_error(checker: Checker, module: str, what: str) -> Violation:
     )
 
 
-def _spec_names(project: ProjectContext) -> set[str] | None:
-    """Declared metric names: first argument of every ``_spec(...)`` call."""
+def _spec_modules(project: ProjectContext) -> dict[str, str] | None:
+    """Declared metric name → emitting module (``""`` when not a literal),
+    from the first and fifth arguments of every ``_spec(...)`` call."""
     source = project.read(METRICS_MODULE)
     if source is None:
         return None
-    names: set[str] = set()
+    modules: dict[str, str] = {}
     for node in ast.walk(ast.parse(source, filename=METRICS_MODULE)):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "_spec":
             name = _first_str_arg(node)
             if name is not None:
-                names.add(name)
-    return names or None
+                module = node.args[4] if len(node.args) >= 5 else None
+                modules[name] = _str_constant(module) or ""
+    return modules or None
+
+
+def _assigned(body: list[ast.stmt], variable: str) -> ast.expr | None:
+    """The value of a ``variable = ...`` statement in ``body`` (a module's
+    or a class's top level)."""
+    for node in body:
+        targets: list[ast.expr] = []
+        value: ast.expr | None = None
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        if any(isinstance(t, ast.Name) and t.id == variable for t in targets):
+            return value
+    return None
 
 
 def _dict_literal_keys(project: ProjectContext, module: str,
@@ -142,24 +142,11 @@ def _dict_literal_keys(project: ProjectContext, module: str,
     source = project.read(module)
     if source is None:
         return None
-    tree = ast.parse(source, filename=module)
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not any(isinstance(t, ast.Name) and t.id == variable
-                   for t in targets):
-            continue
-        if isinstance(value, ast.Dict):
-            keys = {
-                key.value for key in value.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            }
-            return keys or None
-    return None
+    value = _assigned(ast.parse(source, filename=module).body, variable)
+    if not isinstance(value, ast.Dict):
+        return None
+    keys = {name for name in map(_str_constant, value.keys) if name is not None}
+    return keys or None
 
 
 @register
@@ -173,7 +160,7 @@ class MetricDriftChecker(Checker):
     scope = "project"
 
     def check_project(self, project: ProjectContext) -> Iterable[Violation]:
-        declared = _spec_names(project)
+        declared = _spec_modules(project)
         if declared is None:
             yield _registry_error(self, METRICS_MODULE, "the metric CATALOG")
             return
@@ -181,18 +168,8 @@ class MetricDriftChecker(Checker):
                                       exclude=frozenset({METRICS_MODULE})):
             for node in ast.walk(ctx.tree):
                 if not isinstance(node, ast.Call) \
-                        or not isinstance(node.func, ast.Attribute):
-                    continue
-                method = node.func.attr
-                receiver = _receiver_parts(node)
-                if method in _TELEMETRY_METHODS:
-                    if not any("telemetry" in part for part in receiver):
-                        continue
-                elif method in _REGISTRY_METHODS:
-                    if not any("registry" in part or "metrics" in part
-                               for part in receiver):
-                        continue
-                else:
+                        or not isinstance(node.func, ast.Attribute) \
+                        or node.func.attr not in _REGISTRY_METHODS:
                     continue
                 name = _first_str_arg(node)
                 if name is None or name in declared:
@@ -201,7 +178,7 @@ class MetricDriftChecker(Checker):
                     ctx, node,
                     f"metric {name!r} is not declared in the CATALOG of "
                     f"{METRICS_MODULE}; add an InstrumentSpec (or fix the "
-                    "typo) so it appears in docs/metrics_reference.md",
+                    "typo) or the registry raises when this line runs",
                 )
 
 
@@ -272,18 +249,7 @@ class SpanDriftChecker(Checker):
 
 def _class_str_attr(cls: ast.ClassDef, attr: str) -> str | None:
     """The string value of a class-level ``attr = "..."`` assignment."""
-    for stmt in cls.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if not any(isinstance(t, ast.Name) and t.id == attr for t in targets):
-            continue
-        if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            return value.value
-    return None
+    return _str_constant(_assigned(cls.body, attr))
 
 
 def _codec_types(project: ProjectContext) -> set[str] | None:
@@ -380,153 +346,96 @@ class ModelTypeDriftChecker(Checker):
                     )
 
 
-def _spec_modules(project: ProjectContext) -> dict[str, str] | None:
-    """Declared metric name → emitting module, from ``_spec(...)`` calls."""
-    source = project.read(METRICS_MODULE)
-    if source is None:
-        return None
-    modules: dict[str, str] = {}
-    for node in ast.walk(ast.parse(source, filename=METRICS_MODULE)):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "_spec":
-            name = _first_str_arg(node)
-            if name is None or len(node.args) < 5:
-                continue
-            module = node.args[4]
-            if isinstance(module, ast.Constant) and isinstance(module.value, str):
-                modules[name] = module.value
-    return modules or None
+#: What a manifest lists (tuple constant), the prefix constant that marks a
+#: registry entry as owned, and the central registry it is checked against.
+_MANIFEST_SECTIONS = (
+    ("METRICS", "METRICS_MODULE_PREFIX", f"the CATALOG of {METRICS_MODULE}"),
+    ("SPANS", "SPAN_PREFIX", f"the SPAN_TAXONOMY of {TRACE_MODULE}"),
+    ("FAULT_SITES", "FAULT_SITE_PREFIX", f"FAULT_SITES of {SITES_MODULE}"),
+)
 
 
-def _sequence_assignment(tree: ast.Module, variable: str) -> ast.expr | None:
-    """The value node of a module-level ``variable = (...)`` assignment."""
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if any(isinstance(t, ast.Name) and t.id == variable for t in targets):
-            return value
-    return None
-
-
-def _check_instrument_manifest(
-    checker: Checker,
-    project: ProjectContext,
-    manifest_path: str,
-    variables: tuple[str, str, str],
-    metrics_prefix: str,
-    span_prefix: str,
-    site_prefix: str,
-    docs_file: str,
-) -> Iterator[Violation]:
-    """Two-way drift check between a subsystem's instruments manifest and
-    the central registries (shared by RL905 and RL906)."""
-    metric_modules = _spec_modules(project)
-    if metric_modules is None:
-        yield _registry_error(checker, METRICS_MODULE, "the metric CATALOG")
-        return
-    spans = _dict_literal_keys(project, TRACE_MODULE, "SPAN_TAXONOMY")
-    if spans is None:
-        yield _registry_error(checker, TRACE_MODULE, "SPAN_TAXONOMY")
-        return
-    sites = _dict_literal_keys(project, SITES_MODULE, "FAULT_SITES")
-    if sites is None:
-        yield _registry_error(checker, SITES_MODULE, "FAULT_SITES")
-        return
-    manifest_source = project.read(manifest_path)
-    if manifest_source is None:
-        yield _registry_error(
-            checker, manifest_path, "the instruments manifest")
-        return
-    manifest = FileContext(
-        project.root / manifest_path, manifest_path, manifest_source)
-    try:
-        manifest.tree
-    except SyntaxError:
-        yield _registry_error(
-            checker, manifest_path, "the instruments manifest")
-        return
-    owned_metrics = {
-        name for name, module in metric_modules.items()
-        if module.startswith(metrics_prefix)
-    }
-    metrics_var, spans_var, sites_var = variables
-    checks = [
-        (metrics_var, set(metric_modules), owned_metrics,
-         f"the CATALOG of {METRICS_MODULE}"),
-        (spans_var, spans,
-         {s for s in spans if s.startswith(span_prefix)},
-         f"the SPAN_TAXONOMY of {TRACE_MODULE}"),
-        (sites_var, sites,
-         {s for s in sites if s.startswith(site_prefix)},
-         f"FAULT_SITES of {SITES_MODULE}"),
-    ]
-    for variable, registry, owned, registry_desc in checks:
-        value = _sequence_assignment(manifest.tree, variable)
-        if value is None or not isinstance(value, (ast.Tuple, ast.List)):
+def _check_manifest(checker: Checker, manifest: FileContext,
+                    registries: tuple[dict[str, str], ...],
+                    ) -> Iterator[Violation]:
+    """Two-way drift check of one subsystem manifest.  ``registries`` maps
+    each section's registry entries to the string an owner prefix is
+    matched against (a metric's emitting module, a span or site's name)."""
+    constants: dict[str, str] = {}
+    for name in ("DOCS",) + tuple(prefix for _, prefix, _ in _MANIFEST_SECTIONS):
+        constant = _str_constant(_assigned(manifest.tree.body, name))
+        if constant is None:
+            yield _registry_error(checker, manifest.relpath, f"the {name} constant")
+            return
+        constants[name] = constant
+    for (variable, prefix, registry_desc), registry in zip(
+            _MANIFEST_SECTIONS, registries):
+        value = _assigned(manifest.tree.body, variable)
+        if not isinstance(value, (ast.Tuple, ast.List)):
             yield _registry_error(
-                checker, manifest_path, f"the {variable} tuple")
+                checker, manifest.relpath, f"the {variable} tuple")
             continue
         listed: set[str] = set()
         for element in value.elts:
-            if not isinstance(element, ast.Constant) \
-                    or not isinstance(element.value, str):
+            name = _str_constant(element)
+            if name is None:
                 continue
-            listed.add(element.value)
-            if element.value not in registry:
+            listed.add(name)
+            if name not in registry:
                 yield checker.violation(
                     manifest, element,
-                    f"{variable} lists {element.value!r}, which does not "
+                    f"{variable} lists {name!r}, which does not "
                     f"exist in {registry_desc}; register it (or fix the "
                     "typo) so the subsystem surface stays documented",
                 )
+        owned = {name for name, owner in registry.items()
+                 if owner.startswith(constants[prefix])}
         for missing in sorted(owned - listed):
             yield checker.violation(
                 manifest, value,
                 f"subsystem-owned name {missing!r} is declared in "
-                f"{registry_desc} but missing from {variable}; add it so "
-                f"{docs_file}'s operations tables stay complete",
+                f"{registry_desc} but missing from {variable} of "
+                f"{manifest.relpath}; add it so {constants['DOCS']}'s "
+                "operations tables stay complete",
             )
 
 
 @register
-class ServingRegistryDriftChecker(Checker):
-    rule = "serving-registry-drift"
+class ManifestDriftChecker(Checker):
+    rule = "manifest-drift"
     code = "RL905"
     description = (
-        "the serving manifest (src/repro/serving/instruments.py) must list "
-        "exactly the serving-owned metrics, spans, and fault sites that the "
-        "central registries declare"
+        "every subsystem manifest (src/repro/*/instruments.py) must list "
+        "exactly the metrics, spans, and fault sites it owns in the "
+        "central registries"
     )
     scope = "project"
 
     def check_project(self, project: ProjectContext) -> Iterable[Violation]:
-        yield from _check_instrument_manifest(
-            self, project, SERVING_MANIFEST,
-            ("SERVING_METRICS", "SERVING_SPANS", "SERVING_FAULT_SITES"),
-            SERVING_METRICS_PREFIX, SERVING_SPAN_PREFIX, SERVING_SITE_PREFIX,
-            "docs/serving.md",
-        )
-
-
-@register
-class AqpRegistryDriftChecker(Checker):
-    rule = "aqp-registry-drift"
-    code = "RL906"
-    description = (
-        "the AQP manifest (src/repro/aqp/instruments.py) must list exactly "
-        "the AQP-owned metrics, spans, and fault sites that the central "
-        "registries declare"
-    )
-    scope = "project"
-
-    def check_project(self, project: ProjectContext) -> Iterable[Violation]:
-        yield from _check_instrument_manifest(
-            self, project, AQP_MANIFEST,
-            ("AQP_METRICS", "AQP_SPANS", "AQP_FAULT_SITES"),
-            AQP_METRICS_PREFIX, AQP_SPAN_PREFIX, AQP_SITE_PREFIX,
-            "docs/aqp.md",
-        )
+        metric_modules = _spec_modules(project)
+        if metric_modules is None:
+            yield _registry_error(self, METRICS_MODULE, "the metric CATALOG")
+            return
+        spans = _dict_literal_keys(project, TRACE_MODULE, "SPAN_TAXONOMY")
+        if spans is None:
+            yield _registry_error(self, TRACE_MODULE, "SPAN_TAXONOMY")
+            return
+        sites = _dict_literal_keys(project, SITES_MODULE, "FAULT_SITES")
+        if sites is None:
+            yield _registry_error(self, SITES_MODULE, "FAULT_SITES")
+            return
+        registries = (metric_modules, {name: name for name in spans},
+                      {name: name for name in sites})
+        paths = sorted(project.root.glob(MANIFEST_GLOB))
+        if not paths:
+            yield _registry_error(self, MANIFEST_GLOB, "the instruments manifest")
+            return
+        for path in paths:
+            relpath = path.relative_to(project.root).as_posix()
+            manifest = FileContext(path, relpath, path.read_text(encoding="utf-8"))
+            try:
+                manifest.tree
+            except SyntaxError:
+                yield _registry_error(self, relpath, "the instruments manifest")
+                continue
+            yield from _check_manifest(self, manifest, registries)
