@@ -70,10 +70,12 @@ def test_ablation_trickle_insert_path(benchmark, path):
     cluster.tuple_mover.stop()
 
 
-def test_wos_trickle_is_faster_and_moveout_amortizes(benchmark):
+def test_wos_trickle_is_faster_and_moveout_amortizes(benchmark,
+                                                     record_property):
     """The claim the WOS exists for: the trickle stream lands faster in
-    the WOS than encoded straight to ROS, and one bulk moveout yields the
-    same scannable table."""
+    the WOS than encoded straight to ROS, and one bulk moveout — one row
+    group per segment, since 1 600 rows fit in one — yields the same
+    scannable table."""
     import time
 
     def timed(direct):
@@ -91,6 +93,11 @@ def test_wos_trickle_is_faster_and_moveout_amortizes(benchmark):
     ros_cluster, ros_seconds, wos_cluster, wos_seconds, moved = \
         benchmark.pedantic(both, rounds=2, iterations=1)
     assert moved == BATCHES * ROWS_PER_BATCH
+    rowgroups = [segment.rowgroup_count for segment in
+                 wos_cluster.catalog.get_table("trickle").segments]
+    assert all(count == 1 for count in rowgroups if count), rowgroups
+    benchmark.extra_info["rowgroups_after_moveout"] = sum(rowgroups)
+    record_property("rowgroups_after_moveout", sum(rowgroups))
     # Post-moveout, both paths answer identically.
     assert wos_cluster.sql("SELECT count(*) FROM trickle").scalar() == \
         ros_cluster.sql("SELECT count(*) FROM trickle").scalar()

@@ -181,7 +181,7 @@ def drop_sample(cluster: "VerticaCluster", name: str,
     ``DROP TABLE`` semantics.
     """
     record = cluster.aqp.drop(name, user=user)
-    cluster.catalog.drop_table(record.name, if_exists=True)
+    cluster.drop_table(record.name, if_exists=True)
     path = sample_dfs_path(record.name)
     if cluster.dfs.exists(path):
         cluster.dfs.delete(path)

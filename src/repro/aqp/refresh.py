@@ -113,7 +113,7 @@ def _refresh_locked(
                 return SampleRefreshResult(name, "skipped", staleness, 0, record)
             # Deletes in the window (or purged history): rebuild from
             # scratch at the snapshot with the record's frozen rates.
-            cluster.catalog.drop_table(record.name, if_exists=True)
+            cluster.drop_table(record.name, if_exists=True)
             cleared = dataclasses.replace(record, strata_counts={})
             stamped = materialize_sample(cluster, cleared, snapshot)
             cluster.aqp.add(stamped, replace=True, user=user)

@@ -65,14 +65,15 @@ class Catalog:
         with self._lock:
             return name.lower() in self._tables
 
-    def drop_table(self, name: str, if_exists: bool = False) -> bool:
+    def drop_table(self, name: str, if_exists: bool = False) -> "Table | None":
+        """Unregister a table; returns it (``None`` when it did not exist)."""
         with self._lock:
-            existed = self._tables.pop(name.lower(), None) is not None
-            if existed:
+            table = self._tables.pop(name.lower(), None)
+            if table is not None:
                 self._ddl_version += 1
-        if not existed and not if_exists:
+        if table is None and not if_exists:
             raise CatalogError(f"table {name!r} does not exist")
-        return existed
+        return table
 
     def table_types(self, name: str) -> dict[str, SqlType]:
         """Column name → SQL type for a registered table (analyzer binding)."""

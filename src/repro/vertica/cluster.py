@@ -115,6 +115,17 @@ class VerticaCluster:
         self.catalog.add_table(table)
         return table
 
+    def drop_table(self, name: str, if_exists: bool = False) -> None:
+        """Drop a table and retire its share of the MVCC gauges.
+
+        The dropped table's WOS rows and live delete-vector entries will
+        never be moved out or purged, so ``wos_rows`` and
+        ``delete_vector_rows`` give them back here.
+        """
+        table = self.catalog.drop_table(name, if_exists=if_exists)
+        if table is not None:
+            self.tuple_mover.forget(table)
+
     def create_table_like(
         self, name: str, columns: dict[str, np.ndarray],
         segmentation: SegmentationScheme | None = None,

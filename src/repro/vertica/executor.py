@@ -145,7 +145,7 @@ class QueryExecutor:
             return ResultSet(["count"],
                              {"count": np.asarray([updated], dtype=np.int64)})
         if isinstance(stmt, ast.DropTable):
-            self.cluster.catalog.drop_table(stmt.name, if_exists=stmt.if_exists)
+            self.cluster.drop_table(stmt.name, if_exists=stmt.if_exists)
             return ResultSet(["status"], {"status": np.asarray(["DROP TABLE"], dtype=object)})
         if isinstance(stmt, ast.RefreshModel):
             from repro.deploy.refresh import refresh_model

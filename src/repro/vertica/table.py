@@ -3,18 +3,18 @@
 A :class:`Table` is a schema plus a segmentation scheme plus one
 :class:`Segment` per database node.  Inserted batches are routed to segments
 row-by-row by the segmentation scheme; each segment keeps one ordered list of
-epoch-stamped row groups.  Their column blocks sit in memory by default; a
-cluster started with ``data_dir`` writes them to on-disk segment files and
-reads them back on use — the same row groups, scanned, moved out and merged
-out by the same code.
+ROS units — row groups whose rows carry their commit epochs as runs.  Their
+column blocks sit in memory by default; a cluster started with ``data_dir``
+writes them to on-disk segment files and reads them back on use — the same
+row groups, scanned, moved out and merged out by the same code.
 
 Every row also carries a hidden global row id (``_rowid``) assigned at insert
 time.  Global row ids are what the ODBC path's ordered range fetches filter
 on — the operation that destroys locality, as §3 of the paper describes.
 
-Storage is MVCC'd per :mod:`repro.vertica.txn`: every rowgroup and WOS
-batch is stamped with the commit epoch that created it, each
-segment carries a delete vector, and scans resolve through a
+Storage is MVCC'd per :mod:`repro.vertica.txn`: every row carries the commit
+epoch that created it (in its ROS unit's epoch runs, or as its WOS batch's
+epoch), each segment carries a delete vector, and scans resolve through a
 :class:`~repro.vertica.txn.epochs.Snapshot` — rows whose insert epoch is
 in the snapshot's future, or whose delete epoch is at-or-before it, never
 leave the segment.  ``snapshot=None`` at this layer means "no transaction
@@ -64,31 +64,76 @@ def snapshot_epoch(snapshot: "Snapshot | None") -> int:
     return UNBOUNDED_EPOCH if snapshot is None else snapshot.epoch
 
 
+class RosUnit:
+    """One ROS unit: a row group plus its rows' commit epochs as runs.
+
+    ``runs`` is the run-length form of the unit's epoch column —
+    ``(epoch, rows)`` pairs in scan order, summing to the row group's row
+    count.  A bulk load, a mergeout output and a single-epoch moveout are
+    one run each; a moveout of trickle INSERTs keeps one run per commit
+    epoch it flushed.  Immutable once built.
+    """
+
+    __slots__ = ("runs", "rowgroup", "oldest", "newest")
+
+    def __init__(self, runs: tuple[tuple[int, int], ...],
+                 rowgroup: RowGroup) -> None:
+        self.runs = runs
+        self.rowgroup = rowgroup
+        self.oldest = min(epoch for epoch, _ in runs)
+        self.newest = max(epoch for epoch, _ in runs)
+
+    def _inside(self, since_epoch: int, cap: int) -> bool:
+        """Whether every run lies in the window ``(since_epoch, cap]``."""
+        return since_epoch < self.oldest and self.newest <= cap
+
+    def overlaps(self, since_epoch: int, cap: int) -> bool:
+        """Whether some run lies in the window ``(since_epoch, cap]``."""
+        return self._inside(since_epoch, cap) or any(
+            since_epoch < epoch <= cap for epoch, _ in self.runs)
+
+    def window_mask(self, since_epoch: int, cap: int) -> np.ndarray | None:
+        """Rows in the window ``(since_epoch, cap]``; ``None`` when that is
+        every row, so only units straddling the window build a mask."""
+        if self._inside(since_epoch, cap):
+            return None
+        epochs = np.fromiter((epoch for epoch, _ in self.runs), dtype=np.int64)
+        rows = np.fromiter((rows for _, rows in self.runs), dtype=np.int64)
+        return np.repeat((epochs > since_epoch) & (epochs <= cap), rows)
+
+    def rows_in(self, since_epoch: int, cap: int) -> int:
+        """Row count of the window ``(since_epoch, cap]``."""
+        if self._inside(since_epoch, cap):
+            return self.rowgroup.row_count
+        return sum(rows for epoch, rows in self.runs
+                   if since_epoch < epoch <= cap)
+
+
 class SegmentScanSet:
     """A frozen, consistent set of storage to scan: taken atomically under
     the segment's mutation lock, immune to concurrent appends, moveout
     swaps, and delete-vector updates for the lifetime of the scan."""
 
-    __slots__ = ("rowgroups", "wos", "deletes")
+    __slots__ = ("units", "wos", "deletes")
 
-    def __init__(self, rowgroups: list[RowGroup], wos: list[WosBatch],
+    def __init__(self, units: list[RosUnit], wos: list[WosBatch],
                  deletes: FrozenDeleteIndex) -> None:
-        self.rowgroups = rowgroups
+        self.units = units
         self.wos = wos
         self.deletes = deletes
 
 
 class Segment:
-    """One node's slice of a table: epoch-stamped row groups plus a WOS.
+    """One node's slice of a table: ROS units plus a WOS.
 
-    Read-optimized storage is one ordered list of ``(epoch, RowGroup)``
-    units (``_ros``); whether a unit's column blocks sit in memory or in a
+    Read-optimized storage is one ordered list of :class:`RosUnit`
+    (``_ros``); whether a unit's column blocks sit in memory or in a
     segment file is the row group's business (:meth:`_persist`), not this
     class's.  The list and the write-optimized store (``_wos``) are guarded
     by ``_mutation_lock``; scans take a :class:`SegmentScanSet` under the
     lock and then decode without it.  Scan order is always ROS units
-    followed by WOS batches — the Tuple Mover's moveout flushes a *prefix*
-    of the WOS to the *end* of the ROS, which preserves that order exactly.
+    followed by the WOS — the Tuple Mover's moveout flushes a *prefix* of
+    the WOS to the *end* of the ROS, which preserves that order exactly.
     """
 
     def __init__(
@@ -104,7 +149,7 @@ class Segment:
         self.schema = list(schema)
         self.codec = codec
         self._mutation_lock = threading.RLock()
-        self._ros: list[tuple[int, RowGroup]] = []
+        self._ros: list[RosUnit] = []
         self._wos: list[WosBatch] = []
         self.delete_vector = DeleteVector()
         self._data_dir = data_dir
@@ -114,7 +159,7 @@ class Segment:
     def row_count(self) -> int:
         """Physical rows stored (ROS + WOS), ignoring delete vectors."""
         with self._mutation_lock:
-            return (sum(rg.row_count for _, rg in self._ros)
+            return (sum(unit.rowgroup.row_count for unit in self._ros)
                     + sum(batch.rows for batch in self._wos))
 
     @property
@@ -124,39 +169,45 @@ class Segment:
 
     @property
     def rowgroup_count(self) -> int:
-        """Scannable storage units: ROS rowgroups plus unflushed WOS batches.
+        """Scannable storage units: ROS units plus the row groups the WOS
+        will become, ``ceil(wos_rows / DEFAULT_ROWGROUP_ROWS)``.
 
-        PARTITION BEST sizes its fan-out from this, so a table with live
-        WOS trickle data plans the same parallelism as the equivalent
-        table whose batches were already moved out.
+        The WOS scans as one batch cut at the same boundaries moveout uses,
+        so this is also the number of batches a full scan yields.
+        PARTITION BEST sizes its fan-out from it, so a table with live WOS
+        trickle data plans the same parallelism as the equivalent table
+        whose batches were already moved out.
         """
         with self._mutation_lock:
-            return len(self._ros) + len(self._wos)
+            wos_rows = sum(batch.rows for batch in self._wos)
+            return len(self._ros) + -(-wos_rows // DEFAULT_ROWGROUP_ROWS)
 
     @property
     def compressed_size(self) -> int:
         """Approximate on-disk footprint of this segment in bytes."""
         with self._mutation_lock:
-            return sum(rg.compressed_size for _, rg in self._ros)
+            return sum(unit.rowgroup.compressed_size for unit in self._ros)
 
     def block_layouts(self) -> Counter:
         """ROS column blocks per layout (the codec field each records)."""
         with self._mutation_lock:
-            rowgroups = [rg for _, rg in self._ros]
+            rowgroups = [unit.rowgroup for unit in self._ros]
         return Counter(block.codec for rg in rowgroups
                        for block in rg.columns.values())
 
     def visible_row_count(self, snapshot: "Snapshot | None" = None) -> int:
         """Rows a scan at ``snapshot`` yields from this segment.
 
-        Inserted-and-visible minus deleted-and-visible; the subtraction is
-        exact because a delete epoch is never smaller than its row's insert
-        epoch (only visible rows can be deleted).
+        Inserted-and-visible (counted from the epoch runs) minus
+        deleted-and-visible; the subtraction is exact because a delete
+        epoch is never smaller than its row's insert epoch (only visible
+        rows can be deleted).
         """
+        cap = snapshot_epoch(snapshot)
         scan = self.capture(snapshot)
-        return (sum(rg.row_count for rg in scan.rowgroups)
+        return (sum(unit.rows_in(0, cap) for unit in scan.units)
                 + sum(batch.rows for batch in scan.wos)
-                - scan.deletes.count_at(snapshot_epoch(snapshot)))
+                - scan.deletes.count_at(cap))
 
     # -- writes ------------------------------------------------------------
 
@@ -164,14 +215,15 @@ class Segment:
         """Append one batch (already routed to this segment) as row groups.
 
         The batch is encoded (and, on a ``data_dir`` deployment, written)
-        outside the mutation lock and spliced in under it, stamped with
-        ``epoch``.
+        outside the mutation lock and spliced in under it, each row group
+        one run of ``epoch``.
         """
         if self._validated_rows(arrays) == 0:
             return
-        rowgroups = self._build_rowgroups(arrays)
+        units = [RosUnit(((epoch, rg.row_count),), rg)
+                 for rg in self._build_rowgroups(arrays)]
         with self._mutation_lock:
-            self._ros.extend((epoch, rg) for rg in rowgroups)
+            self._ros.extend(units)
 
     def append_wos(self, arrays: dict[str, np.ndarray], epoch: int) -> int:
         """Land one trickle-insert batch in the WOS, stamped with ``epoch``."""
@@ -188,17 +240,20 @@ class Segment:
 
         Only ever called for a pending epoch — no snapshot can have seen
         the rows, so dropping them (and whatever backs them) is invisible
-        to every reader.
+        to every reader.  A pending epoch's ROS rows are always whole
+        single-run units (a bulk load): moveout only takes the committed
+        prefix of the WOS, so a multi-run unit never holds a pending epoch.
         """
         if epoch <= 0:
             return
         with self._mutation_lock:
-            doomed = [rg for e, rg in self._ros if e == epoch]
+            doomed = [unit for unit in self._ros if unit.newest == epoch]
             if doomed:
-                self._ros = [unit for unit in self._ros if unit[0] != epoch]
+                self._ros = [unit for unit in self._ros
+                             if unit.newest != epoch]
             self._wos = [b for b in self._wos if b.epoch != epoch]
-        for rowgroup in doomed:
-            rowgroup.discard()
+        for unit in doomed:
+            unit.rowgroup.discard()
 
     def _validated_rows(self, arrays: dict[str, np.ndarray]) -> int:
         if not arrays:
@@ -253,14 +308,16 @@ class Segment:
         ``since_epoch`` narrows the capture to storage stamped **after** that
         epoch — the delta window ``(since_epoch, snapshot]`` incremental model
         refresh folds over.  The default 0 precedes every real stamp, so plain
-        scans are unchanged.
+        scans are unchanged.  A ROS unit is kept when some epoch run falls in
+        the window; :meth:`iter_batches` masks the rest of its rows out.
         """
         cap = snapshot_epoch(snapshot)
         with self._mutation_lock:
-            rowgroups = [rg for e, rg in self._ros if since_epoch < e <= cap]
+            units = [unit for unit in self._ros
+                     if unit.overlaps(since_epoch, cap)]
             wos = [b for b in self._wos if since_epoch < b.epoch <= cap]
             deletes = self.delete_vector.frozen()
-        return SegmentScanSet(rowgroups, wos, deletes)
+        return SegmentScanSet(units, wos, deletes)
 
     def delete_epochs_between(self, since_epoch: int,
                               snapshot: "Snapshot | None" = None) -> bool:
@@ -283,20 +340,23 @@ class Segment:
                      snapshot: "Snapshot | None" = None,
                      since_epoch: int = 0,
                      ) -> Iterator[dict[str, np.ndarray]]:
-        """Stream the segment one decoded row group / WOS batch at a time.
+        """Stream the segment one decoded ROS unit / WOS chunk at a time.
 
         This is the source of the streaming execution pipeline: each yielded
-        dict holds the requested columns of exactly one surviving row group,
+        dict holds the requested columns of exactly one surviving ROS unit,
         so peak memory is O(row group), not O(segment).  ``ranges`` maps
         column names to :class:`~repro.vertica.pruning.ColumnRange`
         envelopes; units whose zone maps exclude any constrained column
         are skipped without decompressing a single block (``prune_counter``
         is called with the number of skipped units).
 
-        ``snapshot`` fixes the transactional view: storage stamped after the
-        snapshot epoch is not read, WOS batches visible at it are unioned in
-        after the ROS, and rows the frozen delete index marks deleted
-        at-or-before it are filtered out.
+        ``snapshot`` fixes the transactional view: rows whose epoch run lies
+        outside ``(since_epoch, snapshot]`` are masked out (only units that
+        straddle the window build a mask), the WOS batches visible at it
+        follow the ROS as **one** batch cut at the row group boundaries
+        moveout would use — so a scan yields the same batches before and
+        after a moveout — and rows the frozen delete index marks deleted
+        at-or-before the snapshot are filtered out.
         """
         names = columns if columns is not None else [c.name for c in self.schema]
         scan = self.capture(snapshot, since_epoch=since_epoch)
@@ -307,21 +367,39 @@ class Segment:
         if filtering and ROWID_COLUMN not in read_names:
             read_names.append(ROWID_COLUMN)
 
-        for unit in itertools.chain(scan.rowgroups, scan.wos):
-            if constrained and not unit.might_match(ranges, constrained):
+        def visible(decoded: dict[str, np.ndarray],
+                    keep: np.ndarray | None) -> dict[str, np.ndarray] | None:
+            if filtering:
+                alive = scan.deletes.keep_mask(decoded[ROWID_COLUMN], cap)
+                keep = alive if keep is None else keep & alive
+            elif keep is None:
+                return decoded
+            if not keep.any():
+                return None
+            if keep.all():
+                return {name: decoded[name] for name in names}
+            return {name: decoded[name][keep] for name in names}
+
+        for unit in scan.units:
+            rowgroup = unit.rowgroup
+            if constrained and not rowgroup.might_match(ranges, constrained):
                 if prune_counter is not None:
                     prune_counter(1)
                 continue
-            decoded = unit.read(read_names)
-            if filtering:
-                keep = scan.deletes.keep_mask(decoded[ROWID_COLUMN], cap)
-                if not keep.any():
-                    continue
-                if keep.all():
-                    decoded = {name: decoded[name] for name in names}
-                else:
-                    decoded = {name: decoded[name][keep] for name in names}
-            yield decoded
+            batch = visible(rowgroup.read(read_names),
+                            unit.window_mask(since_epoch, cap))
+            if batch is not None:
+                yield batch
+        if not scan.wos:
+            return
+        wos = _concat([b.read(read_names) for b in scan.wos])
+        rows = sum(b.rows for b in scan.wos)
+        for start in range(0, rows, DEFAULT_ROWGROUP_ROWS):
+            stop = start + DEFAULT_ROWGROUP_ROWS
+            batch = visible({name: arr[start:stop] for name, arr in wos.items()},
+                            None)
+            if batch is not None:
+                yield batch
 
     def typed_empty(self, columns: list[str] | None = None) -> dict[str, np.ndarray]:
         """Zero-row arrays carrying the schema's declared dtypes."""
@@ -363,16 +441,17 @@ class Segment:
 
     # -- Tuple Mover entry points ------------------------------------------
 
-    def moveout(self, committed_epoch: int, ahm: int = 0) -> int:
+    def moveout(self, committed_epoch: int) -> int:
         """Flush the committed prefix of the WOS into ROS storage.
 
         Only a *prefix* with epochs ≤ ``committed_epoch`` moves (pending
-        epochs and everything after them stay), and it lands at the end of
-        the ROS — so a scan at any epoch sees the same rows in the same
-        order before and after the flush.  Consecutive batches whose epochs
-        are all ≤ ``ahm`` are compacted into shared row groups stamped with
-        their max epoch (no valid snapshot can distinguish them); younger
-        batches keep per-epoch row groups so ``AT EPOCH`` stays exact.
+        epochs and everything after them stay).  It is encoded in one go,
+        at most ``DEFAULT_ROWGROUP_ROWS`` rows per row group — the
+        boundaries the WOS is already scanned in — and lands at the end of
+        the ROS, each unit keeping its rows' commit epochs as runs.  So a
+        scan at any epoch sees the same rows in the same order before and
+        after the flush, and a scan that saw the whole prefix sees the same
+        batches.
 
         Returns the number of rows flushed.
         """
@@ -384,10 +463,10 @@ class Segment:
                 prefix.append(batch)
         if not prefix:
             return 0
-        built: list[tuple[int, RowGroup]] = []
-        for epoch, batches in self._group_wos_batches(prefix, ahm):
-            arrays = _concat([batch.arrays for batch in batches])
-            built.extend((epoch, rg) for rg in self._build_rowgroups(arrays))
+        rowgroups = self._build_rowgroups(_concat([b.arrays for b in prefix]))
+        built = [RosUnit(runs, rg) for runs, rg in zip(
+            _cut_runs([(b.epoch, b.rows) for b in prefix],
+                      [rg.row_count for rg in rowgroups]), rowgroups)]
         with self._mutation_lock:
             if _same_units(self._wos[:len(prefix)], prefix):
                 del self._wos[:len(prefix)]
@@ -395,24 +474,9 @@ class Segment:
                 return sum(batch.rows for batch in prefix)
         # Lost a race with another mover pass: nothing was published, so
         # nobody can be reading what was just built.  Retry later.
-        for _, rowgroup in built:
+        for rowgroup in rowgroups:
             rowgroup.discard()
         return 0
-
-    @staticmethod
-    def _group_wos_batches(prefix: list[WosBatch],
-                           ahm: int) -> list[tuple[int, list[WosBatch]]]:
-        groups: list[tuple[int, list[WosBatch]]] = []
-        for batch in prefix:
-            if groups:
-                epoch, members = groups[-1]
-                mergeable = (batch.epoch <= ahm and epoch <= ahm) \
-                    or batch.epoch == epoch
-                if mergeable:
-                    groups[-1] = (max(epoch, batch.epoch), members + [batch])
-                    continue
-            groups.append((batch.epoch, [batch]))
-        return groups
 
     def has_mergeout_work(self, ahm: int, small_rows: int,
                           min_run: int = 2) -> bool:
@@ -430,9 +494,9 @@ class Segment:
                  min_run: int = 2) -> tuple[int, int]:
         """Compact small adjacent row groups and purge ancient deletes.
 
-        Only storage stamped at-or-before the AHM is touched: merged row
-        groups take the max epoch of their run (indistinguishable to every
-        snapshot ≥ AHM), and rows whose delete epoch is ≤ AHM — invisible
+        Only units whose newest epoch run is at-or-before the AHM are
+        touched: merged row groups are one run at the max epoch of their
+        inputs (indistinguishable to every snapshot ≥ AHM), and rows whose delete epoch is ≤ AHM — invisible
         to every snapshot a query may still take — are dropped from the
         rewrite and their delete-vector entries purged in the same critical
         section.  A scan at any valid epoch is bit-identical before and
@@ -451,34 +515,35 @@ class Segment:
             rows_purged += result[1]
 
     @staticmethod
-    def _mergeout_runs(units: list[tuple[int, RowGroup]], ahm: int,
+    def _mergeout_runs(units: list[RosUnit], ahm: int,
                        small_rows: int, min_run: int,
-                       ) -> list[tuple[int, list[tuple[int, RowGroup]]]]:
+                       ) -> list[tuple[int, list[RosUnit]]]:
         """Maximal runs of adjacent units behind the AHM worth compacting:
         at least two units, ≥ ``min_run`` of them under ``small_rows``.
         Each run comes with its start index in ``units``."""
         runs = []
         start = 0
         for stop in range(len(units) + 1):
-            if stop < len(units) and units[stop][0] <= ahm:
+            if stop < len(units) and units[stop].newest <= ahm:
                 continue
             run = units[start:stop]
-            small = sum(1 for _, rg in run if rg.row_count < small_rows)
+            small = sum(1 for unit in run
+                        if unit.rowgroup.row_count < small_rows)
             if len(run) >= 2 and small >= min_run:
                 runs.append((start, run))
             start = stop + 1
         return runs
 
     @staticmethod
-    def _purge_only_runs(units: list[tuple[int, RowGroup]], ahm: int,
+    def _purge_only_runs(units: list[RosUnit], ahm: int,
                          deletes: FrozenDeleteIndex,
-                         ) -> list[tuple[int, list[tuple[int, RowGroup]]]]:
+                         ) -> list[tuple[int, list[RosUnit]]]:
         """Single units (any size) that hold rows purgeable behind the AHM."""
         runs = []
-        for i, (epoch, rowgroup) in enumerate(units):
-            if epoch > ahm:
+        for i, unit in enumerate(units):
+            if unit.newest > ahm:
                 continue
-            rowids = rowgroup.read([ROWID_COLUMN])[ROWID_COLUMN]
+            rowids = unit.rowgroup.read([ROWID_COLUMN])[ROWID_COLUMN]
             if not deletes.keep_mask(rowids, ahm).all():
                 runs.append((i, units[i:i + 1]))
         return runs
@@ -495,13 +560,13 @@ class Segment:
             candidates = self._purge_only_runs(units, ahm, deletes)
         names = [c.name for c in self.schema]
         for start, run in candidates:
-            arrays = _concat([rg.read(names) for _, rg in run])
+            arrays = _concat([unit.rowgroup.read(names) for unit in run])
             keep = deletes.keep_mask(arrays[ROWID_COLUMN], ahm)
             purged_rowids = arrays[ROWID_COLUMN][~keep]
             if len(purged_rowids):
                 arrays = {name: arr[keep] for name, arr in arrays.items()}
             rowgroups = self._build_rowgroups(arrays)
-            epoch = max(e for e, _ in run)
+            epoch = max(unit.newest for unit in run)
             stop = start + len(run)
             with self._mutation_lock:
                 if _same_units(self._ros[start:stop], run):
@@ -509,7 +574,9 @@ class Segment:
                     # is not discarded: a concurrent capture may still hold
                     # a reference mid-read.  File-backed space is reclaimed
                     # when the segment's directory goes away.
-                    self._ros[start:stop] = [(epoch, rg) for rg in rowgroups]
+                    self._ros[start:stop] = [
+                        RosUnit(((epoch, rg.row_count),), rg)
+                        for rg in rowgroups]
                     self.delete_vector.purge(purged_rowids)
                     return (sum(rg.compressed_size for rg in rowgroups),
                             len(purged_rowids))
@@ -540,6 +607,27 @@ def _same_units(current: list, expected: list) -> bool:
     the list copy the pass took, never rebuilt units)."""
     return len(current) == len(expected) and all(
         a is b for a, b in zip(current, expected))
+
+
+def _cut_runs(runs: list[tuple[int, int]],
+              sizes: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """Split epoch runs (one per WOS batch, in order) at row group
+    boundaries: one tuple of runs per entry of ``sizes``, the row counts of
+    the row groups, which sum to the runs' rows."""
+    pending = iter(runs)
+    epoch, rows = 0, 0
+    pieces = []
+    for size in sizes:
+        piece = []
+        while size:
+            if not rows:
+                epoch, rows = next(pending)
+            take = min(rows, size)
+            piece.append((epoch, take))
+            size -= take
+            rows -= take
+        pieces.append(tuple(piece))
+    return pieces
 
 
 def _concat(batches: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:

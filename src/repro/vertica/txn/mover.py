@@ -27,6 +27,7 @@ from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vertica.cluster import VerticaCluster
+    from repro.vertica.table import Segment, Table
 
 __all__ = ["TupleMover", "TupleMoverConfig"]
 
@@ -55,7 +56,10 @@ class TupleMover:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._wos_first_seen: dict[int, float] = {}  # id(segment) -> time
+        # When each segment's oldest unflushed WOS batch was first seen.
+        # Keyed by the segment itself (an ``id`` can be reused by a new
+        # segment); a dropped table's segments leave it in :meth:`forget`.
+        self._wos_first_seen: dict["Segment", float] = {}
         self._interrupted = False  # a pass died mid-flight (injected crash)
         self.moveout_passes = 0
         self.mergeout_passes = 0
@@ -121,9 +125,7 @@ class TupleMover:
         unflushed batch has been waiting ``moveout_age_seconds``; a direct
         call flushes every committed batch unconditionally.
         """
-        epochs = self.cluster.catalog.epochs
-        committed = epochs.current_epoch
-        ahm = epochs.ancient_history_mark
+        committed = self.cluster.catalog.epochs.current_epoch
         total = 0
         wos_gauge = self.cluster.metrics.gauge("wos_rows")
         with self._pass_lock:
@@ -132,7 +134,7 @@ class TupleMover:
                     for segment in table.all_segments():
                         wos_rows = segment.wos_rows
                         if wos_rows == 0:
-                            self._wos_first_seen.pop(id(segment), None)
+                            self._wos_first_seen.pop(segment, None)
                             continue
                         if thresholds and not self._due(segment, wos_rows):
                             continue
@@ -143,9 +145,9 @@ class TupleMover:
                         with self.cluster.tracer.span(
                                 "txn.moveout", table=table.name,
                                 node=segment.node_index):
-                            moved = segment.moveout(committed, ahm=ahm)
+                            moved = segment.moveout(committed)
                         if moved:
-                            self._wos_first_seen.pop(id(segment), None)
+                            self._wos_first_seen.pop(segment, None)
                             total += moved
                             # Gauges track primary copies; buddy WOS mirrors
                             # move in the same pass but aren't double-counted.
@@ -178,8 +180,23 @@ class TupleMover:
     def _due(self, segment, wos_rows: int) -> bool:
         if wos_rows >= self.config.moveout_rows:
             return True
-        first_seen = self._wos_first_seen.setdefault(id(segment), time.monotonic())
+        first_seen = self._wos_first_seen.setdefault(segment, time.monotonic())
         return time.monotonic() - first_seen >= self.config.moveout_age_seconds
+
+    def forget(self, table: "Table") -> None:
+        """Retire a dropped table: its primary WOS rows and live
+        delete-vector entries leave the ``wos_rows`` / ``delete_vector_rows``
+        gauges (no pass will ever move or purge them), and its segments
+        leave the moveout age book.  Serialized with passes, so a pass
+        that already flushed part of the table is not counted twice."""
+        with self._pass_lock:
+            metrics = self.cluster.metrics
+            metrics.gauge("wos_rows").add(
+                -sum(segment.wos_rows for segment in table.segments))
+            metrics.gauge("delete_vector_rows").add(
+                -sum(len(segment.delete_vector) for segment in table.segments))
+            for segment in table.all_segments():
+                self._wos_first_seen.pop(segment, None)
 
     # -- mergeout ----------------------------------------------------------
 

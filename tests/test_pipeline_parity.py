@@ -718,8 +718,11 @@ class TestMutationTransferParity:
         materialized = VerticaCluster(node_count=NODE_COUNT)
         materialized.create_table_like("m", base, HashSegmentation("k"))
         materialized.bulk_load("m", survivors)
-        for batch in trickles:
-            materialized.bulk_load("m", batch)
+        # A segment scans its WOS as one batch, so the trickle rows are
+        # one load here: same rows, same order, same batch boundaries.
+        materialized.bulk_load("m", {
+            name: np.concatenate([batch[name] for batch in trickles])
+            for name in base})
         return mutated, materialized
 
     def test_export_frames_bit_identical(self):

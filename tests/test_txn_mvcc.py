@@ -26,7 +26,6 @@ from repro.errors import (
 from repro.storage import ColumnSchema, SqlType
 from repro.vertica import HashSegmentation, VerticaCluster
 from repro.vertica.txn import DeleteVector, EpochClock, TupleMoverConfig
-from repro.vertica.txn.epochs import Snapshot
 from tests.conftest import OnDisk
 
 NODE_COUNT = 3
@@ -319,6 +318,28 @@ class TestWosAndMover:
         assert cluster.metrics.counter("mergeout_bytes_rewritten").value > 0
         cluster.tuple_mover.stop()
 
+    def test_drop_table_returns_mvcc_gauges_to_zero(self, new_cluster):
+        """A dropped table's WOS rows and delete-vector entries will never
+        be moved out or purged, so DROP TABLE gives them back, and its
+        segments leave the mover's moveout age book."""
+        cluster = new_cluster()
+        mover = cluster.tuple_mover
+        mover.notify = lambda: None
+        load(cluster, 100)
+        for i in range(5):
+            cluster.sql(f"INSERT INTO t VALUES ({1000 + i}, 2.0)")
+        cluster.sql("DELETE FROM t WHERE k < 10")
+        # Under the thresholds nothing moves, but the WOS ages are booked.
+        assert mover.run_moveout(thresholds=True) == 0
+        assert mover._wos_first_seen
+        cluster.sql("DROP TABLE t")
+        assert not mover._wos_first_seen
+        mover.run_moveout()
+        cluster.advance_ahm()
+        mover.run_mergeout()
+        assert cluster.metrics.gauge("wos_rows").now == 0
+        assert cluster.metrics.gauge("delete_vector_rows").now == 0
+
     def test_mover_emits_spans(self, new_cluster):
         cluster = new_cluster()
         load(cluster, 30)
@@ -539,19 +560,15 @@ class TestFailedInsertOnDisk:
 # physical layout: pinned in memory, identical on disk
 # ---------------------------------------------------------------------------
 
-def ros_layout(table) -> list[list[tuple[int, int]]]:
-    """Per segment, the ``(row_count, epoch)`` of every ROS unit in scan
-    order.  The stamp of a unit is the one epoch whose capture window
-    ``(epoch - 1, epoch]`` contains it."""
+def ros_layout(table) -> list[list[tuple[tuple[int, int], ...]]]:
+    """Per segment, the epoch runs — ``(epoch, rows)`` pairs — of every ROS
+    unit in scan order."""
     layout = []
     for segment in table.segments:
-        stamp = {}
-        for epoch in range(table.epochs.current_epoch + 1):
-            window = segment.capture(Snapshot(epoch), since_epoch=epoch - 1)
-            for rowgroup in window.rowgroups:
-                stamp[id(rowgroup)] = epoch
-        layout.append([(rowgroup.row_count, stamp[id(rowgroup)])
-                       for rowgroup in segment.capture().rowgroups])
+        units = segment.capture().units
+        for unit in units:
+            assert sum(rows for _, rows in unit.runs) == unit.rowgroup.row_count
+        layout.append([unit.runs for unit in units])
     return layout
 
 
@@ -609,8 +626,8 @@ def scripted_history(data_dir=None) -> list[dict]:
     cluster.advance_ahm()
     cluster.sql("INSERT INTO t VALUES "
                 "(4000000, 4.0), (4000001, 4.0), (4000002, 4.0)")
-    checkpoint(mover.run_moveout())             # 2: batches behind the AHM share units
-    checkpoint(mover.run_mergeout())            # 3: compaction, nothing to purge
+    checkpoint(mover.run_moveout())             # 2: one unit per segment, AHM inside it
+    checkpoint(mover.run_mergeout())            # 3: only units behind the AHM compact
     cluster.sql("DELETE FROM t WHERE k >= 1000000 AND k < 1000100")
     cluster.advance_ahm()
     checkpoint(mover.run_mergeout())            # 4: purge-only rewrites on node 2
@@ -622,31 +639,77 @@ def memory_history():
     return scripted_history()
 
 
+#: sha256 of k ‖ v of the full scan at every readable epoch, and of the
+#: insert delta since the AHM, after each checkpoint of
+#: :func:`scripted_history`.  These are what *any* ROS layout must give
+#: back: moveout and mergeout move rows between units and purge history
+#: behind the AHM, never change what a reachable snapshot returns.
+EMPTY_DIGEST = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+AFTER_DELETE = "22abd842c195595ed4d235f62340f1642ade920d500000f32184e48fbffc17d0"
+ROUND_TWO = {18: "09e7f817e933cad7402a79ab1aa6ed4a917f40f1e2fc9036b9e31ad509110d4e",
+             19: "8fe252c2aa29f1b994ab8e9c921489ab25e4d9a35bfda82bfdf4b13270aa2d96"}
+ROUND_TWO_DELTA = "b0071f7918457b9ee8f8a4764b955806636590464816ee7814f95249e11ae403"
+PINNED_SCANS = [
+    {0: EMPTY_DIGEST,
+     1: "2f45d3b13995f2e4225347baf50729747aac317e285409e20649252302ee55c1",
+     2: "aa1df3aceb30d0c5c7cde66959a8956a8387d9383de3138b6ff0a47aa02c3e86",
+     3: "aabb913af00ebdcb67f547524f0a983d4f6d6fa2e2943be64858f92e7c8b2589",
+     4: "51bdac52e4d7676d034861b91589f73d3b7b031211e8cec33bd8561ca9acde0f",
+     5: "2a7b17a2ed3f0f6afe9160fa1f181bf1200dddb12dc80a28581f8f5b793b319b",
+     6: "94d5db03c2431c0cdd48b75ea3c04142cd635306e7edd162c117c37e20b49dff",
+     7: "89718e81e68dedfa92a2b7c163bee00323e9836bdf76c67710ab07fb7151b261",
+     8: "7bea77c9456adc825c8b31eddab2973b629638c3ebcf1646c443c768fe7c79a9",
+     9: "efe0d9ed509243f9a0d781cfef4c62c78675e14c7e965db3946fd54699f1223a",
+     10: "6345af12f091b0f0f0706152db69704ed64edc968f31a8ff41062e98bcbc35db",
+     11: "67d896dece227015a8bdaae56db251a1fea2fbbed4ff3118040595fd2822d029",
+     12: AFTER_DELETE},
+    {12: AFTER_DELETE},
+    ROUND_TWO,
+    ROUND_TWO,
+    {20: "daea71e380fabdfb91aa7500ee5ec3b0ae62b3fc12c458a6095508d3445f971c"},
+]
+PINNED_DELTAS = [AFTER_DELETE, EMPTY_DIGEST, ROUND_TWO_DELTA, ROUND_TWO_DELTA,
+                 EMPTY_DIGEST]
+
+
 class TestRosLayout:
+    def test_scans_deltas_and_probe_answers_are_pinned(self, memory_history):
+        """What readers see, at every checkpoint and every readable epoch,
+        independent of how the rows are laid out in ROS units."""
+        assert [c["scans"] for c in memory_history] == PINNED_SCANS
+        assert [c["delta"] for c in memory_history] == PINNED_DELTAS
+        assert [c["probe"][0] for c in memory_history] == [
+            1000, 1000, 1000, 1000, 900]
+
     def test_memory_layout_is_pinned(self, memory_history):
-        """Characterisation: rowgroups, epochs and order after every append,
-        moveout and mergeout — ``space_amp`` in the benchmark hangs on it."""
+        """Characterisation: units, epoch runs and order after every append,
+        moveout and mergeout — ``space_amp`` in the benchmark hangs on it.
+        A moveout is one run per commit epoch inside one unit per segment;
+        mergeout waits until a unit's newest run is behind the AHM."""
         assert [c["pass"] for c in memory_history] == [
-            9, (5098860, 600), 9, (5099004, 0), (3523638, 100)]
+            9, (5098860, 600), 9, (1703532, 0), (3523638, 100)]
         assert [c["bytes_rewritten"] for c in memory_history] == [
-            0, 5098860, 5098860, 10197864, 13721502]
+            0, 5098860, 5098860, 6802392, 10326030]
+        assert [c["probe"][1] for c in memory_history] == [9, 3, 6, 5, 3]
         assert [c["layout"] for c in memory_history] == [
-            [[(65536, 1), (4644, 1), (996, 2),
-              (1, 3), (1, 6), (1, 8), (1, 9), (1, 10)],
-             [(65536, 1), (4125, 1), (1020, 2), (1, 4)],
-             [(65536, 1), (4623, 1), (984, 2), (1, 5), (1, 7), (1, 11)]],
-            [[(65536, 10), (5438, 10)],
-             [(65536, 4), (4937, 4)],
-             [(65536, 11), (5426, 11)]],
-            [[(65536, 10), (5438, 10), (1, 17), (1, 19)],
-             [(65536, 4), (4937, 4), (1, 15), (2, 19)],
-             [(65536, 11), (5426, 11), (4, 18)]],
-            [[(65536, 17), (5439, 17), (1, 19)],
-             [(65536, 15), (4938, 15), (2, 19)],
-             [(65536, 18), (5430, 18)]],
-            [[(65536, 19), (5405, 19)],
-             [(65536, 19), (4908, 19)],
-             [(65536, 18), (5397, 18)]],
+            [[((1, 65536),), ((1, 4644),), ((2, 996),),
+              ((3, 1), (6, 1), (8, 1), (9, 1), (10, 1))],
+             [((1, 65536),), ((1, 4125),), ((2, 1020),), ((4, 1),)],
+             [((1, 65536),), ((1, 4623),), ((2, 984),),
+              ((5, 1), (7, 1), (11, 1))]],
+            [[((10, 65536),), ((10, 5438),)],
+             [((4, 65536),), ((4, 4937),)],
+             [((11, 65536),), ((11, 5426),)]],
+            [[((10, 65536),), ((10, 5438),), ((17, 1), (19, 1))],
+             [((4, 65536),), ((4, 4937),), ((15, 1), (19, 2))],
+             [((11, 65536),), ((11, 5426),),
+              ((13, 1), (14, 1), (16, 1), (18, 1))]],
+            [[((10, 65536),), ((10, 5438),), ((17, 1), (19, 1))],
+             [((4, 65536),), ((4, 4937),), ((15, 1), (19, 2))],
+             [((18, 65536),), ((18, 5430),)]],
+            [[((19, 65536),), ((19, 5405),)],
+             [((19, 65536),), ((19, 4908),)],
+             [((18, 65536),), ((18, 5397),)]],
         ]
 
     def test_disk_storage_keeps_the_same_units_and_scans(self, memory_history,
