@@ -2,7 +2,7 @@
 
 The point of carrying additive sufficient statistics (docs/ml_architecture.md):
 after a trickle of new rows, an incremental refresh scans only the delta
-epochs (`Table.scan_delta`) and re-solves a p×p system, so its cost follows
+epochs (`VerticaCluster.gather_table(..., since_epoch=...)`) and re-solves a p×p system, so its cost follows
 the *trickle*; the full refit re-reads every visible row, so its cost
 follows the *table*.  The sweep holds the base table fixed and grows the
 delta; the refit arm is forced by a delete inside the window (the guard
@@ -75,7 +75,7 @@ def test_ablation_full_refit_by_delta(benchmark, delta_rows):
     cluster = _deployed_cluster(delta_rows)
     # A few deleted rows inside the window poison the insert-only delta,
     # forcing the fallback this arm measures.
-    ys = cluster.catalog.get_table("obs").scan_all(["y"])["y"]
+    ys = cluster.gather_table("obs", ["y"])["y"]
     threshold = float(np.partition(ys, -3)[-3])
     deleted = int(cluster.sql(f"DELETE FROM obs WHERE y >= {threshold}").scalar())
     assert deleted >= 1
@@ -93,9 +93,8 @@ def test_incremental_matches_refit_at_the_same_snapshot():
     refresh_model(cluster, "line")
     incremental = load_model(cluster, "line")
 
-    table = cluster.catalog.get_table("obs")
     feature_names = [f"f{j}" for j in range(FEATURES)]
-    cols = table.scan_all(feature_names + ["y"])
+    cols = cluster.gather_table("obs", feature_names + ["y"])
     nparts = cluster.node_count
     full = hpdglm(
         LocalArray(np.asarray(cols["y"]).reshape(-1, 1), nparts),

@@ -44,7 +44,7 @@ def test_fig16_glm_predict(benchmark, rows):
     cluster, names, model, query = make_scoring_setup(rows)
     result = benchmark.pedantic(lambda: cluster.sql(query), rounds=3, iterations=1)
     assert len(result) == rows
-    table = cluster.catalog.get_table("bench").scan_all(names)
+    table = cluster.gather_table("bench", names)
     local = model.predict(np.column_stack([table[n] for n in names]))
     assert np.allclose(np.sort(result.column("prediction")), np.sort(local))
     if rows == 80_000:

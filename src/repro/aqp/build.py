@@ -69,13 +69,19 @@ def materialize_sample(
     cluster: "VerticaCluster",
     record: SampleRecord,
     snapshot=None,
+    replace: bool = False,
 ) -> SampleRecord:
     """Create and fill the sample's backing table at ``snapshot``.
 
-    The backing table must not exist yet.  Stratified records with empty
-    ``strata_rates`` (a first build) get rates derived from the population
-    counts observed here; non-empty rates are kept frozen, which is what
-    makes an incremental fold and a rebuild select identical rows.
+    The backing table must not exist yet, unless ``replace`` is set (a
+    rebuild): the old table is then dropped, but only once the base read
+    has succeeded, so a read that fails (a down node, an injected fault)
+    leaves the old sample in place for a later refresh.
+
+    Stratified records with empty ``strata_rates`` (a first build) get
+    rates derived from the population counts observed here; non-empty
+    rates are kept frozen, which is what makes an incremental fold and a
+    rebuild select identical rows.
     Returns the record restamped with the snapshot epoch and row counts;
     the caller registers it in the :class:`AqpCatalog`.
     """
@@ -83,7 +89,8 @@ def materialize_sample(
     if snapshot is None:
         snapshot = base.resolve_snapshot()
     columns = [schema.name for schema in base.user_schema]
-    data = base.scan_all(columns + [ROWID_COLUMN], snapshot=snapshot)
+    data = cluster.gather_table(base.name, columns + [ROWID_COLUMN],
+                                snapshot=snapshot)
     rowids = data[ROWID_COLUMN]
     base_rows = len(rowids)
 
@@ -107,7 +114,12 @@ def materialize_sample(
 
     schema = [ColumnSchema(s.name, s.sql_type) for s in base.user_schema]
     schema.append(ColumnSchema(BASE_ROWID_COLUMN, SqlType.INTEGER))
-    sample_table = cluster.create_table(record.name, schema)
+    # The sample is as fault tolerant as its base: a WITHIN query that
+    # survives a node failure on the base survives it on the sample.
+    if replace:
+        cluster.drop_table(record.name, if_exists=True)
+    sample_table = cluster.create_table(record.name, schema,
+                                        k_safety=base.k_safety)
     kept = int(np.count_nonzero(mask))
     if kept:
         arrays = {name: data[name][mask] for name in columns}

@@ -8,7 +8,7 @@ a pure function of its hidden ``_rowid`` and the sample's seed:
 ``hash64(rowid XOR seed) / 2**64 < rate``.  The same splitmix64 finalizer
 the segmentation layer uses (:func:`repro.vertica.segmentation.hash64`)
 gives uniform, well-mixed draws, and — because the decision depends only
-on the rowid — an epoch-incremental fold over ``scan_delta`` selects
+on the rowid — an epoch-incremental fold over a delta window selects
 *exactly* the rows a from-scratch rebuild at the same snapshot would.
 That identity is what the mutation×AQP parity tests pin to 1e-9.
 

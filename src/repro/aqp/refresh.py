@@ -4,8 +4,9 @@ A sample reflects its base table as of ``record.commit_epoch``.  Refresh
 closes the gap to the current snapshot the same way ``REFRESH MODEL``
 does for models: when the mutation window ``(commit_epoch, snapshot]``
 contains only inserts (and still precedes the Ancient History Mark's
-purge horizon), the delta rows are read with
-:meth:`~repro.vertica.table.Table.scan_delta`, passed through the same
+purge horizon), the delta rows are gathered with
+:meth:`~repro.vertica.cluster.VerticaCluster.gather_table` over that
+window (``since_epoch``), passed through the same
 deterministic hash draw the build used, and the survivors trickle into
 the sample table's WOS — cost scales with the delta, not the table.
 Deletes in the window (or history lost behind the AHM) force a
@@ -31,7 +32,7 @@ import numpy as np
 from repro.aqp.build import BASE_ROWID_COLUMN, _write_provenance, materialize_sample
 from repro.aqp.catalog import SampleRecord
 from repro.aqp.estimator import keep_mask, keep_mask_stratified
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ReproError
 from repro.vertica.models import Privilege
 from repro.vertica.table import ROWID_COLUMN
 
@@ -90,8 +91,7 @@ def _refresh_locked(
     record = cluster.aqp.get(name, user=user, privilege=Privilege.MODIFY)
     base = cluster.catalog.get_table(record.base_table)
     sample_table = cluster.catalog.get_table(record.name)
-    epochs = cluster.catalog.epochs
-    snapshot = epochs.snapshot()
+    snapshot = cluster.catalog.epochs.snapshot()
     since = record.commit_epoch
     staleness = max(0, snapshot.epoch - since)
     cluster.metrics.gauge("sample_staleness_epochs").set(staleness)
@@ -103,19 +103,15 @@ def _refresh_locked(
         faults = cluster.faults
         if faults is not None:
             faults.perturb("aqp.refresh", sample=name, table=base.name)
-        delta_safe = (
-            since >= epochs.ancient_history_mark
-            and not base.has_deletes_between(since, snapshot)
-        )
-        if not delta_safe:
+        if not base.insert_only_since(since, snapshot):
             if not allow_rebuild:
                 span.set(strategy="skipped", staleness=staleness)
                 return SampleRefreshResult(name, "skipped", staleness, 0, record)
             # Deletes in the window (or purged history): rebuild from
             # scratch at the snapshot with the record's frozen rates.
-            cluster.drop_table(record.name, if_exists=True)
             cleared = dataclasses.replace(record, strata_counts={})
-            stamped = materialize_sample(cluster, cleared, snapshot)
+            stamped = materialize_sample(cluster, cleared, snapshot,
+                                         replace=True)
             cluster.aqp.add(stamped, replace=True, user=user)
             cluster.metrics.counter("sample_rebuilds").add()
             span.set(strategy="rebuild", staleness=staleness,
@@ -123,7 +119,8 @@ def _refresh_locked(
             return SampleRefreshResult(name, "rebuild", staleness, 0, stamped)
 
         columns = [schema.name for schema in base.user_schema]
-        delta = base.scan_delta(columns + [ROWID_COLUMN], since, snapshot)
+        delta = cluster.gather_table(base.name, columns + [ROWID_COLUMN],
+                                     snapshot=snapshot, since_epoch=since)
         rowids = delta[ROWID_COLUMN]
         if record.kind == "stratified":
             assert record.strata_column is not None
@@ -163,9 +160,13 @@ def auto_refresh_samples(cluster: "VerticaCluster") -> int:
 
     Called by the Tuple Mover after its passes.  Samples whose base or
     backing table has been dropped are skipped quietly (a later DROP
-    SAMPLE cleans the record up).
+    SAMPLE cleans the record up).  A sample whose fold fails (its base
+    read meets a down node with no buddy, or an injected fault) stays
+    stale without holding up the others; the first such error is raised
+    once every sample has been tried, so the mover sees the pass fail.
     """
     folded = 0
+    failure: ReproError | None = None
     for record in cluster.aqp.records():
         if not (cluster.catalog.has_table(record.base_table)
                 and cluster.catalog.has_table(record.name)):
@@ -175,5 +176,10 @@ def auto_refresh_samples(cluster: "VerticaCluster") -> int:
                 cluster, record.name, user=record.owner, allow_rebuild=False)
         except CatalogError:  # dropped concurrently between check and refresh
             continue
+        except ReproError as exc:
+            failure = failure or exc
+            continue
         folded += result.rows_folded
+    if failure is not None:
+        raise failure
     return folded

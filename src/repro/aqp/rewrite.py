@@ -4,10 +4,10 @@ After semantic analysis admits a single-aggregate SELECT with a ``WITHIN``
 clause, the executor hands it here instead of scanning the base table.
 The rewriter picks the best qualifying sample (highest nominal rate among
 the samples built on the query's table that the user holds USAGE on and
-whose backing table still exists), scans *it* instead of the base table,
-applies the WHERE predicate with the ordinary vectorized expression
-evaluator, and scales the aggregate up with the Horvitz–Thompson
-estimators from :mod:`repro.aqp.estimator`.
+whose backing table still exists), reads *it* instead of the base table —
+through the cluster's per-node scan sources, the WHERE predicate pruning
+and filtering like any SELECT's — and scales the aggregate up with the
+Horvitz–Thompson estimators from :mod:`repro.aqp.estimator`.
 
 The answer is served only when the realized CLT half-width meets the
 requested relative error bound — ``half_width <= bound * |estimate|`` —
@@ -70,26 +70,17 @@ def candidate_samples(
 
 
 def _filtered_batch(
-    sample_table, call: ast.AggregateCall, where: ast.Expr | None,
-    record: SampleRecord, snapshot,
+    cluster: "VerticaCluster", record: SampleRecord,
+    call: ast.AggregateCall, where: ast.Expr | None, snapshot,
 ) -> dict[str, np.ndarray]:
-    """Scan the sample's needed columns and apply the WHERE predicate."""
+    """Gather the sample's needed columns, filtered by the WHERE predicate."""
     needed: set[str] = {BASE_ROWID_COLUMN}
-    if where is not None:
-        needed |= expressions.columns_referenced(where)
     if call.arg is not None:
         needed |= expressions.columns_referenced(call.arg)
     if record.strata_column is not None:
         needed.add(record.strata_column)
-    batch = sample_table.scan_all(sorted(needed), snapshot=snapshot)
-    if where is None:
-        return batch
-    rows = len(batch[BASE_ROWID_COLUMN])
-    mask = np.atleast_1d(
-        np.asarray(expressions.evaluate(where, batch), dtype=bool))
-    if mask.shape == (1,) and rows != 1:
-        mask = np.broadcast_to(mask, (rows,))
-    return {name: arr[mask] for name, arr in batch.items()}
+    return cluster.gather_table(record.name, needed, where=where,
+                                snapshot=snapshot)
 
 
 def _row_weights(record: SampleRecord,
@@ -107,10 +98,11 @@ def _row_weights(record: SampleRecord,
 
 
 def _estimate_from(
-    record: SampleRecord, sample_table, call: ast.AggregateCall,
-    where: ast.Expr | None, confidence: float, snapshot,
+    cluster: "VerticaCluster", record: SampleRecord,
+    call: ast.AggregateCall, where: ast.Expr | None, confidence: float,
+    snapshot,
 ) -> Estimate | None:
-    batch = _filtered_batch(sample_table, call, where, record, snapshot)
+    batch = _filtered_batch(cluster, record, call, where, snapshot)
     if not len(batch[BASE_ROWID_COLUMN]):
         return None  # nothing matched in the sample: no bounded answer
     weights = _row_weights(record, batch)
@@ -142,10 +134,8 @@ def answer_within(
     assert isinstance(call, ast.AggregateCall)
     with cluster.tracer.span("aqp.rewrite", table=statement.table) as span:
         for record in candidate_samples(cluster, statement.table, user):
-            sample_table = cluster.catalog.get_table(record.name)
             estimate = _estimate_from(
-                record, sample_table, call, statement.where,
-                confidence, snapshot)
+                cluster, record, call, statement.where, confidence, snapshot)
             if estimate is None:
                 continue
             if estimate.half_width > bound * abs(estimate.estimate):

@@ -8,9 +8,10 @@ exactly the rows committed in ``(commit_epoch, snapshot]``:
 
 * gaussian GLMs and naive Bayes carry *additive sufficient statistics*
   (``X'X`` / ``X'y`` / response moments; per-class moments), so the refresh
-  is a pure delta fold — scan only the new epochs via
-  :meth:`~repro.vertica.table.Table.scan_delta`, add their moments, and
-  re-solve the small system.  Cost scales with the delta, not the table.
+  is a pure delta fold — gather only the new epochs via
+  :meth:`~repro.vertica.cluster.VerticaCluster.gather_table` with
+  ``since_epoch``, add their moments, and re-solve the small system.  Cost
+  scales with the delta, not the table.
 * every other family (Lloyd centers, SGD iterates, forests) has no additive
   state, so the refresh is a full refit at the snapshot — still driven by
   the model's recorded training provenance, through the same unified fold
@@ -161,11 +162,11 @@ def _refit(cluster: "VerticaCluster", training: dict, snapshot) -> Any:
             f"cannot refresh algorithm {algorithm!r}; "
             f"known algorithms: {list(_REFITTABLE)}"
         )
-    table = cluster.catalog.get_table(training["table"])
     feature_names = list(training["features"])
     response = training.get("response")
     names = feature_names + ([response] if response else [])
-    columns = table.scan_all(names, snapshot=snapshot)
+    columns = cluster.gather_table(training["table"], names,
+                                   snapshot=snapshot)
     matrix = _matrix(columns, feature_names)
     npartitions = max(1, cluster.node_count)
     params = dict(training.get("params") or {})
@@ -207,8 +208,7 @@ def refresh_model(cluster: "VerticaCluster", name: str,
             "deploy_model(..., training={...}) to make it refreshable"
         )
     training = record.training
-    epochs = cluster.catalog.epochs
-    snapshot = epochs.snapshot()
+    snapshot = cluster.catalog.epochs.snapshot()
     since = record.commit_epoch
     staleness = max(0, snapshot.epoch - since)
     # Level = staleness seen by the latest refresh; peak = worst ever seen.
@@ -225,13 +225,11 @@ def refresh_model(cluster: "VerticaCluster", name: str,
     new_model: Any | None = None
     strategy = "refit"
     rows_folded = 0
-    delta_safe = (
-        since >= epochs.ancient_history_mark
-        and not table.has_deletes_between(since, snapshot)
-    )
-    if delta_safe and algorithm in ("glm", "naivebayes"):
+    if (algorithm in ("glm", "naivebayes")
+            and table.insert_only_since(since, snapshot)):
         names = feature_names + ([response] if response else [])
-        delta = table.scan_delta(names, since_epoch=since, snapshot=snapshot)
+        delta = cluster.gather_table(table.name, names, snapshot=snapshot,
+                                     since_epoch=since)
         delta_features = _matrix(delta, feature_names)
         rows_folded = len(delta_features)
         if rows_folded == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.faults.plan import FaultPlan, InjectedFault
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, add_to_current, max_to_current
 from repro.storage.encoding import ColumnSchema, SqlType
+from repro.vertica import expressions
 from repro.vertica.catalog import Catalog
 from repro.vertica.dfs import DistributedFileSystem
 from repro.vertica.executor import QueryExecutor, ResultSet
@@ -31,11 +33,14 @@ from repro.vertica.pipeline import (
     INFLIGHT_BYTES_GAUGE,
     PipelineConfig,
     batch_nbytes,
+    concat_batches,
     rechunk,
 )
+from repro.vertica.pruning import extract_column_ranges
 from repro.vertica.segmentation import HashSegmentation, RoundRobinSegmentation, SegmentationScheme
+from repro.vertica.sql import ast
 from repro.vertica.sql.parser import parse
-from repro.vertica.table import Table
+from repro.vertica.table import FULL_HISTORY, ROWID_COLUMN, Table
 from repro.vertica.txn.mover import TupleMover, TupleMoverConfig
 from repro.vertica.udtf import TransformFunction
 
@@ -280,10 +285,9 @@ class VerticaCluster:
             return 1
         return self.catalog.get_table(table_name).segments[node].rowgroup_count
 
-    def stream_node_with_failover(
+    def _stream_node_with_failover(
         self, table: Table, node_index: int, columns: list[str],
-        include_rowid: bool = False, ranges: dict | None = None,
-        snapshot=None,
+        ranges: dict | None, snapshot, since_epoch: int,
     ):
         """Stream a node's segment rowgroup-wise, holding the node's scan
         slot for the duration of the stream; falls over to the buddy
@@ -296,8 +300,6 @@ class VerticaCluster:
         uninterrupted primary scan.
         """
         prune_counter = self.metrics.counter("rowgroups_pruned").add
-        if snapshot is None:
-            snapshot = table.resolve_snapshot()
         node = self.nodes[node_index]
         delivered = 0
         if not node.is_down:
@@ -305,9 +307,9 @@ class VerticaCluster:
             died_mid_stream = False
             try:
                 for batch in table.iter_node_batches(
-                        node_index, columns, include_rowid=include_rowid,
-                        ranges=ranges, prune_counter=prune_counter,
-                        snapshot=snapshot):
+                        node_index, columns, ranges=ranges,
+                        prune_counter=prune_counter, snapshot=snapshot,
+                        since_epoch=since_epoch):
                     try:
                         if self.faults is not None:
                             self.faults.perturb("scan.stream", table=table.name,
@@ -333,9 +335,9 @@ class VerticaCluster:
         buddy_node.acquire_scan_slot()
         try:
             for index, batch in enumerate(table.iter_node_batches(
-                    node_index, columns, include_rowid=include_rowid,
-                    ranges=ranges, prune_counter=prune_counter, replica=True,
-                    snapshot=snapshot)):
+                    node_index, columns, ranges=ranges,
+                    prune_counter=prune_counter, replica=True,
+                    snapshot=snapshot, since_epoch=since_epoch)):
                 if index < delivered:
                     continue
                 yield batch
@@ -345,16 +347,22 @@ class VerticaCluster:
     def stream_table_per_node(
         self, table_name: str, columns_needed: set[str],
         ranges: dict | None = None, snapshot=None,
+        since_epoch: int = FULL_HISTORY,
     ) -> list:
-        """Per-node streaming scan sources for the pipeline executor.
+        """Per-node streaming scan sources: the one way to read table rows.
 
         Returns one zero-argument callable per node; calling it opens a
         fresh iterator of rowgroup-granular batches (re-chunked to the
-        pipeline's ``batch_rows``).  Each live batch is charged to the
-        ``pipeline_inflight_bytes`` gauge from the moment it is decoded
-        until the consumer pulls the next one, so peak in-flight memory is
-        measured, not assumed.  Column validation happens here (eagerly),
-        not when the stream is first pulled.
+        pipeline's ``batch_rows``) that holds the node's scan slot, fails
+        over to the buddy replica, and counts what it reads.  Each live
+        batch is charged to the ``pipeline_inflight_bytes`` gauge from the
+        moment it is decoded until the consumer pulls the next one, so peak
+        in-flight memory is measured, not assumed.  Column validation
+        happens here (eagerly), not when the stream is first pulled.
+
+        ``columns_needed`` may name the hidden :data:`ROWID_COLUMN`;
+        ``since_epoch`` narrows every source to the delta window
+        ``(since_epoch, snapshot]``.
         """
         config = self.pipeline
         if table_name.lower() == R_MODELS_TABLE_NAME:
@@ -373,7 +381,8 @@ class VerticaCluster:
 
         table = self.catalog.get_table(table_name)
         if columns_needed:
-            unknown = [c for c in columns_needed if not table.has_column(c)]
+            unknown = [c for c in columns_needed
+                       if c != ROWID_COLUMN and not table.has_column(c)]
             if unknown:
                 raise SqlAnalysisError(
                     f"unknown columns {unknown} in table {table_name!r}"
@@ -400,9 +409,9 @@ class VerticaCluster:
 
         def make_source(node_index: int):
             def source():
-                raw = self.stream_node_with_failover(
-                    table, node_index, scan_columns, ranges=ranges,
-                    snapshot=snapshot)
+                raw = self._stream_node_with_failover(
+                    table, node_index, scan_columns, ranges, snapshot,
+                    since_epoch)
                 for batch in rechunk(raw, config.batch_rows):
                     rows = len(next(iter(batch.values()))) if batch else 0
                     nbytes = batch_nbytes(batch)
@@ -426,6 +435,38 @@ class VerticaCluster:
             return source
 
         return [make_source(node) for node in range(self.node_count)]
+
+    def gather_table(
+        self, table_name: str, columns: set[str] | list[str],
+        where: ast.Expr | None = None, snapshot=None,
+        since_epoch: int = FULL_HISTORY,
+    ) -> dict[str, np.ndarray]:
+        """Collect a table's rows into arrays through the per-node sources.
+
+        ``columns`` plus the columns ``where`` references are read, and
+        ``where`` both filters each batch and prunes row groups by its
+        zone-map ranges.  Nodes are read one at a time in node-index
+        order, each stream closed before the next opens: rows arrive in
+        node-major storage order and the gather never holds two scan slots
+        at once.  No surviving row gives a typed empty batch.
+        """
+        needed = set(columns)
+        if where is not None:
+            needed |= expressions.columns_referenced(where)
+        sources = self.stream_table_per_node(
+            table_name, needed, ranges=extract_column_ranges(where),
+            snapshot=snapshot, since_epoch=since_epoch)
+        batches = []
+        for node, source in enumerate(sources):
+            with self.tracer.span("scan.node", node=node), \
+                    closing(source()) as stream:
+                for batch in stream:
+                    batch = expressions.apply_where(where, batch)
+                    if expressions.batch_rows(batch):
+                        batches.append(batch)
+        if not batches:
+            return self.typed_empty_batch(table_name, needed)
+        return concat_batches(batches)
 
     def typed_empty_batch(self, table_name: str, columns: set[str] | list[str]
                           ) -> dict[str, np.ndarray]:

@@ -24,13 +24,19 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
 from repro.errors import ExecutionError, SqlAnalysisError
 from repro.obs.trace import Span
 from repro.vertica import expressions
+from repro.vertica.expressions import (
+    apply_where,
+    batch_rows,
+    broadcast_rows,
+    evaluate_rows,
+)
 from repro.vertica.joins import join_sources
 from repro.vertica.models import R_MODELS_TABLE_NAME
 from repro.vertica.pipeline import (
@@ -45,6 +51,7 @@ from repro.vertica.planner import (
     instance_boundaries,
     plan_select,
 )
+from repro.vertica.pruning import extract_column_ranges
 from repro.vertica.segmentation import hash64
 from repro.vertica.sql import ast
 from repro.vertica.sql.analyzer import ClusterProvider, ResolvedQuery, check
@@ -385,16 +392,12 @@ class QueryExecutor:
             return self._execute_aggregate(plan, sources=sources)
         return self._execute_scan(plan, sources=sources)
 
-    def _scan_ranges(self, where: ast.Expr | None):
-        from repro.vertica.pruning import extract_column_ranges
-
-        return extract_column_ranges(where) or None
-
     def _node_sources(self, plan, columns_needed: set[str],
                       snapshot: "Snapshot | None" = None) -> list:
         """Per-node streaming batch sources honoring zone-map pushdown."""
         return self.cluster.stream_table_per_node(
-            plan.table, columns_needed, ranges=self._scan_ranges(plan.where),
+            plan.table, columns_needed,
+            ranges=extract_column_ranges(plan.where),
             snapshot=snapshot)
 
     def _fan_out(self, task: Callable[[int], Any], count: int,
@@ -442,7 +445,7 @@ class QueryExecutor:
             with tracer.span("scan.node", parent=parent, node=node), \
                     closing(sources[node]()) as stream:
                 for batch in stream:
-                    batch = _apply_where(plan.where, batch)
+                    batch = apply_where(plan.where, batch)
                     projected, order_vals = _project_batch(
                         items, names, plan.order_by, batch)
                     if topk is not None:
@@ -452,7 +455,7 @@ class QueryExecutor:
                         out_chunks[name].append(projected[name])
                     for i, value in enumerate(order_vals):
                         order_chunks[i].append(value)
-                    produced += _batch_rows(projected)
+                    produced += batch_rows(projected)
                     if early_limit is not None and produced >= early_limit:
                         break  # LIMIT without ORDER BY: stop pulling early
             if topk is not None:
@@ -537,8 +540,8 @@ class QueryExecutor:
                     tracer.span("aggregate.node", parent=outer, node=node), \
                     closing(sources[node]()) as stream:
                 for batch in stream:
-                    batch = _apply_where(plan.where, batch)
-                    rows = _batch_rows(batch)
+                    batch = apply_where(plan.where, batch)
+                    rows = batch_rows(batch)
                     if not rows:
                         continue
                     tables.append(_GroupTable.of_batch(plan, batch))
@@ -563,19 +566,19 @@ class QueryExecutor:
 
         names = [item.output_name for item in plan.items]
         rows = table.size
-        columns = {item.output_name: _evaluate_rows(_rewrite(item.expr, plan),
+        columns = {item.output_name: evaluate_rows(_rewrite(item.expr, plan),
                                                     env, rows)
                    for item in plan.items}
 
         if plan.having is not None:
-            mask = _evaluate_rows(_rewrite(plan.having, plan), env,
+            mask = evaluate_rows(_rewrite(plan.having, plan), env,
                                   rows).astype(bool)
             columns = {name: arr[mask] for name, arr in columns.items()}
             env = {name: arr[mask] for name, arr in env.items()}
             rows = int(mask.sum())
 
         if plan.order_by:
-            keys = [_evaluate_rows(_rewrite(order.expr, plan), env, rows)
+            keys = [evaluate_rows(_rewrite(order.expr, plan), env, rows)
                     for order in plan.order_by]
             index = _sort_index(keys, [o.ascending for o in plan.order_by])
             columns = {name: arr[index] for name, arr in columns.items()}
@@ -673,7 +676,7 @@ class QueryExecutor:
                 udtf.validate_output(output)
                 span.set(rows_in=sum(q.total_rows for q in queues),
                          bytes_in=sum(q.total_bytes for q in queues),
-                         rows_out=_batch_rows(output),
+                         rows_out=batch_rows(output),
                          backpressure_s=sum(q.blocked_seconds for q in queues))
                 return output
 
@@ -776,15 +779,15 @@ class _RangeRouter:
         bounds, queues = self.boundaries[node], self.node_queues[node]
         closed = start = 0  # first open queue; row offset of ``batch``
         for batch in stream:
-            end = start + _batch_rows(batch)
+            end = start + batch_rows(batch)
             for i in range(closed, len(queues)):
                 lo, hi = max(bounds[i], start), min(bounds[i + 1], end)
                 if lo >= end:
                     break
-                piece = _apply_where(self.plan.where, {
+                piece = apply_where(self.plan.where, {
                     name: arr[lo - start:hi - start]
                     for name, arr in batch.items()})
-                if _batch_rows(piece):
+                if batch_rows(piece):
                     queues[i].put(_bind_args(self.plan.udtf.args, piece))
             while closed < len(queues) and bounds[closed + 1] <= end:
                 queues[closed].close()
@@ -817,12 +820,12 @@ class _HashRouter:
     def route(self, node: int, stream: Iterator[dict[str, np.ndarray]]) -> None:
         queues = self.node_queues[node]
         for batch in stream:
-            batch = _apply_where(self.plan.where, batch)
-            rows = _batch_rows(batch)
+            batch = apply_where(self.plan.where, batch)
+            rows = batch_rows(batch)
             if not rows:
                 continue
             args = _bind_args(self.plan.udtf.args, batch)
-            keys = _broadcast_rows(np.asarray(expressions.evaluate(
+            keys = broadcast_rows(np.asarray(expressions.evaluate(
                 self.plan.udtf.partition.expr, batch)), rows)
             destination = (hash64(keys)
                            % np.uint64(len(queues))).astype(np.int64)
@@ -840,12 +843,12 @@ def _bind_args(args: tuple[ast.Expr, ...],
                batch: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Evaluate UDTF arguments over one batch, named by source column (or
     ``arg<position>`` for expressions and repeats)."""
-    rows = _batch_rows(batch)
+    rows = batch_rows(batch)
     bound: dict[str, np.ndarray] = {}
     for position, arg in enumerate(args):
         name = (arg.name if isinstance(arg, ast.ColumnRef)
                 and arg.name not in bound else f"arg{position}")
-        bound[name] = _evaluate_rows(arg, batch, rows)
+        bound[name] = evaluate_rows(arg, batch, rows)
     return bound
 
 
@@ -883,13 +886,13 @@ class _GroupTable:
     @classmethod
     def of_batch(cls, plan: AggregatePlan,
                  batch: dict[str, np.ndarray]) -> "_GroupTable":
-        rows = _batch_rows(batch)
-        keys = [_evaluate_rows(expr, batch, rows) for expr in plan.group_by]
+        rows = batch_rows(batch)
+        keys = [evaluate_rows(expr, batch, rows) for expr in plan.group_by]
         counts: list[np.ndarray] = []
         values: list[Any] = []
         for agg in plan.aggregates:
             arg = (np.ones(rows, dtype=bool) if agg.arg is None  # COUNT(*)
-                   else _evaluate_rows(agg.arg, batch, rows))
+                   else evaluate_rows(agg.arg, batch, rows))
             valid = ~expressions.is_null(arg)
             counts.append(valid.astype(np.int64))
             if agg.distinct:
@@ -1015,24 +1018,15 @@ def _concat(parts: list[np.ndarray], dtype: Any = np.float64) -> np.ndarray:
 # -- streaming helpers --------------------------------------------------------
 
 
-def _apply_where(where: ast.Expr | None,
-                 batch: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Filter one batch by the WHERE predicate (pass-through when absent)."""
-    if where is None:
-        return batch
-    mask = _evaluate_rows(where, batch, _batch_rows(batch)).astype(bool)
-    return {name: arr[mask] for name, arr in batch.items()}
-
-
 def _project_batch(
     items: list[ast.SelectItem], names: list[str],
     order_by: list[ast.OrderItem], batch: dict[str, np.ndarray],
 ) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
     """Evaluate the select list (and ORDER BY keys) over one batch."""
-    rows = _batch_rows(batch)
-    projected = {name: _evaluate_rows(item.expr, batch, rows)
+    rows = batch_rows(batch)
+    projected = {name: evaluate_rows(item.expr, batch, rows)
                  for item, name in zip(items, names)}
-    order_vals = [_evaluate_rows(order.expr, batch, rows) for order in order_by]
+    order_vals = [evaluate_rows(order.expr, batch, rows) for order in order_by]
     return projected, order_vals
 
 
@@ -1065,7 +1059,7 @@ class _TopK:
             self.out_chunks[name].append(projected[name])
         for i, value in enumerate(order_vals):
             self.order_chunks[i].append(value)
-        self.buffered += _batch_rows(projected)
+        self.buffered += batch_rows(projected)
         if self.buffered > self.threshold:
             self._trim()
 
@@ -1134,27 +1128,6 @@ def _render_profile(root: Span) -> ResultSet:
 
 
 # -- small helpers ------------------------------------------------------------
-
-
-def _batch_rows(batch: Mapping[str, np.ndarray]) -> int:
-    for arr in batch.values():
-        return len(np.atleast_1d(arr))
-    return 0
-
-
-def _evaluate_rows(expr: ast.Expr, batch: Mapping[str, np.ndarray],
-                   rows: int) -> np.ndarray:
-    """``expr`` over ``batch`` as one value per row."""
-    return _broadcast_rows(np.asarray(expressions.evaluate(expr, batch)), rows)
-
-
-def _broadcast_rows(value: np.ndarray, rows: int) -> np.ndarray:
-    value = np.atleast_1d(value)
-    if len(value) == rows:
-        return value
-    if len(value) == 1:
-        return np.broadcast_to(value, (rows,)).copy()
-    raise ExecutionError(f"cannot broadcast length {len(value)} to {rows} rows")
 
 
 def _sort_index(keys: list[np.ndarray], ascending: list[bool]) -> np.ndarray:

@@ -15,10 +15,11 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.errors import SqlAnalysisError
+from repro.errors import ExecutionError, SqlAnalysisError
 from repro.vertica.sql import ast
 
-__all__ = ["evaluate", "columns_referenced", "register_scalar_function",
+__all__ = ["evaluate", "evaluate_rows", "broadcast_rows", "batch_rows",
+           "apply_where", "columns_referenced", "register_scalar_function",
            "scalar_function_names", "is_null", "factorize", "factorize_column"]
 
 _SCALAR_FUNCTIONS: dict[str, Callable[..., np.ndarray]] = {}
@@ -204,6 +205,38 @@ def evaluate(expr: ast.Expr, batch: Mapping[str, np.ndarray]) -> np.ndarray:
     if isinstance(expr, ast.Star):
         raise SqlAnalysisError("'*' is not a scalar expression")
     raise SqlAnalysisError(f"cannot evaluate expression node {type(expr).__name__}")
+
+
+def batch_rows(batch: Mapping[str, np.ndarray]) -> int:
+    """Row count of a batch (0 for a batch with no columns)."""
+    for arr in batch.values():
+        return len(np.atleast_1d(arr))
+    return 0
+
+
+def broadcast_rows(value: np.ndarray, rows: int) -> np.ndarray:
+    """``value`` as one entry per row: a length-1 result is repeated."""
+    value = np.atleast_1d(value)
+    if len(value) == rows:
+        return value
+    if len(value) == 1:
+        return np.broadcast_to(value, (rows,)).copy()
+    raise ExecutionError(f"cannot broadcast length {len(value)} to {rows} rows")
+
+
+def evaluate_rows(expr: ast.Expr, batch: Mapping[str, np.ndarray],
+                  rows: int) -> np.ndarray:
+    """``expr`` over ``batch`` as one value per row."""
+    return broadcast_rows(np.asarray(evaluate(expr, batch)), rows)
+
+
+def apply_where(where: ast.Expr | None,
+                batch: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Filter one batch by a WHERE predicate (pass-through when absent)."""
+    if where is None:
+        return batch
+    mask = evaluate_rows(where, batch, batch_rows(batch)).astype(bool)
+    return {name: arr[mask] for name, arr in batch.items()}
 
 
 @lru_cache(maxsize=256)

@@ -7,13 +7,14 @@ and splits the condition (:class:`~repro.vertica.sql.analyzer.BoundJoin`);
 this module only executes that binding.
 
 The joined (right) input is the build side: it is gathered once through the
-cluster's per-node scan sources (failover, scan slots and scan counters
-included), and its rows are sorted by key code.  The left input is the
-probe side: :func:`join_sources` hands the executor one source per node
-that probes each scanned batch with ``searchsorted`` as it streams past, so
-the left table is never held whole.  Rows come out in left-input order, a
-left row's matches in build-input order; a LEFT join emits a left row with
-no surviving match once, its right-side columns NULL.
+cluster's per-node scan sources (:meth:`VerticaCluster.gather_table`:
+failover, scan slots and scan counters included), and its rows are sorted
+by key code.  The left input is the probe side: :func:`join_sources` hands
+the executor one source per node that probes each scanned batch with
+``searchsorted`` as it streams past, so the left table is never held whole.
+Rows come out in left-input order, a left row's matches in build-input
+order; a LEFT join emits a left row with no surviving match once, its
+right-side columns NULL.
 
 Column naming in a joined batch: every column appears under its qualified
 key (``alias.column``); columns whose bare name is unambiguous across the
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.vertica import expressions
-from repro.vertica.pipeline import concat_batches
+from repro.vertica.expressions import batch_rows, evaluate_rows
 from repro.vertica.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -72,26 +73,6 @@ def join_sources(cluster: "VerticaCluster", stmt: ast.Select,
         stmt.table, bound.left_columns, snapshot=snapshot)]
 
 
-def _gather(cluster: "VerticaCluster", table_name: str,
-            columns: frozenset[str], snapshot: "Snapshot | None") -> Batch:
-    """Collect the build input from the table's per-node scan sources.
-
-    Nodes are read one at a time in node-index order, each stream closed
-    before the next opens: rows arrive in node-major storage order and the
-    build never holds two scan slots at once.
-    """
-    batches: list[Batch] = []
-    sources = cluster.stream_table_per_node(table_name, columns,
-                                            snapshot=snapshot)
-    for node, source in enumerate(sources):
-        with cluster.tracer.span("scan.node", node=node), \
-                closing(source()) as stream:
-            batches.extend(stream)
-    if not batches:
-        return cluster.typed_empty_batch(table_name, columns)
-    return concat_batches(batches)
-
-
 class _BuildSide:
     """The right input, gathered once and grouped by join key.
 
@@ -110,11 +91,11 @@ class _BuildSide:
         self.left = stmt.join.kind == "left"
         self.rows_scanned = cluster.metrics.counter("join_rows_scanned")
         self.rows_produced = cluster.metrics.counter("join_rows_produced")
-        data = _gather(cluster, stmt.join.table, bound.right_columns,
-                       snapshot)
+        data = cluster.gather_table(stmt.join.table, bound.right_columns,
+                                    snapshot=snapshot)
         # One placeholder row past the end: what an unmatched LEFT-join row
         # reads before its right-side values are nulled.
-        self.null_row = _rows(data)
+        self.null_row = batch_rows(data)
         self.data = {name: np.concatenate([arr, np.zeros(1, arr.dtype)])
                      for name, arr in data.items()}
         self.rows_scanned.add(self.null_row)
@@ -153,7 +134,7 @@ class _BuildSide:
     def probe(self, batch: Batch) -> Batch:
         """Join one left-input batch against the build side."""
         bound = self.bound
-        rows = _rows(batch)
+        rows = batch_rows(batch)
         ids = _find(self.codes, self._codes(_evaluate(
             batch, bound.left_alias, [left for left, _ in bound.equalities])))
         starts, counts = self.first[ids], self.count[ids]
@@ -165,8 +146,7 @@ class _BuildSide:
             joined = self._assemble(batch, left_index, right_index)
             keep = np.ones(len(left_index), dtype=bool)
             for conj in bound.residual:
-                keep &= np.broadcast_to(np.asarray(
-                    expressions.evaluate(conj, joined), dtype=bool), keep.shape)
+                keep &= evaluate_rows(conj, joined, len(keep)).astype(bool)
             left_index, right_index = left_index[keep], right_index[keep]
         if self.left:  # each left row left without a match, in its place
             lost = np.flatnonzero(np.bincount(left_index, minlength=rows) == 0)
@@ -205,21 +185,14 @@ def _find(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(hit, index, -1)
 
 
-def _rows(data: Batch) -> int:
-    for arr in data.values():
-        return len(np.atleast_1d(arr))
-    return 0
-
-
 def _evaluate(data: Batch, alias: str,
               exprs: list[ast.Expr]) -> list[np.ndarray]:
     """Key expressions over one input's batch, bare or ``alias.``-qualified."""
     env = {name: np.atleast_1d(np.asarray(arr)) for name, arr in data.items()}
     env.update({f"{alias}.{name}": arr for name, arr in env.items()
                 if "." not in name})
-    rows = _rows(data)
-    return [np.broadcast_to(np.atleast_1d(np.asarray(
-        expressions.evaluate(expr, env))), (rows,)) for expr in exprs]
+    rows = batch_rows(data)
+    return [evaluate_rows(expr, env, rows) for expr in exprs]
 
 
 def _null_out(values: np.ndarray, null_mask: np.ndarray) -> np.ndarray:

@@ -120,9 +120,9 @@ class OdbcConnection:
             table.column(column)  # validates existence
 
         pieces: list[dict[str, np.ndarray]] = []
-        for node_index in range(table.node_count):
-            with closing(self.cluster.stream_node_with_failover(
-                    table, node_index, columns, include_rowid=True)) as stream:
+        for source in self.cluster.stream_table_per_node(
+                table.name, {*columns, ROWID_COLUMN}):
+            with closing(source()) as stream:
                 for batch in stream:
                     rowids = batch[ROWID_COLUMN]
                     mask = (rowids >= start_row) & (rowids < stop_row)

@@ -59,6 +59,11 @@ _TABLE_UIDS = itertools.count(1)
 # sees all storage and applies every delete — exactly the pre-MVCC view.
 UNBOUNDED_EPOCH = 2**62
 
+# The lower bound of the full-history window ``(FULL_HISTORY, snapshot]``
+# a plain scan reads: below epoch 0, the stamp of a standalone table's
+# rows, which is visible to every snapshot.
+FULL_HISTORY = -1
+
 
 def snapshot_epoch(snapshot: "Snapshot | None") -> int:
     return UNBOUNDED_EPOCH if snapshot is None else snapshot.epoch
@@ -205,7 +210,7 @@ class Segment:
         """
         cap = snapshot_epoch(snapshot)
         scan = self.capture(snapshot)
-        return (sum(unit.rows_in(0, cap) for unit in scan.units)
+        return (sum(unit.rows_in(FULL_HISTORY, cap) for unit in scan.units)
                 + sum(batch.rows for batch in scan.wos)
                 - scan.deletes.count_at(cap))
 
@@ -302,14 +307,15 @@ class Segment:
     # -- reads -------------------------------------------------------------
 
     def capture(self, snapshot: "Snapshot | None" = None,
-                since_epoch: int = 0) -> SegmentScanSet:
+                since_epoch: int = FULL_HISTORY) -> SegmentScanSet:
         """Atomically freeze the storage a scan at ``snapshot`` must read.
 
         ``since_epoch`` narrows the capture to storage stamped **after** that
         epoch — the delta window ``(since_epoch, snapshot]`` incremental model
-        refresh folds over.  The default 0 precedes every real stamp, so plain
-        scans are unchanged.  A ROS unit is kept when some epoch run falls in
-        the window; :meth:`iter_batches` masks the rest of its rows out.
+        refresh folds over.  The default :data:`FULL_HISTORY` precedes every
+        stamp, epoch 0 included, so plain scans read everything.  A ROS unit
+        is kept when some epoch run falls in the window; :meth:`iter_batches`
+        masks the rest of its rows out.
         """
         cap = snapshot_epoch(snapshot)
         with self._mutation_lock:
@@ -319,26 +325,11 @@ class Segment:
             deletes = self.delete_vector.frozen()
         return SegmentScanSet(units, wos, deletes)
 
-    def delete_epochs_between(self, since_epoch: int,
-                              snapshot: "Snapshot | None" = None) -> bool:
-        """Whether any delete committed in the window ``(since_epoch, snapshot]``.
-
-        The incremental-refresh guard: a delete in the window can remove rows
-        the model already folded in, which a pure insert-delta cannot express,
-        so the refresher falls back to a full refit.
-        """
-        cap = snapshot_epoch(snapshot)
-        frozen = self.delete_vector.frozen()
-        if not len(frozen):
-            return False
-        return bool(((frozen.epochs > since_epoch)
-                     & (frozen.epochs <= cap)).any())
-
-    def iter_batches(self, columns: list[str] | None = None,
+    def iter_batches(self, columns: list[str],
                      ranges: dict | None = None,
                      prune_counter=None,
                      snapshot: "Snapshot | None" = None,
-                     since_epoch: int = 0,
+                     since_epoch: int = FULL_HISTORY,
                      ) -> Iterator[dict[str, np.ndarray]]:
         """Stream the segment one decoded ROS unit / WOS chunk at a time.
 
@@ -358,12 +349,11 @@ class Segment:
         after a moveout — and rows the frozen delete index marks deleted
         at-or-before the snapshot are filtered out.
         """
-        names = columns if columns is not None else [c.name for c in self.schema]
         scan = self.capture(snapshot, since_epoch=since_epoch)
         cap = snapshot_epoch(snapshot)
         constrained = self._constrained_columns(ranges)
         filtering = len(scan.deletes) > 0
-        read_names = list(names)
+        read_names = list(columns)
         if filtering and ROWID_COLUMN not in read_names:
             read_names.append(ROWID_COLUMN)
 
@@ -377,8 +367,8 @@ class Segment:
             if not keep.any():
                 return None
             if keep.all():
-                return {name: decoded[name] for name in names}
-            return {name: decoded[name][keep] for name in names}
+                return {name: decoded[name] for name in columns}
+            return {name: decoded[name][keep] for name in columns}
 
         for unit in scan.units:
             rowgroup = unit.rowgroup
@@ -401,43 +391,12 @@ class Segment:
             if batch is not None:
                 yield batch
 
-    def typed_empty(self, columns: list[str] | None = None) -> dict[str, np.ndarray]:
+    def typed_empty(self, columns: list[str]) -> dict[str, np.ndarray]:
         """Zero-row arrays carrying the schema's declared dtypes."""
-        names = columns if columns is not None else [c.name for c in self.schema]
         return {
             name: np.empty(0, dtype=self._schema_column(name).numpy_dtype)
-            for name in names
+            for name in columns
         }
-
-    def read_columns(self, columns: list[str] | None = None,
-                     ranges: dict | None = None,
-                     prune_counter=None,
-                     snapshot: "Snapshot | None" = None,
-                     since_epoch: int = 0,
-                     ) -> dict[str, np.ndarray]:
-        """Materialize the segment (the given columns) as arrays.
-
-        A collector over :meth:`iter_batches` (same pruning and snapshot
-        resolution) for whole-segment consumers off the query hot paths:
-        ``scan_all`` / ``scan_delta`` callers such as model refresh and
-        sample builds.
-        """
-        names = columns if columns is not None else [c.name for c in self.schema]
-        pieces: dict[str, list[np.ndarray]] = {name: [] for name in names}
-        for decoded in self.iter_batches(names, ranges, prune_counter,
-                                         snapshot=snapshot,
-                                         since_epoch=since_epoch):
-            for name in names:
-                pieces[name].append(decoded[name])
-        empty = None
-        out = {}
-        for name in names:
-            if pieces[name]:
-                out[name] = np.concatenate(pieces[name])
-            else:
-                empty = empty if empty is not None else self.typed_empty(names)
-                out[name] = empty[name]
-        return out
 
     # -- Tuple Mover entry points ------------------------------------------
 
@@ -896,44 +855,24 @@ class Table:
             snapshot = self.epochs.snapshot()
         return [segment.visible_row_count(snapshot) for segment in self.segments]
 
-    def scan_node(
-        self, node: int, columns: list[str] | None = None,
-        include_rowid: bool = False, ranges: dict | None = None,
-        prune_counter=None, snapshot: "Snapshot | None" = None,
-    ) -> dict[str, np.ndarray]:
-        """Read one node's segment (used by UDF fan-out and transfers),
-        optionally pruning row groups via zone maps (``ranges``)."""
-        names = columns if columns is not None else self.column_names
-        read_names = list(names)
-        if include_rowid:
-            read_names.append(ROWID_COLUMN)
-        return self.segments[node].read_columns(
-            read_names, ranges=ranges, prune_counter=prune_counter,
-            snapshot=snapshot)
-
     def iter_node_batches(
-        self, node: int, columns: list[str] | None = None,
-        include_rowid: bool = False, ranges: dict | None = None,
-        prune_counter=None, replica: bool = False,
-        snapshot: "Snapshot | None" = None,
+        self, node: int, columns: list[str],
+        ranges: dict | None = None, prune_counter=None,
+        replica: bool = False, snapshot: "Snapshot | None" = None,
+        since_epoch: int = FULL_HISTORY,
     ) -> Iterator[dict[str, np.ndarray]]:
-        """Stream one node's segment (or its buddy replica) rowgroup-wise.
-
-        Batches arrive in storage order, so concatenating them reproduces
-        :meth:`scan_node` exactly.
-        """
+        """Stream one node's segment (or its buddy replica) rowgroup-wise,
+        in storage order.  ``columns`` may name :data:`ROWID_COLUMN`;
+        ``since_epoch`` narrows the read to the delta window
+        ``(since_epoch, snapshot]``."""
         if replica and self.buddy_segments is None:
             raise CatalogError(
                 f"table {self.name!r} has no buddy projections (k_safety=0)"
             )
-        names = columns if columns is not None else self.column_names
-        read_names = list(names)
-        if include_rowid:
-            read_names.append(ROWID_COLUMN)
         segment = (self.buddy_segments if replica else self.segments)[node]
-        return segment.iter_batches(read_names, ranges=ranges,
+        return segment.iter_batches(columns, ranges=ranges,
                                     prune_counter=prune_counter,
-                                    snapshot=snapshot)
+                                    snapshot=snapshot, since_epoch=since_epoch)
 
     def buddy_host(self, node: int) -> int | None:
         """Node holding the buddy replica of ``node``'s segment (k-safety)."""
@@ -941,50 +880,23 @@ class Table:
             return None
         return (node + 1) % self.node_count
 
-    def scan_all(self, columns: list[str] | None = None,
-                 snapshot: "Snapshot | None" = None) -> dict[str, np.ndarray]:
-        """Read the whole table, in arbitrary (segment) order."""
-        names = columns if columns is not None else self.column_names
-        if snapshot is None and self.epochs is not None:
-            snapshot = self.epochs.snapshot()
-        parts = [self.scan_node(node, names, snapshot=snapshot)
-                 for node in range(self.node_count)]
-        return {
-            name: np.concatenate([p[name] for p in parts]) if parts else np.empty(0)
-            for name in names
-        }
+    def insert_only_since(self, since_epoch: int,
+                          snapshot: "Snapshot | None" = None) -> bool:
+        """Whether the window ``(since_epoch, snapshot]`` holds inserts only
+        and still lies ahead of the Ancient History Mark.
 
-    def scan_delta(self, columns: list[str] | None = None,
-                   since_epoch: int = 0,
-                   snapshot: "Snapshot | None" = None) -> dict[str, np.ndarray]:
-        """Rows inserted in ``(since_epoch, snapshot]`` and still visible.
-
-        The snapshot-delta query incremental model refresh runs: only
-        storage stamped after ``since_epoch`` is decoded, so the cost scales
-        with the trickle delta, not the table.  Deletes at-or-before the
-        snapshot are applied to the delta rows as in a plain scan; use
-        :meth:`has_deletes_between` to detect deletes the delta cannot
-        express (rows the *old* window lost).
+        The test a delta fold must pass before it trusts a read of just that
+        window: a delete in it removes rows the fold already took in, and a
+        window behind the AHM may have been re-stamped by mergeout.
         """
-        names = columns if columns is not None else self.column_names
-        if snapshot is None and self.epochs is not None:
-            snapshot = self.epochs.snapshot()
-        parts = [
-            segment.read_columns(names, snapshot=snapshot,
-                                 since_epoch=since_epoch)
-            for segment in self.segments
-        ]
-        return {
-            name: np.concatenate([p[name] for p in parts]) if parts else np.empty(0)
-            for name in names
-        }
-
-    def has_deletes_between(self, since_epoch: int,
-                            snapshot: "Snapshot | None" = None) -> bool:
-        """Whether any segment committed a delete in ``(since_epoch, snapshot]``."""
-        if snapshot is None and self.epochs is not None:
-            snapshot = self.epochs.snapshot()
-        return any(
-            segment.delete_epochs_between(since_epoch, snapshot)
-            for segment in self.segments
-        )
+        if self.epochs is not None:
+            if since_epoch < self.epochs.ancient_history_mark:
+                return False
+            if snapshot is None:
+                snapshot = self.epochs.snapshot()
+        cap = snapshot_epoch(snapshot)
+        for segment in self.segments:
+            deletes = segment.delete_vector.frozen()
+            if deletes.count_at(cap) > deletes.count_at(since_epoch):
+                return False
+        return True

@@ -3,8 +3,10 @@
 Neither statement rewrites read-optimized storage:
 
 * ``DELETE FROM t WHERE ...`` scans for matching rows at the statement's
-  snapshot and records their rowids in the per-segment delete vectors,
-  stamped with one freshly committed epoch;
+  snapshot — through the cluster's per-node scan sources, so it takes scan
+  slots, fails over to buddy replicas and prunes by the WHERE's zone-map
+  ranges like any SELECT — and records their rowids in the per-segment
+  delete vectors, stamped with one freshly committed epoch;
 * ``UPDATE t SET ... WHERE ...`` is Vertica's delete-plus-reinsert: the
   matched rows are deleted (delete vector) and their updated images
   re-inserted through the WOS — both stamped with the *same* epoch, so a
@@ -23,12 +25,13 @@ snapshots throughout.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import SqlAnalysisError
 from repro.vertica import expressions
+from repro.vertica.pruning import extract_column_ranges
 from repro.vertica.table import ROWID_COLUMN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,8 +49,8 @@ def execute_delete(cluster: "VerticaCluster", stmt: "ast.Delete",
     table = cluster.catalog.get_table(stmt.table)
     with table.write_lock:
         snapshot = table.resolve_snapshot()
-        matched = _collect_matches(table, stmt.where, snapshot,
-                                   columns=sorted(resolved.columns_needed))
+        matched = _collect_matches(cluster, table, stmt.where, snapshot,
+                                   columns=resolved.columns_needed)
         total = sum(len(rowids) for _, rowids in matched)
         if total == 0:
             return 0
@@ -73,7 +76,7 @@ def execute_update(cluster: "VerticaCluster", stmt: "ast.Update") -> int:
     table = cluster.catalog.get_table(stmt.table)
     with table.write_lock:
         snapshot = table.resolve_snapshot()
-        matched = _collect_matches(table, stmt.where, snapshot,
+        matched = _collect_matches(cluster, table, stmt.where, snapshot,
                                    columns=table.column_names,
                                    keep_batches=True)
         total = sum(len(rowids) for _, rowids in matched)
@@ -82,13 +85,7 @@ def execute_update(cluster: "VerticaCluster", stmt: "ast.Update") -> int:
         old = _concat_matches(matched, table.column_names)
         new_arrays = dict(old)
         for name, expr in stmt.assignments:
-            value = np.atleast_1d(np.asarray(expressions.evaluate(expr, old)))
-            if len(value) == 1 and total != 1:
-                value = np.broadcast_to(value, (total,)).copy()
-            if len(value) != total:
-                raise SqlAnalysisError(
-                    f"SET {name} produced {len(value)} values for {total} rows")
-            new_arrays[name] = value
+            new_arrays[name] = expressions.evaluate_rows(expr, old, total)
         epochs = cluster.catalog.epochs
         epoch = epochs.begin()
         try:
@@ -111,33 +108,29 @@ def execute_update(cluster: "VerticaCluster", stmt: "ast.Update") -> int:
 # -- shared plumbing ---------------------------------------------------------
 
 
-def _collect_matches(table: "Table", where, snapshot, columns: list[str],
-                     keep_batches: bool = False):
+def _collect_matches(cluster: "VerticaCluster", table: "Table", where,
+                     snapshot, columns, keep_batches: bool = False):
     """Per-node matching rows at ``snapshot``.
 
-    Returns ``[(batches_or_None, rowids)]`` per node; with
-    ``keep_batches=True`` the filtered column batches ride along (the
+    Each node's scan source is pulled in turn, pruned by the WHERE's
+    zone-map ranges.  Returns ``[(batches_or_None, rowids)]`` per node;
+    with ``keep_batches=True`` the filtered column batches ride along (the
     UPDATE path needs the old row images for its SET expressions).
     """
     matched = []
-    for node in range(table.node_count):
+    for source in cluster.stream_table_per_node(
+            table.name, {*columns, ROWID_COLUMN},
+            ranges=extract_column_ranges(where), snapshot=snapshot):
         rowid_chunks: list[np.ndarray] = []
         batch_chunks: list[dict[str, np.ndarray]] = []
-        for batch in table.iter_node_batches(node, columns=list(columns),
-                                             include_rowid=True,
-                                             snapshot=snapshot):
-            if where is not None:
-                mask = np.atleast_1d(np.asarray(
-                    expressions.evaluate(where, batch), dtype=bool))
-                rows = len(batch[ROWID_COLUMN])
-                if mask.shape == (1,) and rows != 1:
-                    mask = np.broadcast_to(mask, (rows,))
-                if not mask.any():
+        with closing(source()) as stream:
+            for batch in stream:
+                batch = expressions.apply_where(where, batch)
+                if not expressions.batch_rows(batch):
                     continue
-                batch = {name: arr[mask] for name, arr in batch.items()}
-            rowid_chunks.append(batch[ROWID_COLUMN])
-            if keep_batches:
-                batch_chunks.append(batch)
+                rowid_chunks.append(batch[ROWID_COLUMN])
+                if keep_batches:
+                    batch_chunks.append(batch)
         rowids = (np.concatenate(rowid_chunks) if rowid_chunks
                   else np.empty(0, dtype=np.int64))
         matched.append((batch_chunks if keep_batches else None, rowids))

@@ -80,7 +80,7 @@ def sample_contents(cluster, name):
     """A sample table's rows keyed and ordered by originating base rowid."""
     table = cluster.catalog.get_table(name)
     cols = [s.name for s in table.user_schema]
-    data = table.scan_all(cols)
+    data = cluster.gather_table(name, cols)
     order = np.argsort(data[BASE_ROWID_COLUMN], kind="stable")
     return {c: data[c][order] for c in cols}
 
@@ -426,8 +426,7 @@ class TestMaintenance:
         assert record.strata_rates == frozen  # never recomputed
         # Independent check: the rebuilt contents are exactly the surviving
         # base rows that pass the frozen-rate deterministic draw.
-        base = cluster.catalog.get_table("t")
-        data = base.scan_all(["k", "x", "grp", ROWID_COLUMN])
+        data = cluster.gather_table("t", ["k", "x", "grp", ROWID_COLUMN])
         mask = keep_mask_stratified(data[ROWID_COLUMN], data["grp"],
                                     record.seed, frozen, record.rate)
         order = np.argsort(data[ROWID_COLUMN][mask], kind="stable")
@@ -442,7 +441,10 @@ class TestMaintenance:
     def test_purged_history_forces_rebuild(self):
         cluster = make_cluster()
         cluster.sql("CREATE SAMPLE s1 ON t UNIFORM RATE 30% SEED 42")
-        self.trickle(cluster, 10)
+        # A background fold must not catch the sample up first: keep the
+        # mover stopped and trickle without waking it.
+        cluster.tuple_mover.stop()
+        wos_trickle(cluster, 10, start_k=2000, grp="b")
         # Advancing the AHM past the sample's epoch invalidates the delta
         # window even though the mutations were pure inserts.
         cluster.advance_ahm()
@@ -466,6 +468,9 @@ class TestMaintenance:
         # Deletes in the window: the background pass skips (a rebuild would
         # drop the backing table under concurrent readers).
         cluster.sql("DELETE FROM t WHERE k < 100")
+        # Let a background fold the DELETE raced with finish (it may restamp
+        # the sample at a pre-DELETE snapshot) before reading the stamp.
+        cluster.tuple_mover.stop()
         epoch_mid = cluster.aqp.get("s1").commit_epoch
         assert cluster.tuple_mover.run_sample_refresh() == 0
         assert cluster.aqp.get("s1").commit_epoch == epoch_mid
@@ -488,7 +493,10 @@ class TestMaintenance:
     def test_refresh_spans_and_fold_after_moveout(self):
         cluster = make_cluster()
         cluster.sql("CREATE SAMPLE s1 ON t UNIFORM RATE 30% SEED 42")
-        self.trickle(cluster, 10)
+        # A background fold must not absorb the delta first: keep the mover
+        # stopped and trickle without waking it.
+        cluster.tuple_mover.stop()
+        wos_trickle(cluster, 10, start_k=2000, grp="b")
         cluster.tuple_mover.run_moveout()  # deltas now live in ROS
         result = refresh_sample(cluster, "s1")
         assert result.strategy == "incremental"

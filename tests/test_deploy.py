@@ -211,7 +211,7 @@ class TestInDbPrediction:
             "OVER (PARTITION BEST) FROM scores"
         )
         assert len(result) == 900
-        table = cluster.catalog.get_table("scores").scan_all(["c0", "c1", "c2"])
+        table = cluster.gather_table("scores", ["c0", "c1", "c2"])
         local = model.predict(np.column_stack([table["c0"], table["c1"], table["c2"]]))
         assert np.allclose(np.sort(result.column("prediction")), np.sort(local))
 
@@ -326,7 +326,7 @@ class TestInDbPrediction:
             "SELECT doublePredict(c0, c1 USING PARAMETERS model='dbl') "
             "OVER (PARTITION BEST) FROM scores"
         )
-        table = cluster.catalog.get_table("scores").scan_all(["c0"])
+        table = cluster.gather_table("scores", ["c0"])
         assert np.allclose(np.sort(result.column("prediction")),
                            np.sort(table["c0"] * 2.0))
 

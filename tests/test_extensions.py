@@ -224,8 +224,7 @@ class TestNaiveBayes:
         )
         assert len(result) == 600
         assert result.column("label").dtype.kind in "iu"
-        table = cluster.catalog.get_table("score_me").scan_all(
-            [f"f{j}" for j in range(4)])
+        table = cluster.gather_table("score_me", [f"f{j}" for j in range(4)])
         local = model.predict(np.column_stack([table[f"f{j}"] for j in range(4)]))
         assert np.array_equal(np.sort(result.column("label")), np.sort(local))
 

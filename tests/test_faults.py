@@ -403,7 +403,7 @@ class TestDfsFaults:
             "SELECT glmPredict(c0, c1, c2 USING PARAMETERS model='reg') "
             "OVER (PARTITION BEST) FROM scores"
         )
-        table = cluster.catalog.get_table("scores").scan_all(["c0", "c1", "c2"])
+        table = cluster.gather_table("scores", ["c0", "c1", "c2"])
         local = model.predict(np.column_stack(
             [table["c0"], table["c1"], table["c2"]]))
         assert np.allclose(np.sort(result.column("prediction")),

@@ -97,7 +97,7 @@ class TestCsvProperties:
         cluster = VerticaCluster(node_count=2)
         cluster.sql("CREATE TABLE t (a INT, b FLOAT)")
         assert copy_from_csv(cluster, "t", path) == size
-        table = cluster.catalog.get_table("t").scan_all(["a", "b"])
+        table = cluster.gather_table("t", ["a", "b"])
         assert sorted(table["a"]) == sorted(columns["a"].tolist())
         assert np.allclose(np.sort(table["b"]), np.sort(columns["b"]))
 
@@ -119,7 +119,7 @@ class TestCsvProperties:
         cluster = VerticaCluster(node_count=2)
         cluster.sql("CREATE TABLE t (s VARCHAR)")
         assert copy_from_csv(cluster, "t", path) == len(strings)
-        table = cluster.catalog.get_table("t").scan_all(["s"])
+        table = cluster.gather_table("t", ["s"])
         assert sorted(table["s"]) == sorted(strings)
 
 

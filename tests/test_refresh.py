@@ -47,8 +47,7 @@ def make_obs(cluster, n=240, seed=1):
 def fit_glm(cluster):
     """The reference full fit: hpdglm over everything visible right now,
     partitioned exactly as refresh's internal refit partitions."""
-    table = cluster.catalog.get_table("obs")
-    cols = table.scan_all(["x1", "x2", "y"])
+    cols = cluster.gather_table("obs", ["x1", "x2", "y"])
     nparts = max(1, cluster.node_count)
     features = LocalArray(np.column_stack([cols["x1"], cols["x2"]]), nparts)
     responses = LocalArray(np.asarray(cols["y"]).reshape(-1, 1), nparts)
@@ -220,8 +219,7 @@ def make_labeled(cluster, n=200, seed=7, n_classes=3):
 
 
 def fit_nb(cluster):
-    table = cluster.catalog.get_table("obs")
-    cols = table.scan_all(["x1", "x2", "y"])
+    cols = cluster.gather_table("obs", ["x1", "x2", "y"])
     nparts = max(1, cluster.node_count)
     features = LocalArray(np.column_stack([cols["x1"], cols["x2"]]), nparts)
     responses = LocalArray(np.asarray(cols["y"]).reshape(-1, 1), nparts)
@@ -309,7 +307,7 @@ class TestSqlSurface:
             "OVER (PARTITION BEST) FROM obs"
         )
         refreshed = load_model(cluster, "sales_model")
-        cols = table.scan_all(["x1", "x2"])
+        cols = cluster.gather_table("obs", ["x1", "x2"])
         expected = refreshed.predict(np.column_stack([cols["x1"], cols["x2"]]))
         assert np.allclose(np.sort(rows.column("prediction")),
                            np.sort(expected))

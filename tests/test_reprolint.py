@@ -411,19 +411,48 @@ def test_thread_hygiene_allows_the_engine_thread_sites_only_there():
 def test_materialization_flags_whole_table_calls_on_hot_paths():
     source = """
         def run(self, table, cluster):
-            everything = table.scan_all(["a", "b"])
-            segment = table.segments[0].read_columns(["a"])
-            node = table.scan_node(0, ["a"])
-            return everything, segment, node
+            everything = cluster.gather_table(table, ["a", "b"])
+            node = table.iter_node_batches(0, ["a"])
+            segment = table.segments[0].iter_batches(["a"], snapshot=None)
+            stream = cluster._stream_node_with_failover(table, 0, ["a"])
+            return everything, node, segment, stream
     """
     violations = check_snippet(
         "no-full-materialization", source,
         relpath="src/repro/vertica/executor.py",
     )
     assert [v.message.split("'")[1] for v in violations] == [
-        "scan_all", "read_columns", "scan_node",
+        "gather_table", "iter_node_batches", "iter_batches",
+        "_stream_node_with_failover",
     ]
     assert all("stream rowgroup batches" in v.message for v in violations)
+
+
+def test_side_reads_flagged_everywhere_but_the_scan_sources():
+    source = """
+        def refresh(table, cluster, snapshot):
+            for batch in table.iter_node_batches(0, ["a"], snapshot=snapshot):
+                yield batch
+            yield from table.segments[0].iter_batches(["a"], snapshot=snapshot)
+            yield from cluster._stream_node_with_failover(table, 0, ["a"])
+            yield cluster.gather_table(table, ["a"])
+    """
+    for relpath in ("src/repro/deploy/refresh.py", "src/repro/aqp/build.py",
+                    "src/repro/vertica/txn/mutations.py",
+                    "src/repro/storage/files.py"):
+        violations = check_snippet("no-full-materialization", source,
+                                   relpath=relpath)
+        # The collector is fine off the hot paths; the side reads are not.
+        assert [v.message.split("'")[1] for v in violations] == [
+            "iter_node_batches", "iter_batches", "_stream_node_with_failover",
+        ], relpath
+    # The two files that implement the scan sources read below them.
+    for relpath in ("src/repro/vertica/cluster.py",
+                    "src/repro/vertica/table.py"):
+        violations = check_snippet("no-full-materialization", source,
+                                   relpath=relpath)
+        assert [v.message.split("'")[1] for v in violations] == (
+            ["gather_table"] if relpath.endswith("cluster.py") else [])
 
 
 def test_materialization_accepts_streaming_and_local_defs():
@@ -434,10 +463,8 @@ def test_materialization_accepts_streaming_and_local_defs():
             def scan_node(source):
                 return list(source)
 
-            sources = cluster.stream_table_per_node(table, needed)
-            yield from cluster.stream_node_with_failover(table, 0, needed)
-            for batch in table.segments[0].iter_batches(sorted(needed)):
-                yield batch
+            for source in cluster.stream_table_per_node(table, needed):
+                yield from source()
     """
     assert check_snippet(
         "no-full-materialization", source,
@@ -447,12 +474,12 @@ def test_materialization_accepts_streaming_and_local_defs():
 
 def test_materialization_scoped_to_hot_paths():
     source = """
-        def pull(table):
-            return table.scan_all(None)
+        def pull(cluster, table):
+            return cluster.gather_table(table, ["a"])
     """
     checker = get_checker("no-full-materialization")
-    assert not checker.applies_to("src/repro/vertica/table.py")
-    assert not checker.applies_to("src/repro/storage/table.py")
+    assert not checker.applies_to("tests/test_vertica_engine.py")
+    assert not checker.applies_to("benchmarks/bench_fig16_glm_predict.py")
     assert checker.applies_to("src/repro/vertica/cluster.py")
     assert checker.applies_to("src/repro/vertica/joins.py")
     assert checker.applies_to("src/repro/vertica/odbc.py")
@@ -460,6 +487,10 @@ def test_materialization_scoped_to_hot_paths():
     for relpath in ("src/repro/vertica/joins.py", "src/repro/vertica/odbc.py"):
         assert len(check_snippet(
             "no-full-materialization", source, relpath=relpath)) == 1
+    for relpath in ("src/repro/vertica/table.py", "src/repro/aqp/rewrite.py",
+                    "src/repro/deploy/refresh.py"):
+        assert check_snippet(
+            "no-full-materialization", source, relpath=relpath) == []
 
 
 def test_materialization_flags_gathering_in_operators_only():
@@ -488,7 +519,7 @@ def test_materialization_baseline_holds_only_the_join_build_side():
     entries = [entry for entry in baseline.entries
                if entry.rule == "no-full-materialization"]
     assert [(entry.path, entry.symbol) for entry in entries] \
-        == [("src/repro/vertica/joins.py", "_gather")]
+        == [("src/repro/vertica/joins.py", "_BuildSide.__init__")]
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +530,14 @@ def test_snapshot_reads_flags_raw_segment_reads():
     source = """
         def pull(self, segment, columns):
             batches = list(segment.iter_batches(columns, None, counter))
-            whole = segment.read_columns(columns)
-            return batches, whole
+            deltas = list(segment.iter_batches(columns, since_epoch=3))
+            return batches, deltas
     """
     violations = check_snippet(
         "snapshot-reads", source, relpath="src/repro/transfer/vft.py",
     )
     assert [v.message.split("'")[1] for v in violations] == [
-        "iter_batches", "read_columns",
+        "iter_batches", "iter_batches",
     ]
     assert all("bypasses delete-vector" in v.message for v in violations)
 
@@ -517,7 +548,7 @@ def test_snapshot_reads_accepts_explicit_snapshot():
             for batch in segment.iter_batches(columns, snapshot=snapshot):
                 yield batch
             # snapshot=None documents "resolve the latest committed epoch".
-            yield segment.read_columns(columns, snapshot=None)
+            yield from segment.iter_batches(columns, snapshot=None)
     """
     assert check_snippet(
         "snapshot-reads", source, relpath="src/repro/vertica/executor.py",

@@ -94,7 +94,7 @@ operations = st.lists(
 
 class TestEpochWindows:
     """After every step, every reachable view of the table equals the model:
-    ``AT EPOCH e`` for each readable ``e``, ``scan_delta`` since the AHM,
+    ``AT EPOCH e`` for each readable ``e``, the delta since the AHM,
     and ``segment_row_counts`` against the rows a scan really yields."""
 
     def test_every_reachable_view_matches_the_model(self, data_dir):
@@ -163,7 +163,7 @@ class TestEpochWindows:
                 node, ["k"], snapshot=snapshot))
                 for node in range(table.node_count)]
             assert table.segment_row_counts(snapshot) == yielded, epoch
-        delta = table.scan_delta(["k", "v"], since_epoch=ahm)
+        delta = cluster.gather_table("t", ["k", "v"], since_epoch=ahm)
         assert sorted_rows(delta) == model.rows(model.visible(current, ahm))
 
 

@@ -606,11 +606,12 @@ def scripted_history(data_dir=None) -> list[dict]:
             "probe": (probe,
                       cluster.metrics.counter("rowgroups_pruned").value - pruned_before),
             "scans": {
-                epoch: digest(table.scan_all(
-                    ["k", "v"], snapshot=epochs.snapshot(epoch)))
+                epoch: digest(cluster.gather_table(
+                    "t", ["k", "v"], snapshot=epochs.snapshot(epoch)))
                 for epoch in range(ahm, epochs.current_epoch + 1)
             },
-            "delta": digest(table.scan_delta(["k", "v"], since_epoch=ahm)),
+            "delta": digest(cluster.gather_table(
+                "t", ["k", "v"], since_epoch=ahm)),
         })
 
     load(cluster, 210_000)

@@ -129,17 +129,14 @@ class TestTable:
             cluster.bulk_load("t", {"a": np.arange(3), "b": np.ones(4)})
 
     def test_rowids_are_global_and_unique(self, cluster):
-        table = cluster.create_table("t", [ColumnSchema("a", SqlType.INTEGER)])
+        cluster.create_table("t", [ColumnSchema("a", SqlType.INTEGER)])
         cluster.bulk_load("t", {"a": np.arange(100)})
         cluster.bulk_load("t", {"a": np.arange(100)})
-        rowids = []
-        for node in range(cluster.node_count):
-            batch = table.scan_node(node, ["a"], include_rowid=True)
-            rowids.extend(batch[ROWID_COLUMN].tolist())
-        assert sorted(rowids) == list(range(200))
+        rowids = cluster.gather_table("t", ["a", ROWID_COLUMN])[ROWID_COLUMN]
+        assert sorted(rowids.tolist()) == list(range(200))
 
     def test_scan_all_returns_every_row(self, loaded_cluster):
-        data = loaded_cluster.catalog.get_table("pts").scan_all(["a"])
+        data = loaded_cluster.gather_table("pts", ["a"])
         assert len(data["a"]) == 900
 
     def test_empty_insert_is_noop(self, cluster):
@@ -158,8 +155,7 @@ class TestSqlExecution:
 
     def test_where_filter_matches_numpy(self, loaded_cluster):
         result = loaded_cluster.sql("SELECT COUNT(*) FROM pts WHERE a > 0 AND b < 0")
-        table = loaded_cluster.catalog.get_table("pts")
-        data = table.scan_all(["a", "b"])
+        data = loaded_cluster.gather_table("pts", ["a", "b"])
         expected = int(np.sum((data["a"] > 0) & (data["b"] < 0)))
         assert result.scalar() == expected
 
@@ -167,7 +163,7 @@ class TestSqlExecution:
         result = loaded_cluster.sql("SELECT a FROM pts ORDER BY a DESC LIMIT 3")
         values = result.column("a")
         assert np.all(np.diff(values) <= 0)
-        table_max = loaded_cluster.catalog.get_table("pts").scan_all(["a"])["a"].max()
+        table_max = loaded_cluster.gather_table("pts", ["a"])["a"].max()
         assert values[0] == pytest.approx(table_max)
 
     def test_multi_key_order(self, cluster):
@@ -181,7 +177,7 @@ class TestSqlExecution:
         ]
 
     def test_global_aggregates(self, loaded_cluster):
-        table = loaded_cluster.catalog.get_table("pts").scan_all(["a"])
+        table = loaded_cluster.gather_table("pts", ["a"])
         result = loaded_cluster.sql(
             "SELECT SUM(a), AVG(a), MIN(a), MAX(a), COUNT(a) FROM pts"
         )
@@ -196,7 +192,7 @@ class TestSqlExecution:
         result = loaded_cluster.sql(
             "SELECT k % 4 AS g, COUNT(*) AS n FROM pts GROUP BY k % 4 ORDER BY g"
         )
-        data = loaded_cluster.catalog.get_table("pts").scan_all(["k"])
+        data = loaded_cluster.gather_table("pts", ["k"])
         expected = np.bincount(data["k"] % 4, minlength=4)
         assert list(result.column("n")) == list(expected)
 
@@ -295,7 +291,7 @@ class TestUdtfExecution:
         self.install_echo(loaded_cluster)
         result = loaded_cluster.sql("SELECT echo(a) OVER (PARTITION BEST) FROM pts")
         assert len(result) == 900
-        original = np.sort(loaded_cluster.catalog.get_table("pts").scan_all(["a"])["a"])
+        original = np.sort(loaded_cluster.gather_table("pts", ["a"])["a"])
         assert np.allclose(np.sort(result.column("value")), original)
 
     def test_partition_by_groups_keys_in_one_instance(self, cluster):
@@ -323,7 +319,7 @@ class TestUdtfExecution:
         result = loaded_cluster.sql(
             "SELECT echo(a) OVER (PARTITION BEST) FROM pts WHERE a > 0"
         )
-        data = loaded_cluster.catalog.get_table("pts").scan_all(["a"])
+        data = loaded_cluster.gather_table("pts", ["a"])
         assert len(result) == int((data["a"] > 0).sum())
 
     def test_unregistered_udtf(self, loaded_cluster):
@@ -352,7 +348,7 @@ class TestOdbc:
     def test_fetchall_matches_table(self, loaded_cluster):
         connection = loaded_cluster.connect()
         rows = connection.execute("SELECT k FROM pts WHERE k < 100").fetchall()
-        data = loaded_cluster.catalog.get_table("pts").scan_all(["k"])
+        data = loaded_cluster.gather_table("pts", ["k"])
         assert len(rows) == int((data["k"] < 100).sum())
 
     def test_fetchmany_pagination(self, loaded_cluster):

@@ -2,7 +2,7 @@
 
 The MVCC engine (:mod:`repro.vertica.txn`) makes every scan epoch-consistent
 by threading a :class:`~repro.vertica.txn.epochs.Snapshot` into the segment
-read entry points — ``iter_batches`` and ``read_columns``.
+read entry point, ``iter_batches``.
 A call site that omits the ``snapshot=`` keyword reads raw physical storage:
 no delete-vector filtering, no WOS union, no epoch bound.  That is correct
 *inside* the storage layer and the txn package (they implement the
@@ -10,7 +10,7 @@ resolution), and in ``table.py`` itself (it resolves snapshots for its
 callers) — anywhere else it silently resurrects deleted rows and tears
 in-flight insert batches.
 
-This checker flags every call to one of those methods in
+This checker flags every call to it in
 ``src/repro/`` outside the sanctioned packages unless it passes an explicit
 ``snapshot=`` keyword (``snapshot=None`` is accepted: it documents that the
 callee resolves the latest committed snapshot itself).
@@ -30,7 +30,7 @@ EXEMPT_PREFIXES = (
     "src/repro/vertica/table.py",
 )
 
-SNAPSHOT_READ_CALLS = ("iter_batches", "read_columns")
+SNAPSHOT_READ_CALLS = ("iter_batches",)
 
 
 @register
@@ -38,7 +38,7 @@ class SnapshotReadChecker(Checker):
     rule = "snapshot-reads"
     code = "RL801"
     description = (
-        "segment rowgroup reads (iter_batches / read_columns) "
+        "segment rowgroup reads (iter_batches) "
         "outside the storage and txn layers must pass "
         "snapshot=, or they bypass delete vectors and the WOS"
     )
