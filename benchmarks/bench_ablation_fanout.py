@@ -1,7 +1,7 @@
 """Ablation: UDF instance fan-out for in-database prediction.
 
-Sweeps the per-node instance count through the DES of the prediction
-fan-out (Figs 15/16 mechanism): under-fanning wastes cores, over-fanning
+Sweeps the per-node instance count through the queueing model of the
+prediction fan-out (Figs 15/16 mechanism): under-fanning wastes cores, over-fanning
 only adds per-instance model-load overhead — quantifying why the planner
 bounds `PARTITION BEST` parallelism by available resources.
 """

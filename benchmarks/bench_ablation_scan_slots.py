@@ -1,8 +1,8 @@
 """Ablation: the "overwhelm the database" knee — connections vs scan slots.
 
-Sweeps the ODBC connection count through the DES and locates where adding
-connections stops helping (the paper's motivation for VFT issuing exactly
-one query).  Also sweeps the per-node scan-slot capacity to show the knee
+Sweeps the ODBC connection count through the queueing model and locates
+where adding connections stops helping (the paper's motivation for VFT
+issuing exactly one query).  Also sweeps the per-node scan-slot capacity to show the knee
 moves with server resources.
 """
 

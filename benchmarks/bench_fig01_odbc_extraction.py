@@ -2,7 +2,7 @@
 
 Real layer: load the same table through one ODBC connection vs many parallel
 connections vs VFT; single-connection must be the slowest path.  Paper-scale
-layer: the DES replays 50/100/150 GB on 5 nodes.
+layer: the queueing model replays 50/100/150 GB on 5 nodes.
 """
 
 import pytest

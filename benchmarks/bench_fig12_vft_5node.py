@@ -2,7 +2,7 @@
 
 Real layer: the same table loaded through parallel ODBC and through VFT; the
 paper's winner (VFT) must win here too, because VFT ships compressed column
-blocks while ODBC round-trips delimited text.  Paper-scale layer: DES/model
+blocks while ODBC round-trips delimited text.  Paper-scale layer: queueing-model
 series for 50-150 GB.
 """
 

@@ -124,7 +124,7 @@ class ResourceError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The discrete-event simulation kernel was used incorrectly."""
+    """A performance model was given inputs it cannot replay."""
 
 
 class ServingError(ReproError):

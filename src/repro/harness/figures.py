@@ -62,16 +62,6 @@ class FigureResult:
             paper: float | None = None) -> None:
         self.rows.append(FigureRow(x, series, paper, modelled))
 
-    def series_names(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.series)
-        return list(seen)
-
-    def shape_checks(self) -> dict[str, bool]:
-        """Qualitative claims this figure makes, evaluated on the model."""
-        return {}
-
 
 def fig01(profile: HardwareProfile = SL390) -> FigureResult:
     """Figure 1: extracting data from a database is slow (5-node setup)."""

@@ -1,5 +1,5 @@
 """Paper-scale performance replay: a calibrated SL390 hardware profile plus
-discrete-event / analytic models of every mechanism the figures measure."""
+closed-form queueing / analytic models of every mechanism the figures measure."""
 
 from repro.perfmodel.algorithm_model import (
     IterationTime,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.perfmodel.hardware import SL390, HardwareProfile
+from repro.perfmodel.queueing import node_weights
 
 __all__ = [
     "IterationTime",
@@ -35,10 +36,6 @@ class IterationTime:
     @property
     def total_seconds(self) -> float:
         return self.per_iteration_seconds * self.iterations
-
-    @property
-    def per_iteration_minutes(self) -> float:
-        return self.per_iteration_seconds / 60.0
 
 
 def _kmeans_flops(rows: float, features: int, k: int) -> float:
@@ -72,9 +69,7 @@ def model_kmeans_iteration_dr(
     if cores < 1 or nodes < 1:
         raise SimulationError("cores and nodes must be positive")
     effective_cores = min(cores, profile.physical_cores_per_node)
-    weights = skew or [1.0] * nodes
-    if len(weights) != nodes:
-        raise SimulationError(f"{len(weights)} skew weights for {nodes} nodes")
+    weights = node_weights(skew, nodes)
     worst_share = max(weights) / sum(weights)
     rows_on_worst_node = rows * worst_share
     flops = _kmeans_flops(rows_on_worst_node, features, k)
@@ -109,9 +104,7 @@ def model_regression_dr(
         raise SimulationError("cores, nodes, and iterations must be positive")
     p = features + 1
     effective_cores = min(cores, profile.physical_cores_per_node)
-    weights = skew or [1.0] * nodes
-    if len(weights) != nodes:
-        raise SimulationError(f"{len(weights)} skew weights for {nodes} nodes")
+    weights = node_weights(skew, nodes)
     worst_share = max(weights) / sum(weights)
     rows_on_worst_node = rows * worst_share
     per_row = (

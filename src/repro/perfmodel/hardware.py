@@ -4,7 +4,7 @@ The paper's testbed: "24 HP SL390 servers … Each server has 24
 hyper-threaded 2.67 GHz cores (Intel Xeon X5650), 196 GB of RAM, 120 GB
 SSD, and are connected with full bisection bandwidth on a 10Gbps network"
 (§7).  :data:`SL390` captures that machine as the rate constants the
-discrete-event and analytic models consume.
+queueing and analytic models consume.
 
 Calibration: each constant is pinned by one (or two) observations from the
 paper's own figures — see the per-field comments and

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.perfmodel.hardware import SL390, HardwareProfile
-from repro.simkit import Environment, Resource
+from repro.perfmodel.queueing import node_weights, wave_ends
 
 __all__ = ["PredictionResult", "model_in_db_prediction",
            "simulate_prediction_fanout"]
@@ -70,14 +70,17 @@ def simulate_prediction_fanout(
     profile: HardwareProfile = SL390,
     skew: list[float] | None = None,
 ) -> PredictionResult:
-    """DES of the prediction fan-out (the §5 mechanism behind Figs 15/16).
+    """Queueing model of the prediction fan-out (the §5 mechanism behind
+    Figs 15/16).
 
     Each node's local rows are split across ``instances_per_node`` UDF
     instances; every instance first fetches + deserializes the model from
     the local DFS replica (``model_load_s``), then streams its slice.
-    Instances queue on the node's physical cores, so over-fanning out past
-    the core count only adds model-load overhead — the planner's reason for
-    bounding parallelism by "resources available".
+    Instances queue FIFO on the node's physical cores, running in
+    ⌈instances/cores⌉ waves, so over-fanning out past the core count only
+    adds model-load overhead — the planner's reason for bounding
+    parallelism by "resources available".  The slowest node sets the scan
+    time.
     """
     if rows < 0 or db_nodes < 1 or instances_per_node < 1:
         raise SimulationError("rows, nodes, and instances must be positive")
@@ -87,36 +90,19 @@ def simulate_prediction_fanout(
         per_row_per_node = profile.glm_predict_s_per_row_per_node
     else:
         raise SimulationError(f"unknown model kind {model_kind!r}")
-    weights = skew or [1.0] * db_nodes
-    if len(weights) != db_nodes:
-        raise SimulationError(f"{len(weights)} skew weights for {db_nodes} nodes")
+    weights = node_weights(skew, db_nodes)
     weight_sum = sum(weights)
     # per_row_per_node is the whole node's throughput at full parallelism;
     # one instance on one core processes 1/cores of that rate.
     per_row_per_core = per_row_per_node * profile.physical_cores_per_node
 
-    env = Environment()
-    cores = [Resource(env, capacity=profile.physical_cores_per_node)
-             for _ in range(db_nodes)]
-
-    def instance(node: int, instance_rows: float):
-        request = cores[node].request()
-        yield request
-        try:
-            yield env.timeout(model_load_s + instance_rows * per_row_per_core)
-        finally:
-            cores[node].release(request)
-
-    processes = []
+    scan = 0.0
     for node in range(db_nodes):
-        node_rows = rows * weights[node] / weight_sum
-        slice_rows = node_rows / instances_per_node
-        processes.extend(
-            env.process(instance(node, slice_rows))
-            for _ in range(instances_per_node)
-        )
-    env.run(env.all_of(processes))
-    scan = env.now
+        slice_rows = rows * weights[node] / weight_sum / instances_per_node
+        service = model_load_s + slice_rows * per_row_per_core
+        last_wave = wave_ends(0.0, service, instances_per_node,
+                              profile.physical_cores_per_node)[-1]
+        scan = max(scan, last_wave)
     total = profile.predict_fixed_overhead_s + scan
     return PredictionResult(
         total_seconds=total,

@@ -1,10 +1,11 @@
 """Performance models of the two transfer paths (Figs 1, 12, 13, 14).
 
-The ODBC model is a discrete-event simulation on :mod:`repro.simkit`: every
-connection is a process whose ordered-range query forces a full-segment
-probe on every node, queueing on the node's bounded scan slots.  The VFT
-model is the two-stage pipeline of Fig 14: a constant database export stage
-plus an R conversion stage that shrinks with the number of R instances.
+The ODBC model is closed-form FIFO queueing: every connection's
+ordered-range query forces a full-segment probe on every node, queueing on
+the node's bounded scan slots, and the slowest node sets the makespan.  The
+VFT model is the two-stage pipeline of Fig 14: a constant database export
+stage plus an R conversion stage that shrinks with the number of R
+instances.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.perfmodel.hardware import GB, ROWS_PER_GB, SL390, HardwareProfile
-from repro.simkit import Environment, Monitor, Resource
+from repro.perfmodel.queueing import node_weights, wave_ends
 
 __all__ = ["OdbcTransferResult", "VftTransferResult",
            "simulate_odbc_transfer", "model_vft_transfer"]
@@ -56,7 +57,7 @@ def simulate_odbc_transfer(
     rows_per_gb: float = ROWS_PER_GB,
     segment_skew: list[float] | None = None,
 ) -> OdbcTransferResult:
-    """DES of parallel ODBC extraction.
+    """Queueing model of parallel ODBC extraction.
 
     Mechanism: connection *i* requests global rows ``[i·N/K, (i+1)·N/K)``.
     Serving that range requires every node to (a) probe its whole local
@@ -64,68 +65,48 @@ def simulate_odbc_transfer(
     matching rows — all while holding one of the node's scan slots.  The
     client then parses its rows.  ``segment_skew`` optionally weights rows
     per node (uniform by default).
+
+    All connections open together and queue FIFO, in connection order, on
+    each node's slots, so connection *i* is served in wave ``i // slots``
+    on every node and finishes when its slowest node does.
     """
     if table_gb <= 0 or db_nodes < 1 or connections < 1:
         raise SimulationError("table size, node count, and connections must be positive")
     total_rows = table_gb * rows_per_gb
-    weights = segment_skew or [1.0] * db_nodes
-    if len(weights) != db_nodes:
-        raise SimulationError(f"{len(weights)} skew weights for {db_nodes} nodes")
+    weights = node_weights(segment_skew, db_nodes)
     weight_sum = sum(weights)
     segment_rows = [total_rows * w / weight_sum for w in weights]
     rows_per_connection = total_rows / connections
+    slots = profile.db_scan_slots_per_node
+    setup = profile.odbc_connection_setup_s
 
-    env = Environment()
-    slots = [Resource(env, capacity=profile.db_scan_slots_per_node)
-             for _ in range(db_nodes)]
-    queue_monitor = Monitor(env, "scan-queue")
-    busy_time = [0.0]
+    # One connection's service on each node: probe the whole segment, then
+    # extract its share of the range (spread proportionally to segment size).
+    services = [
+        segment_rows[node] * profile.odbc_probe_s_per_row
+        + rows_per_connection * weights[node] / weight_sum
+        * profile.odbc_extract_s_per_row
+        for node in range(db_nodes)
+    ]
+    node_waves = [wave_ends(setup, service, connections, slots) for service in services]
+    # Client-side stream read + parse is pipelined with the server: it only
+    # extends a connection when the client is slower than the servers (the
+    # single-connection bottleneck of Fig 1).
+    parse_total = rows_per_connection * profile.odbc_client_parse_s_per_row
+    makespan = 0.0
+    for fetched in map(max, zip(*node_waves)):
+        remaining = parse_total - (fetched - setup)
+        makespan = max(makespan, fetched + remaining if remaining > 0 else fetched)
 
-    def serve_on_node(node: int, rows_from_node: float):
-        request = slots[node].request()
-        queue_monitor.observe(sum(s.queue_length for s in slots))
-        yield request
-        try:
-            service = (
-                segment_rows[node] * profile.odbc_probe_s_per_row
-                + rows_from_node * profile.odbc_extract_s_per_row
-            )
-            busy_time[0] += service
-            yield env.timeout(service)
-        finally:
-            slots[node].release(request)
-
-    def connection(index: int):
-        yield env.timeout(profile.odbc_connection_setup_s)
-        started = env.now
-        # The driver fetches its range from all nodes concurrently; the
-        # range is spread across nodes proportionally to segment size.
-        fetches = [
-            env.process(serve_on_node(
-                node, rows_per_connection * weights[node] / weight_sum))
-            for node in range(db_nodes)
-        ]
-        yield env.all_of(fetches)
-        # Client-side stream read + parse is pipelined with the server: it
-        # only extends the connection when the client is slower than the
-        # servers (the single-connection bottleneck of Fig 1).
-        parse_total = rows_per_connection * profile.odbc_client_parse_s_per_row
-        remaining = parse_total - (env.now - started)
-        if remaining > 0:
-            yield env.timeout(remaining)
-
-    processes = [env.process(connection(i)) for i in range(connections)]
-    env.run(env.all_of(processes))
-
-    makespan = env.now
-    slot_capacity_seconds = makespan * db_nodes * profile.db_scan_slots_per_node
+    slot_capacity_seconds = makespan * db_nodes * slots
     return OdbcTransferResult(
         total_seconds=makespan,
         connections=connections,
         rows=total_rows,
-        peak_queue_depth=int(queue_monitor.maximum()) if len(queue_monitor) else 0,
+        peak_queue_depth=db_nodes * max(0, connections - slots),
         mean_slot_utilization=(
-            busy_time[0] / slot_capacity_seconds if slot_capacity_seconds else 0.0
+            connections * sum(services) / slot_capacity_seconds
+            if slot_capacity_seconds else 0.0
         ),
     )
 
@@ -148,9 +129,7 @@ def model_vft_transfer(
     """
     if table_gb <= 0 or db_nodes < 1 or instances_per_node < 1:
         raise SimulationError("table size, nodes, and instances must be positive")
-    weights = segment_skew or [1.0] * db_nodes
-    if len(weights) != db_nodes:
-        raise SimulationError(f"{len(weights)} skew weights for {db_nodes} nodes")
+    weights = node_weights(segment_skew, db_nodes)
     weight_sum = sum(weights)
     bytes_per_node = [table_gb * GB * w / weight_sum for w in weights]
 

@@ -77,11 +77,6 @@ class RDD:
                 self._cached = {}
         return self
 
-    @property
-    def is_cached(self) -> bool:
-        with self._cache_lock:
-            return self._cached is not None
-
     def unpersist(self) -> "RDD":
         with self._cache_lock:
             self._cached = None

@@ -59,16 +59,30 @@ register_scalar_function("greatest", lambda *xs: _fold_pairwise(np.maximum, xs))
 
 
 def _fold_pairwise(fn: Callable, xs: tuple) -> np.ndarray:
+    """``fn`` folded over the arguments; a row with any NULL argument is
+    NULL, as in SQLite's scalar MIN/MAX (NaN already propagates through
+    numeric arrays, so only string arguments need the mask)."""
     if not xs:
         raise SqlAnalysisError("least/greatest require at least one argument")
     result = np.asarray(xs[0])
-    for candidate in xs[1:]:
-        result = fn(result, np.asarray(candidate))
+    for candidate in map(np.asarray, xs[1:]):
+        if result.dtype.kind not in "OUS" and candidate.dtype.kind not in "OUS":
+            result = fn(result, candidate)
+            continue
+        result, candidate, nulls = np.broadcast_arrays(
+            result.astype(object), candidate.astype(object),
+            is_null(result) | is_null(candidate))
+        folded = np.full(result.shape, None, dtype=object)
+        folded[~nulls] = fn(result[~nulls], candidate[~nulls])
+        result = folded
     return result
-register_scalar_function("upper", lambda x: _string_map(x, str.upper))
-register_scalar_function("lower", lambda x: _string_map(x, str.lower))
-register_scalar_function("length", lambda x: np.asarray(
-    [len(v) if v is not None else 0 for v in np.asarray(x, dtype=object)], dtype=np.int64))
+
+
+register_scalar_function("upper", lambda x: _map_values(
+    x, lambda v: str(v).upper(), None, object))
+register_scalar_function("lower", lambda x: _map_values(
+    x, lambda v: str(v).lower(), None, object))
+register_scalar_function("length", lambda x: _map_values(x, len, 0, np.int64))
 
 
 def is_null(x: Any) -> np.ndarray:
@@ -134,9 +148,14 @@ def _coalesce(*xs: Any) -> np.ndarray:
     return result
 
 
-def _string_map(x: Any, fn: Callable[[str], str]) -> np.ndarray:
-    arr = np.asarray(x, dtype=object)
-    return np.asarray([None if v is None else fn(str(v)) for v in arr], dtype=object)
+def _map_values(x: Any, fn: Callable[[Any], Any], null: Any,
+                dtype: Any) -> np.ndarray:
+    """``fn`` of each value of ``x``, ``null`` where it is NULL, in ``x``'s
+    shape (a literal argument stays a 0-d array)."""
+    arr = np.asarray(x)
+    values = [null if missing else fn(v)
+              for v, missing in zip(arr.astype(object).flat, is_null(arr).flat)]
+    return np.asarray(values, dtype=dtype).reshape(arr.shape)
 
 
 def columns_referenced(expr: ast.Expr) -> set[str]:

@@ -401,7 +401,7 @@ _SCALAR_ARITY: dict[str, tuple[int, int | None]] = {
 #: Built-in scalar functions that coerce their arguments to float64 —
 #: a VARCHAR argument fails at runtime, so it is a static type error.
 _NUMERIC_FUNCTIONS = frozenset({
-    "sqrt", "exp", "ln", "log", "floor", "ceil", "ceiling", "sign",
+    "abs", "sqrt", "exp", "ln", "log", "floor", "ceil", "ceiling", "sign",
     "power", "mod", "round",
 })
 
@@ -1370,12 +1370,35 @@ class _Analyzer:
                         f"{arg} is VARCHAR",
                         arg.position,
                     )
+        if report:
+            self._check_function_argument_types(expr, arg_types)
         result = _FUNCTION_RESULTS.get(expr.name)
         if result is not None:
             return result
         if expr.name in _FUNCTION_RESULTS:  # follows the argument type
             return next((t for t in arg_types if t is not None), None)
         return None  # user-registered function: statically unknown
+
+    def _check_function_argument_types(self, expr: ast.FunctionCall,
+                                       arg_types: list[SqlType | None]) -> None:
+        """SA204 for built-ins whose runtime cannot take the argument types:
+        ``length`` of a number, and ``least``/``greatest`` mixing VARCHAR
+        with numbers."""
+        typed = [(arg, t) for arg, t in zip(expr.args, arg_types) if t is not None]
+        if expr.name == "length":
+            wrong = [(arg, t) for arg, t in typed if t is not SqlType.VARCHAR]
+            need = "a VARCHAR argument"
+        elif expr.name in ("least", "greatest") and typed:
+            first_arg, first_type = typed[0]
+            text = first_type is SqlType.VARCHAR
+            wrong = [(arg, t) for arg, t in typed if (t is SqlType.VARCHAR) != text]
+            need = f"arguments comparable with {first_arg} ({first_type.name})"
+        else:
+            return
+        if wrong:
+            arg, arg_type = wrong[0]
+            self.emit("SA204", f"{expr.name}() requires {need}; "
+                      f"{arg} is {arg_type.name}", arg.position)
 
     def _infer_aggregate(self, expr: ast.AggregateCall, scope: _Scope,
                          report: bool = True) -> SqlType | None:

@@ -1,65 +1,11 @@
-"""Tests for thinly-covered corners: simkit failure paths, baseline
-convergence, and the UDTF context."""
+"""Tests for thinly-covered corners: baseline convergence and the UDTF
+context."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import ConvergenceError
 from repro.rbase import glm_fit
-from repro.simkit import Environment
-
-
-class TestSimkitFailurePaths:
-    def test_run_until_event_propagates_failure(self):
-        env = Environment()
-        event = env.event()
-
-        def failer(env):
-            yield env.timeout(1.0)
-            event.fail(RuntimeError("sim failed"))
-
-        env.process(failer(env))
-        with pytest.raises(RuntimeError, match="sim failed"):
-            env.run(event)
-
-    def test_run_until_never_triggered_event(self):
-        env = Environment()
-        dangling = env.event()
-        env.timeout(1.0)
-        with pytest.raises(SimulationError, match="never triggered"):
-            env.run(dangling)
-
-    def test_any_of_failure_propagates(self):
-        env = Environment()
-        caught = []
-
-        def worker(env):
-            bad = env.event()
-            bad.fail(ValueError("broken"))
-            try:
-                yield env.any_of([bad, env.timeout(10)])
-            except ValueError as exc:
-                caught.append(str(exc))
-
-        env.process(worker(env))
-        env.run()
-        assert caught == ["broken"]
-
-    def test_fail_requires_exception_instance(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.event().fail("not an exception")
-
-    def test_unhandled_process_exception_surfaces_from_run(self):
-        env = Environment()
-
-        def crasher(env):
-            yield env.timeout(1.0)
-            raise KeyError("lost")
-
-        env.process(crasher(env))
-        with pytest.raises(KeyError):
-            env.run()
 
 
 class TestRbaseConvergence:

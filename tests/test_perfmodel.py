@@ -6,6 +6,8 @@ calibrated models.  These are the claims the reproduction must preserve
 even where absolute numbers cannot be matched.
 """
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -22,8 +24,41 @@ from repro.perfmodel import (
     model_vft_transfer,
     scaled_profile,
     simulate_odbc_transfer,
+    simulate_prediction_fanout,
     validate_calibration,
 )
+
+# What the discrete-event simulation that preceded the closed-form ODBC
+# model returned, as (GB, nodes, connections, skew, total_seconds,
+# peak_queue_depth, mean_slot_utilization): the Fig 1/12/13 configs, K
+# below / at / one past / 2·slots+1 past the 4 scan slots, and skew.
+ODBC_PINS = [
+    (50, 5, 1, None, 3200.5, 0, 0.0854241524761756),
+    (50, 5, 120, None, 678.5000000000003, 580, 0.9992630803242545),
+    (100, 5, 1, None, 6400.5, 0, 0.08543082571674088),
+    (100, 5, 120, None, 1356.5000000000007, 580, 0.9996314043494384),
+    (150, 5, 1, None, 9600.5, 0, 0.08543305036196032),
+    (150, 5, 120, None, 2034.499999999999, 580, 0.9997542393708555),
+    (100, 12, 288, None, 1041.500000000001, 3408, 0.9995199231877449),
+    (200, 12, 288, None, 2082.500000000002, 3408, 0.9997599039616194),
+    (300, 12, 288, None, 3123.5, 3408, 0.9998399231631183),
+    (400, 12, 288, None, 4164.500000000004, 3408, 0.9998799375675699),
+    (10, 3, 1, None, 640.5, 0, 0.14228467343221443),
+    (10, 3, 3, None, 213.83333333333331, 0, 0.43678877630553387),
+    (10, 3, 4, None, 160.5, 0, 0.5889927310488058),
+    (10, 3, 5, None, 153.56666666666666, 3, 0.6229650531799434),
+    (10, 3, 9, None, 134.1, 15, 0.7472035794183443),
+    (100, 4, 32, [5.0, 1.0, 1.0, 1.0], 2368.0, 112, 0.3999155405405405),
+    (100, 4, 9, [5.0, 1.0, 1.0, 1.0], 2505.5, 20, 0.2999401317102375),
+]
+
+BAD_SKEWS = [
+    pytest.param([0.0, 0.0], id="zero-sum"),
+    pytest.param([-1.0, 2.0], id="negative"),
+    pytest.param([math.nan, 1.0], id="nan"),
+    pytest.param([math.inf, 1.0], id="inf"),
+    pytest.param([1.0, 1.0, 1.0], id="wrong-length"),
+]
 
 
 class TestCalibration:
@@ -81,6 +116,40 @@ class TestOdbcModel:
             simulate_odbc_transfer(0, 5, 1)
         with pytest.raises(SimulationError):
             simulate_odbc_transfer(50, 5, 1, segment_skew=[1.0])
+
+
+class TestOdbcQueueingPins:
+    @pytest.mark.parametrize(
+        "gb, nodes, connections, skew, seconds, peak, utilization", ODBC_PINS)
+    def test_matches_recorded_simulation(self, gb, nodes, connections, skew,
+                                         seconds, peak, utilization):
+        result = simulate_odbc_transfer(gb, nodes, connections, segment_skew=skew)
+        assert result.total_seconds == seconds
+        assert result.peak_queue_depth == peak
+        assert result.mean_slot_utilization == pytest.approx(utilization, abs=1e-12)
+
+
+class TestSkewValidation:
+    """Every skew-taking model rejects a weight vector that cannot split
+    rows across nodes, with the same error."""
+
+    MODELS = {
+        "odbc": lambda skew: simulate_odbc_transfer(10, 2, 4, segment_skew=skew),
+        "vft": lambda skew: model_vft_transfer(10, 2, 4, segment_skew=skew),
+        "fanout": lambda skew: simulate_prediction_fanout(1e6, "glm", 2, skew=skew),
+        "kmeans": lambda skew: model_kmeans_iteration_dr(1e6, 10, 5, nodes=2, skew=skew),
+        "regression": lambda skew: model_regression_dr(1e6, 10, nodes=2, skew=skew),
+    }
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("skew", BAD_SKEWS)
+    def test_bad_weights_rejected(self, model, skew):
+        with pytest.raises(SimulationError):
+            self.MODELS[model](skew)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_zero_weight_node_allowed(self, model):
+        assert self.MODELS[model]([0.0, 1.0]).total_seconds > 0
 
 
 class TestVftModel:

@@ -1,9 +1,41 @@
-"""Tests for the DES model of prediction fan-out (the Figs 15/16 mechanism)."""
+"""Tests for the queueing model of prediction fan-out (the Figs 15/16
+mechanism)."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.perfmodel import model_in_db_prediction, simulate_prediction_fanout
+
+# What the discrete-event simulation that preceded the closed-form fan-out
+# returned, as (rows, kind, nodes, instances_per_node, skew, total_seconds):
+# the Fig 15/16 sizes, instances below / at / above the 12 physical cores,
+# and skew.
+FANOUT_PINS = [
+    (1e7, "kmeans", 5, 12, None, 14.58),
+    (1e7, "glm", 5, 12, None, 13.46),
+    (1e8, "kmeans", 5, 12, None, 42.3),
+    (1e8, "glm", 5, 12, None, 31.099999999999998),
+    (5e8, "kmeans", 5, 12, None, 165.5),
+    (5e8, "glm", 5, 12, None, 109.49999999999999),
+    (1e9, "kmeans", 5, 12, None, 319.5),
+    (1e9, "glm", 5, 12, None, 207.49999999999997),
+    (1e9, "kmeans", 5, 1, None, 3707.5),
+    (1e9, "kmeans", 5, 4, None, 935.5),
+    (1e9, "kmeans", 5, 11, None, 347.5),
+    (1e9, "kmeans", 5, 13, None, 581.6153846153845),
+    (1e9, "kmeans", 5, 24, None, 321.0),
+    (1e9, "kmeans", 5, 25, None, 458.02),
+    (1e9, "kmeans", 5, 48, None, 324.0),
+    (1e9, "kmeans", 5, 12, [3, 1, 1, 1, 1], 671.5),
+    (1e9, "glm", 5, 25, [3, 1, 1, 1, 1], 619.3000000000001),
+]
+
+
+@pytest.mark.parametrize("rows, kind, nodes, instances, skew, seconds", FANOUT_PINS)
+def test_matches_recorded_simulation(rows, kind, nodes, instances, skew, seconds):
+    result = simulate_prediction_fanout(
+        rows, kind, nodes, instances_per_node=instances, skew=skew)
+    assert result.total_seconds == seconds
 
 
 class TestPredictionFanoutDes:

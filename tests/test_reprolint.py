@@ -289,7 +289,7 @@ def test_sim_determinism_flags_wall_clock_and_global_rng():
             return started, jitter, noise
     """
     violations = check_snippet(
-        "sim-determinism", source, relpath="src/repro/simkit/x.py"
+        "sim-determinism", source, relpath="src/repro/perfmodel/x.py"
     )
     assert len(violations) == 3
     messages = " / ".join(v.message for v in violations)
@@ -315,7 +315,7 @@ def test_sim_determinism_accepts_seeded_rngs():
 
 def test_sim_determinism_scoped_to_sim_code():
     checker = get_checker("sim-determinism")
-    assert checker.applies_to("src/repro/simkit/core.py")
+    assert checker.applies_to("src/repro/perfmodel/queueing.py")
     assert checker.applies_to("src/repro/perfmodel/calibration.py")
     # transfer timing legitimately uses perf_counter on real work
     assert not checker.applies_to("src/repro/transfer/db2darray.py")

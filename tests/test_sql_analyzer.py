@@ -138,6 +138,11 @@ CORPUS: list[tuple[str, str, str | None]] = [
     # -- colliding output names (results are keyed by output name) --------
     ("SELECT t.k, u.k FROM t JOIN u ON t.k = u.k", "SA303", "u.k FROM"),
     ("SELECT k AS x, a AS x FROM t", "SA303", "a AS x"),
+    # -- built-ins whose runtime cannot take the argument types ----------
+    ("SELECT abs(name) FROM t", "SA202", "name"),
+    ("SELECT length(k) FROM t", "SA204", "k)"),
+    ("SELECT least(k, name) FROM t", "SA204", "name"),
+    ("SELECT greatest(name, 'm', a) FROM t", "SA204", "a)"),
 ]
 
 
@@ -189,6 +194,7 @@ VALID = [
     "DELETE FROM u WHERE c > 100",
     "DROP TABLE IF EXISTS never_made",
     "AT EPOCH 1 SELECT a FROM t",
+    "SELECT least(a, k, 2.5), greatest(name, 'm', NULL), length(name) FROM t",
 ]
 
 

@@ -268,6 +268,23 @@ class TestExpressionEvaluation:
         assert list(self.eval("upper(s)")) == ["X", "Y", "X", "Z"]
         assert np.array_equal(self.eval("length(s)"), [1, 1, 1, 1])
 
+    def test_string_functions_of_literals_and_null(self):
+        assert self.eval("upper('ab')") == "AB"
+        assert self.eval("lower(NULL)").item() is None
+        assert self.eval("length('abc')") == 3
+        assert self.eval("length(NULL)") == 0
+
+    def test_least_greatest_over_strings_with_null(self):
+        batch = {"s": np.array(["a", None, "z"], dtype=object)}
+
+        def run(text):
+            return list(expressions.evaluate(parse_expression(text), batch))
+
+        assert run("greatest(s, 'm')") == ["m", None, "z"]
+        assert run("least(s, 'm')") == ["a", None, "m"]
+        assert run("least('m', s, 'b')") == ["a", None, "b"]
+        assert run("greatest(s, NULL)") == [None, None, None]
+
     def test_unknown_column_error_lists_available(self):
         with pytest.raises(SqlAnalysisError, match="available"):
             self.eval("missing + 1")

@@ -42,6 +42,9 @@ DIALECT_DIFFERENCES = (
     "NULL sorts as the largest value: last under ASC and in GROUP BY "
     "output, first under DESC.  SQLite sorts NULL as the smallest, so "
     ":func:`_sqlite_text` gives each ORDER BY term NULLS LAST / NULLS FIRST.",
+    # Spelling.
+    "GREATEST / LEAST are SQLite's scalar MAX / MIN; :func:`_sqlite_text` "
+    "renames them.",
 )
 
 NODES = 3
@@ -111,7 +114,9 @@ def _sort_key(row: tuple) -> tuple:
 
 
 def _sqlite_text(query: str) -> str:
-    """``query`` with each ORDER BY term given the engine's NULL order."""
+    """``query`` in SQLite's spelling, each ORDER BY term given the
+    engine's NULL order."""
+    query = query.replace("GREATEST(", "MAX(").replace("LEAST(", "MIN(")
     head, order_by, tail = query.partition(" ORDER BY ")
     if not order_by:
         return query
@@ -205,6 +210,9 @@ def test_grouping(databases, query):
     "LEFT JOIN dim_empty d ON f.cust = d.cust GROUP BY d.region",
     "SELECT f.k, d.region FROM fact f LEFT JOIN dim_empty d "
     "ON f.cust = d.cust WHERE f.k < 50",
+    # scalar GREATEST / LEAST over the unmatched rows' NULL strings
+    "SELECT f.k, GREATEST(d.region, 'r2') AS g, LEAST(d.region, 'r2') AS l "
+    "FROM fact f LEFT JOIN dim_part d ON f.cust = d.cust WHERE f.k < 300",
     "SELECT COUNT(*) AS n FROM fact_empty f JOIN dim d ON f.cust = d.cust",
     "SELECT f.k, d.region FROM fact_empty f LEFT JOIN dim d "
     "ON f.cust = d.cust",

@@ -1,13 +1,13 @@
-"""sim-determinism (SD501): simulation and perf-model code must be replayable.
+"""sim-determinism (SD501): perf-model code must be replayable.
 
-The simkit event loop and the performance models exist to *replay* measured
-workloads at paper scale — a wall-clock read or an unseeded global RNG makes
-runs non-reproducible and calibration numbers meaningless.  In
-``src/repro/simkit/`` and ``src/repro/perfmodel/`` this checker flags:
+The performance models exist to *replay* measured workloads at paper scale
+— a wall-clock read or an unseeded global RNG makes runs non-reproducible
+and calibration numbers meaningless.  In ``src/repro/perfmodel/`` this
+checker flags:
 
 * ``time.time()`` / ``time.time_ns()`` / ``datetime.now()`` /
-  ``datetime.utcnow()`` — wall clock; simulated time must come from the
-  simulation clock, measured time from explicit inputs;
+  ``datetime.utcnow()`` — wall clock; modelled time must come from the
+  models' own arithmetic, measured time from explicit inputs;
 * ``random.<fn>()`` module-level calls — the process-global RNG, seeded (or
   not) by interpreter startup; use a seeded ``random.Random(seed)``;
 * legacy ``np.random.<fn>()`` global-state calls — use
@@ -22,7 +22,7 @@ from typing import Iterable
 
 from reprolint.core import Checker, FileContext, Violation, register
 
-SCOPED_PATHS = ("src/repro/simkit/", "src/repro/perfmodel/")
+SCOPED_PATHS = ("src/repro/perfmodel/",)
 WALL_CLOCK = {
     ("time", "time"),
     ("time", "time_ns"),
@@ -52,7 +52,7 @@ class SimDeterminismChecker(Checker):
     code = "SD501"
     description = (
         "no wall-clock reads or unseeded global RNG use inside "
-        "simkit/ and perfmodel/ — simulations must be replayable"
+        "perfmodel/ — simulations must be replayable"
     )
 
     def applies_to(self, relpath: str) -> bool:
@@ -73,7 +73,7 @@ class SimDeterminismChecker(Checker):
                     ctx,
                     node,
                     f"wall-clock read {'.'.join(dotted)}() in simulation code; "
-                    "use the simulation clock or pass timestamps explicitly",
+                    "pass timestamps explicitly",
                 )
             elif (
                 dotted[0] == "random"
