@@ -1,8 +1,8 @@
 """Figure 20: K-means per iteration — Distributed R vs Spark, weak scaling.
 
-Real layer: the *same* Lloyd kernel through both runtimes (hpdkmeans on the
-DR engine vs spark_kmeans on the RDD engine) with identical initial centers;
-the answers must match exactly (apples-to-apples), and the per-iteration
+Real layer: the *same* solver through both runtimes (hpdkmeans on a DR
+darray and on a Spark RDD read from the DFS) with identical initial centers;
+the answers must be bit-identical (apples-to-apples), and the per-iteration
 timings are measured.  Paper-scale layer: the 1/4/8-node, 60M-rows-per-node
 series where DR is ~20% faster.
 """
@@ -16,7 +16,8 @@ from repro.perfmodel import (
     model_kmeans_iteration_blas,
     model_spark_kmeans_iteration,
 )
-from repro.spark import HdfsCluster, SparkContext, spark_kmeans
+from repro.spark import SparkContext
+from repro.vertica import DistributedFileSystem
 from repro.workloads import make_blobs
 
 ROWS = 60_000
@@ -53,24 +54,25 @@ def test_fig20_dr_iteration(benchmark, dataset, init):
 
 
 def test_fig20_spark_iteration(benchmark, dataset, init):
-    hdfs = HdfsCluster(datanode_count=4, replication=3)
+    hdfs = DistributedFileSystem(node_count=4, replication=3)
     with SparkContext(hdfs, executors_per_node=1) as sc:
         sc.save_matrix("/km/fig20", dataset.points, npartitions=4)
-        rdd = sc.matrix_from_hdfs("/km/fig20").cache()
-        rdd.collect()  # materialize the cache: iteration time excludes load
+        rdd = sc.matrix_from_hdfs("/km/fig20")
+        rdd.collect()  # fill the cache: iteration time excludes load
         spark_model = benchmark.pedantic(
-            lambda: spark_kmeans(rdd, K, initial_centers=init,
-                                 max_iterations=1, tolerance=0.0),
+            lambda: hpdkmeans(rdd, K, initial_centers=init,
+                              max_iterations=1, tolerance=0.0),
             rounds=3, iterations=1,
         )
-    # Apples-to-apples: same kernel, same init => identical first iteration.
+    # Apples-to-apples: same solver, same init => identical first iteration.
     with start_session(node_count=4, instances_per_node=1) as session:
         data = session.darray(npartitions=4)
         data.fill_from(dataset.points)
         dr_model = hpdkmeans(data, K, initial_centers=init,
                              max_iterations=1, tolerance=0.0)
-    assert spark_model.inertia == pytest.approx(dr_model.inertia)
-    assert np.allclose(spark_model.centers, dr_model.centers, atol=1e-9)
+    assert spark_model.inertia == dr_model.inertia
+    assert np.array_equal(spark_model.centers, dr_model.centers)
+    assert np.array_equal(spark_model.cluster_sizes, dr_model.cluster_sizes)
     benchmark.extra_info.update({
         f"paper_spark_{n}nodes_s": round(
             model_spark_kmeans_iteration(rows, 100, 1000, n), 1)

@@ -2,8 +2,8 @@
 
 Real layer: the full pipeline on each substrate: (a) VFT out of the database
 into Distributed R, then one K-means iteration; (b) Spark loading the same
-matrix from HDFS, then one iteration; (c) Distributed R loading from local
-ext4 files.  Paper-scale layer: the 240M x 100 / 4-node comparison where the
+matrix from the DFS (in HDFS's role), then one iteration; (c) Distributed R
+loading from local ext4 files.  Paper-scale layer: the 240M x 100 / 4-node comparison where the
 systems roughly tie.
 """
 
@@ -14,8 +14,9 @@ from benchmarks.conftest import build_numeric_table
 from repro.algorithms import hpdkmeans
 from repro.dr import start_session
 from repro.perfmodel import model_end_to_end_kmeans
-from repro.spark import HdfsCluster, SparkContext, spark_kmeans
+from repro.spark import SparkContext
 from repro.transfer import db2darray
+from repro.vertica import DistributedFileSystem
 
 ROWS = 30_000
 FEATURES = 10
@@ -53,14 +54,14 @@ def test_fig21_vertica_dr_end_to_end(benchmark, matrix, init):
 
 
 def test_fig21_spark_hdfs_end_to_end(benchmark, matrix, init):
-    hdfs = HdfsCluster(datanode_count=4, replication=3)
+    hdfs = DistributedFileSystem(node_count=4, replication=3)
     with SparkContext(hdfs, executors_per_node=2) as sc:
         sc.save_matrix("/fig21/data", matrix, npartitions=4)
 
         def run():
             rdd = sc.matrix_from_hdfs("/fig21/data")
-            return spark_kmeans(rdd, K, initial_centers=init,
-                                max_iterations=1, tolerance=0.0)
+            return hpdkmeans(rdd, K, initial_centers=init,
+                             max_iterations=1, tolerance=0.0)
 
         model = benchmark.pedantic(run, rounds=2, iterations=1)
     assert model.n_observations == ROWS

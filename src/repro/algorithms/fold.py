@@ -122,13 +122,13 @@ def fold_fit(data: Any, fold: PartitionFold, *others: Any,
              max_iterations: int = 1) -> Any:
     """Run a :class:`PartitionFold` to convergence and return its state.
 
-    ``data`` is the partitioned input (a :class:`~repro.dr.darray.DArray`
-    or a :class:`LocalArray`); ``others`` are co-partitioned companions
-    (e.g. the response vector) forwarded to :meth:`PartitionFold.partial`
-    exactly as :meth:`map_partitions` forwards them.  The driver owns the
-    fan-out, the convergence loop, the ``ml.fold`` / ``ml.fold.step``
-    spans, and the ``ml.fold.step`` fault site — solvers own only the
-    math.
+    ``data`` is the partitioned input (a :class:`~repro.dr.darray.DArray`,
+    a :class:`LocalArray` or a :class:`~repro.spark.RDD`); ``others`` are
+    co-partitioned companions (e.g. the response vector) forwarded to
+    :meth:`PartitionFold.partial` exactly as :meth:`map_partitions`
+    forwards them.  The driver owns the fan-out, the convergence loop, the
+    ``ml.fold`` / ``ml.fold.step`` spans, and the ``ml.fold.step`` fault
+    site — solvers own only the math.
     """
     if max_iterations < 1:
         raise ModelError("fold_fit requires max_iterations >= 1")

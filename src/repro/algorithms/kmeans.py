@@ -4,8 +4,10 @@ Per iteration (the unit Figures 17 and 20 time): the master broadcasts the
 current centers; every partition assigns its points to the nearest center
 and returns partial sums, counts, and its share of the within-cluster sum of
 squares; the master averages.  Communication per iteration is O(K·d),
-independent of the row count — the same structure MLlib's K-means uses,
-which is what makes Figure 20 an apples-to-apples comparison.
+independent of the row count — the same structure MLlib's K-means uses.
+Figure 20's Spark side runs this very function over a
+:class:`~repro.spark.RDD`, so the comparison is apples-to-apples by
+construction.
 
 The Lloyd iteration is expressed as a :class:`~repro.algorithms.fold.
 PartitionFold` (:class:`_LloydFold`) executed by the shared

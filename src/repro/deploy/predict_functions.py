@@ -83,22 +83,11 @@ class _PredictBase(TransformFunction):
     def score(self, model, features: np.ndarray, params: Mapping[str, Any]) -> np.ndarray:
         raise NotImplementedError
 
-    def process(self, ctx, args, params):
-        model = self._resolve_model(ctx, params)
-        features = _stack_features(args)
-        if len(features) == 0:
-            return {self.output_column: np.empty(0, dtype=self.output_sql_type.numpy_dtype)}
-        predictions = self.score(model, features, params)
-        ctx.cluster.metrics.counter("rows_predicted").add(len(features))
-        # Ambient span is this instance's udtf.instance span.
-        add_to_current(rows_predicted=len(features))
-        return {self.output_column: predictions}
-
     def process_stream(self, ctx, batches, params):
         """Score batchwise: resolve the model once, then predict each batch
         as it arrives, holding one batch of features at a time.  Rows score
         independently in every model here, so the concatenated predictions
-        match single-matrix scoring (:meth:`process`) exactly.
+        match single-matrix scoring exactly.
         """
         model = self._resolve_model(ctx, params)
         rows_predicted = ctx.cluster.metrics.counter("rows_predicted")

@@ -260,11 +260,11 @@ CATALOG: dict[str, InstrumentSpec] = {
               "Tasks dispatched by the Spark comparator context.",
               "repro.spark.context"),
         _spec("rdd_partitions_computed", "counter", "1",
-              "RDD partitions computed (cache misses included).",
-              "repro.spark.rdd"),
+              "RDD partitions read from the DFS (each once, then cached).",
+              "repro.spark.context"),
         _spec("rdd_cache_hits", "counter", "1",
-              "RDD partition computations served from cache.",
-              "repro.spark.rdd"),
+              "RDD partition accesses served from the cache.",
+              "repro.spark.context"),
         # -- repro.serving -----------------------------------------------------
         _spec("sessions_active", "gauge", "1",
               "Serving sessions currently open against the Server.",

@@ -1,15 +1,16 @@
 """Single-threaded R baseline for K-means (stock ``kmeans()``).
 
-Same Lloyd kernel as the distributed version, run as one sequential process
-over the full matrix — the Figure 17 baseline whose per-iteration time does
-not improve with more cores.
+The distributed solver run as one sequential process over the full matrix
+(one partition) — the Figure 17 baseline whose per-iteration time does not
+improve with more cores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.kmeans import KMeansModel, assign_to_centers
+from repro.algorithms.fold import LocalArray
+from repro.algorithms.kmeans import KMeansModel, hpdkmeans
 from repro.errors import ModelError
 
 __all__ = ["r_kmeans"]
@@ -24,48 +25,16 @@ def r_kmeans(
     initial_centers: np.ndarray | None = None,
     iteration_callback=None,
 ) -> KMeansModel:
-    """Sequential Lloyd's algorithm on a plain matrix."""
+    """Sequential Lloyd's algorithm on a plain matrix, seeded (without
+    ``initial_centers``) by ``k`` distinct rows drawn at random."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ModelError("r_kmeans requires a 2-D matrix")
     if len(points) < k:
         raise ModelError(f"cannot pick {k} centers from {len(points)} points")
-    if initial_centers is not None:
-        centers = np.asarray(initial_centers, dtype=np.float64).copy()
-        if centers.shape != (k, points.shape[1]):
-            raise ModelError(f"initial centers must be {(k, points.shape[1])}")
-    else:
+    if initial_centers is None:
         rng = np.random.default_rng(seed)
-        centers = points[rng.choice(len(points), size=k, replace=False)].copy()
-
-    inertia = np.inf
-    converged = False
-    iterations = 0
-    counts = np.zeros(k, dtype=np.int64)
-    for iteration in range(1, max_iterations + 1):
-        iterations = iteration
-        labels, distances = assign_to_centers(points, centers)
-        counts = np.bincount(labels, minlength=k)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, points)
-        new_centers = centers.copy()
-        non_empty = counts > 0
-        new_centers[non_empty] = sums[non_empty] / counts[non_empty, None]
-        new_inertia = float(distances.sum())
-        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
-        centers = new_centers
-        if iteration_callback is not None:
-            iteration_callback(iteration, new_inertia)
-        inertia = new_inertia
-        if shift <= tolerance:
-            converged = True
-            break
-
-    return KMeansModel(
-        centers=centers,
-        inertia=inertia,
-        iterations=iterations,
-        converged=converged,
-        n_observations=len(points),
-        cluster_sizes=np.asarray(counts, dtype=np.int64),
-    )
+        initial_centers = points[rng.choice(len(points), size=k, replace=False)]
+    return hpdkmeans(LocalArray(points), k, max_iterations=max_iterations,
+                     tolerance=tolerance, initial_centers=initial_centers,
+                     iteration_callback=iteration_callback)

@@ -1,17 +1,6 @@
-"""The Spark-on-HDFS comparator: block-replicated HDFS, a lazy RDD engine,
-and MLlib-style algorithms sharing kernels with the Distributed R side."""
+"""The Spark-on-HDFS comparator: an executor pool over the DFS and an RDD
+that :func:`~repro.algorithms.kmeans.hpdkmeans` runs on unchanged."""
 
-from repro.spark.context import SparkContext
-from repro.spark.hdfs import HdfsBlock, HdfsCluster, HdfsFile
-from repro.spark.mllib import spark_kmeans, spark_linear_regression
-from repro.spark.rdd import RDD
+from repro.spark.context import RDD, SparkContext
 
-__all__ = [
-    "HdfsCluster",
-    "HdfsFile",
-    "HdfsBlock",
-    "SparkContext",
-    "RDD",
-    "spark_kmeans",
-    "spark_linear_regression",
-]
+__all__ = ["SparkContext", "RDD"]

@@ -1,90 +1,75 @@
-"""SparkContext analog: executors over HDFS with locality-aware tasks."""
+"""SparkContext analog: an executor pool over a DFS standing in for HDFS.
+
+The DFS (:class:`~repro.vertica.dfs.DistributedFileSystem`) plays HDFS's
+role: replicated, checksummed files whose reads go to the first live
+replica (Spark schedules a task where its block lives, so that read is
+local).  An :class:`RDD` is a cached matrix read from those files and is a
+:func:`~repro.algorithms.fold.fold_fit` carrier, so Spark's K-means is
+:func:`~repro.algorithms.kmeans.hpdkmeans` itself: "Spark and DR denote the
+same implementation of the K-means algorithm" (§7.3.2) by construction.
+"""
 
 from __future__ import annotations
 
 import io
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PartitionError
 from repro.obs.metrics import MetricsRegistry
-from repro.spark.hdfs import HdfsCluster
-from repro.spark.rdd import RDD
+from repro.vertica.dfs import DistributedFileSystem
 
-__all__ = ["SparkContext"]
+__all__ = ["SparkContext", "RDD"]
 
 
 class SparkContext:
-    """Driver + executor pool bound to an HDFS cluster."""
+    """Driver + executor pool bound to a DFS."""
 
-    def __init__(self, hdfs: HdfsCluster, executors_per_node: int = 2) -> None:
+    def __init__(self, store: DistributedFileSystem,
+                 executors_per_node: int = 2) -> None:
         if executors_per_node < 1:
             raise ExecutionError("need at least one executor per node")
-        self.hdfs = hdfs
+        self.store = store
         self.executors_per_node = executors_per_node
         self.metrics = MetricsRegistry()
-        total = hdfs.datanode_count * executors_per_node
+        total = store.node_count * executors_per_node
         self._pool = ThreadPoolExecutor(max_workers=total, thread_name_prefix="spark-exec")
         self._stopped = False
 
-    @property
-    def node_count(self) -> int:
-        return self.hdfs.datanode_count
-
-    def run_tasks(self, tasks: list[tuple[int | None, Callable, int]]) -> list:
-        """Run (preferred_node, fn, partition) tasks on the executor pool."""
+    def run_tasks(self, fn: Callable[[int], object], count: int) -> list:
+        """``fn(partition)`` for partitions ``0..count-1`` on the executor
+        pool; results in partition order."""
         if self._stopped:
             raise ExecutionError("SparkContext is stopped")
-        futures = [self._pool.submit(fn, arg) for _, fn, arg in tasks]
-        self.metrics.counter("spark_tasks").add(len(futures))
+        futures = [self._pool.submit(fn, partition) for partition in range(count)]
+        self.metrics.counter("spark_tasks").add(count)
         return [future.result() for future in futures]
-
-    # -- RDD constructors ------------------------------------------------------
-
-    def parallelize(self, items: Sequence, npartitions: int | None = None) -> RDD:
-        """Distribute an in-memory sequence."""
-        data = list(items)
-        n = npartitions or max(1, self.node_count)
-        boundaries = np.linspace(0, len(data), n + 1).astype(int)
-        slices = [data[boundaries[i]:boundaries[i + 1]] for i in range(n)]
-        return RDD(self, lambda p: slices[p], n,
-                   preferred_nodes=[i % self.node_count for i in range(n)])
-
-    def matrix_from_hdfs(self, path_prefix: str) -> RDD:
-        """Load matrices written by :meth:`save_matrix`: one partition per
-        HDFS file, items are numpy row-chunks."""
-        paths = self.hdfs.list_files(path_prefix)
-        if not paths:
-            raise ExecutionError(f"no HDFS files under {path_prefix!r}")
-        preferred = []
-        for path in paths:
-            locations = self.hdfs.block_locations(path)
-            preferred.append(locations[0][0] if locations else 0)
-
-        def compute(partition: int) -> list:
-            raw = self.hdfs.read_file(paths[partition], from_node=preferred[partition])
-            matrix = np.load(io.BytesIO(raw), allow_pickle=False)
-            return [matrix]
-
-        return RDD(self, compute, len(paths), preferred_nodes=preferred)
 
     def save_matrix(self, path_prefix: str, matrix: np.ndarray,
                     npartitions: int | None = None) -> list[str]:
-        """Write a matrix to HDFS as one .npy file per partition."""
+        """Write a matrix to the DFS as one .npy file per partition."""
         matrix = np.asarray(matrix, dtype=np.float64)
-        n = npartitions or max(1, self.node_count)
+        n = npartitions or self.store.node_count
         boundaries = np.linspace(0, len(matrix), n + 1).astype(int)
         paths = []
         for i in range(n):
-            chunk = matrix[boundaries[i]:boundaries[i + 1]]
             buffer = io.BytesIO()
-            np.save(buffer, chunk, allow_pickle=False)
+            np.save(buffer, matrix[boundaries[i]:boundaries[i + 1]],
+                    allow_pickle=False)
             path = f"{path_prefix}/part-{i:05d}.npy"
-            self.hdfs.write_file(path, buffer.getvalue(), overwrite=True)
+            self.store.write(path, buffer.getvalue(), overwrite=True)
             paths.append(path)
         return paths
+
+    def matrix_from_hdfs(self, path_prefix: str) -> "RDD":
+        """The matrix written by :meth:`save_matrix`: one partition per file."""
+        paths = [info.path for info in self.store.list_files(path_prefix)]
+        if not paths:
+            raise ExecutionError(f"no DFS files under {path_prefix!r}")
+        return RDD(self, paths)
 
     def stop(self) -> None:
         if not self._stopped:
@@ -96,3 +81,69 @@ class SparkContext:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class RDD:
+    """A row-partitioned matrix read from DFS files, cached after first use.
+
+    The first access reads every partition on the executor pool and keeps
+    it in memory, so iterative algorithms pay the load once (what makes
+    Spark "an order of magnitude faster" than MapReduce, §7.3.2).  The
+    surface is :class:`~repro.algorithms.fold.LocalArray`'s, with
+    :meth:`map_partitions` fanned out over the executors.
+    """
+
+    is_filled = True
+
+    def __init__(self, context: SparkContext, paths: list[str]) -> None:
+        self.context = context
+        self._paths = paths
+        self._parts: list[np.ndarray] | None = None
+        self._lock = threading.Lock()
+
+    def _read(self, partition: int) -> np.ndarray:
+        raw = self.context.store.read(self._paths[partition])
+        self.context.metrics.counter("rdd_partitions_computed").add()
+        return np.load(io.BytesIO(raw), allow_pickle=False)
+
+    def _partitions(self) -> list[np.ndarray]:
+        with self._lock:
+            if self._parts is None:
+                self._parts = self.context.run_tasks(self._read, self.npartitions)
+            else:
+                self.context.metrics.counter("rdd_cache_hits").add(self.npartitions)
+            return self._parts
+
+    @property
+    def npartitions(self) -> int:
+        return len(self._paths)
+
+    @property
+    def nrow(self) -> int:
+        return sum(len(part) for part in self._partitions())
+
+    @property
+    def ncol(self) -> int:
+        return self._partitions()[0].shape[1]
+
+    def partition_shapes(self) -> list[tuple[int, int]]:
+        return [part.shape for part in self._partitions()]
+
+    def get_partition(self, partition: int) -> np.ndarray:
+        return self._partitions()[partition]
+
+    def map_partitions(self, fn: Callable, *others: "RDD") -> list:
+        """``fn(index, partition, *other_partitions)`` per partition on the
+        executor pool; results in partition order."""
+        for other in others:
+            if other.npartitions != self.npartitions:
+                raise PartitionError(
+                    f"co-partitioning mismatch: {self.npartitions} vs "
+                    f"{other.npartitions} partitions"
+                )
+        parts = [self._partitions()] + [other._partitions() for other in others]
+        return self.context.run_tasks(
+            lambda index: fn(index, *[p[index] for p in parts]), self.npartitions)
+
+    def collect(self) -> np.ndarray:
+        return np.vstack(self._partitions())

@@ -257,26 +257,14 @@ class ExportToDistributedR(TransformFunction):
             raise TransferError(f"chunk_rows must be positive, got {chunk_rows}")
         return target, chunk_rows
 
-    def process(self, ctx: UdtfContext, args: dict[str, np.ndarray],
-                params: Mapping[str, Any]) -> dict[str, np.ndarray]:
-        target, chunk_rows = self._setup(params)
-        sender = _FrameSender(ctx, target)
-        columns = _target_columns(target, args)
-        rows = len(next(iter(columns.values()))) if columns else 0
-        for start in range(0, rows, chunk_rows):
-            stop = min(start + chunk_rows, rows)
-            sender.emit({name: columns[name][start:stop] for name in target.columns},
-                        stop - start)
-        return sender.summary(rows)
-
     def process_stream(self, ctx: UdtfContext, batches, params: Mapping[str, Any]
                        ) -> dict[str, np.ndarray]:
         """Streaming export: push a wire frame as each ``chunk_rows`` window
         of the instance's batch stream fills, instead of materializing the
-        whole partition first.  Frame boundaries fall at the same row
-        offsets :meth:`process` cuts over the whole slice, so the wire bytes
-        do not depend on how the scan was batched; peak buffering is one
-        ``chunk_rows`` window, not the instance's slice.
+        whole partition first.  Frame boundaries fall every ``chunk_rows``
+        rows of the instance's slice, so the wire bytes do not depend on
+        how the scan was batched; peak buffering is one ``chunk_rows``
+        window, not the instance's slice.
         """
         target, chunk_rows = self._setup(params)
         sender = _FrameSender(ctx, target)

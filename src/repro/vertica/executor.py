@@ -659,20 +659,17 @@ class QueryExecutor:
                                            instance=index)
                 stream = (batch for queue in queues for batch in queue)
                 first = next(stream, None)
-                if first is not None:
-                    output = udtf.process_stream(
-                        ctx, itertools.chain([first], stream), params)
-                    for _ in stream:  # drain anything the UDTF didn't pull
-                        pass
-                elif router.planned:
-                    # Zero surviving batches: run the instance over typed
-                    # empty args, so it still emits its (empty) output.
-                    empty = cluster.typed_empty_batch(plan.table,
-                                                      plan.columns_needed)
-                    output = udtf.process(
-                        ctx, _bind_args(plan.udtf.args, empty), params)
-                else:
-                    return None  # empty hash bucket: no instance
+                if first is None:
+                    if not router.planned:
+                        return None  # empty hash bucket: no instance
+                    # Zero surviving batches: feed the instance one typed
+                    # empty batch, so it still emits its (empty) output.
+                    first = _bind_args(plan.udtf.args, cluster.typed_empty_batch(
+                        plan.table, plan.columns_needed))
+                output = udtf.process_stream(
+                    ctx, itertools.chain([first], stream), params)
+                for _ in stream:  # drain anything the UDTF didn't pull
+                    pass
                 udtf.validate_output(output)
                 span.set(rows_in=sum(q.total_rows for q in queues),
                          bytes_in=sum(q.total_bytes for q in queues),

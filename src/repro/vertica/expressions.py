@@ -49,7 +49,7 @@ register_scalar_function("ceiling", _with_float(np.ceil))
 register_scalar_function("sign", _with_float(np.sign))
 register_scalar_function("power", lambda x, y: np.power(
     np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
-register_scalar_function("mod", lambda x, y: np.mod(x, y))
+register_scalar_function("mod", lambda x, y: _null_on_zero(np.mod, x, y))
 register_scalar_function("round", lambda x, d=0: np.round(
     np.asarray(x, dtype=np.float64), int(np.asarray(d).flat[0]) if np.ndim(d) else int(d)))
 register_scalar_function("is_null", lambda x: is_null(x))
@@ -292,9 +292,9 @@ def _binary(expr: ast.BinaryOp, batch: Mapping[str, np.ndarray]) -> np.ndarray:
     if op == "*":
         return np.multiply(left, right)
     if op == "/":
-        return np.divide(np.asarray(left, dtype=np.float64), right)
+        return _null_on_zero(np.divide, np.asarray(left, dtype=np.float64), right)
     if op == "%":
-        return np.mod(left, right)
+        return _null_on_zero(np.mod, left, right)
     if op == "=":
         return _compare(left, right, "eq")
     if op == "<>":
@@ -308,6 +308,18 @@ def _binary(expr: ast.BinaryOp, batch: Mapping[str, np.ndarray]) -> np.ndarray:
     if op == ">=":
         return _compare(left, right, "ge")
     raise SqlAnalysisError(f"unknown operator {op!r}")
+
+
+def _null_on_zero(fn: Callable, left: Any, right: Any) -> np.ndarray:
+    """``fn(left, right)``, NULL (NaN) where the divisor is zero, as in
+    SQLite.  Only a zero divisor turns an INTEGER result FLOAT."""
+    zero = np.asarray(right) == 0
+    if not zero.any():
+        return fn(left, right)
+    left, right, zero = np.broadcast_arrays(
+        np.asarray(left, dtype=np.float64), np.asarray(right, dtype=np.float64),
+        zero)
+    return fn(left, right, out=np.full(zero.shape, np.nan), where=~zero)
 
 
 _COMPARATORS = {

@@ -26,6 +26,8 @@ from repro.algorithms import (
     sgd_fit,
 )
 from repro.errors import ModelError, PartitionError
+from repro.spark import SparkContext
+from repro.vertica import DistributedFileSystem
 from repro.workloads import make_blobs, make_classification, make_regression
 
 
@@ -164,14 +166,30 @@ class TestCarrierIndependence:
                            atol=1e-12)
 
     def test_kmeans_matches_across_carriers(self, session):
-        dataset = make_blobs(450, 2, 3, seed=22)
-        darr = session.darray(npartitions=3)
-        darr.fill_from(dataset.points)
-        distributed = hpdkmeans(darr, k=3, seed=5)
-        local = hpdkmeans(LocalArray(dataset.points, npartitions=3), k=3,
-                          seed=5)
-        assert np.allclose(distributed.centers, local.centers, atol=1e-12)
-        assert distributed.inertia == pytest.approx(local.inertia)
+        """The Spark RDD is a third carrier: over the same partitioning,
+        seeded or from the same initial centers, the fit is bit-identical
+        on all three (the Fig 20 apples-to-apples claim)."""
+        blobs = make_blobs(450, 2, 3, seed=22)
+        points = make_blobs(900, 4, 5, seed=1).points
+        for data, options in (
+            (blobs.points, dict(k=3, seed=5)),
+            (points, dict(k=5, initial_centers=points[:5], max_iterations=8,
+                          tolerance=0.0)),
+        ):
+            darr = session.darray(npartitions=3)
+            darr.fill_from(data)
+            with SparkContext(DistributedFileSystem(3, replication=3)) as sc:
+                sc.save_matrix("/km/data", data, npartitions=3)
+                models = [hpdkmeans(carrier, **options) for carrier in (
+                    darr, LocalArray(data, npartitions=3),
+                    sc.matrix_from_hdfs("/km/data"))]
+            distributed = models[0]
+            for model in models[1:]:
+                assert np.array_equal(model.centers, distributed.centers)
+                assert np.array_equal(model.cluster_sizes,
+                                      distributed.cluster_sizes)
+                assert model.inertia == distributed.inertia
+                assert model.iterations == distributed.iterations
 
     def test_naive_bayes_matches_across_carriers(self, session):
         data = make_classification(900, 3, seed=23)

@@ -233,22 +233,15 @@ class TestDistributedInvariants:
         assert np.allclose(model.coefficients, expected, atol=1e-6)
 
     @common_settings
-    @given(st.binary(min_size=1, max_size=2000), st.integers(1, 4))
+    @given(st.binary(min_size=1, max_size=2000), st.integers(1, 5))
     def test_dfs_read_returns_what_was_written(self, payload, replication):
         from repro.vertica.dfs import DistributedFileSystem
 
         dfs = DistributedFileSystem(4, replication=replication)
-        dfs.write("/blob", payload)
+        info = dfs.write("/blob", payload)
+        # replication beyond the node count is capped at one copy per node
+        assert len(set(info.replica_nodes)) == min(replication, 4)
         assert dfs.read("/blob") == payload
-
-    @common_settings
-    @given(st.binary(max_size=3000), st.integers(1, 64))
-    def test_hdfs_blocks_reassemble(self, payload, block_size):
-        from repro.spark import HdfsCluster
-
-        hdfs = HdfsCluster(datanode_count=3, block_size=block_size)
-        hdfs.write_file("/f", payload)
-        assert hdfs.read_file("/f") == payload
 
 
 class TestModelSerializationProperties:

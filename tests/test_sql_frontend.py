@@ -240,6 +240,17 @@ class TestExpressionEvaluation:
     def test_modulo(self):
         assert np.array_equal(self.eval("b % 3"), [1, 2, 0, 1])
 
+    def test_division_by_zero_is_null(self):
+        batch = {"b": np.array([10, 20, 30], dtype=np.int64),
+                 "z": np.array([0, 3, 0], dtype=np.int64)}
+        with np.errstate(all="raise"):  # no numpy divide warning either
+            for text, want in (("b % z", [np.nan, 2.0, np.nan]),
+                               ("mod(b, z)", [np.nan, 2.0, np.nan]),
+                               ("b / z", [np.nan, 20 / 3, np.nan]),
+                               ("b / 0", [np.nan] * 3)):
+                got = expressions.evaluate(parse_expression(text), batch)
+                assert np.array_equal(got, want, equal_nan=True), text
+
     def test_comparisons(self):
         assert np.array_equal(self.eval("a > 2"), [False, False, True, True])
         assert np.array_equal(self.eval("a <> 2"), [True, False, True, True])

@@ -30,11 +30,11 @@ DIALECT_DIFFERENCES = (
     "SUM and AVG return FLOAT for every argument type; SQLite's SUM over "
     "INTEGER returns INTEGER.  Answers compare numerically.",
     "'/' is float division; SQLite truncates INTEGER / INTEGER.  No case "
-    "divides two integers.",
+    "divides two integers except by zero, which is NULL in both.",
     # NULL representation.
     "A FLOAT NULL is NaN inside the engine, and a LEFT join's unmatched "
-    "INTEGER column comes back FLOAT with NaN.  Answers read NaN and None "
-    "both as NULL.",
+    "INTEGER column comes back FLOAT with NaN, as does INTEGER % INTEGER "
+    "when a divisor is zero.  Answers read NaN and None both as NULL.",
     "A VARCHAR NULL written to read-optimized storage reads back as ''.  "
     "String NULLs reach a query through a LEFT join's unmatched rows, so "
     "the cases take them from there.",
@@ -235,6 +235,19 @@ def test_joins(databases, query):
     "COUNT(DISTINCT x) AS d FROM nulls WHERE k > 1000",
 ])
 def test_nulls(databases, query):
+    assert_matches(databases, query)
+
+
+@pytest.mark.parametrize("query", [
+    # INTEGER and FLOAT x / 0 and x % 0 are NULL
+    "SELECT k, k / 0 AS d, k % 0 AS m FROM nulls",
+    "SELECT k, x / 0 AS d, x % 0 AS m, x / 0.0 AS e FROM nulls",
+    # a divisor column holding zeros (and NULLs)
+    "SELECT k, k % y AS m, x / y AS q, k / y AS r FROM nulls",
+    "SELECT y, COUNT(k % y) AS n, COUNT(x / y) AS c, SUM(x / y) AS s "
+    "FROM nulls GROUP BY y ORDER BY y",
+])
+def test_division_by_zero(databases, query):
     assert_matches(databases, query)
 
 
