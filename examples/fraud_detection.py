@@ -2,9 +2,9 @@
 
 A payments scenario exercising the features this reproduction adds beyond
 the paper's minimum: CSV ingest (`COPY`), SQL joins for feature assembly,
-a *custom* model type (Gaussian naive Bayes) deployed through the §5
-extension APIs, k-safe tables, and scoring that keeps working through a
-node failure.
+Gaussian naive Bayes trained in Distributed R and scored in the database
+with the built-in ``nbPredict``, k-safe tables, and scoring that keeps
+working through a node failure.
 
 Run with ``python examples/fraud_detection.py``.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import VerticaCluster, start_session
-from repro.algorithms import accuracy, hpdnaivebayes, register_naive_bayes_support
+from repro.algorithms import accuracy, hpdnaivebayes
 from repro.deploy import deploy_model
 from repro.vertica import HashSegmentation, copy_from_csv, write_csv
 
@@ -48,7 +48,6 @@ def main() -> None:
     accounts, transactions = synth_data(rng)
 
     cluster = VerticaCluster(node_count=4)
-    register_naive_bayes_support(cluster)
 
     # --- ingest: accounts arrive as a CSV extract, transactions via ETL ----
     cluster.create_table_like("accounts", accounts, k_safety=1)
@@ -72,7 +71,7 @@ def main() -> None:
     for country, txns, rate in risky.rows():
         print(f"  {country}: {rate:.3f} over {txns:,} transactions")
 
-    # --- train a custom model type in Distributed R ------------------------
+    # --- train naive Bayes in Distributed R ---------------------------------
     with start_session(node_count=4, instances_per_node=2) as session:
         from repro.transfer import db2darray_with_response
 

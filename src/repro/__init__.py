@@ -29,7 +29,6 @@ from repro.algorithms import (
     cv_hpdglm,
     hpdglm,
     hpdkmeans,
-    hpdpagerank,
     hpdrandomforest,
 )
 from repro.deploy import deploy_model, load_model
@@ -59,7 +58,6 @@ __all__ = [
     "cv_hpdglm",
     "hpdkmeans",
     "hpdrandomforest",
-    "hpdpagerank",
     "deploy_model",
     "load_model",
     "clone",

@@ -3,10 +3,9 @@ HPdregression / HPdcluster / HPdclassifier analogs."""
 
 from repro.algorithms.cv import CrossValidationResult, cv_hpdglm
 from repro.algorithms.families import Family, binomial, family_by_name, gaussian, poisson
-from repro.algorithms.fold import LocalArray, PartitionFold, SgdFold, fold_fit, sgd_fit
+from repro.algorithms.fold import LocalArray, PartitionFold, fold_fit
 from repro.algorithms.glm import GlmModel, hpdglm
 from repro.algorithms.kmeans import KMeansModel, assign_to_centers, hpdkmeans
-from repro.algorithms.mf import MfModel, hpdmf
 from repro.algorithms.metrics import (
     accuracy,
     confusion_matrix,
@@ -15,15 +14,7 @@ from repro.algorithms.metrics import (
     r_squared,
     root_mean_squared_error,
 )
-from repro.algorithms.graph import ConnectedComponentsResult, hpdconnectedcomponents
-from repro.algorithms.naive_bayes import (
-    NaiveBayesModel,
-    hpdnaivebayes,
-    model_from_moments,
-    register_naive_bayes_support,
-)
-from repro.algorithms.pagerank import PageRankResult, hpdpagerank
-from repro.algorithms.svm import SvmModel, hpdsvm
+from repro.algorithms.naive_bayes import NaiveBayesModel, hpdnaivebayes, model_from_moments
 from repro.algorithms.random_forest import (
     DecisionTree,
     RandomForestModel,
@@ -33,9 +24,7 @@ from repro.algorithms.random_forest import (
 
 __all__ = [
     "PartitionFold",
-    "SgdFold",
     "fold_fit",
-    "sgd_fit",
     "LocalArray",
     "hpdglm",
     "GlmModel",
@@ -44,22 +33,13 @@ __all__ = [
     "hpdkmeans",
     "KMeansModel",
     "assign_to_centers",
-    "hpdsvm",
-    "SvmModel",
-    "hpdmf",
-    "MfModel",
     "hpdrandomforest",
     "RandomForestModel",
     "DecisionTree",
     "train_tree",
-    "hpdpagerank",
-    "PageRankResult",
-    "hpdconnectedcomponents",
-    "ConnectedComponentsResult",
     "hpdnaivebayes",
     "NaiveBayesModel",
     "model_from_moments",
-    "register_naive_bayes_support",
     "Family",
     "gaussian",
     "binomial",

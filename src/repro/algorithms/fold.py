@@ -11,14 +11,7 @@ fault-site registration live in exactly one place instead of being
 hand-rolled per algorithm (GLM/Newton, K-means/Lloyd, naive Bayes all
 run through here).
 
-A second driver, :func:`sgd_fit`, executes :class:`SgdFold` problems —
-mini-batch stochastic gradient descent where each partition is one
-mini-batch, visited in a *shuffle-once* order (Bismarck's trick: shuffle
-the visit order a single time up front instead of re-shuffling every
-epoch, which keeps runs deterministic and data in place).  Linear SVM
-and low-rank matrix factorization train through it.
-
-:class:`LocalArray` is the smallest object satisfying the drivers' data
+:class:`LocalArray` is the smallest object satisfying the driver's data
 contract: a plain in-process numpy array split into partitions.  It is
 what ``REFRESH MODEL`` uses to re-fit warm-started models master-side,
 and what the documentation examples run on without starting a session.
@@ -33,11 +26,11 @@ import numpy as np
 
 from repro.errors import ModelError, PartitionError
 
-__all__ = ["PartitionFold", "SgdFold", "fold_fit", "sgd_fit", "LocalArray"]
+__all__ = ["PartitionFold", "fold_fit", "per_class_sums", "LocalArray"]
 
-#: The fault-injection site the solver drivers perturb once per
-#: synchronized iteration / SGD epoch (master-side failure between
-#: fan-outs).  Registered in :data:`repro.faults.sites.FAULT_SITES`.
+#: The fault-injection site the solver driver perturbs once per
+#: synchronized iteration (master-side failure between fan-outs).
+#: Registered in :data:`repro.faults.sites.FAULT_SITES`.
 FOLD_STEP_SITE = "ml.fold.step"
 
 
@@ -68,36 +61,6 @@ class PartitionFold(Protocol):
 
     def converged(self, state: Any) -> bool:
         """Whether the driver should stop after this step."""
-
-
-@runtime_checkable
-class SgdFold(Protocol):
-    """The mini-batch SGD contract :func:`sgd_fit` drives.
-
-    Each partition is one mini-batch; :meth:`gradient` is evaluated at
-    the current state on a single batch and :meth:`apply` folds it in
-    immediately (sequential updates — the point of SGD).  ``epoch_end``
-    runs once per sweep, which is where learning-rate schedules and
-    convergence probes live.
-    """
-
-    solver: str
-
-    def init_state(self) -> Any:
-        """The state before the first mini-batch update."""
-
-    def gradient(self, state: Any, index: int, partition: np.ndarray,
-                 *others: np.ndarray) -> Any:
-        """The (sub)gradient of one mini-batch at the current state."""
-
-    def apply(self, state: Any, gradient: Any, step_index: int) -> Any:
-        """Fold one mini-batch gradient into the state."""
-
-    def epoch_end(self, state: Any, epoch: int) -> Any:
-        """Per-sweep hook (schedules, convergence bookkeeping)."""
-
-    def converged(self, state: Any) -> bool:
-        """Whether the driver should stop after this epoch."""
 
 
 def _span(data: Any, name: str, **attrs: Any):
@@ -150,51 +113,25 @@ def fold_fit(data: Any, fold: PartitionFold, *others: Any,
     return state
 
 
-def sgd_fit(data: Any, fold: SgdFold, *others: Any, epochs: int = 1,
-            seed: int = 0) -> Any:
-    """Run an :class:`SgdFold` for up to ``epochs`` sweeps over the data.
+def per_class_sums(labels: np.ndarray, values: np.ndarray,
+                   n_classes: int) -> np.ndarray:
+    """``(n_classes, d)`` sums of ``values``' rows grouped by ``labels``.
 
-    Mini-batch = partition.  The visit order is drawn **once** from
-    ``seed`` (shuffle-once) and reused every epoch, so two runs with the
-    same seed apply the exact same update sequence.  Each sweep opens an
-    ``ml.sgd.epoch`` span and fires the shared ``ml.fold.step`` fault
-    site.
+    One ``np.bincount(weights=)`` per column: the same row-order additions
+    as ``np.add.at(sums, labels, values)``, so bit-identical to it, without
+    its per-element dispatch.  ``labels`` must lie in ``[0, n_classes)``.
     """
-    if epochs < 1:
-        raise ModelError("sgd_fit requires epochs >= 1")
-    for other in others:
-        if other.npartitions != data.npartitions:
-            raise ModelError(
-                f"sgd_fit companions must be co-partitioned: "
-                f"{other.npartitions} vs {data.npartitions} partitions"
-            )
-    order = np.random.default_rng(seed).permutation(data.npartitions)
-    state = fold.init_state()
-    step_index = 0
-    with _span(data, "ml.fold", solver=fold.solver) as solve_span:
-        for epoch in range(1, epochs + 1):
-            with _span(data, "ml.sgd.epoch", solver=fold.solver, epoch=epoch):
-                _perturb_step(data, fold, epoch)
-                for index in order:
-                    index = int(index)
-                    batch = np.asarray(data.get_partition(index))
-                    companions = [np.asarray(other.get_partition(index))
-                                  for other in others]
-                    gradient = fold.gradient(state, index, batch, *companions)
-                    state = fold.apply(state, gradient, step_index)
-                    step_index += 1
-            state = fold.epoch_end(state, epoch)
-            if fold.converged(state):
-                break
-        if solve_span is not None:
-            solve_span.set(iterations=epoch)
-    return state
+    sums = np.empty((n_classes, values.shape[1]))
+    for j in range(values.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=values[:, j],
+                                 minlength=n_classes)
+    return sums
 
 
 class LocalArray:
     """An in-process, single-machine stand-in for a row-partitioned darray.
 
-    Implements exactly the surface the solvers and fold drivers consume —
+    Implements exactly the surface the solvers and the fold driver consume —
     ``npartitions`` / ``nrow`` / ``ncol`` / ``map_partitions`` /
     ``get_partition`` / ``collect`` — over plain numpy storage, with
     ``session = None`` (no tracer, no fault plan, no workers).  Useful

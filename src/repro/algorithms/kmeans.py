@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.algorithms.fold import fold_fit
+from repro.algorithms.fold import fold_fit, per_class_sums
 from repro.dr.darray import DArray
 from repro.errors import ModelError
 
@@ -170,8 +170,7 @@ class _LloydFold:
             d = current.shape[1]
             return np.zeros((k, d)), np.zeros(k, dtype=np.int64), 0.0
         labels, distances = assign_to_centers(points, current)
-        sums = np.zeros((k, points.shape[1]))
-        np.add.at(sums, labels, points)
+        sums = per_class_sums(labels, points, k)
         partition_counts = np.bincount(labels, minlength=k)
         return sums, partition_counts, float(distances.sum())
 

@@ -2,9 +2,9 @@
 
 A one-pass classifier: each partition computes per-class counts, sums, and
 sums of squares; the master combines them into class priors and per-feature
-Gaussian parameters.  It doubles as the reference *custom model* for the §5
-extension point — :func:`register_naive_bayes_support` registers its codec
-and prediction UDF through the same public APIs a user would call.
+Gaussian parameters.  Its codec is built into
+:mod:`repro.deploy.serialize` and its ``nbPredict`` UDF is one of the
+standard prediction functions, like every other family's.
 
 The single pass is a one-iteration :class:`~repro.algorithms.fold.
 PartitionFold` (:class:`_NaiveBayesFold`) under the shared
@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.algorithms.fold import fold_fit
+from repro.algorithms.fold import fold_fit, per_class_sums
 from repro.dr.darray import DArray
 from repro.errors import ModelError
 
-__all__ = ["NaiveBayesModel", "hpdnaivebayes", "model_from_moments",
-           "register_naive_bayes_support"]
+__all__ = ["NaiveBayesModel", "hpdnaivebayes", "model_from_moments"]
 
 _VARIANCE_FLOOR = 1e-9
 
@@ -86,9 +85,8 @@ class _NaiveBayesFold:
 
     solver = "naivebayes.moments"
 
-    def __init__(self, n_classes: int, d: int) -> None:
+    def __init__(self, n_classes: int) -> None:
         self.n_classes = n_classes
-        self.d = d
 
     def init_state(self):
         return None
@@ -96,7 +94,7 @@ class _NaiveBayesFold:
     def partial(self, state, index: int, x_part: np.ndarray,
                 y_part: np.ndarray):
         """Per-class (counts, sums, sums of squares) of one partition."""
-        n_classes, d = self.n_classes, self.d
+        n_classes = self.n_classes
         x = np.asarray(x_part, dtype=np.float64)
         y = np.asarray(y_part).ravel().astype(np.int64)
         if len(y) and (y.min() < 0 or y.max() >= n_classes):
@@ -105,11 +103,8 @@ class _NaiveBayesFold:
                 f"[{y.min()}, {y.max()}]"
             )
         counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-        sums = np.zeros((n_classes, d))
-        squares = np.zeros((n_classes, d))
-        np.add.at(sums, y, x)
-        np.add.at(squares, y, x * x)
-        return counts, sums, squares
+        return (counts, per_class_sums(y, x, n_classes),
+                per_class_sums(y, x * x, n_classes))
 
     def merge(self, partials: list):
         counts = np.sum([r[0] for r in partials], axis=0)
@@ -165,45 +160,6 @@ def hpdnaivebayes(responses: DArray, features: DArray,
     if n_classes < 2:
         raise ModelError(f"need at least 2 classes, inferred {n_classes}")
 
-    fold = _NaiveBayesFold(n_classes, features.ncol)
+    fold = _NaiveBayesFold(n_classes)
     counts, sums, squares = fold_fit(features, fold, responses)
     return model_from_moments(counts, sums, squares)
-
-
-def register_naive_bayes_support(cluster) -> None:
-    """Register the codec and the ``nbPredict`` UDF on a cluster.
-
-    This goes through exactly the public extension points §5 describes for
-    custom models: :func:`repro.deploy.register_model_codec` and
-    :func:`repro.deploy.make_prediction_function`.
-    """
-    from repro.deploy import make_prediction_function, register_model_codec
-    from repro.deploy.serialize import pack_sufficient_stats, unpack_sufficient_stats
-    from repro.storage.encoding import SqlType
-
-    def to_state(m: NaiveBayesModel):
-        metadata = {"n_observations": m.n_observations}
-        arrays = {"log_priors": m.class_log_priors, "means": m.means,
-                  "variances": m.variances}
-        pack_sufficient_stats(arrays, metadata, m.sufficient_stats)
-        return metadata, arrays
-
-    def from_state(meta, arrays):
-        return NaiveBayesModel(
-            class_log_priors=arrays["log_priors"],
-            means=arrays["means"],
-            variances=arrays["variances"],
-            n_observations=meta["n_observations"],
-            sufficient_stats=unpack_sufficient_stats(meta, arrays),
-        )
-
-    register_model_codec("naivebayes", NaiveBayesModel, to_state, from_state)
-    cluster.register_udtf(
-        make_prediction_function(
-            "nbPredict", "naivebayes",
-            lambda model, feats, params: model.predict(feats).astype(np.int64),
-            output_column="label",
-            output_sql_type=SqlType.INTEGER,
-        ),
-        replace=True,
-    )

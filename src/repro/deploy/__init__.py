@@ -12,10 +12,8 @@ from repro.deploy.deploy import (
 from repro.deploy.predict_functions import (
     GlmPredict,
     KmeansPredict,
-    MfPredict,
     NbPredict,
     RfPredict,
-    SvmPredict,
     make_prediction_function,
     standard_prediction_functions,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "GlmPredict",
     "KmeansPredict",
     "RfPredict",
-    "SvmPredict",
-    "MfPredict",
     "NbPredict",
     "make_prediction_function",
     "standard_prediction_functions",

@@ -1,4 +1,5 @@
-"""In-database prediction UDFs: ``GlmPredict``, ``KmeansPredict``, ``RfPredict``.
+"""In-database prediction UDFs: ``GlmPredict``, ``KmeansPredict``, ``RfPredict``,
+``NbPredict``.
 
 These are the transform functions of §5 / Figures 15–16: invoked as
 
@@ -27,8 +28,6 @@ __all__ = [
     "GlmPredict",
     "KmeansPredict",
     "RfPredict",
-    "SvmPredict",
-    "MfPredict",
     "NbPredict",
     "make_prediction_function",
     "standard_prediction_functions",
@@ -143,32 +142,6 @@ class RfPredict(_PredictBase):
         return np.asarray(predictions, dtype=np.float64)
 
 
-class SvmPredict(_PredictBase):
-    """Classify rows with a deployed linear SVM (0/1 labels)."""
-
-    name = "svmPredict"
-    expected_model_type = "svm"
-    output_column = "label"
-    output_sql_type = SqlType.INTEGER
-
-    def score(self, model, features, params):
-        return np.asarray(model.predict(features), dtype=np.int64)
-
-
-class MfPredict(_PredictBase):
-    """Predicted ratings from a deployed factorization.
-
-    Input columns are ``(user, item)`` id pairs rather than a dense feature
-    matrix — the sparse layout the factorization trained on.
-    """
-
-    name = "mfPredict"
-    expected_model_type = "mf"
-
-    def score(self, model, features, params):
-        return np.asarray(model.predict(features), dtype=np.float64)
-
-
 class NbPredict(_PredictBase):
     """Most-likely class from a deployed Gaussian naive Bayes model."""
 
@@ -218,5 +191,4 @@ def make_prediction_function(
 
 def standard_prediction_functions() -> list[TransformFunction]:
     """The prediction UDFs installed by default."""
-    return [GlmPredict(), KmeansPredict(), RfPredict(), SvmPredict(),
-            MfPredict(), NbPredict()]
+    return [GlmPredict(), KmeansPredict(), RfPredict(), NbPredict()]

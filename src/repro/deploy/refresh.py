@@ -12,10 +12,10 @@ exactly the rows committed in ``(commit_epoch, snapshot]``:
   :meth:`~repro.vertica.cluster.VerticaCluster.gather_table` with
   ``since_epoch``, add their moments, and re-solve the small system.  Cost
   scales with the delta, not the table.
-* every other family (Lloyd centers, SGD iterates, forests) has no additive
-  state, so the refresh is a full refit at the snapshot — still driven by
-  the model's recorded training provenance, through the same unified fold
-  drivers.
+* every other family (Lloyd centers, forests, non-gaussian GLMs) has no
+  additive state, so the refresh is a full refit at the snapshot — still
+  driven by the model's recorded training provenance, through the same
+  solvers.
 
 Guards force the full refit whenever the delta cannot be trusted:
 
@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["refresh_model", "RefreshResult"]
 
 #: Algorithms refresh_model knows how to refit from training provenance.
-_REFITTABLE = ("glm", "kmeans", "naivebayes", "svm", "mf", "randomforest")
+_REFITTABLE = ("glm", "kmeans", "naivebayes", "randomforest")
 
 
 @dataclass
@@ -122,26 +122,24 @@ def _refresh_glm(model: Any, delta_features: np.ndarray,
 
 def _refresh_naive_bayes(model: Any, delta_features: np.ndarray,
                          delta_responses: np.ndarray) -> Any | None:
-    """Fold delta rows into naive Bayes class moments; None when the stats
-    are missing or the delta introduces an unseen class (shape change →
-    refit)."""
-    from repro.algorithms.naive_bayes import model_from_moments
+    """Fold delta rows into naive Bayes class moments with the fit's own
+    fold; None when the stats are missing or the delta introduces an unseen
+    class (shape change → refit)."""
+    from repro.algorithms.naive_bayes import _NaiveBayesFold, model_from_moments
 
     stats = getattr(model, "sufficient_stats", None)
     if stats is None:
         return None
-    counts = np.asarray(stats["counts"], dtype=np.float64).copy()
-    sums = np.asarray(stats["sums"], dtype=np.float64).copy()
-    squares = np.asarray(stats["squares"], dtype=np.float64).copy()
+    stored = tuple(np.asarray(stats[key], dtype=np.float64)
+                   for key in ("counts", "sums", "squares"))
     labels = np.asarray(delta_responses).ravel().astype(np.int64)
     if labels.min(initial=0) < 0:
         raise ModelError("naive Bayes labels must be non-negative integers")
-    if labels.max(initial=-1) >= len(counts):
+    if labels.max(initial=-1) >= len(stored[0]):
         return None  # new class appeared: parameter shape changes, refit
-    counts += np.bincount(labels, minlength=len(counts))
-    np.add.at(sums, labels, delta_features)
-    np.add.at(squares, labels, np.square(delta_features))
-    return model_from_moments(counts, sums, squares)
+    fold = _NaiveBayesFold(len(stored[0]))
+    delta = fold.partial(None, 0, delta_features, labels)
+    return model_from_moments(*fold.merge([stored, delta]))
 
 
 def _refit(cluster: "VerticaCluster", training: dict, snapshot) -> Any:
@@ -150,10 +148,8 @@ def _refit(cluster: "VerticaCluster", training: dict, snapshot) -> Any:
         LocalArray,
         hpdglm,
         hpdkmeans,
-        hpdmf,
         hpdnaivebayes,
         hpdrandomforest,
-        hpdsvm,
     )
 
     algorithm = training["algorithm"]
@@ -173,8 +169,6 @@ def _refit(cluster: "VerticaCluster", training: dict, snapshot) -> Any:
     features = LocalArray(matrix, npartitions=npartitions)
     if algorithm == "kmeans":
         return hpdkmeans(features, **params)
-    if algorithm == "mf":
-        return hpdmf(features, **params)
     if not response:
         raise ModelError(
             f"training provenance for {algorithm!r} must name a response column"
@@ -187,8 +181,6 @@ def _refit(cluster: "VerticaCluster", training: dict, snapshot) -> Any:
         return hpdglm(responses, features, **params)
     if algorithm == "naivebayes":
         return hpdnaivebayes(responses, features, **params)
-    if algorithm == "svm":
-        return hpdsvm(responses, features, **params)
     return hpdrandomforest(responses, features, **params)
 
 

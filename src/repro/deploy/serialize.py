@@ -180,10 +180,8 @@ def unpack_sufficient_stats(metadata: dict, arrays: dict) -> dict | None:
 def _register_builtin_codecs() -> None:
     from repro.algorithms.glm import GlmModel
     from repro.algorithms.kmeans import KMeansModel
-    from repro.algorithms.mf import MfModel
     from repro.algorithms.naive_bayes import NaiveBayesModel
     from repro.algorithms.random_forest import DecisionTree, RandomForestModel
-    from repro.algorithms.svm import SvmModel
 
     def glm_to_state(model: GlmModel):
         metadata = {
@@ -244,59 +242,6 @@ def _register_builtin_codecs() -> None:
     register_model_codec(
         "naivebayes", NaiveBayesModel, naive_bayes_to_state, naive_bayes_from_state
     )
-
-    def svm_to_state(model: SvmModel):
-        metadata = {
-            "bias": model.bias,
-            "regularization": model.regularization,
-            "iterations": model.iterations,
-            "converged": model.converged,
-            "n_observations": model.n_observations,
-            "feature_names": model.feature_names,
-        }
-        return metadata, {"weights": model.weights}
-
-    def svm_from_state(metadata, arrays):
-        return SvmModel(
-            weights=arrays["weights"],
-            bias=metadata["bias"],
-            regularization=metadata["regularization"],
-            iterations=metadata["iterations"],
-            converged=metadata["converged"],
-            n_observations=metadata["n_observations"],
-            feature_names=list(metadata["feature_names"]),
-        )
-
-    register_model_codec("svm", SvmModel, svm_to_state, svm_from_state)
-
-    def mf_to_state(model: MfModel):
-        metadata = {
-            "rank": model.rank,
-            "regularization": model.regularization,
-            "iterations": model.iterations,
-            "converged": model.converged,
-            "n_observations": model.n_observations,
-            "train_rmse": model.train_rmse,
-        }
-        arrays = {
-            "user_factors": model.user_factors,
-            "item_factors": model.item_factors,
-        }
-        return metadata, arrays
-
-    def mf_from_state(metadata, arrays):
-        return MfModel(
-            user_factors=arrays["user_factors"],
-            item_factors=arrays["item_factors"],
-            rank=metadata["rank"],
-            regularization=metadata["regularization"],
-            iterations=metadata["iterations"],
-            converged=metadata["converged"],
-            n_observations=metadata["n_observations"],
-            train_rmse=metadata["train_rmse"],
-        )
-
-    register_model_codec("mf", MfModel, mf_to_state, mf_from_state)
 
     def kmeans_to_state(model: KMeansModel):
         metadata = {

@@ -30,8 +30,8 @@ FAULT_SITES: dict[str, str] = {
     "txn.moveout": "Tuple Mover moveout pass, per segment",
     "txn.mergeout": "Tuple Mover mergeout pass, per segment",
     "dfs.read": "DFS blob fetch: replica loss on the read path",
-    "ml.fold.step": "unified solver drivers (fold_fit/sgd_fit): master "
-                    "failure between fan-outs, once per iteration or epoch",
+    "ml.fold.step": "unified solver driver (fold_fit): master failure "
+                    "between fan-outs, once per iteration",
     "serving.admit": "serving pool worker at slot grant: a stall holds the "
                      "slot (queue backs up, admissions time out); an error "
                      "fails the admitted statement",

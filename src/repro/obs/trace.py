@@ -61,9 +61,8 @@ SPAN_TAXONOMY: dict[str, str] = {
     "yarn.release": "DR session container release",
     "fault.injected": "a FaultPlan spec fired at an injection site",
     "fault.recovered": "a recovery layer absorbed an injected fault",
-    "ml.fold": "one solver run through the unified fold_fit/sgd_fit driver",
+    "ml.fold": "one solver run through the unified fold_fit driver",
     "ml.fold.step": "one synchronized partition-fold iteration (fold_fit)",
-    "ml.sgd.epoch": "one shuffle-once mini-batch SGD sweep (sgd_fit)",
     "serve.session": "a serving session's lifetime, opened by Server.session",
     "serve.admit": "admission control: queueing for a pool execution slot",
     "serve.execute": "one admitted statement running on a pool worker",

@@ -13,7 +13,6 @@ from repro.algorithms import (
     gaussian,
     hpdglm,
     hpdkmeans,
-    hpdpagerank,
     hpdrandomforest,
     log_loss,
     mean_squared_error,
@@ -384,50 +383,6 @@ class TestCrossValidation:
         y, x = fill_pair(session, data.features, data.responses)
         with pytest.raises(ModelError):
             cv_hpdglm(y, x, nfolds=1)
-
-
-class TestPageRank:
-    def test_matches_networkx(self, session):
-        networkx = pytest.importorskip("networkx")
-        rng = np.random.default_rng(19)
-        edges = rng.integers(0, 30, size=(300, 2))
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        edges = np.unique(edges, axis=0)  # networkx collapses parallel edges
-        graph = networkx.DiGraph()
-        graph.add_nodes_from(range(30))
-        graph.add_edges_from(map(tuple, edges))
-        expected = networkx.pagerank(graph, alpha=0.85, tol=1e-10)
-
-        earray = session.darray(npartitions=3, dtype=np.int64)
-        earray.fill_from(edges.astype(np.float64))
-        result = hpdpagerank(earray, n_nodes=30, tolerance=1e-12,
-                             max_iterations=200)
-        ours = result.ranks / result.ranks.sum()
-        theirs = np.array([expected[i] for i in range(30)])
-        assert np.allclose(ours, theirs, atol=1e-4)
-
-    def test_ranks_sum_to_one(self, session):
-        edges = np.array([[0, 1], [1, 2], [2, 0], [3, 0]], dtype=float)
-        earray = session.darray(npartitions=2)
-        earray.fill_from(edges)
-        result = hpdpagerank(earray, n_nodes=4)
-        assert result.ranks.sum() == pytest.approx(1.0, abs=1e-6)
-
-    def test_top_returns_descending(self, session):
-        edges = np.array([[1, 0], [2, 0], [3, 0], [3, 1]], dtype=float)
-        earray = session.darray(npartitions=1)
-        earray.fill_from(edges)
-        result = hpdpagerank(earray, n_nodes=4)
-        top = result.top(4)
-        assert top[0][0] == 0
-        ranks = [r for _, r in top]
-        assert ranks == sorted(ranks, reverse=True)
-
-    def test_bad_damping_rejected(self, session):
-        earray = session.darray(npartitions=1)
-        earray.fill_from(np.array([[0.0, 1.0]]))
-        with pytest.raises(ModelError):
-            hpdpagerank(earray, damping=1.5)
 
 
 class TestRBaseline:

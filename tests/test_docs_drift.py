@@ -175,3 +175,27 @@ def test_architecture_map_links_the_subsystem_docs():
     assert not missing, (
         f"docs not linked from docs/architecture.md: {sorted(missing)}"
     )
+
+
+# ---------------------------------------------------------------------------
+# Built-in UDTFs: docs/sql_reference.md's table vs the installed functions
+# ---------------------------------------------------------------------------
+
+def test_builtin_udtf_table_matches_installed_functions():
+    """The table lists exactly the UDTFs install_standard_functions
+    registers: ExportToDistributedR plus every standard prediction
+    function."""
+    from repro.deploy import standard_prediction_functions
+    from repro.transfer import ExportToDistributedR
+
+    text = SQL_DOC.read_text()
+    match = re.search(r"## Transform functions \(UDTFs\)\n(.*?)\n## ", text,
+                      re.DOTALL)
+    assert match, "docs/sql_reference.md lost its UDTF section"
+    documented = re.findall(r"^\| `(\w+)\(", match.group(1), re.MULTILINE)
+    installed = [ExportToDistributedR.name] + [
+        udtf.name for udtf in standard_prediction_functions()]
+    assert sorted(documented) == sorted(installed), (
+        f"docs/sql_reference.md UDTF table {sorted(documented)} != "
+        f"installed built-ins {sorted(installed)}"
+    )

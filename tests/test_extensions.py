@@ -1,15 +1,9 @@
-"""Tests for the extension features: COPY CSV, EXPLAIN, naive Bayes, and
-connected components."""
+"""Tests for the extension features: COPY CSV, EXPLAIN, and naive Bayes."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    accuracy,
-    hpdconnectedcomponents,
-    hpdnaivebayes,
-    register_naive_bayes_support,
-)
+from repro.algorithms import accuracy, hpdnaivebayes
 from repro.deploy import deploy_model, deserialize_model, serialize_model
 from repro.errors import CatalogError, ModelError, SqlSyntaxError, StorageError
 from repro.vertica import VerticaCluster, copy_from_csv, write_csv
@@ -199,18 +193,16 @@ class TestNaiveBayes:
 
     def test_serialization_roundtrip(self, session):
         dataset, y, x = self.make_labeled(session, n=600, seed=6)
-        cluster = VerticaCluster(node_count=2)
-        register_naive_bayes_support(cluster)
         model = hpdnaivebayes(y, x)
         restored = deserialize_model(serialize_model(model))
         assert np.array_equal(restored.predict(dataset.points[:100]),
                               model.predict(dataset.points[:100]))
 
     def test_full_custom_model_deploy_and_sql_predict(self, session):
-        """The §5 extension path end to end for a user-defined model type."""
+        """Deploy a fitted model and score it in SQL with the built-in
+        nbPredict."""
         dataset, y, x = self.make_labeled(session, n=1200, seed=7)
         cluster = VerticaCluster(node_count=3)
-        register_naive_bayes_support(cluster)
         rng = np.random.default_rng(8)
         columns = {"k": rng.integers(0, 10**6, 600),
                    **{f"f{j}": dataset.points[:600, j] for j in range(4)}}
@@ -227,57 +219,3 @@ class TestNaiveBayes:
         table = cluster.gather_table("score_me", [f"f{j}" for j in range(4)])
         local = model.predict(np.column_stack([table[f"f{j}"] for j in range(4)]))
         assert np.array_equal(np.sort(result.column("label")), np.sort(local))
-
-
-class TestConnectedComponents:
-    def edges_to_darray(self, session, edges, npartitions=3):
-        arr = session.darray(npartitions=npartitions)
-        arr.fill_from(np.asarray(edges, dtype=np.float64))
-        return arr
-
-    def test_two_components(self, session):
-        edges = [[0, 1], [1, 2], [3, 4]]
-        result = hpdconnectedcomponents(
-            self.edges_to_darray(session, edges, 2), n_nodes=5)
-        assert result.converged
-        assert result.n_components == 2
-        assert result.same_component(0, 2)
-        assert result.same_component(3, 4)
-        assert not result.same_component(0, 3)
-
-    def test_isolated_nodes_are_singletons(self, session):
-        edges = [[0, 1]]
-        result = hpdconnectedcomponents(
-            self.edges_to_darray(session, edges, 1), n_nodes=4)
-        assert result.n_components == 3
-        sizes = result.component_sizes()
-        assert sizes[0] == 2 and sizes[2] == 1 and sizes[3] == 1
-
-    def test_matches_networkx(self, session):
-        networkx = pytest.importorskip("networkx")
-        rng = np.random.default_rng(9)
-        edges = rng.integers(0, 60, size=(80, 2))
-        graph = networkx.Graph()
-        graph.add_nodes_from(range(60))
-        graph.add_edges_from(map(tuple, edges))
-        expected = list(networkx.connected_components(graph))
-        result = hpdconnectedcomponents(
-            self.edges_to_darray(session, edges.astype(float)), n_nodes=60)
-        assert result.n_components == len(expected)
-        for component in expected:
-            members = sorted(component)
-            labels = {int(result.labels[m]) for m in members}
-            assert len(labels) == 1
-
-    def test_chain_converges_in_diameter_passes(self, session):
-        chain = [[i, i + 1] for i in range(30)]
-        result = hpdconnectedcomponents(
-            self.edges_to_darray(session, chain, 3), n_nodes=31)
-        assert result.converged
-        assert result.n_components == 1
-
-    def test_wrong_shape_rejected(self, session):
-        arr = session.darray(npartitions=1)
-        arr.fill_from(np.ones((4, 3)))
-        with pytest.raises(ModelError):
-            hpdconnectedcomponents(arr)

@@ -1,10 +1,9 @@
 """Tests for the unified partition-fold solver kernel.
 
-Covers the :mod:`repro.algorithms.fold` drivers (``fold_fit`` / ``sgd_fit``
-/ ``LocalArray``), the SGD families built on them (linear SVM, matrix
-factorization), carrier-independence of the ported solvers (a fit over a
-``LocalArray`` matches the same fit over a distributed darray), and
-cross-validation over the unified fold interface: seeded shuffle
+Covers the :mod:`repro.algorithms.fold` driver (``fold_fit`` /
+``LocalArray``), its shared per-class sum kernel, carrier-independence of
+the ported solvers (a fit over a ``LocalArray`` matches the same fit over a
+distributed darray), and cross-validation over the unified fold interface: seeded shuffle
 determinism, fold-count edge cases, and CV-score parity against closed-form
 per-fold fits.
 """
@@ -15,16 +14,13 @@ import pytest
 from repro.algorithms import (
     LocalArray,
     PartitionFold,
-    SgdFold,
     cv_hpdglm,
     fold_fit,
     hpdglm,
     hpdkmeans,
-    hpdmf,
     hpdnaivebayes,
-    hpdsvm,
-    sgd_fit,
 )
+from repro.algorithms.fold import per_class_sums
 from repro.errors import ModelError, PartitionError
 from repro.spark import SparkContext
 from repro.vertica import DistributedFileSystem
@@ -143,7 +139,27 @@ class TestFoldFit:
 
     def test_protocols_are_runtime_checkable(self):
         assert isinstance(_ColumnSumFold(), PartitionFold)
-        assert not isinstance(_ColumnSumFold(), SgdFold)
+        assert not isinstance(object(), PartitionFold)
+
+
+class TestPerClassSums:
+    """per_class_sums is the one grouped-sum kernel of the K-means and naive
+    Bayes partials; it must reproduce np.add.at bit for bit."""
+
+    @pytest.mark.parametrize("rows, d, k", [
+        (100_000, 8, 8), (25_000, 20, 50), (7, 3, 3), (0, 4, 5), (1_000, 1, 6),
+    ])
+    def test_bit_identical_to_add_at(self, rows, d, k):
+        rng = np.random.default_rng(rows + d + k)
+        # Mixed magnitudes make any change of addition order visible.
+        scale = rng.choice([1e-8, 1.0, 1e8], size=(rows, 1))
+        values = rng.normal(size=(rows, d)) * scale
+        labels = rng.integers(0, k, size=rows)
+        expected = np.zeros((k, d))
+        np.add.at(expected, labels, values)
+        got = per_class_sums(labels, values, k)
+        assert got.shape == (k, d)
+        assert np.array_equal(got, expected)
 
 
 class TestCarrierIndependence:
@@ -202,173 +218,6 @@ class TestCarrierIndependence:
         assert np.allclose(distributed.means, local.means, atol=1e-12)
         assert np.allclose(distributed.class_log_priors,
                            local.class_log_priors, atol=1e-12)
-
-    def test_svm_matches_across_carriers(self, session):
-        data = make_classification(600, 2, seed=24,
-                                   coefficients=np.array([2.0, -2.0]))
-        y, x = fill_pair(session, data.features, data.responses.astype(float))
-        distributed = hpdsvm(y, x, epochs=10, seed=3)
-        local = hpdsvm(
-            LocalArray(data.responses.astype(float), npartitions=3),
-            LocalArray(data.features, npartitions=3),
-            epochs=10, seed=3,
-        )
-        assert np.allclose(distributed.weights, local.weights, atol=1e-12)
-        assert distributed.bias == pytest.approx(local.bias)
-
-
-class _RecordingSgdFold:
-    """Logs the (epoch, partition) visit sequence; never converges."""
-
-    solver = "test.record"
-
-    def __init__(self):
-        self.visits = []
-
-    def init_state(self):
-        return 0.0
-
-    def gradient(self, state, index, partition):
-        self.visits.append(index)
-        return float(partition.sum())
-
-    def apply(self, state, gradient, step_index):
-        return state + gradient
-
-    def epoch_end(self, state, epoch):
-        return state
-
-    def converged(self, state):
-        return False
-
-
-class TestSgdFit:
-    def test_shuffle_once_order_repeats_across_epochs(self):
-        data = LocalArray(np.ones((12, 1)), npartitions=6)
-        fold = _RecordingSgdFold()
-        sgd_fit(data, fold, epochs=3, seed=9)
-        expected = np.random.default_rng(9).permutation(6).tolist()
-        assert fold.visits == expected * 3
-
-    def test_same_seed_same_updates(self):
-        data = LocalArray(np.arange(12, dtype=float), npartitions=6)
-        one = sgd_fit(data, _RecordingSgdFold(), epochs=2, seed=4)
-        two = sgd_fit(data, _RecordingSgdFold(), epochs=2, seed=4)
-        assert one == two
-
-    def test_different_seeds_visit_differently(self):
-        data = LocalArray(np.ones((12, 1)), npartitions=6)
-        first, second = _RecordingSgdFold(), _RecordingSgdFold()
-        sgd_fit(data, first, epochs=1, seed=0)
-        sgd_fit(data, second, epochs=1, seed=1)
-        assert first.visits != second.visits
-
-    def test_zero_epochs_rejected(self):
-        with pytest.raises(ModelError):
-            sgd_fit(LocalArray(np.ones((4, 1))), _RecordingSgdFold(),
-                    epochs=0)
-
-    def test_mismatched_companions_rejected(self):
-        x = LocalArray(np.ones((6, 1)), npartitions=3)
-        y = LocalArray(np.ones((6, 1)), npartitions=2)
-        with pytest.raises(ModelError):
-            sgd_fit(x, _RecordingSgdFold(), y)
-
-
-class TestSvm:
-    def separable(self, seed=31):
-        return make_classification(800, 2, seed=seed,
-                                   coefficients=np.array([3.0, -3.0]))
-
-    def test_separates_linearly_separable_data(self):
-        data = self.separable()
-        model = hpdsvm(LocalArray(data.responses.astype(float), npartitions=4),
-                       LocalArray(data.features, npartitions=4))
-        from repro.algorithms import accuracy
-        # make_classification draws labels through a logistic, so the Bayes
-        # rate itself is below 1; 0.85 is comfortably above chance.
-        assert accuracy(data.responses, model.predict(data.features)) > 0.85
-        # The learned hyperplane points the same way as the truth.
-        assert model.weights[0] > 0 and model.weights[1] < 0
-
-    def test_deterministic_under_seed(self):
-        data = self.separable(seed=32)
-        y = LocalArray(data.responses.astype(float), npartitions=4)
-        x = LocalArray(data.features, npartitions=4)
-        one = hpdsvm(y, x, epochs=8, seed=7)
-        two = hpdsvm(y, x, epochs=8, seed=7)
-        assert np.array_equal(one.weights, two.weights)
-        assert one.bias == two.bias
-
-    def test_signed_labels_accepted(self):
-        data = self.separable(seed=33)
-        signed = 2.0 * data.responses.astype(float) - 1.0
-        model = hpdsvm(LocalArray(signed, npartitions=2),
-                       LocalArray(data.features, npartitions=2), epochs=5)
-        assert model.n_observations == 800
-
-    def test_bad_labels_rejected(self):
-        with pytest.raises(ModelError):
-            hpdsvm(LocalArray(np.array([0.0, 1.0, 2.0])),
-                   LocalArray(np.zeros((3, 2))))
-
-    def test_mismatched_partitioning_rejected(self):
-        with pytest.raises(ModelError):
-            hpdsvm(LocalArray(np.zeros(6), npartitions=2),
-                   LocalArray(np.zeros((6, 2)), npartitions=3))
-
-    def test_zero_rows_rejected(self):
-        with pytest.raises(ModelError):
-            hpdsvm(LocalArray(np.empty((0, 1))), LocalArray(np.empty((0, 2))))
-
-    def test_decision_function_checks_width(self):
-        data = self.separable(seed=34)
-        model = hpdsvm(LocalArray(data.responses.astype(float)),
-                       LocalArray(data.features), epochs=3)
-        with pytest.raises(ModelError):
-            model.decision_function(np.zeros((5, 3)))
-
-
-class TestMf:
-    def ratings(self, seed=41, n_users=20, n_items=15, rank=2):
-        rng = np.random.default_rng(seed)
-        u = rng.normal(size=(n_users, rank))
-        v = rng.normal(size=(n_items, rank))
-        users, items = np.meshgrid(np.arange(n_users), np.arange(n_items))
-        triples = np.column_stack([
-            users.ravel().astype(float),
-            items.ravel().astype(float),
-            np.einsum("ij,ij->i", u[users.ravel()], v[items.ravel()]),
-        ])
-        return triples
-
-    def test_recovers_low_rank_structure(self):
-        triples = self.ratings()
-        model = hpdmf(LocalArray(triples, npartitions=5), rank=4, seed=1)
-        assert model.train_rmse < 0.2
-        predicted = model.predict(triples[:, :2])
-        assert np.sqrt(np.mean((predicted - triples[:, 2]) ** 2)) < 0.2
-
-    def test_deterministic_under_seed(self):
-        triples = self.ratings(seed=42)
-        data = LocalArray(triples, npartitions=5)
-        one = hpdmf(data, rank=3, epochs=10, seed=6)
-        two = hpdmf(data, rank=3, epochs=10, seed=6)
-        assert np.array_equal(one.user_factors, two.user_factors)
-        assert np.array_equal(one.item_factors, two.item_factors)
-
-    def test_predict_validates_pair_shape(self):
-        model = hpdmf(LocalArray(self.ratings(seed=43)), rank=2, epochs=2)
-        with pytest.raises(ModelError):
-            model.predict(np.zeros((4, 3)))
-
-    def test_predict_validates_id_ranges(self):
-        model = hpdmf(LocalArray(self.ratings(seed=44)), rank=2, epochs=2)
-        with pytest.raises(ModelError):
-            model.predict(np.array([[999.0, 0.0]]))
-        with pytest.raises(ModelError):
-            model.predict(np.array([[0.0, -1.0]]))
-
 
 def local_fold_ids(n, npartitions, nfolds, seed):
     """Reconstruct cv._fold_assignment's per-partition deterministic ids."""

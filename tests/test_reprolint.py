@@ -223,12 +223,12 @@ def _udf_project(tmp_path: Path, *, register: bool, document: bool) -> ProjectCo
     module = tmp_path / "src/repro/deploy/predict_functions.py"
     module.parent.mkdir(parents=True)
     body = """
-        class SvmPredict:
-            name = "svmPredict"
+        class ScorePredict:
+            name = "scorePredict"
 
         def standard_prediction_functions():
             return [{factory}]
-    """.format(factory="SvmPredict()" if register else "")
+    """.format(factory="ScorePredict()" if register else "")
     module.write_text(textwrap.dedent(body), encoding="utf-8")
 
     cluster = tmp_path / "src/repro/vertica/cluster.py"
@@ -242,7 +242,7 @@ def _udf_project(tmp_path: Path, *, register: bool, document: bool) -> ProjectCo
     docs = tmp_path / "docs/sql_reference.md"
     docs.parent.mkdir(parents=True)
     docs.write_text(
-        "| svmPredict | model |\n" if document else "nothing here\n",
+        "| scorePredict | model |\n" if document else "nothing here\n",
         encoding="utf-8",
     )
     return ProjectContext(tmp_path, [])
@@ -256,7 +256,7 @@ def test_udf_catalog_flags_unregistered_and_undocumented(tmp_path):
     assert len(violations) == 2
     assert "never be registered" in violations[0].message
     assert "not documented" in violations[1].message
-    assert all(v.symbol == "SvmPredict" for v in violations)
+    assert all(v.symbol == "ScorePredict" for v in violations)
 
 
 def test_udf_catalog_clean_when_registered_and_documented(tmp_path):
