@@ -202,6 +202,12 @@ CATALOG: dict[str, InstrumentSpec] = {
         _spec("vft_frame_bytes", "histogram", "bytes",
               "Size distribution of individual VFT wire frames.",
               "repro.transfer.vft"),
+        _spec("vft_blocks_forwarded", "counter", "blocks",
+              "Column blocks VFT put on the wire as stored (whole row groups).",
+              "repro.transfer.vft"),
+        _spec("vft_blocks_reencoded", "counter", "blocks",
+              "Column blocks VFT compressed afresh for a frame.",
+              "repro.transfer.vft"),
         _spec("transfer_retries", "counter", "1",
               "VFT retries: frame resends plus whole-transfer re-attempts.",
               "repro.transfer.vft"),
@@ -209,7 +215,7 @@ CATALOG: dict[str, InstrumentSpec] = {
               "Duplicate VFT frames skipped by resend-from-last-acked dedup.",
               "repro.transfer.vft"),
         _spec("vft_db_seconds", "counter", "seconds",
-              "Database half of VFT loads (scan/encode/stream).",
+              "Database half of VFT loads (scan/frame/stream).",
               "repro.transfer.db2darray"),
         _spec("vft_r_seconds", "counter", "seconds",
               "R half of VFT loads (parse staged bytes, build darray).",

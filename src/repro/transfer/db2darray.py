@@ -62,11 +62,9 @@ def _run_transfer(
     policy.validate(cluster.node_count, session.node_count)
 
     if chunk_rows is None:
-        # The paper's hint: table rows divided by the number of receiving R
-        # instances, bounded to keep frames reasonably sized.
-        total_rows = cluster.catalog.get_table(table_name).row_count
-        instances = max(session.total_instances, 1)
-        chunk_rows = int(np.clip(total_rows // instances or 1, 1_024, 262_144))
+        chunk_rows = policy.default_chunk_rows(
+            cluster.catalog.get_table(table_name).row_count,
+            session.total_instances)
 
     retry_policy = retry if retry is not None else RetryPolicy()
     target = TransferTarget(session, policy, columns, sql_types,
@@ -121,7 +119,8 @@ def _transfer_attempt(
         f"FROM {table_name}{where_clause}"
     )
     # The Fig 14 breakdown, measured functionally: the SQL query is the
-    # DB part (scan, decompress, re-encode, stream); finalize() is the
+    # DB part (scan, frame — forwarding whole stored row groups' blocks,
+    # compressing any other window — and stream); finalize() is the
     # R part (parse staged bytes, build the distributed object).  The
     # cluster's "query" span and the finalize span both nest under one
     # vft.transfer span, so the same breakdown shows up in trace form.
@@ -167,6 +166,11 @@ def db2darray(
     With ``policy="locality"`` the resulting partitions mirror the table's
     per-node segments (one partition per database node, unequal sizes);
     with ``policy="uniform"`` each worker receives an even share.
+    ``chunk_rows`` is the partition-size hint, the rows buffered per frame.
+    By default it is one stored row group (65 536 rows) under the locality
+    policy, so each whole row group ships as the blocks the table stores,
+    and table rows over receiving R instances (clipped to 1 024–262 144)
+    under the uniform policy, whose unit of distribution is the frame.
     ``retry`` tunes failure recovery (frame resends and whole-transfer
     re-attempts); the default policy retries up to 3 times.
     """

@@ -14,7 +14,10 @@ worker receives it?*
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import TransferError
+from repro.vertica.table import DEFAULT_ROWGROUP_ROWS
 
 __all__ = ["TransferPolicy", "LocalityPreserving", "UniformDistribution", "get_policy"]
 
@@ -34,6 +37,10 @@ class TransferPolicy:
 
     def partition_count(self, db_node_count: int, worker_count: int) -> int:
         """How many darray partitions the load produces."""
+        raise NotImplementedError
+
+    def default_chunk_rows(self, total_rows: int, instances: int) -> int:
+        """The partition-size hint a load uses when its caller gives none."""
         raise NotImplementedError
 
     def partition_for_worker(self, worker: int) -> int:
@@ -62,6 +69,12 @@ class LocalityPreserving(TransferPolicy):
     def partition_count(self, db_node_count: int, worker_count: int) -> int:
         return db_node_count
 
+    def default_chunk_rows(self, total_rows: int, instances: int) -> int:
+        # Every frame of node i lands on worker i, so frame boundaries never
+        # change a partition.  One stored row group per frame lets VFT ship
+        # the row group's blocks as stored.
+        return DEFAULT_ROWGROUP_ROWS
+
 
 class UniformDistribution(TransferPolicy):
     """Figure 6: each UDF instance round-robins chunks over all workers."""
@@ -76,6 +89,12 @@ class UniformDistribution(TransferPolicy):
 
     def partition_count(self, db_node_count: int, worker_count: int) -> int:
         return worker_count
+
+    def default_chunk_rows(self, total_rows: int, instances: int) -> int:
+        # Frames are the unit of distribution: the paper's hint, table rows
+        # over receiving R instances, bounded to keep frames reasonably
+        # sized.
+        return int(np.clip(total_rows // max(instances, 1) or 1, 1_024, 262_144))
 
 
 _POLICIES = {

@@ -2,9 +2,12 @@
 
 VFT ships *column blocks* (the database's native compressed format) rather
 than rows of text: each chunk on the wire is a frame holding one block per
-requested column.  Receivers stage raw frames in worker shm buffers and parse
-them into numpy matrices only once a stream completes (§3.3's two-step
-receive).
+requested column.  A frame that is one whole stored row group carries the
+blocks the ROS already holds (:func:`frame_of_blocks`); any other chunk is
+compressed into blocks on the way out (:func:`encode_frame`), with the same
+codec, so both give the same bytes for the same rows.  Receivers stage raw
+frames in worker shm buffers and parse them into numpy matrices only once a
+stream completes (§3.3's two-step receive).
 
 Frame layout::
 
@@ -16,6 +19,7 @@ Frame layout::
 from __future__ import annotations
 
 import struct
+from typing import Mapping
 
 import numpy as np
 
@@ -23,22 +27,31 @@ from repro.errors import TransferError
 from repro.storage.column import ColumnBlock
 from repro.storage.encoding import SqlType
 
-__all__ = ["encode_frame", "decode_frames", "validate_frame",
+__all__ = ["encode_frame", "frame_of_blocks", "decode_frames", "validate_frame",
            "frames_to_matrix", "frames_to_columns"]
 
 
 def encode_frame(columns: dict[str, np.ndarray], sql_types: dict[str, SqlType],
                  codec: str = "zlib") -> bytes:
     """Encode one chunk of rows (as per-column arrays) into a wire frame."""
-    if not columns:
-        raise TransferError("cannot encode an empty frame")
-    parts = [struct.pack("<I", len(columns))]
+    blocks = {}
     for name, values in columns.items():
         try:
             sql_type = sql_types[name]
         except KeyError:
             raise TransferError(f"no SQL type known for column {name!r}") from None
-        block = ColumnBlock.from_values(np.asarray(values), sql_type, codec=codec)
+        blocks[name] = ColumnBlock.from_values(np.asarray(values), sql_type,
+                                               codec=codec)
+    return frame_of_blocks(blocks)
+
+
+def frame_of_blocks(blocks: Mapping[str, ColumnBlock]) -> bytes:
+    """Frame column blocks as they are, in ``blocks`` order: each block
+    travels as its own :meth:`~repro.storage.column.ColumnBlock.to_bytes`."""
+    if not blocks:
+        raise TransferError("cannot encode an empty frame")
+    parts = [struct.pack("<I", len(blocks))]
+    for name, block in blocks.items():
         block_bytes = block.to_bytes()
         name_bytes = name.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
@@ -50,9 +63,11 @@ def encode_frame(columns: dict[str, np.ndarray], sql_types: dict[str, SqlType],
     return b"".join(parts)
 
 
-def decode_frames(payload: bytes) -> list[dict[str, np.ndarray]]:
-    """Decode a concatenation of frames back into per-chunk column dicts."""
-    chunks: list[dict[str, np.ndarray]] = []
+def _parse_frames(payload: bytes) -> list[dict[str, ColumnBlock]]:
+    """Split a concatenation of frames into per-frame column blocks, still
+    compressed."""
+    frames: list[dict[str, ColumnBlock]] = []
+    view = memoryview(payload)  # block slices without copying the payload
     offset = 0
     total = len(payload)
     while offset < total:
@@ -62,7 +77,7 @@ def decode_frames(payload: bytes) -> list[dict[str, np.ndarray]]:
         offset += 4
         if column_count == 0 or column_count > 10_000:
             raise TransferError(f"implausible column count {column_count}")
-        chunk: dict[str, np.ndarray] = {}
+        frame: dict[str, ColumnBlock] = {}
         for _ in range(column_count):
             if offset + 2 > total:
                 raise TransferError("truncated column name length")
@@ -74,13 +89,19 @@ def decode_frames(payload: bytes) -> list[dict[str, np.ndarray]]:
                 raise TransferError("truncated block length")
             (block_length,) = struct.unpack_from("<Q", payload, offset)
             offset += 8
-            block_bytes = payload[offset:offset + block_length]
+            block_bytes = view[offset:offset + block_length]
             if len(block_bytes) != block_length:
                 raise TransferError("truncated column block")
             offset += block_length
-            chunk[name] = ColumnBlock.from_bytes(block_bytes).values()
-        chunks.append(chunk)
-    return chunks
+            frame[name] = ColumnBlock.from_bytes(block_bytes)
+        frames.append(frame)
+    return frames
+
+
+def decode_frames(payload: bytes) -> list[dict[str, np.ndarray]]:
+    """Decode a concatenation of frames back into per-chunk column dicts."""
+    return [{name: block.values() for name, block in frame.items()}
+            for frame in _parse_frames(payload)]
 
 
 def validate_frame(frame: bytes) -> None:
@@ -118,21 +139,27 @@ def frames_to_matrix(payload: bytes, column_order: list[str]) -> np.ndarray:
 
     This is the "convert to an R object" step: the per-stream chunks are
     concatenated in arrival order and the requested columns become matrix
-    columns in the caller's declared order.
+    columns in the caller's declared order.  The row count comes from the
+    block headers, so each block decodes straight into its slice of the
+    one preallocated matrix.
     """
-    chunks = decode_frames(payload)
-    if not chunks:
-        return np.empty((0, len(column_order)), dtype=np.float64)
-    pieces = []
-    for chunk in chunks:
-        missing = [c for c in column_order if c not in chunk]
+    frames = _parse_frames(payload)
+    row_counts = []
+    for frame in frames:
+        missing = [c for c in column_order if c not in frame]
         if missing:
             raise TransferError(f"frame missing columns {missing}")
-        matrix = np.column_stack([
-            np.asarray(chunk[name], dtype=np.float64) for name in column_order
-        ])
-        pieces.append(matrix)
-    return np.vstack(pieces)
+        counts = {frame[name].row_count for name in column_order}
+        if len(counts) != 1:
+            raise TransferError(f"frame columns disagree on row count: {counts}")
+        row_counts.append(counts.pop())
+    matrix = np.empty((sum(row_counts), len(column_order)), dtype=np.float64)
+    start = 0
+    for frame, rows in zip(frames, row_counts):
+        for j, name in enumerate(column_order):
+            matrix[start:start + rows, j] = frame[name].values()
+        start += rows
+    return matrix
 
 
 def frames_to_columns(payload: bytes, column_order: list[str]) -> dict[str, np.ndarray]:

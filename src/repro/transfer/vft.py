@@ -8,8 +8,12 @@ The control flow mirrors §3.1 exactly:
    partition-size hint, and the policy (Figure 4's three key arguments).
 2. Vertica's planner fans the UDF out (``OVER (PARTITION BEST)``); each
    instance reads its slice of the *local* segment, buffers rows up to the
-   size hint, encodes them as compressed column-block frames, and streams
-   them to the worker chosen by the distribution policy.
+   size hint, and streams each buffer as a frame of compressed column
+   blocks to the worker chosen by the distribution policy.  A buffer that
+   is exactly one whole, fully visible stored row group ships the blocks
+   the ROS already holds; any other buffer (WOS rows, deleted rows, a
+   WHERE, a cut or spanned row group, expression arguments) is compressed
+   afresh with the same codec, which gives the same bytes.
 3. Workers stage incoming frames in shm buffers; after the SQL query
    returns, :meth:`TransferTarget.finalize` converts each worker's staged
    bytes into numpy matrices and fills the (previously empty) darray
@@ -32,11 +36,13 @@ from repro.storage.encoding import ColumnSchema, SqlType
 from repro.transfer.policies import TransferPolicy
 from repro.transfer.streams import (
     encode_frame,
+    frame_of_blocks,
     frames_to_columns,
     frames_to_matrix,
     validate_frame,
 )
-from repro.vertica.pipeline import concat_batches
+from repro.vertica.pipeline import RowGroupBatch, concat_batches, slice_batch
+from repro.vertica.table import DEFAULT_ROWGROUP_ROWS
 from repro.vertica.udtf import TransformFunction, UdtfContext, UdtfSignature
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dr.dframe import DFrame
     from repro.dr.session import DRSession
     from repro.dr.worker import ShmBuffer
+    from repro.storage.rowgroup import RowGroup
 
 __all__ = ["TransferTarget", "ExportToDistributedR", "lookup_target"]
 
@@ -165,11 +172,13 @@ class TransferTarget:
 
         # Group streams by receiving worker, in deterministic (node, instance)
         # order, and concatenate their staged payloads.
-        payload_by_worker: dict[int, bytes] = {}
+        staged: dict[int, list[bytes]] = {}
         for (worker_index, db_node, instance) in sorted(streams):
             stream = streams[(worker_index, db_node, instance)]
-            chunk = self.session.workers[worker_index].close_stream(stream.stream_id)
-            payload_by_worker[worker_index] = payload_by_worker.get(worker_index, b"") + chunk
+            staged.setdefault(worker_index, []).append(
+                self.session.workers[worker_index].close_stream(stream.stream_id))
+        payload_by_worker = {worker: b"".join(chunks)
+                             for worker, chunks in staged.items()}
 
         if self.as_frame:
             result = DFrame(self.session, npartitions, worker_assignment=assignment)
@@ -219,7 +228,7 @@ class ExportToDistributedR(TransformFunction):
     * ``chunk_rows`` — the partition-size hint: how many rows to buffer
       before pushing a frame ("Partition sizes are used as hints by Vertica
       to determine how much data should be buffered before transferring to R
-      instances", §3.1).
+      instances", §3.1).  The default is one stored row group.
     * ``policy`` — informational; the authoritative policy object lives on
       the target.
     """
@@ -252,7 +261,7 @@ class ExportToDistributedR(TransformFunction):
         if not token:
             raise TransferError("ExportToDistributedR requires a 'target' parameter")
         target = lookup_target(str(token))
-        chunk_rows = int(params.get("chunk_rows", 65_536))
+        chunk_rows = int(params.get("chunk_rows", DEFAULT_ROWGROUP_ROWS))
         if chunk_rows < 1:
             raise TransferError(f"chunk_rows must be positive, got {chunk_rows}")
         return target, chunk_rows
@@ -268,59 +277,73 @@ class ExportToDistributedR(TransformFunction):
         """
         target, chunk_rows = self._setup(params)
         sender = _FrameSender(ctx, target)
-        buffer: list[dict[str, np.ndarray]] = []
+        window: list[dict[str, np.ndarray]] = []
         buffered = 0
         total_rows = 0
         for batch in batches:
             columns = _target_columns(target, batch)
             rows = len(next(iter(columns.values()))) if columns else 0
-            if not rows:
-                continue
             total_rows += rows
-            buffer.append(columns)
-            buffered += rows
-            while buffered >= chunk_rows:
-                taken: list[dict[str, np.ndarray]] = []
-                need = chunk_rows
-                while need:
-                    head = buffer[0]
-                    head_rows = len(next(iter(head.values())))
-                    if head_rows <= need:
-                        taken.append(buffer.pop(0))
-                        need -= head_rows
-                    else:
-                        taken.append({name: arr[:need] for name, arr in head.items()})
-                        buffer[0] = {name: arr[need:] for name, arr in head.items()}
-                        need = 0
-                sender.emit(concat_batches(taken), chunk_rows)
-                buffered -= chunk_rows
+            start = 0
+            while start < rows:
+                take = min(rows - start, chunk_rows - buffered)
+                window.append(columns if take == rows
+                              else slice_batch(columns, start, start + take))
+                buffered += take
+                start += take
+                if buffered == chunk_rows:
+                    sender.emit(window, buffered)
+                    window, buffered = [], 0
         if buffered:
-            sender.emit(concat_batches(buffer), buffered)
+            sender.emit(window, buffered)
         return sender.summary(total_rows)
 
 
 def _target_columns(target: TransferTarget,
                     args: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Validate and order one batch's columns against the target's schema."""
+    """Validate and order one batch's columns against the target's schema
+    (a row-group batch stays one)."""
     columns = {name: np.atleast_1d(np.asarray(arr)) for name, arr in args.items()}
     missing = [c for c in target.columns if c not in columns]
     if missing:
         raise TransferError(
             f"UDF received columns {sorted(columns)}, target expects {target.columns}"
         )
-    return {name: columns[name] for name in target.columns}
+    ordered = {name: columns[name] for name in target.columns}
+    if isinstance(args, RowGroupBatch):
+        return RowGroupBatch(ordered, args.rowgroup, args.offset)
+    return ordered
+
+
+def _whole_rowgroup(window: list[dict[str, np.ndarray]]) -> "RowGroup | None":
+    """The stored row group ``window``'s pieces are, in order and complete
+    (offset 0 to its row count), or ``None``."""
+    rowgroup = getattr(window[0], "rowgroup", None)
+    covered = 0
+    for piece in window:
+        if (not isinstance(piece, RowGroupBatch) or piece.rowgroup is not rowgroup
+                or piece.offset != covered):
+            return None
+        covered += len(next(iter(piece.values())))
+    return rowgroup if covered == rowgroup.row_count else None
 
 
 class _FrameSender:
-    """Encodes chunks as wire frames and routes them to workers, keeping the
-    per-instance frame counter both execution modes share.
+    """Builds one instance's wire frames and routes them to workers,
+    keeping the instance's frame counter.
+
+    A window that is one whole stored row group goes out as the row group's
+    stored column blocks; any other window is compressed afresh.  The
+    table's codec is the cluster's, so both paths give the same bytes for
+    the same rows: forwarding only skips work.
 
     Frames are numbered per destination stream; on a retried transfer the
     sender consults the receiver's ack cursor and resends only from the
-    first unacked frame, so the staged bytes come out identical to a
-    failure-free run (resend-from-last-acked).  Individual sends that fail
-    with a transport-level :class:`TransferError` (torn frame, send
-    timeout) are retried in place with bounded exponential backoff.
+    first unacked frame, building no frame below it, so the staged bytes
+    come out identical to a failure-free run (resend-from-last-acked).
+    Individual sends that fail with a transport-level
+    :class:`TransferError` (torn frame, send timeout) are retried in place
+    with bounded exponential backoff.
     """
 
     def __init__(self, ctx: UdtfContext, target: TransferTarget) -> None:
@@ -331,12 +354,15 @@ class _FrameSender:
         # Per destination worker: the next frame number on this instance's
         # stream to that worker (streams are keyed by worker+node+instance).
         self._stream_seq: dict[int, int] = {}
-        self._bytes_sent = ctx.cluster.metrics.counter("vft_bytes_sent")
-        self._frame_bytes = ctx.cluster.metrics.histogram("vft_frame_bytes")
+        metrics = ctx.cluster.metrics
+        self._bytes_sent = metrics.counter("vft_bytes_sent")
+        self._frame_bytes = metrics.histogram("vft_frame_bytes")
+        self._blocks_forwarded = metrics.counter("vft_blocks_forwarded")
+        self._blocks_reencoded = metrics.counter("vft_blocks_reencoded")
 
-    def emit(self, chunk: dict[str, np.ndarray], rows: int) -> None:
+    def emit(self, window: list[dict[str, np.ndarray]], rows: int) -> None:
+        """Send the frame of ``window`` (pieces of ``rows`` rows in all)."""
         ctx, target = self.ctx, self.target
-        frame = encode_frame(chunk, target.sql_types, codec=ctx.cluster.codec)
         worker = target.policy.target_worker(
             ctx.node_index, ctx.instance_index, self.chunk_index, target.worker_count
         )
@@ -347,12 +373,27 @@ class _FrameSender:
             # This frame survived an earlier attempt; skip the wire entirely.
             ctx.cluster.metrics.counter("vft_frames_deduped").add()
             return
+        frame = self._frame(window)
         self._send_with_retry(worker, seq, frame, rows)
         self._bytes_sent.add(len(frame))
         self._frame_bytes.observe(len(frame))
         # Ambient span here is this instance's udtf.instance span.
         add_to_current(vft_frames=1, vft_bytes=len(frame), vft_rows=rows)
         self.total_bytes += len(frame)
+
+    def _frame(self, window: list[dict[str, np.ndarray]]) -> bytes:
+        target = self.target
+        blocks = len(target.columns)
+        rowgroup = _whole_rowgroup(window)
+        if rowgroup is not None:
+            self._blocks_forwarded.add(blocks)
+            add_to_current(vft_blocks_forwarded=blocks)
+            return frame_of_blocks({name: rowgroup.block(name)
+                                    for name in target.columns})
+        self._blocks_reencoded.add(blocks)
+        add_to_current(vft_blocks_reencoded=blocks)
+        return encode_frame(concat_batches(window), target.sql_types,
+                            codec=self.ctx.cluster.codec)
 
     def _send_with_retry(self, worker: int, seq: int, frame: bytes,
                          rows: int) -> None:

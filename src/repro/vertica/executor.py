@@ -42,7 +42,9 @@ from repro.vertica.models import R_MODELS_TABLE_NAME
 from repro.vertica.pipeline import (
     BatchQueue,
     PipelineCancelled,
+    RowGroupBatch,
     batch_nbytes,
+    slice_batch,
 )
 from repro.vertica.planner import (
     AggregatePlan,
@@ -781,9 +783,8 @@ class _RangeRouter:
                 lo, hi = max(bounds[i], start), min(bounds[i + 1], end)
                 if lo >= end:
                     break
-                piece = apply_where(self.plan.where, {
-                    name: arr[lo - start:hi - start]
-                    for name, arr in batch.items()})
+                piece = apply_where(self.plan.where, slice_batch(
+                    batch, lo - start, hi - start))
                 if batch_rows(piece):
                     queues[i].put(_bind_args(self.plan.udtf.args, piece))
             while closed < len(queues) and bounds[closed + 1] <= end:
@@ -839,13 +840,19 @@ class _HashRouter:
 def _bind_args(args: tuple[ast.Expr, ...],
                batch: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Evaluate UDTF arguments over one batch, named by source column (or
-    ``arg<position>`` for expressions and repeats)."""
+    ``arg<position>`` for expressions and repeats).  Arguments that are all
+    distinct bare columns leave a row-group batch's rows as stored, so the
+    bound batch keeps its provenance."""
     rows = batch_rows(batch)
     bound: dict[str, np.ndarray] = {}
     for position, arg in enumerate(args):
         name = (arg.name if isinstance(arg, ast.ColumnRef)
                 and arg.name not in bound else f"arg{position}")
         bound[name] = evaluate_rows(arg, batch, rows)
+    if isinstance(batch, RowGroupBatch) and all(
+            isinstance(arg, ast.ColumnRef) and arg.key == name
+            for arg, name in zip(args, bound)):
+        return RowGroupBatch(bound, batch.rowgroup, batch.offset)
     return bound
 
 

@@ -43,6 +43,7 @@ from repro.obs.trace import add_to_current
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import MetricsRegistry
+    from repro.storage.rowgroup import RowGroup
 
 __all__ = [
     "PipelineConfig",
@@ -51,6 +52,8 @@ __all__ = [
     "INFLIGHT_BYTES_GAUGE",
     "INFLIGHT_BATCHES_GAUGE",
     "batch_nbytes",
+    "RowGroupBatch",
+    "slice_batch",
     "rechunk",
     "concat_batches",
 ]
@@ -87,6 +90,35 @@ def batch_nbytes(columns: Mapping[str, np.ndarray]) -> int:
     return sum(getattr(arr, "nbytes", 0) for arr in columns.values())
 
 
+class RowGroupBatch(dict):
+    """A batch that is rows ``[offset, offset + rows)`` of one stored row
+    group, unchanged: the provenance that lets VFT put the row group's
+    stored column blocks on the wire instead of re-compressing the values.
+
+    Only a plain row slice (:func:`slice_batch`) keeps it.  A filter, a
+    projection or a concatenation builds a new ``dict`` and so drops it,
+    which makes "not a row-group batch" the safe reading of any batch.
+    """
+
+    __slots__ = ("rowgroup", "offset")
+
+    def __init__(self, columns: Mapping[str, np.ndarray], rowgroup: "RowGroup",
+                 offset: int = 0) -> None:
+        super().__init__(columns)
+        self.rowgroup = rowgroup
+        self.offset = offset
+
+
+def slice_batch(batch: dict[str, np.ndarray], start: int,
+                stop: int) -> dict[str, np.ndarray]:
+    """Rows ``[start, stop)`` of every column, as numpy views; a row-group
+    batch stays one, at its shifted offset."""
+    piece = {name: arr[start:stop] for name, arr in batch.items()}
+    if isinstance(batch, RowGroupBatch):
+        return RowGroupBatch(piece, batch.rowgroup, batch.offset + start)
+    return piece
+
+
 def rechunk(
     source: Iterator[dict[str, np.ndarray]], batch_rows: int
 ) -> Iterator[dict[str, np.ndarray]]:
@@ -102,8 +134,7 @@ def rechunk(
             yield chunk
             continue
         for start in range(0, rows, batch_rows):
-            stop = min(start + batch_rows, rows)
-            yield {name: arr[start:stop] for name, arr in chunk.items()}
+            yield slice_batch(chunk, start, start + batch_rows)
 
 
 def concat_batches(

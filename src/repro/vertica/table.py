@@ -37,6 +37,7 @@ from repro.errors import CatalogError, StorageError
 from repro.storage.encoding import ColumnSchema, SqlType, coerce_to_dtype
 from repro.storage.files import SegmentFile, SegmentFileWriter
 from repro.storage.rowgroup import RowGroup
+from repro.vertica.pipeline import RowGroupBatch
 from repro.vertica.segmentation import SegmentationScheme
 from repro.vertica.txn.delete_vector import DeleteVector, FrozenDeleteIndex
 from repro.vertica.txn.wos import WosBatch
@@ -348,6 +349,10 @@ class Segment:
         moveout would use — so a scan yields the same batches before and
         after a moveout — and rows the frozen delete index marks deleted
         at-or-before the snapshot are filtered out.
+
+        A batch that keeps every row of its ROS unit is a
+        :class:`~repro.vertica.pipeline.RowGroupBatch` naming the unit's
+        row group; a masked unit or a WOS batch is a plain ``dict``.
         """
         scan = self.capture(snapshot, since_epoch=since_epoch)
         cap = snapshot_epoch(snapshot)
@@ -357,18 +362,20 @@ class Segment:
         if filtering and ROWID_COLUMN not in read_names:
             read_names.append(ROWID_COLUMN)
 
-        def visible(decoded: dict[str, np.ndarray],
-                    keep: np.ndarray | None) -> dict[str, np.ndarray] | None:
+        def visible(decoded: dict[str, np.ndarray], keep: np.ndarray | None,
+                    rowgroup: RowGroup | None = None
+                    ) -> dict[str, np.ndarray] | None:
             if filtering:
                 alive = scan.deletes.keep_mask(decoded[ROWID_COLUMN], cap)
                 keep = alive if keep is None else keep & alive
-            elif keep is None:
-                return decoded
-            if not keep.any():
-                return None
-            if keep.all():
-                return {name: decoded[name] for name in columns}
-            return {name: decoded[name][keep] for name in columns}
+            if keep is not None and not keep.all():
+                if not keep.any():
+                    return None
+                return {name: decoded[name][keep] for name in columns}
+            whole = {name: decoded[name] for name in columns}
+            # Every row of a stored row group survived: say which one, so a
+            # consumer can forward its stored blocks (VFT).
+            return whole if rowgroup is None else RowGroupBatch(whole, rowgroup)
 
         for unit in scan.units:
             rowgroup = unit.rowgroup
@@ -377,7 +384,7 @@ class Segment:
                     prune_counter(1)
                 continue
             batch = visible(rowgroup.read(read_names),
-                            unit.window_mask(since_epoch, cap))
+                            unit.window_mask(since_epoch, cap), rowgroup)
             if batch is not None:
                 yield batch
         if not scan.wos:

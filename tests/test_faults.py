@@ -42,7 +42,12 @@ from repro.faults import (
 from repro.obs.metrics import MetricsRegistry
 from repro.dr import start_session
 from repro.transfer import db2darray
-from repro.vertica import HashSegmentation, TransformFunction, VerticaCluster
+from repro.vertica import (
+    HashSegmentation,
+    RoundRobinSegmentation,
+    TransformFunction,
+    VerticaCluster,
+)
 from repro.vertica.pipeline import BatchQueue
 from repro.workloads import make_regression
 from tests.conftest import OnDisk
@@ -118,8 +123,15 @@ class TestVftFaults:
             assert plan.fired("vft.send_chunk")
             assert session.metrics.counter("transfer_retries").value >= 1
             assert cluster.metrics.counter("failovers").value >= 1
-            # Attempt 2's senders skip already-acked frames at the source.
+            # Attempt 2's senders skip already-acked frames at the source,
+            # before building them: every frame it frames goes on the wire.
             assert cluster.metrics.counter("vft_frames_deduped").value >= 1
+            (retried,) = [span for span in spans_named(session.tracer,
+                                                       "vft.transfer")
+                          if span.attributes["attempt"] == 2]
+            built = (retried.total("vft_blocks_forwarded")
+                     + retried.total("vft_blocks_reencoded"))
+            assert built == retried.total("vft_frames") > 0
             assert "transfer_retry" in mechanisms(session.tracer)
             assert "buddy_failover" in mechanisms(cluster.tracer,
                                                    session.tracer)
@@ -192,6 +204,76 @@ class TestVftFaults:
     def test_node_down_error_is_execution_error(self):
         assert issubclass(NodeDownError, ExecutionError)
         assert issubclass(InjectedFault, Exception)
+
+
+def make_forwarding_cluster():
+    """``t(k, v)`` on 3 nodes, k_safety=1, as four loads of 100 rows per
+    node: four equal row groups per node, which PARTITION BEST gives one
+    instance each, so every frame of a default-hint transfer is a whole
+    stored row group shipped as stored."""
+    cluster = VerticaCluster(node_count=3)
+    rng = np.random.default_rng(61)
+    for load in range(4):
+        columns = {"k": np.arange(300) + 300 * load, "v": rng.normal(size=300)}
+        if not load:
+            cluster.create_table_like("t", columns, RoundRobinSegmentation(),
+                                      k_safety=1)
+        cluster.bulk_load("t", columns)
+    return cluster
+
+
+def forwarded_transfer(cluster, session, retry=None):
+    return db2darray(cluster, "t", ["v"], session, retry=retry)
+
+
+class TestVftFaultsForwarded:
+    """The fault matrix over frames that ship stored row-group blocks."""
+
+    def baseline(self) -> np.ndarray:
+        cluster = make_forwarding_cluster()
+        with start_session(node_count=3, instances_per_node=1) as session:
+            got = forwarded_transfer(cluster, session).collect()
+        assert cluster.metrics.counter("vft_blocks_forwarded").value == 12
+        assert cluster.metrics.counter("vft_blocks_reencoded").value == 0
+        return got
+
+    def test_node_crash_mid_stream_is_bit_identical(self):
+        baseline = self.baseline()
+        cluster = make_forwarding_cluster()
+        plan = FaultPlan.single(
+            "vft.send_chunk", FaultKind.NODE_CRASH,
+            match={"node": 1}, after=2, seed=FAULT_SEED,
+        )
+        cluster.install_fault_plan(plan)
+        with start_session(node_count=3, instances_per_node=1) as session:
+            got = forwarded_transfer(
+                cluster, session, retry=RetryPolicy(seed=FAULT_SEED)).collect()
+            assert np.array_equal(got, baseline), (
+                f"retried transfer diverged (REPRO_FAULT_SEED={FAULT_SEED})"
+            )
+            assert plan.fired("vft.send_chunk")
+            assert cluster.metrics.counter("failovers").value >= 1
+            assert cluster.metrics.counter("vft_frames_deduped").value >= 1
+            # The buddy replica's row groups forward just as the primary's.
+            assert cluster.metrics.counter("vft_blocks_forwarded").value > 12
+            assert cluster.metrics.counter("vft_blocks_reencoded").value == 0
+
+    def test_torn_frame_is_rejected_and_resent(self):
+        baseline = self.baseline()
+        cluster = make_forwarding_cluster()
+        plan = FaultPlan.single(
+            "vft.send_chunk", FaultKind.TORN_FRAME,
+            match={"node": 2}, seed=FAULT_SEED,
+        )
+        cluster.install_fault_plan(plan)
+        with start_session(node_count=3, instances_per_node=1) as session:
+            got = forwarded_transfer(
+                cluster, session, retry=RetryPolicy(seed=FAULT_SEED)).collect()
+            assert np.array_equal(got, baseline)
+            assert cluster.metrics.counter("transfer_retries").value >= 1
+            assert cluster.metrics.counter("vft_blocks_forwarded").value == 12
+            assert "frame_resend" in mechanisms(cluster.tracer,
+                                                 session.tracer)
 
 
 # ---------------------------------------------------------------------------

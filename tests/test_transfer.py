@@ -17,12 +17,15 @@ from repro.transfer import (
     load_via_single_odbc,
 )
 from repro.transfer.streams import (
+    _parse_frames,
     decode_frames,
     encode_frame,
     frames_to_columns,
     frames_to_matrix,
 )
+from repro.transfer.vft import TransferTarget
 from repro.vertica import HashSegmentation, SkewedSegmentation, VerticaCluster
+from tests.conftest import OnDisk
 
 
 class TestStreamProtocol:
@@ -82,6 +85,19 @@ class TestStreamProtocol:
     def test_empty_payload_gives_empty_matrix(self):
         assert frames_to_matrix(b"", ["a", "b"]).shape == (0, 2)
 
+    def test_matrix_matches_stacked_frames(self):
+        types = {"a": SqlType.FLOAT, "b": SqlType.INTEGER, "c": SqlType.BOOLEAN}
+        rng = np.random.default_rng(3)
+        chunks = [{"a": rng.normal(size=rows), "b": rng.integers(-9, 9, rows),
+                   "c": rng.random(rows) < 0.5} for rows in (5, 1, 17)]
+        payload = b"".join(encode_frame(chunk, types) for chunk in chunks)
+        order = ["c", "a", "b"]
+        stacked = np.vstack([
+            np.column_stack([np.asarray(chunk[name], dtype=np.float64)
+                             for name in order])
+            for chunk in chunks])
+        assert np.array_equal(frames_to_matrix(payload, order), stacked)
+
 
 class TestPolicies:
     def test_lookup(self):
@@ -114,6 +130,13 @@ class TestPolicies:
     def test_partition_counts(self):
         assert LocalityPreserving().partition_count(4, 4) == 4
         assert UniformDistribution().partition_count(4, 7) == 7
+
+    def test_default_hints(self):
+        # Locality: one stored row group per frame.  Uniform: the frame is
+        # the unit of distribution, so the hint is each instance's share.
+        assert LocalityPreserving().default_chunk_rows(100_000, 4) == 65_536
+        assert UniformDistribution().default_chunk_rows(100_000, 4) == 25_000
+        assert UniformDistribution().default_chunk_rows(900, 6) == 1_024
 
 
 def make_loaded_cluster(n=1200, nodes=3, segmentation=None, seed=11):
@@ -287,3 +310,141 @@ class TestOdbcLoaders:
             from repro.errors import CatalogError
             with pytest.raises(CatalogError):
                 load_via_single_odbc(cluster, "t", ["nope"], session)
+
+
+def spy_frames(monkeypatch) -> list[bytes]:
+    """Every frame the receiver is handed, in arrival order."""
+    frames: list[bytes] = []
+    send_chunk = TransferTarget.send_chunk
+
+    def spy(self, worker_index, db_node, instance, frame, rows, seq=None):
+        frames.append(frame)
+        return send_chunk(self, worker_index, db_node, instance, frame, rows,
+                          seq=seq)
+
+    monkeypatch.setattr(TransferTarget, "send_chunk", spy)
+    return frames
+
+
+class TestFrameForwarding:
+    """A window that is one whole, fully visible stored row group ships as
+    the blocks the table stores; any other window is compressed afresh.
+    Either way every frame is byte-identical to ``encode_frame`` over its
+    own rows, and the loaded data is the table's."""
+
+    NUMERIC = ["k", "f", "b"]
+    ALL = NUMERIC + ["tag", "text"]
+    TYPES = {"k": SqlType.INTEGER, "f": SqlType.FLOAT, "b": SqlType.BOOLEAN,
+             "tag": SqlType.VARCHAR, "text": SqlType.VARCHAR}
+
+    @staticmethod
+    def table(n, seed):
+        rng = np.random.default_rng(seed)
+        return {
+            "k": rng.integers(0, 10**6, n),
+            "f": rng.normal(size=n),
+            "b": rng.random(n) < 0.3,
+            # Few distinct strings: the dictionary layout under zlib.
+            "tag": np.asarray([f"c{i % 5}" for i in rng.integers(0, 5, n)],
+                              dtype=object),
+            # All distinct: the offsets layout.
+            "text": np.asarray([f"row-{i}-{v}" for i, v in
+                                enumerate(rng.integers(0, 10**9, n))],
+                               dtype=object),
+        }
+
+    def check(self, cluster, session, frames, load, columns, *, forwarded,
+              **kwargs):
+        """Run one transfer; assert which path framed it and that every
+        frame re-encodes to itself.  Returns the loaded object."""
+        metrics = cluster.metrics
+        before = (metrics.counter("vft_blocks_forwarded").value,
+                  metrics.counter("vft_blocks_reencoded").value)
+        frames.clear()
+        loaded = load(cluster, "t", columns, session, **kwargs)
+        moved = (metrics.counter("vft_blocks_forwarded").value - before[0],
+                 metrics.counter("vft_blocks_reencoded").value - before[1])
+        blocks = len(frames) * len(columns)
+        assert frames
+        assert moved == ((blocks, 0) if forwarded else (0, blocks)), kwargs
+        for frame in frames:
+            assert encode_frame(decode_frames(frame)[0], self.TYPES,
+                                codec=cluster.codec) == frame
+        return loaded
+
+    def stored(self, cluster, columns):
+        """The table's visible rows in node-major storage order, which is
+        what a locality-policy darray holds."""
+        gathered = cluster.gather_table("t", columns)
+        return np.column_stack([np.asarray(gathered[c], dtype=np.float64)
+                                for c in columns])
+
+    def reload(self, cluster, *loads):
+        """(Re)create ``t`` with one bulk load per ``(rows, seed)``."""
+        cluster.drop_table("t", if_exists=True)
+        for index, (rows, seed) in enumerate(loads):
+            columns = self.table(rows, seed)
+            if not index:
+                cluster.create_table_like("t", columns, HashSegmentation("k"))
+            cluster.bulk_load("t", columns)
+
+    @pytest.mark.parametrize("codec", ["zlib", "none", "rle"])
+    def test_forwarded_and_reencoded_frames(self, monkeypatch, data_dir, codec):
+        frames = spy_frames(monkeypatch)
+        cluster = VerticaCluster(node_count=3, codec=codec, data_dir=data_dir)
+        numeric, mixed = self.NUMERIC, self.ALL
+        self.reload(cluster, (6_600, 21))
+        with start_session(node_count=3, instances_per_node=2) as session:
+            # A bulk-loaded table under the default locality hint: one row
+            # group per node, each shipped as stored.
+            array = self.check(cluster, session, frames, db2darray, numeric,
+                               forwarded=True)
+            assert np.array_equal(array.collect(), self.stored(cluster, numeric))
+            frame = self.check(cluster, session, frames, db2dframe, mixed,
+                               forwarded=True)
+            got = frame.collect()
+            for name, values in cluster.gather_table("t", mixed).items():
+                assert np.array_equal(got[name], values), name
+            if codec == "zlib":
+                # Both VARCHAR layouts went out as stored.
+                layouts = {blocks[name].codec
+                           for frame_bytes in frames
+                           for blocks in _parse_frames(frame_bytes)
+                           for name in ("tag", "text")}
+                assert layouts == {"zlib+dict", "zlib"}
+            # A WHERE, a hint smaller than a row group and the uniform
+            # policy (whose per-instance share, 1 100 rows, cuts each
+            # 2 200-row row group) all compress afresh.
+            self.check(cluster, session, frames, db2dframe, mixed,
+                       forwarded=False, where="f > 0")
+            small = self.check(cluster, session, frames, db2darray, numeric,
+                               forwarded=False, chunk_rows=97)
+            assert np.array_equal(small.collect(), array.collect())
+            uniform = self.check(cluster, session, frames, db2darray, numeric,
+                                 forwarded=False, policy="uniform")
+            assert uniform.nrow == 6_600
+            # WOS rows on every node join the node's window.
+            for k in range(12):
+                cluster.sql(f"INSERT INTO t VALUES ({k}, 0.25, TRUE, 'c1', 'w{k}')")
+            table = cluster.catalog.get_table("t")
+            assert all(segment.wos_rows for segment in table.segments)
+            wos = self.check(cluster, session, frames, db2dframe, mixed,
+                             forwarded=False)
+            assert wos.nrow == 6_612
+            # Deleted rows in every node's row group.
+            self.reload(cluster, (6_600, 21))
+            cluster.sql("DELETE FROM t WHERE f < -1.5")
+            deleted = self.check(cluster, session, frames, db2darray, numeric,
+                                 forwarded=False)
+            assert np.array_equal(deleted.collect(),
+                                  self.stored(cluster, numeric))
+            # Two row groups of unequal size per node: PARTITION BEST's two
+            # instance ranges cut the first one.
+            self.reload(cluster, (6_600, 21), (600, 22))
+            cut = self.check(cluster, session, frames, db2darray, numeric,
+                             forwarded=False)
+            assert np.array_equal(cut.collect(), self.stored(cluster, numeric))
+
+
+class TestFrameForwardingOnDisk(OnDisk, TestFrameForwarding):
+    pass
