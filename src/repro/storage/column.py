@@ -8,10 +8,13 @@ and what Vertica Fast Transfer puts on the wire.
 Under the table codec ``zlib`` each block picks the byte layout that suits
 its values, as a column store's designer picks encodings from a sample:
 
-* ``zlib+shuffle`` — INTEGER/FLOAT words as byte planes, then zlib
-  (:func:`~repro.storage.compression.shuffle_compress`), when that
-  compresses the block's first :data:`SAMPLE_ROWS` values smaller than
-  plain zlib does;
+* ``zlib+shuffle`` — INTEGER/FLOAT words as byte planes
+  (:func:`~repro.storage.compression.shuffle_compress`), when the planes of
+  the block's first :data:`SAMPLE_ROWS` values, each compressed alone or
+  kept raw where zlib does not shrink it, take less room than the values
+  under plain zlib.  Only the planes zlib shrinks are deflated: on the
+  sample, or, for a plane the sample does not shrink, on its first
+  :data:`PROBE_ROWS` bytes; the others are stored raw;
 * ``zlib+dict`` — VARCHAR as a dictionary plus one code per row
   (:func:`~repro.storage.encoding.encode_dictionary`), then zlib, when that
   is smaller than the offsets layout;
@@ -43,7 +46,7 @@ from repro.storage.encoding import (
     unpack_validity,
 )
 
-__all__ = ["ColumnBlock", "SAMPLE_ROWS"]
+__all__ = ["ColumnBlock", "PROBE_ROWS", "SAMPLE_ROWS"]
 
 _HEADER_FMT = "<4sB16sqqI"  # magic, type-code, codec (padded), rows, validity len, crc
 _ZONE_FMT = "<Bdd"          # has zone map, min, max
@@ -54,8 +57,13 @@ _TYPE_FROM_CODE = {i: t for t, i in _TYPE_CODES.items()}
 
 _SHUFFLE = "zlib+shuffle"
 _DICTIONARY = "zlib+dict"
-# Values of a block that the shuffle-or-not choice compresses both ways.
+# Values of a block that the layout choice compresses both ways, plane by
+# plane and as plain words.
 SAMPLE_ROWS = 1024
+# Values of a byte plane compressed once more before the plane is stored
+# raw: a noisy plane that deflate still shrinks can need more than the
+# sample to show it.
+PROBE_ROWS = 4096
 
 
 def _zlib_layout(arr: np.ndarray, sql_type: SqlType
@@ -72,15 +80,24 @@ def _zlib_layout(arr: np.ndarray, sql_type: SqlType
     # An 8-byte column's plain encoding is its own buffer: compress from
     # there instead of a copy.
     encoded = np.ascontiguousarray(arr).view(np.uint8)
-    sample = encoded[:SAMPLE_ROWS * 8]
-    whole = len(sample) == len(encoded)  # then the sample's payloads are final
-    shuffled = compression.shuffle_compress(sample)
-    plain = compression.compress(sample, "zlib")
-    if len(shuffled) < len(plain):
-        return (_SHUFFLE, encoded,
-                shuffled if whole else compression.shuffle_compress(encoded))
-    return ("zlib", encoded,
-            plain if whole else compression.compress(encoded, "zlib"))
+    planes = compression.byte_planes(encoded)
+    rows = planes.shape[1]
+    sample_rows = min(rows, SAMPLE_ROWS)
+    sizes = [compression.deflated_size(plane[:SAMPLE_ROWS]) for plane in planes]
+    plain = compression.compress(encoded[:SAMPLE_ROWS * 8], "zlib")
+    if sum(min(size, sample_rows) for size in sizes) >= len(plain):
+        return ("zlib", encoded, plain if rows == sample_rows
+                else compression.compress(encoded, "zlib"))
+    # Deflate a plane only where that shrinks it: the sample says so, or,
+    # for a plane the sample could not shrink, a longer probe does.
+    probe_rows = min(rows, PROBE_ROWS)
+    mask = 0
+    for j, (plane, size) in enumerate(zip(planes, sizes)):
+        if size < sample_rows or (
+                probe_rows > sample_rows
+                and compression.deflated_size(plane[:PROBE_ROWS]) < probe_rows):
+            mask |= 1 << j
+    return _SHUFFLE, encoded, compression.shuffle_compress(encoded, mask)
 
 
 @dataclass
@@ -214,9 +231,13 @@ class ColumnBlock:
         if len(validity) != validity_len:
             raise StorageError("column block truncated in validity bitmap")
         payload = bytes(data[offset + validity_len:])
+        try:
+            codec = codec_raw.rstrip(b"\0").decode("ascii")
+        except UnicodeDecodeError:
+            raise StorageError(f"bad column block codec field: {codec_raw!r}") from None
         return cls(
             sql_type=sql_type,
-            codec=codec_raw.rstrip(b"\0").decode("ascii"),
+            codec=codec,
             row_count=rows,
             payload=payload,
             validity=validity,

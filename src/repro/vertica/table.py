@@ -800,11 +800,13 @@ class Table:
             commit_epoch = 0
         try:
             for node in range(self.node_count):
-                mask = assignment == node
-                if not mask.any():
+                # One index array per node, gathered from every column: a
+                # boolean mask would be scanned again for each column.
+                rows_of = np.flatnonzero(assignment == node)
+                if not rows_of.size:
                     continue
-                batch = {name: arr[mask] for name, arr in coerced.items()}
-                batch[ROWID_COLUMN] = rowids[mask]
+                batch = {name: arr[rows_of] for name, arr in coerced.items()}
+                batch[ROWID_COLUMN] = rowids[rows_of]
                 targets = [self.segments[node]]
                 if self.buddy_segments is not None:
                     targets.append(self.buddy_segments[node])

@@ -63,9 +63,9 @@ class TestEncodingProperties:
         assert decompress(compress(data, codec), codec) == data
 
     @common_settings
-    @given(st.binary(max_size=5000))
-    def test_shuffle_roundtrip(self, data):
-        assert shuffle_decompress(shuffle_compress(data)).tobytes() == data
+    @given(st.binary(max_size=5000), st.integers(0, 0xFF))
+    def test_shuffle_roundtrip(self, data, mask):
+        assert shuffle_decompress(shuffle_compress(data, mask)).tobytes() == data
 
     @common_settings
     @given(float_arrays, st.sampled_from(available_codecs()))

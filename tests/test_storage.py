@@ -18,7 +18,7 @@ from repro.storage import (
     compress,
     decompress,
 )
-from repro.storage.column import SAMPLE_ROWS
+from repro.storage.column import PROBE_ROWS, SAMPLE_ROWS
 from repro.storage.compression import shuffle_compress, shuffle_decompress
 from repro.storage.encoding import (
     decode_dictionary,
@@ -29,6 +29,7 @@ from repro.storage.encoding import (
     unpack_validity,
 )
 from repro.vertica import VerticaCluster
+from repro.vertica.segmentation import hash64
 from tests.conftest import OnDisk
 
 STATUSES = np.array(["open", "paid", "shipped", "void"], dtype=object)
@@ -280,18 +281,46 @@ class TestCompression:
     @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 8 * 1025, 8 * 1025 + 3])
     def test_shuffle_roundtrip_any_length(self, length):
         data = np.random.default_rng(length).bytes(length)
-        restored = shuffle_decompress(shuffle_compress(data))
-        assert restored.tobytes() == data
-        assert restored.flags.writeable   # adopted by decode_values as is
+        for mask in (0x00, 0xFF, 0xC0, 0x01, 0x5A):
+            restored = shuffle_decompress(shuffle_compress(data, mask))
+            assert restored.tobytes() == data
+            assert restored.flags.writeable   # adopted by decode_values as is
+
+    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 4095, 4096, 4097])
+    @pytest.mark.parametrize("tail", [0, 1, 7])
+    def test_shuffle_roundtrip_around_sample_and_probe(self, rows, tail):
+        data = np.random.default_rng([rows, tail]).normal(size=rows).tobytes()
+        data += bytes(range(tail))
+        for mask in (0x00, 0xFF, 0xC0, 0x3F):
+            restored = shuffle_decompress(shuffle_compress(data, mask))
+            assert restored.tobytes() == data
+            assert restored.flags.writeable
 
     def test_shuffle_groups_bytes_into_planes(self):
         data = np.arange(3, dtype=">u8").tobytes() + b"xy"   # big-endian words
-        planes = zlib.decompress(shuffle_compress(data))
-        assert planes == bytes(21) + bytes([0, 1, 2]) + b"xy"
+        planes = bytes(21) + bytes([0, 1, 2])    # byte 0 of every word first
+        header = struct.Struct("<BI")
+        deflated = shuffle_compress(data, 0xFF)
+        assert deflated[:header.size] == header.pack(0xFF, len(data))
+        assert zlib.decompress(deflated[header.size:]) == planes + b"xy"
+        stored = shuffle_compress(data, 0x00)   # every plane verbatim
+        assert stored[:header.size] == header.pack(0x00, len(data))
+        assert stored[header.size:header.size + 24] == planes
+        assert zlib.decompress(stored[header.size + 24:]) == b"xy"
+        # Plane 7 (the low byte of each big-endian word) deflated, the rest
+        # stored in plane order.
+        mixed = shuffle_compress(data, 0x80)
+        assert mixed[header.size:header.size + 21] == planes[:21]
+        assert zlib.decompress(mixed[header.size + 21:]) == planes[21:] + b"xy"
+
+    def test_shuffle_without_bytes_to_deflate_has_no_stream(self):
+        data = np.arange(4, dtype=np.int64).tobytes()
+        assert len(shuffle_compress(data, 0x00)) == 5 + len(data)
+        assert shuffle_decompress(shuffle_compress(b"", 0x00)).size == 0
 
     def test_shuffle_shrinks_smooth_doubles(self):
         data = np.random.default_rng(0).normal(size=4096).tobytes()
-        assert len(shuffle_compress(data)) < len(compress(data, "zlib"))
+        assert len(shuffle_compress(data, 0xC0)) < len(compress(data, "zlib"))
 
 
 class TestColumnBlock:
@@ -508,13 +537,13 @@ class TestLayoutChoice:
     # seed and the zlib build (zlib.ZLIB_RUNTIME_VERSION 1.2.13 measured);
     # a change that moves them must update them and say why.
     STORED = {
-        "normal": (31503, {"zlib+shuffle": 4}),
-        "uniform": (29568, {"zlib+shuffle": 4}),
-        "cents": (14770, {"zlib": 2, "zlib+shuffle": 2}),
-        "arange": (1508, {"zlib+shuffle": 4}),
-        "sorted": (6020, {"zlib+shuffle": 4}),
-        "status": (2453, {"zlib+dict": 2, "zlib+shuffle": 2}),
-        "unique": (44997, {"zlib": 2, "zlib+shuffle": 2}),
+        "normal": (30494, {"zlib+shuffle": 4}),
+        "uniform": (28965, {"zlib+shuffle": 4}),
+        "cents": (14780, {"zlib": 2, "zlib+shuffle": 2}),
+        "arange": (1528, {"zlib+shuffle": 4}),
+        "sorted": (5834, {"zlib+shuffle": 4}),
+        "status": (2463, {"zlib+dict": 2, "zlib+shuffle": 2}),
+        "unique": (45007, {"zlib": 2, "zlib+shuffle": 2}),
     }
 
     @pytest.mark.parametrize("shape", list(STORED))
@@ -525,6 +554,130 @@ class TestLayoutChoice:
         cluster.bulk_load("t", {"v": values})
         stats = cluster.table_stats("t")
         assert (stats["compressed_bytes"], stats["layouts"]) == self.STORED[shape]
+
+
+class TestBytePlaneSelection:
+    """Which byte planes a ``zlib+shuffle`` block deflates: the ones zlib
+    shrinks, on the sample or on the longer probe; the rest are stored."""
+
+    @staticmethod
+    def deflated_planes(values: np.ndarray) -> list[int]:
+        block = ColumnBlock.from_values(values, SqlType.from_numpy(values.dtype))
+        assert block.codec == "zlib+shuffle"
+        mask = block.payload[0]
+        return [plane for plane in range(8) if mask >> plane & 1]
+
+    def test_normal_doubles_deflate_their_two_high_planes(self):
+        values = np.random.default_rng(0).normal(size=25_000)
+        assert self.deflated_planes(values) == [6, 7]
+
+    def test_a_counter_deflates_every_plane(self):
+        assert self.deflated_planes(np.arange(25_000)) == list(range(8))
+
+    def test_the_probe_keeps_a_hash_segmented_keys_low_plane_deflated(self):
+        keys = np.arange(100_000)
+        keys = keys[hash64(keys) % np.uint64(4) == 0]    # one node's keys
+        low = np.ascontiguousarray(keys.view(np.uint8)[::8])
+        # The sample alone does not shrink the low plane; the probe does.
+        assert len(zlib.compress(low[:SAMPLE_ROWS], 1)) >= SAMPLE_ROWS
+        assert len(zlib.compress(low[:PROBE_ROWS], 1)) < PROBE_ROWS
+        assert self.deflated_planes(keys) == list(range(8))
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 4095, 4096, 4097])
+    def test_blocks_around_sample_and_probe_roundtrip(self, rows):
+        rng = np.random.default_rng(rows)
+        for values in (rng.normal(size=rows), np.sort(rng.integers(0, 8 * rows, rows))):
+            block = ColumnBlock.from_bytes(ColumnBlock.from_values(
+                values, SqlType.from_numpy(values.dtype)).to_bytes())
+            assert block.codec == "zlib+shuffle"
+            decoded = block.values()
+            assert decoded.tobytes() == values.tobytes()
+            assert decoded.flags.writeable
+
+
+def corruptible_blocks() -> list[ColumnBlock]:
+    """Small blocks in every codec and layout, of every type: the plain
+    encodings under ``none`` and ``rle`` (with word runs for every type),
+    and each layout ``zlib`` picks."""
+    rng = np.random.default_rng(40)
+    runs = np.repeat(np.array([3, -7, 2**40, 0]), [20, 5, 30, 9])
+    columns = [
+        (runs, SqlType.INTEGER),
+        (np.arange(300) * 3, SqlType.INTEGER),
+        (rng.normal(size=200), SqlType.FLOAT),
+        (np.round(rng.uniform(1.0, 100.0, 64), 2), SqlType.FLOAT),
+        (np.repeat([True, False, True], [24, 16, 32]), SqlType.BOOLEAN),
+        # Eight bytes per string, so the offsets layout is word-aligned.
+        (np.array(["abcdefgh"] * 6 + ["ijklmnop"] * 2, dtype=object), SqlType.VARCHAR),
+        (np.array([f"id-{i:05d}" for i in range(40)], dtype=object), SqlType.VARCHAR),
+    ]
+    blocks = [ColumnBlock.from_values(values, sql_type, codec=codec)
+              for values, sql_type in columns for codec in ("none", "rle", "zlib")]
+    blocks.append(ColumnBlock.from_values(rng.normal(size=30), SqlType.FLOAT,
+                                          validity=np.arange(30) % 4 != 0))
+    return blocks
+
+
+class TestCorruptBlocks:
+    """A truncated or bit-flipped block raises :class:`StorageError` and
+    nothing else: no decoder leaks a numpy or struct error, and none
+    expands a corrupt run length into a huge allocation."""
+
+    def test_every_codec_and_layout_is_swept(self):
+        blocks = corruptible_blocks()
+        assert {b.codec for b in blocks} == {
+            "none", "rle", "zlib", "zlib+dict", "zlib+shuffle"}
+        shuffled = [b.payload[0] for b in blocks if b.codec == "zlib+shuffle"]
+        assert 0xFF in shuffled and any(m not in (0x00, 0xFF) for m in shuffled)
+        # The rle blocks of every type hold runs, not the verbatim fallback.
+        assert all(struct.unpack_from("<q", b.payload)[0] >= 0
+                   for b in blocks if b.codec == "rle")
+
+    @pytest.mark.parametrize("index", range(len(corruptible_blocks())))
+    def test_truncated_and_flipped_blocks_raise_storage_errors(self, index):
+        block = corruptible_blocks()[index]
+        wire = block.to_bytes()
+        expected = bits(block.values())
+        damaged = [wire[:length] for length in range(len(wire))]
+        for position in range(len(wire)):
+            flipped = bytearray(wire)
+            flipped[position] ^= 0x5A
+            damaged.append(bytes(flipped))
+        for data in damaged:
+            try:
+                decoded = ColumnBlock.from_bytes(data).values()
+            except StorageError:
+                continue
+            assert bits(decoded) == expected   # a zone-map byte, say
+
+    def test_a_non_ascii_codec_field_is_a_storage_error(self):
+        wire = bytearray(ColumnBlock.from_values(np.arange(4), SqlType.INTEGER).to_bytes())
+        wire[5] ^= 0x80                          # first byte of the codec field
+        with pytest.raises(StorageError, match="codec field"):
+            ColumnBlock.from_bytes(bytes(wire))
+
+    def test_rle_rejects_runs_that_disagree_with_the_word_count(self):
+        payload = bytearray(compress(np.repeat(np.arange(3), 4).tobytes(), "rle"))
+        payload[16] = 5                         # first run length: 4 -> 5
+        with pytest.raises(StorageError, match="add up"):
+            decompress(bytes(payload), "rle")
+        huge = bytearray(payload)
+        huge[16:24] = struct.pack("<q", 2**62)   # no allocation is attempted
+        with pytest.raises(StorageError):
+            decompress(bytes(huge), "rle")
+        with pytest.raises(StorageError, match="runs in"):
+            decompress(bytes(payload[:-3]), "rle")
+
+    def test_byte_plane_header_is_checked_against_the_payload(self):
+        payload = shuffle_compress(np.random.default_rng(0).normal(size=64).tobytes(),
+                                   0xC0)
+        for mask, length in ((0xC0, 64 * 8 + 1), (0xC0, 64 * 8 - 8), (0xC1, 64 * 8),
+                             (0x00, 2**32 - 1), (0xFF, 2**32 - 1)):
+            forged = struct.pack("<BI", mask, length) + payload[5:]
+            with pytest.raises(StorageError):
+                shuffle_decompress(forged)
+        with pytest.raises(StorageError, match="longer than"):
+            shuffle_decompress(shuffle_compress(bytes(16), 0x00) + b"x")
 
 
 class TestStoredSizeAcrossStorageModes:

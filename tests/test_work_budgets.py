@@ -46,3 +46,20 @@ class TestVftWorkBudget:
             # 4 frames x (y + 8 features).
             assert (reencoded.value, forwarded.value - 32) == (0, 36)
             assert session.metrics.counter("vft_frames_received").value == 8
+
+
+class TestStorageWorkBudget:
+    """What the pipeline's smoke table stores right after ``bulk_load``.
+    Every block is byte planes with only the planes zlib shrinks deflated;
+    deflating the doubles' mantissa planes as well, or any change that
+    inflates storage, moves the byte count."""
+
+    def test_bulk_load_stored_bytes_and_layouts(self):
+        cluster = VerticaCluster(node_count=4)
+        columns = pipeline_table()
+        cluster.create_table_like("t", columns, HashSegmentation("k"))
+        cluster.bulk_load("t", columns)
+        stats = cluster.table_stats("t")
+        # 4 nodes x (k, y, 8 features, hidden row id) = 44 blocks.
+        assert (stats["compressed_bytes"], stats["layouts"]) == (
+            138794, {"zlib+shuffle": 44})
