@@ -119,7 +119,9 @@ def per_class_sums(labels: np.ndarray, values: np.ndarray,
 
     One ``np.bincount(weights=)`` per column: the same row-order additions
     as ``np.add.at(sums, labels, values)``, so bit-identical to it, without
-    its per-element dispatch.  ``labels`` must lie in ``[0, n_classes)``.
+    its per-element dispatch.  On the carriers' column-major partitions
+    each column is a contiguous read.  ``labels`` must lie in
+    ``[0, n_classes)``.
     """
     sums = np.empty((n_classes, values.shape[1]))
     for j in range(values.shape[1]):
@@ -135,7 +137,9 @@ class LocalArray:
     ``npartitions`` / ``nrow`` / ``ncol`` / ``map_partitions`` /
     ``get_partition`` / ``collect`` — over plain numpy storage, with
     ``session = None`` (no tracer, no fault plan, no workers).  Useful
-    for master-side re-fits (``REFRESH MODEL``), tests, and docs.
+    for master-side re-fits (``REFRESH MODEL``), tests, and docs.  Its
+    partitions are column-major (Fortran-order) float64, like a darray's,
+    so every carrier feeds the solvers the same memory layout.
     """
 
     session = None
@@ -151,7 +155,7 @@ class LocalArray:
         if npartitions < 1:
             raise PartitionError("npartitions must be >= 1")
         boundaries = np.linspace(0, len(array), npartitions + 1).astype(int)
-        self._parts = [array[boundaries[i]:boundaries[i + 1]]
+        self._parts = [np.asfortranarray(array[boundaries[i]:boundaries[i + 1]])
                        for i in range(npartitions)]
 
     @property

@@ -65,17 +65,37 @@ def assign_to_centers(points: np.ndarray, centers: np.ndarray
     """Nearest-center assignment; returns (labels, squared distances).
 
     Uses the ||x||² - 2·x·c + ||c||² expansion so the hot loop is one
-    matrix multiply — the compute-bound kernel both engines share.
+    matrix multiply — the compute-bound kernel both engines share.  The
+    distances are laid out k-major, ``(k, n)``, so each center's row is
+    contiguous and every step runs across all points at once: the minimum
+    over the k rows, then the first center that reaches it (``argmin``'s
+    tie rule), found as the largest of the weights ``k - j`` over the
+    centers ``j`` equal to the minimum.  A point with a ``NaN`` distance (a
+    ``NaN`` or ±inf feature) is re-decided by ``argmin``, which takes the
+    first ``NaN`` as the minimum.  Labels and distances are bit for bit
+    those of ``argmin`` over the row-major ``(n, k)`` distances of the same
+    product ``points @ centers.T``.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
+    k = len(centers)
+    if k == 0:
+        raise ModelError("cannot assign points to zero centers")
     point_norms = np.einsum("ij,ij->i", points, points)
     center_norms = np.einsum("ij,ij->i", centers, centers)
-    cross = points @ centers.T
-    distances = point_norms[:, None] - 2.0 * cross + center_norms[None, :]
-    labels = np.argmin(distances, axis=1)
-    best = np.maximum(distances[np.arange(len(points)), labels], 0.0)
-    return labels, best
+    # The product keeps the row-major operand order: OpenBLAS rounds
+    # centers @ points.T differently once there are 16 or more features.
+    distances = np.multiply((points @ centers.T).T, 2.0, order="C")
+    np.subtract(point_norms, distances, out=distances)
+    distances += center_norms[:, None]
+    best = distances.min(axis=0)
+    weights = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    labels = k - ((distances == best) * weights).max(axis=0).astype(np.intp)
+    unordered = np.flatnonzero(np.isnan(best))
+    if len(unordered):
+        labels[unordered] = np.argmin(distances[:, unordered], axis=0)
+        best[unordered] = distances[labels[unordered], unordered]
+    return labels, np.maximum(best, 0.0, out=best)
 
 
 def _init_centers(data: DArray, k: int, init: str, rng: np.random.Generator

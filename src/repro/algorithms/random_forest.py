@@ -12,6 +12,7 @@ one model (the classic embarrassingly-parallel forest construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,75 @@ from repro.errors import ModelError
 __all__ = ["DecisionTree", "RandomForestModel", "hpdrandomforest", "train_tree"]
 
 _LEAF = -1
+
+
+@dataclass(frozen=True)
+class _NodeTable:
+    """Trees packed into one flat node table, walked all at once.
+
+    Node ``i`` of the table sends a point to ``children[2 * i + 1]`` when
+    its ``feature`` value is ``<= threshold[i]`` and to ``children[2 * i]``
+    otherwise, so a ``NaN`` feature goes right as in CART.  A leaf points to
+    itself on both sides (its ``feature`` is 0 and its threshold unused):
+    a walk of ``depth`` steps, the deepest tree's, leaves every point of
+    every tree at its leaf, whatever the depth of its own tree.
+    """
+
+    roots: np.ndarray       # (trees,) each tree's root node
+    feature: np.ndarray     # (nodes,) intp
+    threshold: np.ndarray   # (nodes,) float64
+    children: np.ndarray    # (2 * nodes,) intp
+    value: np.ndarray       # (nodes,) or (nodes, classes)
+    depth: int
+
+    @classmethod
+    def pack(cls, trees: list["DecisionTree"]) -> "_NodeTable":
+        sizes = [tree.node_count for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offsets = np.repeat(roots, sizes)
+        feature = np.concatenate([tree.feature for tree in trees])
+        leaf = feature == _LEAF
+        own = np.arange(len(feature))
+        children = np.empty((len(feature), 2), dtype=np.intp)
+        children[:, 0] = np.where(
+            leaf, own, np.concatenate([tree.right for tree in trees]) + offsets)
+        children[:, 1] = np.where(
+            leaf, own, np.concatenate([tree.left for tree in trees]) + offsets)
+        # Longest root-to-leaf path, one level of every tree per step.
+        depth, level = 0, roots[~leaf[roots]]
+        while len(level):
+            depth += 1
+            level = children[level].ravel()
+            level = level[~leaf[level]]
+        return cls(
+            roots=roots,
+            feature=np.where(leaf, 0, feature).astype(np.intp),
+            threshold=np.concatenate([tree.threshold for tree in trees]
+                                     ).astype(np.float64),
+            children=children.ravel(),
+            value=np.concatenate([tree.value for tree in trees]),
+            depth=depth,
+        )
+
+    def leaf_values(self, points: np.ndarray) -> np.ndarray:
+        """``(trees, rows[, classes])``: every tree's leaf value per row.
+
+        The walk reads the matrix as its columns laid end to end, which is
+        free for the column-major (Fortran-order) matrices prediction hands
+        in and one copy for any other.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2:
+            raise ModelError(f"trees score 2-D points, got ndim={points.ndim}")
+        n = len(points)
+        columns = points.ravel(order="F")
+        rows = np.arange(n, dtype=np.intp)
+        nodes = np.repeat(self.roots[:, None], n, axis=1)
+        for _ in range(self.depth):
+            x = columns.take(self.feature[nodes] * n + rows)
+            go_left = x <= self.threshold[nodes]
+            nodes = self.children[2 * nodes + go_left]
+        return self.value[nodes]
 
 
 @dataclass
@@ -43,30 +113,17 @@ class DecisionTree:
     def node_count(self) -> int:
         return len(self.feature)
 
+    @cached_property
+    def _nodes(self) -> _NodeTable:
+        return _NodeTable.pack([self])
+
     @property
     def depth(self) -> int:
-        depths = np.zeros(self.node_count, dtype=np.int64)
-        maximum = 0
-        for node in range(self.node_count):
-            if self.feature[node] != _LEAF:
-                child_depth = depths[node] + 1
-                depths[self.left[node]] = child_depth
-                depths[self.right[node]] = child_depth
-                maximum = max(maximum, child_depth)
-        return maximum
+        return self._nodes.depth
 
     def predict_value(self, points: np.ndarray) -> np.ndarray:
         """Route every point to its leaf; returns raw leaf values."""
-        points = np.asarray(points, dtype=np.float64)
-        nodes = np.zeros(len(points), dtype=np.int64)
-        active = self.feature[nodes] != _LEAF
-        while active.any():
-            idx = np.flatnonzero(active)
-            current = nodes[idx]
-            go_left = points[idx, self.feature[current]] <= self.threshold[current]
-            nodes[idx] = np.where(go_left, self.left[current], self.right[current])
-            active[idx] = self.feature[nodes[idx]] != _LEAF
-        return self.value[nodes]
+        return self._nodes.leaf_values(points)[0]
 
 
 class _TreeBuilder:
@@ -244,7 +301,15 @@ def train_tree(
 
 @dataclass
 class RandomForestModel:
-    """A trained forest: the trees plus enough metadata to predict."""
+    """A trained forest: the trees plus enough metadata to predict.
+
+    The first prediction packs the trees into one node table, kept for the
+    model object's lifetime, and every prediction walks all trees together
+    over the points' columns: one numpy pass per tree level for the whole
+    forest, not one walk per tree.  The ``(trees, rows)`` leaf values are
+    averaged over the trees, so the answers are those of scoring each tree
+    alone and averaging.
+    """
 
     trees: list[DecisionTree] = field(default_factory=list)
     task: str = "regression"
@@ -258,8 +323,11 @@ class RandomForestModel:
     def n_trees(self) -> int:
         return len(self.trees)
 
-    def predict(self, points: np.ndarray) -> np.ndarray:
-        """Ensemble prediction: mean (regression) or majority vote."""
+    @cached_property
+    def _nodes(self) -> _NodeTable:
+        return _NodeTable.pack(self.trees)
+
+    def _mean_leaf_values(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim == 1:
             points = points.reshape(-1, 1)
@@ -269,16 +337,18 @@ class RandomForestModel:
             )
         if not self.trees:
             raise ModelError("forest has no trees")
+        return self._nodes.leaf_values(points).mean(axis=0)
+
+    def predict(self, points: np.ndarray) -> np.ndarray:
+        """Ensemble prediction: mean (regression) or majority vote."""
         if self.task == "regression":
-            return np.mean([t.predict_value(points) for t in self.trees], axis=0)
-        probabilities = self.predict_proba(points)
-        return np.argmax(probabilities, axis=1)
+            return self._mean_leaf_values(points)
+        return np.argmax(self.predict_proba(points), axis=1)
 
     def predict_proba(self, points: np.ndarray) -> np.ndarray:
         if self.task != "classification":
             raise ModelError("predict_proba requires a classification forest")
-        points = np.asarray(points, dtype=np.float64)
-        return np.mean([t.predict_value(points) for t in self.trees], axis=0)
+        return self._mean_leaf_values(points)
 
 
 def hpdrandomforest(

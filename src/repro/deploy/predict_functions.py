@@ -7,9 +7,14 @@ These are the transform functions of §5 / Figures 15–16: invoked as
     OVER (PARTITION BEST) FROM mytable2
 
 the planner fans out many instances per node, each of which loads the model
-from the local DFS replica (cached), stacks its input columns into a
-matrix, and scores it vectorized.  Users can register their own prediction
-functions for custom model types via :func:`make_prediction_function`.
+from the local DFS replica (cached), copies each input column of a batch
+into its column of one column-major (Fortran-order) float64 matrix, and
+scores that matrix with a kernel that covers the whole model in each numpy
+pass (all of a forest's trees at once, all K-means centers at once).  A
+call the model cannot score (wrong argument count, unknown ``type=``)
+fails before any row is scored, on an empty input too.  Users can register
+their own prediction functions for custom model types via
+:func:`make_prediction_function`.
 """
 
 from __future__ import annotations
@@ -35,10 +40,15 @@ __all__ = [
 
 
 def _stack_features(args: dict[str, np.ndarray]) -> np.ndarray:
+    """The batch's argument columns as one column-major (Fortran-order)
+    float64 matrix: each column is one contiguous copy of its argument."""
     if not args:
         raise ExecutionError("prediction functions require feature arguments")
-    columns = [np.asarray(arr, dtype=np.float64) for arr in args.values()]
-    return np.column_stack(columns)
+    columns = list(args.values())
+    matrix = np.empty((len(columns[0]), len(columns)), dtype=np.float64, order="F")
+    for j, column in enumerate(columns):
+        matrix[:, j] = column
+    return matrix
 
 
 class _PredictBase(TransformFunction):
@@ -79,19 +89,33 @@ class _PredictBase(TransformFunction):
             )
         return model
 
+    def check_call(self, model, n_args: int, params: Mapping[str, Any]) -> None:
+        """Reject a call the model cannot score before any row is scored, so
+        it fails alike on an empty and on a non-empty input."""
+        expected = getattr(model, "n_features", None)
+        if expected is not None and n_args != expected:
+            raise ModelError(
+                f"{self.name}: model {params.get('model')!r} expects "
+                f"{expected} features, got {n_args} arguments"
+            )
+
     def score(self, model, features: np.ndarray, params: Mapping[str, Any]) -> np.ndarray:
         raise NotImplementedError
 
     def process_stream(self, ctx, batches, params):
-        """Score batchwise: resolve the model once, then predict each batch
-        as it arrives, holding one batch of features at a time.  Rows score
-        independently in every model here, so the concatenated predictions
-        match single-matrix scoring exactly.
+        """Score batchwise: resolve the model once, check the call against
+        it on the first batch (the executor sends a typed empty batch when
+        no row survives), then predict each batch as it arrives, holding one
+        batch of features at a time.  Rows score independently in every
+        model here, so the concatenated predictions match single-matrix
+        scoring exactly.
         """
         model = self._resolve_model(ctx, params)
         rows_predicted = ctx.cluster.metrics.counter("rows_predicted")
         chunks: list[np.ndarray] = []
-        for args in batches:
+        for index, args in enumerate(batches):
+            if index == 0:
+                self.check_call(model, len(args), params)
             features = _stack_features(args)
             if len(features) == 0:
                 continue
@@ -111,6 +135,15 @@ class GlmPredict(_PredictBase):
 
     name = "glmPredict"
     expected_model_type = "glm"
+
+    def check_call(self, model, n_args, params):
+        super().check_call(model, n_args, params)
+        response_type = str(params.get("type", "response"))
+        if response_type not in ("response", "link"):
+            raise ModelError(
+                f"{self.name}: type must be 'response' or 'link', "
+                f"got {response_type!r}"
+            )
 
     def score(self, model, features, params):
         response_type = str(params.get("type", "response"))

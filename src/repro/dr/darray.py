@@ -101,7 +101,7 @@ class DArray(DistributedObject):
         super().__init__(session, len(grid), worker_assignment)
         # Legacy arrays are materialized at declaration, zero-filled.
         for index, (_, _, nrow, ncol) in enumerate(grid):
-            zeros = np.zeros((nrow, ncol), dtype=self.dtype)
+            zeros = np.zeros((nrow, ncol), dtype=self.dtype, order="F")
             self._store(index, zeros, nrow, ncol, zeros.nbytes)
 
     # -- shape and structure -----------------------------------------------------
@@ -156,12 +156,15 @@ class DArray(DistributedObject):
         other filled partitions ("if data is row partitioned, each partition
         may have variable number of rows, but the same number of columns",
         §4).  Legacy arrays: the shape must match the declared block exactly.
+        Every partition is stored column-major (Fortran order), R's matrix
+        layout, so each column is contiguous for the solvers' kernels.
         """
         array = np.asarray(values, dtype=self.dtype)
         if array.ndim == 1:
             array = array.reshape(-1, 1)
         if array.ndim != 2:
             raise PartitionError(f"darray partitions are 2-D, got ndim={array.ndim}")
+        array = np.asfortranarray(array)
         info = self._info(index)
         if self.is_legacy:
             _, _, nrow, ncol = self._block_grid[index]

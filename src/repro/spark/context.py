@@ -84,7 +84,8 @@ class SparkContext:
 
 
 class RDD:
-    """A row-partitioned matrix read from DFS files, cached after first use.
+    """A row-partitioned matrix read from DFS files, cached after first use,
+    one column-major (Fortran-order) float64 matrix per partition.
 
     The first access reads every partition on the executor pool and keeps
     it in memory, so iterative algorithms pay the load once (what makes
@@ -104,7 +105,8 @@ class RDD:
     def _read(self, partition: int) -> np.ndarray:
         raw = self.context.store.read(self._paths[partition])
         self.context.metrics.counter("rdd_partitions_computed").add()
-        return np.load(io.BytesIO(raw), allow_pickle=False)
+        return np.asarray(np.load(io.BytesIO(raw), allow_pickle=False),
+                          dtype=np.float64, order="F")
 
     def _partitions(self) -> list[np.ndarray]:
         with self._lock:

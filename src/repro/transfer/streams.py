@@ -139,9 +139,10 @@ def frames_to_matrix(payload: bytes, column_order: list[str]) -> np.ndarray:
 
     This is the "convert to an R object" step: the per-stream chunks are
     concatenated in arrival order and the requested columns become matrix
-    columns in the caller's declared order.  The row count comes from the
-    block headers, so each block decodes straight into its slice of the
-    one preallocated matrix.
+    columns in the caller's declared order.  The matrix is column-major
+    (Fortran order), R's layout: the row count comes from the block
+    headers, so each block decodes straight into a contiguous slice of its
+    column in the one preallocated matrix.
     """
     frames = _parse_frames(payload)
     row_counts = []
@@ -153,7 +154,8 @@ def frames_to_matrix(payload: bytes, column_order: list[str]) -> np.ndarray:
         if len(counts) != 1:
             raise TransferError(f"frame columns disagree on row count: {counts}")
         row_counts.append(counts.pop())
-    matrix = np.empty((sum(row_counts), len(column_order)), dtype=np.float64)
+    matrix = np.empty((sum(row_counts), len(column_order)), dtype=np.float64,
+                      order="F")
     start = 0
     for frame, rows in zip(frames, row_counts):
         for j, name in enumerate(column_order):

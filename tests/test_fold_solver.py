@@ -207,6 +207,39 @@ class TestCarrierIndependence:
                 assert model.inertia == distributed.inertia
                 assert model.iterations == distributed.iterations
 
+    def test_input_layout_does_not_reach_the_solvers(self, session):
+        """The same rows handed over in C order and in Fortran order: every
+        carrier stores column-major partitions, so K-means is bit-identical
+        on all six (BLAS and einsum round by layout, so only one layout can
+        be) and GLM agrees to 1e-12."""
+        data = make_regression(900, 4, noise_scale=0.3, seed=24)
+        kmeans, glms = [], []
+        for order in ("C", "F"):
+            x = np.asarray(data.features, order=order)
+            y = np.asarray(data.responses.reshape(-1, 1), order=order)
+            dx = session.darray(npartitions=3).fill_from(x)
+            dy = session.darray(npartitions=3, worker_assignment=[
+                dx.worker_of(i) for i in range(3)]).fill_from(y)
+            with SparkContext(DistributedFileSystem(3, replication=3)) as sc:
+                sc.save_matrix("/lay/x", x, npartitions=3)
+                sc.save_matrix("/lay/y", y, npartitions=3)
+                carriers = [(dy, dx),
+                            (LocalArray(y, npartitions=3),
+                             LocalArray(x, npartitions=3)),
+                            (sc.matrix_from_hdfs("/lay/y"),
+                             sc.matrix_from_hdfs("/lay/x"))]
+                for responses, features in carriers:
+                    kmeans.append(hpdkmeans(features, k=4, seed=9,
+                                            max_iterations=6, tolerance=0.0))
+                    glms.append(hpdglm(responses, features, family="gaussian"))
+        for model in kmeans[1:]:
+            assert np.array_equal(model.centers, kmeans[0].centers)
+            assert np.array_equal(model.cluster_sizes, kmeans[0].cluster_sizes)
+            assert model.inertia == kmeans[0].inertia
+        for model in glms[1:]:
+            assert np.allclose(model.coefficients, glms[0].coefficients,
+                               rtol=0, atol=1e-12)
+
     def test_naive_bayes_matches_across_carriers(self, session):
         data = make_classification(900, 3, seed=23)
         y, x = fill_pair(session, data.features, data.responses.astype(float))
