@@ -5,7 +5,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck experiments bench-ml bench-smoke benchmarks-smoke all
+.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck experiments bench-ml bench-smoke benchmarks-smoke reach all
 
 all: lint test
 
@@ -92,3 +92,10 @@ benchmarks-smoke:
 # contract fails here rather than in the benchmark driver.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q bench/test_bench.py
+
+# Which src/repro functions only the tests reach: runs the harness, every
+# example, bench/test_bench.py, the benchmarks smoke and docscheck, then
+# tier-1, each traced, and lists the functions reached only by tier-1 and
+# those reached by nothing, with their line counts.  Not part of CI.
+reach:
+	PYTHONPATH=src $(PYTHON) tools/reach.py

@@ -12,7 +12,6 @@ from repro.algorithms.metrics import (
     log_loss,
     mean_squared_error,
     r_squared,
-    root_mean_squared_error,
 )
 from repro.algorithms.naive_bayes import NaiveBayesModel, hpdnaivebayes, model_from_moments
 from repro.algorithms.random_forest import (
@@ -46,7 +45,6 @@ __all__ = [
     "poisson",
     "family_by_name",
     "mean_squared_error",
-    "root_mean_squared_error",
     "r_squared",
     "accuracy",
     "log_loss",

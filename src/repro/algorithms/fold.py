@@ -24,6 +24,7 @@ from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.dr.dobject import check_partition
 from repro.errors import ModelError, PartitionError
 
 __all__ = ["PartitionFold", "fold_fit", "per_class_sums", "LocalArray"]
@@ -185,7 +186,7 @@ class LocalArray:
         return 0
 
     def get_partition(self, partition: int) -> np.ndarray:
-        return self._parts[partition]
+        return self._parts[check_partition(partition, self.npartitions)]
 
     def map_partitions(self, fn: Callable, *others: "LocalArray") -> list:
         """``fn(index, partition, *other_partitions)`` per partition,

@@ -8,12 +8,10 @@ from repro.errors import ModelError
 
 __all__ = [
     "mean_squared_error",
-    "root_mean_squared_error",
     "r_squared",
     "accuracy",
     "log_loss",
     "confusion_matrix",
-    "silhouette_sample",
 ]
 
 
@@ -30,10 +28,6 @@ def _check_lengths(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_true, y_pred = _check_lengths(y_true, y_pred)
     return float(np.mean((y_true - y_pred) ** 2))
-
-
-def root_mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    return float(np.sqrt(mean_squared_error(y_true, y_pred)))
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -78,33 +72,3 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
     for truth, prediction in zip(y_true, y_pred):
         matrix[index[truth], index[prediction]] += 1
     return matrix, labels
-
-
-def silhouette_sample(points: np.ndarray, labels: np.ndarray,
-                      sample: int = 1000, seed: int = 0) -> float:
-    """Mean silhouette coefficient over a random sample of points."""
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels).ravel()
-    if len(points) != len(labels):
-        raise ModelError("points and labels must align")
-    unique = np.unique(labels)
-    if len(unique) < 2:
-        raise ModelError("silhouette requires at least two clusters")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(points), size=min(sample, len(points)), replace=False)
-    scores = []
-    for i in chosen:
-        distances = np.linalg.norm(points - points[i], axis=1)
-        own = labels == labels[i]
-        own_count = own.sum() - 1
-        if own_count == 0:
-            continue
-        a = distances[own].sum() / own_count
-        b = min(
-            distances[labels == other].mean()
-            for other in unique if other != labels[i]
-        )
-        scores.append((b - a) / max(a, b) if max(a, b) > 0 else 0.0)
-    if not scores:
-        raise ModelError("silhouette sample produced no valid points")
-    return float(np.mean(scores))

@@ -3,9 +3,7 @@
 from repro.deploy.deploy import (
     deploy_model,
     drop_model,
-    export_model,
     grant_model,
-    import_model,
     load_model,
     revoke_model,
 )
@@ -31,8 +29,6 @@ __all__ = [
     "drop_model",
     "grant_model",
     "revoke_model",
-    "export_model",
-    "import_model",
     "serialize_model",
     "deserialize_model",
     "register_model_codec",

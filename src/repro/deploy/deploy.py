@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vertica.cluster import VerticaCluster
 
 __all__ = ["deploy_model", "load_model", "drop_model", "grant_model",
-           "revoke_model", "export_model", "import_model", "MODEL_DFS_PREFIX"]
+           "revoke_model", "MODEL_DFS_PREFIX"]
 
 MODEL_DFS_PREFIX = "/drmodels/"
 
@@ -112,36 +112,6 @@ def drop_model(cluster: "VerticaCluster", name: str, user: str | None = None) ->
     cluster.dfs.delete(record.dfs_path)
     with _MODEL_CACHE_LOCK:
         _MODEL_CACHE.pop((id(cluster), record.dfs_path, info.version), None)
-
-
-def export_model(cluster: "VerticaCluster", name: str, path,
-                 user: str | None = None) -> int:
-    """Write a deployed model's serialized blob to a local file.
-
-    Lets one database's models move to another (or into version control);
-    returns the number of bytes written.
-    """
-    from pathlib import Path
-
-    record = cluster.r_models.get(name, user=user, privilege=Privilege.USAGE)
-    blob = cluster.dfs.read(record.dfs_path)
-    Path(path).write_bytes(blob)
-    return len(blob)
-
-
-def import_model(cluster: "VerticaCluster", path, name: str,
-                 owner: str = "dbadmin", description: str = "",
-                 replace: bool = False) -> ModelRecord:
-    """Deploy a model from a blob previously written by :func:`export_model`.
-
-    The blob is validated by deserializing it before registration.
-    """
-    from pathlib import Path
-
-    blob = Path(path).read_bytes()
-    model = deserialize_model(blob)  # validates format and codec
-    return deploy_model(cluster, model, name, owner=owner,
-                        description=description, replace=replace)
 
 
 def grant_model(cluster: "VerticaCluster", name: str, user: str,

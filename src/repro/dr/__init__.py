@@ -1,7 +1,7 @@
 """The Distributed R analog: master/worker engine with distributed arrays,
 data frames, and lists supporting unequal partition sizes (paper §4)."""
 
-from repro.dr.darray import DArray, clone, partitionsize, repartition
+from repro.dr.darray import DArray, clone, partitionsize
 from repro.dr.dframe import DFrame
 from repro.dr.dlist import DList
 from repro.dr.dobject import DistributedObject, PartitionInfo
@@ -19,7 +19,6 @@ __all__ = [
     "PartitionInfo",
     "partitionsize",
     "clone",
-    "repartition",
     "Master",
     "Worker",
     "ShmBuffer",

@@ -7,7 +7,7 @@ partition to expose the same column names in the same order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from repro.dr.dobject import DistributedObject
 from repro.errors import PartitionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.dr.darray import DArray
     from repro.dr.session import DRSession
 
 __all__ = ["DFrame"]
@@ -84,102 +83,3 @@ class DFrame(DistributedObject):
         return np.concatenate([
             self.get_partition(i)[name] for i in range(self.npartitions)
         ])
-
-    def update_partitions(self, fn: Callable, *others: DistributedObject) -> "DFrame":
-        """Replace each partition with ``fn(index, partition, *other_parts)``."""
-        self._check_copartitioned(others)
-
-        def task(index: int) -> None:
-            args = [self.get_partition(index)]
-            for other in others:
-                args.append(self._local_partition(other, index, relative_to=self))
-            self.fill_partition(index, fn(index, *args))
-            return None
-
-        self.session.run_partition_tasks(
-            [(self.worker_of(i), task, i) for i in range(self.npartitions)]
-        )
-        return self
-
-    # -- relational-style operations ------------------------------------------------
-
-    def select(self, columns: list[str]) -> "DFrame":
-        """A new dframe with only ``columns`` (same partitioning)."""
-        for name in columns:
-            if name not in self.columns:
-                raise PartitionError(f"dframe has no column {name!r}")
-        assignment = [self.worker_of(i) for i in range(self.npartitions)]
-        result = DFrame(self.session, self.npartitions, assignment)
-
-        def task(index: int, part: dict) -> None:
-            result.fill_partition(index, {name: part[name] for name in columns})
-            return None
-
-        self.map_partitions(task)
-        return result
-
-    def filter(self, predicate: Callable[[dict], np.ndarray]) -> "DFrame":
-        """Rows where ``predicate(partition_dict)`` returns True (per row)."""
-        assignment = [self.worker_of(i) for i in range(self.npartitions)]
-        result = DFrame(self.session, self.npartitions, assignment)
-
-        def task(index: int, part: dict) -> None:
-            mask = np.atleast_1d(np.asarray(predicate(part), dtype=bool))
-            result.fill_partition(
-                index, {name: arr[mask] for name, arr in part.items()})
-            return None
-
-        self.map_partitions(task)
-        return result
-
-    def with_column(self, name: str,
-                    fn: Callable[[dict], np.ndarray]) -> "DFrame":
-        """A new dframe with an added/replaced column computed per partition."""
-        assignment = [self.worker_of(i) for i in range(self.npartitions)]
-        result = DFrame(self.session, self.npartitions, assignment)
-
-        def task(index: int, part: dict) -> None:
-            values = np.atleast_1d(np.asarray(fn(part)))
-            rows = len(next(iter(part.values())))
-            if len(values) != rows:
-                raise PartitionError(
-                    f"with_column produced {len(values)} values for "
-                    f"{rows} rows in partition {index}"
-                )
-            result.fill_partition(index, {**part, name: values})
-            return None
-
-        self.map_partitions(task)
-        return result
-
-    def to_darray(self, columns: list[str] | None = None) -> "DArray":
-        """Stack numeric columns into a co-located row-partitioned darray."""
-        from repro.dr.darray import DArray
-
-        names = columns if columns is not None else list(self.columns)
-        for name in names:
-            if name not in self.columns:
-                raise PartitionError(f"dframe has no column {name!r}")
-        assignment = [self.worker_of(i) for i in range(self.npartitions)]
-        result = DArray(self.session, npartitions=self.npartitions,
-                        worker_assignment=assignment)
-
-        def task(index: int, part: dict) -> None:
-            arrays = []
-            for name in names:
-                arr = np.asarray(part[name])
-                if arr.dtype == object:
-                    raise PartitionError(
-                        f"column {name!r} is not numeric; cast or drop it "
-                        "before to_darray()"
-                    )
-                arrays.append(arr.astype(np.float64))
-            result.fill_partition(
-                index,
-                np.column_stack(arrays) if arrays and len(arrays[0])
-                else np.empty((0, len(names))),
-            )
-            return None
-
-        self.map_partitions(task)
-        return result

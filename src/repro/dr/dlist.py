@@ -1,13 +1,15 @@
 """Distributed lists: partitioned sequences of arbitrary Python objects.
 
-``dlist(npartitions=)`` from Table 1.  Used for model ensembles (e.g. the
-random-forest trees each worker grows) and other irregular collections.
+``dlist(npartitions=)`` from Table 1, for irregular collections that are
+not matrices or frames.  The solvers here do not use it: the random forest
+grows its trees as the results of per-partition ``map_partitions``
+tasks.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.dr.dobject import DistributedObject
 from repro.errors import PartitionError
@@ -50,20 +52,3 @@ class DList(DistributedObject):
     @property
     def total_items(self) -> int:
         return sum(p.nrow or 0 for p in self.partitions)
-
-    def update_partitions(self, fn: Callable, *others: DistributedObject) -> "DList":
-        """Replace each partition with ``fn(index, items, *other_parts)``."""
-        self._check_copartitioned(others)
-
-        def task(index: int) -> None:
-            current = self.get_partition(index) if self.partitions[index].filled else []
-            args = [current]
-            for other in others:
-                args.append(self._local_partition(other, index, relative_to=self))
-            self.fill_partition(index, fn(index, *args))
-            return None
-
-        self.session.run_partition_tasks(
-            [(self.worker_of(i), task, i) for i in range(self.npartitions)]
-        )
-        return self

@@ -19,9 +19,21 @@ from repro.errors import PartitionError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dr.session import DRSession
 
-__all__ = ["PartitionInfo", "DistributedObject"]
+__all__ = ["PartitionInfo", "DistributedObject", "check_partition"]
 
 _OBJECT_IDS = itertools.count(1)
+
+
+def check_partition(partition: int, npartitions: int) -> int:
+    """``partition`` when it numbers one of ``npartitions`` partitions,
+    else :class:`PartitionError`: a negative index is not counted from the
+    end.  Every carrier (darray, ``LocalArray``, Spark ``RDD``) checks with
+    this."""
+    if not 0 <= partition < npartitions:
+        raise PartitionError(
+            f"partition {partition} out of range [0, {npartitions})"
+        )
+    return partition
 
 
 @dataclass
@@ -82,11 +94,7 @@ class DistributedObject:
         return self._info(partition).worker_index
 
     def _info(self, partition: int) -> PartitionInfo:
-        if not 0 <= partition < self.npartitions:
-            raise PartitionError(
-                f"partition {partition} out of range [0, {self.npartitions})"
-            )
-        return self.partitions[partition]
+        return self.partitions[check_partition(partition, self.npartitions)]
 
     # -- partition storage plumbing -----------------------------------------------
 

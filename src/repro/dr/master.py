@@ -31,14 +31,6 @@ class Master:
         with self._lock:
             self._objects[obj.object_id] = weakref.ref(obj)
 
-    def lookup(self, object_id: int) -> "DistributedObject":
-        with self._lock:
-            ref = self._objects.get(object_id)
-        obj = ref() if ref is not None else None
-        if obj is None:
-            raise SessionError(f"no live distributed object with id {object_id}")
-        return obj
-
     def live_objects(self) -> list["DistributedObject"]:
         with self._lock:
             refs = list(self._objects.values())

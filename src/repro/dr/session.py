@@ -17,8 +17,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-import numpy as np
-
 from repro.dr.darray import DArray
 from repro.dr.dframe import DFrame
 from repro.dr.dlist import DList
@@ -101,17 +99,11 @@ class DRSession:
 
     # -- data structure constructors (Table 1) -----------------------------------
 
-    def darray(self, npartitions: int | None = None,
-               dim: tuple[int, int] | None = None,
-               blocks: tuple[int, int] | None = None,
-               dtype: np.dtype | type = float,
-               worker_assignment: Sequence[int] | None = None,
-               partition_by: str = "row") -> DArray:
-        """``darray(npartitions=)`` or legacy ``darray(dim=, blocks=)``."""
+    def darray(self, npartitions: int,
+               worker_assignment: Sequence[int] | None = None) -> DArray:
+        """``darray(npartitions=)``."""
         self._check_open()
-        return DArray(self, npartitions=npartitions, dim=dim, blocks=blocks,
-                      dtype=dtype, worker_assignment=worker_assignment,
-                      partition_by=partition_by)
+        return DArray(self, npartitions, worker_assignment)
 
     def dframe(self, npartitions: int,
                worker_assignment: Sequence[int] | None = None) -> DFrame:

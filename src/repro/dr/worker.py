@@ -43,17 +43,6 @@ class ShmBuffer:
             self.closed = True
             return b"".join(self._chunks)
 
-    @property
-    def size(self) -> int:
-        with self._lock:
-            return sum(len(c) for c in self._chunks)
-
-    @property
-    def frame_count(self) -> int:
-        """Number of wire frames staged so far (one append per frame)."""
-        with self._lock:
-            return len(self._chunks)
-
 
 class Worker:
     """One Distributed R worker process group."""
@@ -136,16 +125,6 @@ class Worker:
                     f"of object {object_id}"
                 ) from None
 
-    def has_partition(self, object_id: int, partition: int) -> bool:
-        with self._lock:
-            return (object_id, partition) in self._store
-
-    def drop_partition(self, object_id: int, partition: int) -> None:
-        with self._lock:
-            key = (object_id, partition)
-            self._store.pop(key, None)
-            self._stored_bytes -= self._partition_bytes.pop(key, 0)
-
     def drop_object(self, object_id: int) -> None:
         with self._lock:
             keys = [k for k in self._store if k[0] == object_id]
@@ -157,11 +136,6 @@ class Worker:
     def stored_bytes(self) -> int:
         with self._lock:
             return self._stored_bytes
-
-    @property
-    def partition_count(self) -> int:
-        with self._lock:
-            return len(self._store)
 
     # -- shm staging for transfers -----------------------------------------------
 
@@ -182,8 +156,3 @@ class Worker:
             except KeyError:
                 raise PartitionError(f"no open stream {stream_id!r}") from None
         return buffer.close()
-
-    @property
-    def open_stream_count(self) -> int:
-        with self._lock:
-            return len(self._shm)

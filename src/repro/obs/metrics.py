@@ -230,9 +230,6 @@ CATALOG: dict[str, InstrumentSpec] = {
         _spec("dr_remote_bytes", "counter", "bytes",
               "Bytes moved by remote partition fetches.",
               "repro.dr.dobject"),
-        _spec("dr_repartition_bytes", "counter", "bytes",
-              "Bytes moved between workers by repartition().",
-              "repro.dr.darray"),
         _spec("tasks_reexecuted", "counter", "1",
               "DR tasks re-executed on a surviving worker after a failure.",
               "repro.dr.session"),

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.dr.dobject import check_partition
 from repro.errors import ExecutionError, PartitionError
 from repro.obs.metrics import MetricsRegistry
 from repro.vertica.dfs import DistributedFileSystem
@@ -132,6 +133,7 @@ class RDD:
         return [part.shape for part in self._partitions()]
 
     def get_partition(self, partition: int) -> np.ndarray:
+        check_partition(partition, self.npartitions)
         return self._partitions()[partition]
 
     def map_partitions(self, fn: Callable, *others: "RDD") -> list:

@@ -2,7 +2,7 @@
 groups, and on-disk segment files."""
 
 from repro.storage.column import ColumnBlock
-from repro.storage.compression import available_codecs, compress, decompress, register_codec
+from repro.storage.compression import CODECS, compress, decompress
 from repro.storage.encoding import ColumnSchema, SqlType
 from repro.storage.files import SegmentFile, SegmentFileWriter
 from repro.storage.rowgroup import RowGroup
@@ -16,6 +16,5 @@ __all__ = [
     "SegmentFileWriter",
     "compress",
     "decompress",
-    "register_codec",
-    "available_codecs",
+    "CODECS",
 ]

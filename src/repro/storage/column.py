@@ -21,8 +21,9 @@ its values, as a column store's designer picks encodings from a sample:
 * ``zlib`` — the plain encoding, then zlib, otherwise.
 
 The block's codec field records the layout, so every block decodes on its
-own wherever it travels.  The codecs ``none`` and ``rle`` always store the
-plain encoding.
+own wherever it travels.  The codec ``none`` stores the plain encoding
+uncompressed; a block whose codec field names anything else raises
+:class:`~repro.errors.StorageError` when decoded.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ Vertica compresses column blocks on disk; the paper's transfer-cost story
 decompresses data…") depends on this being real work, so blocks here are
 genuinely compressed and decompressed.
 
-Codecs are registered by name so tests and ablation benchmarks can switch
-them per-table (``none``, ``zlib``, ``rle`` for integer runs).
+A table takes one of two codecs (:data:`CODECS`): ``zlib``, the default,
+or ``none``, which the compression ablation uses as its baseline.
 
-Beside the registry, :func:`shuffle_compress` / :func:`shuffle_decompress`
+:func:`shuffle_compress` / :func:`shuffle_decompress`
 are the byte-plane form of ``zlib`` for 8-byte words, one of the block
 layouts the table codec ``zlib`` chooses between
 (:class:`~repro.storage.column.ColumnBlock`).  Words are split into their 8
@@ -22,106 +22,40 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable
 
 import numpy as np
 
 from repro.errors import StorageError
 
-__all__ = ["compress", "decompress", "available_codecs", "register_codec",
-           "byte_planes", "deflated_size", "shuffle_compress",
-           "shuffle_decompress"]
+__all__ = ["CODECS", "compress", "decompress", "byte_planes", "deflated_size",
+           "shuffle_compress", "shuffle_decompress"]
 
 _ZLIB_LEVEL = 1
 _WORD = 8  # bytes per value of the columns the byte-plane layout serves
 _PLANE_HEADER = struct.Struct("<BI")  # deflated-plane mask, data length
-_RLE_HEADER = struct.Struct("<qq")    # run count, word count
 
-_CompressFn = Callable[[bytes], bytes]
-_DecompressFn = Callable[[bytes], bytes]
-
-_CODECS: dict[str, tuple[_CompressFn, _DecompressFn]] = {}
-
-
-def register_codec(name: str, compress_fn: _CompressFn, decompress_fn: _DecompressFn) -> None:
-    """Register a codec under ``name`` (overwrites an existing entry)."""
-    if not name or not name.islower():
-        raise StorageError(f"codec names must be non-empty lowercase, got {name!r}")
-    _CODECS[name] = (compress_fn, decompress_fn)
-
-
-def available_codecs() -> list[str]:
-    """Names of all registered codecs, sorted."""
-    return sorted(_CODECS)
+CODECS = ("none", "zlib")
 
 
 def compress(data: bytes, codec: str) -> bytes:
-    """Compress ``data`` with ``codec``."""
-    try:
-        compress_fn, _ = _CODECS[codec]
-    except KeyError:
-        raise StorageError(f"unknown compression codec: {codec!r}") from None
-    return compress_fn(data)
+    """Compress ``data`` with ``codec``, one of :data:`CODECS`."""
+    if codec == "zlib":
+        return zlib.compress(data, level=_ZLIB_LEVEL)
+    if codec == "none":
+        return data
+    raise StorageError(f"unknown compression codec: {codec!r}")
 
 
 def decompress(data: bytes, codec: str) -> bytes:
     """Invert :func:`compress`."""
-    try:
-        _, decompress_fn = _CODECS[codec]
-    except KeyError:
-        raise StorageError(f"unknown compression codec: {codec!r}") from None
-    return decompress_fn(data)
-
-
-def _rle_compress(data: bytes) -> bytes:
-    """Run-length encode 8-byte words — effective on sorted/low-cardinality
-    integer columns, which is the case Vertica's RLE targets.
-
-    Layout: the run count and the word count (two ``<q``), then one
-    (length, value) pair of ``<q`` per run.  The word count lets the decoder
-    check the runs before it expands them.
-    """
-    if len(data) % 8 != 0:
-        # Not word-aligned: store verbatim with a sentinel run count of -1.
-        return struct.pack("<q", -1) + data
-    words = np.frombuffer(data, dtype=np.int64)
-    if words.size == 0:
-        return _RLE_HEADER.pack(0, 0)
-    change = np.flatnonzero(np.diff(words)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [words.size]))
-    runs = np.empty((starts.size, 2), dtype=np.int64)
-    runs[:, 0] = ends - starts       # run length
-    runs[:, 1] = words[starts]       # run value
-    return _RLE_HEADER.pack(starts.size, words.size) + runs.tobytes()
-
-
-def _rle_decompress(data: bytes) -> bytes:
-    if len(data) < 8:
-        raise StorageError("RLE block too short for its header")
-    if struct.unpack_from("<q", data, 0) == (-1,):
-        return data[8:]
-    if len(data) < _RLE_HEADER.size:
-        raise StorageError("RLE block too short for its header")
-    nruns, total = _RLE_HEADER.unpack_from(data, 0)
-    if nruns < 0 or len(data) != _RLE_HEADER.size + 16 * nruns:
-        raise StorageError(f"corrupt RLE block: {nruns} runs in {len(data)} bytes")
-    runs = np.frombuffer(data, dtype=np.int64, count=nruns * 2,
-                         offset=_RLE_HEADER.size).reshape(nruns, 2)
-    lengths = runs[:, 0]
-    if nruns and (lengths.min() <= 0 or lengths.max() > total):
-        raise StorageError("corrupt RLE block: run length out of range")
-    # Every length is at most ``total``, so the sum cannot overflow below.
-    if nruns * total >= 2**63 or int(lengths.sum()) != total:
-        raise StorageError(f"corrupt RLE block: runs do not add up to {total} words")
-    return np.repeat(runs[:, 1], lengths).tobytes()
-
-
-def _zlib_decompress(data: bytes) -> bytes:
-    try:
-        return zlib.decompress(data)
-    except zlib.error as error:
-        raise StorageError(f"corrupt zlib payload: {error}") from None
+    if codec == "zlib":
+        try:
+            return zlib.decompress(data)
+        except zlib.error as error:
+            raise StorageError(f"corrupt zlib payload: {error}") from None
+    if codec == "none":
+        return data
+    raise StorageError(f"unknown compression codec: {codec!r}")
 
 
 def byte_planes(raw: np.ndarray) -> np.ndarray:
@@ -219,12 +153,3 @@ def _inflate(stream: memoryview, expected: int) -> bytes:
         raise StorageError(
             f"byte-plane zlib stream holds {len(out)} bytes, expected {expected}")
     return out
-
-
-register_codec("none", lambda data: data, lambda data: data)
-register_codec(
-    "zlib",
-    lambda data: zlib.compress(data, level=_ZLIB_LEVEL),
-    _zlib_decompress,
-)
-register_codec("rle", _rle_compress, _rle_decompress)

@@ -80,10 +80,6 @@ class Catalog:
         table = self.get_table(name)
         return {column.name: column.sql_type for column in table.user_schema}
 
-    def table_names(self) -> list[str]:
-        with self._lock:
-            return sorted(t.name for t in self._tables.values())
-
     def tables(self) -> list["Table"]:
         """A point-in-time list of the registered tables (name order)."""
         with self._lock:
@@ -116,6 +112,3 @@ class Catalog:
         """Declared calling convention of a registered transform function."""
         return self.get_udtf(name).signature()
 
-    def udtf_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._udtfs)

@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.aqp.catalog import AqpCatalog
-from repro.errors import CatalogError, NodeDownError, SqlAnalysisError
+from repro.errors import CatalogError, NodeDownError, SqlAnalysisError, StorageError
 from repro.faults.plan import FaultPlan, InjectedFault
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, add_to_current, max_to_current
+from repro.storage.compression import CODECS
 from repro.storage.encoding import ColumnSchema, SqlType
 from repro.vertica import expressions
 from repro.vertica.catalog import Catalog
@@ -37,7 +38,7 @@ from repro.vertica.pipeline import (
     rechunk,
 )
 from repro.vertica.pruning import extract_column_ranges
-from repro.vertica.segmentation import HashSegmentation, RoundRobinSegmentation, SegmentationScheme
+from repro.vertica.segmentation import RoundRobinSegmentation, SegmentationScheme
 from repro.vertica.sql import ast
 from repro.vertica.sql.parser import parse
 from repro.vertica.table import FULL_HISTORY, ROWID_COLUMN, Table
@@ -62,6 +63,9 @@ class VerticaCluster:
     ) -> None:
         if node_count < 1:
             raise CatalogError("cluster requires at least one node")
+        if codec not in CODECS:
+            raise StorageError(
+                f"unknown compression codec: {codec!r} (expected one of {CODECS})")
         self.node_count = node_count
         self.codec = codec
         self.data_dir = Path(data_dir) if data_dir is not None else None
@@ -149,16 +153,6 @@ class VerticaCluster:
         inserted = table.insert(columns)
         self.metrics.counter("rows_loaded").add(inserted)
         return inserted
-
-    def load_dataframe_style(
-        self, table_name: str, columns: dict[str, np.ndarray],
-        segment_by: str | None = None,
-    ) -> Table:
-        """Create-and-load in one call (convenience used by examples)."""
-        segmentation = HashSegmentation(segment_by) if segment_by else None
-        table = self.create_table_like(table_name, columns, segmentation)
-        self.bulk_load(table_name, columns)
-        return table
 
     # -- query execution ---------------------------------------------------------
 

@@ -6,11 +6,6 @@ from repro.workloads.regression import (
     make_classification,
     make_regression,
 )
-from repro.workloads.tables import (
-    load_cluster_table,
-    load_regression_table,
-    make_prediction_table,
-)
 
 __all__ = [
     "make_regression",
@@ -18,7 +13,4 @@ __all__ = [
     "RegressionDataset",
     "make_blobs",
     "ClusterDataset",
-    "load_regression_table",
-    "load_cluster_table",
-    "make_prediction_table",
 ]

@@ -71,10 +71,6 @@ class Application:
         return sum(c.cores for c in self.containers)
 
     @property
-    def memory_allocated(self) -> int:
-        return sum(c.memory_bytes for c in self.containers)
-
-    @property
     def is_satisfied(self) -> bool:
         return self.pending == 0
 
@@ -108,10 +104,6 @@ class ResourceManager:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def free_resources(self) -> list[tuple[int, int]]:
-        with self._lock:
-            return list(zip(self._free_cores, self._free_memory))
 
     def utilization(self) -> float:
         """Fraction of total cores currently allocated."""

@@ -1,134 +1,8 @@
-"""Tests for column-partitioned darrays, darray arithmetic, and the ODBC
-wire-format string escaping."""
+"""Tests for the ODBC wire-format string escaping."""
 
 import numpy as np
-import pytest
 
-from repro.dr import clone, start_session
-from repro.errors import PartitionError
 from repro.vertica import VerticaCluster
-
-
-class TestColumnPartitioning:
-    def test_fill_and_collect(self, session):
-        array = session.darray(npartitions=3, partition_by="column")
-        data = np.arange(24.0).reshape(4, 6)
-        array.fill_from(data)
-        assert array.shape == (4, 6)
-        assert np.array_equal(array.collect(), data)
-
-    def test_unequal_column_partitions(self, session):
-        array = session.darray(npartitions=2, partition_by="column")
-        array.fill_partition(0, np.ones((3, 1)))
-        array.fill_partition(1, np.ones((3, 4)))
-        assert array.shape == (3, 5)
-
-    def test_row_count_conformability(self, session):
-        array = session.darray(npartitions=2, partition_by="column")
-        array.fill_partition(0, np.ones((3, 2)))
-        with pytest.raises(PartitionError, match="row"):
-            array.fill_partition(1, np.ones((4, 2)))
-
-    def test_invalid_partition_by(self, session):
-        with pytest.raises(PartitionError):
-            session.darray(npartitions=2, partition_by="diagonal")
-
-    def test_legacy_rejects_partition_by(self, session):
-        with pytest.raises(PartitionError):
-            session.darray(dim=(4, 4), blocks=(2, 2), partition_by="column")
-
-    def test_clone_preserves_column_partitioning(self, session):
-        array = session.darray(npartitions=2, partition_by="column")
-        array.fill_from(np.ones((4, 6)))
-        cloned = clone(array, fill=3.0)
-        assert cloned.partition_by == "column"
-        assert cloned.shape == (4, 6)
-        assert np.all(cloned.collect() == 3.0)
-
-    def test_map_partitions_over_columns(self, session):
-        array = session.darray(npartitions=3, partition_by="column")
-        array.fill_from(np.arange(12.0).reshape(2, 6))
-        column_sums = array.map_partitions(lambda i, part: part.sum())
-        assert sum(column_sums) == pytest.approx(66.0)
-
-
-class TestDArrayArithmetic:
-    @pytest.fixture
-    def pair(self, session):
-        a = session.darray(npartitions=3)
-        a.fill_from(np.arange(12.0).reshape(6, 2))
-        b = clone(a, fill=2.0)
-        return a, b
-
-    def test_add_arrays(self, pair):
-        a, b = pair
-        assert np.array_equal((a + b).collect(), a.collect() + 2.0)
-
-    def test_scalar_ops(self, pair):
-        a, _ = pair
-        assert np.array_equal((a * 3).collect(), a.collect() * 3)
-        assert np.array_equal((3 * a).collect(), a.collect() * 3)
-        assert np.array_equal((a + 1).collect(), a.collect() + 1)
-        assert np.array_equal((a - 1).collect(), a.collect() - 1)
-        assert np.allclose((a / 2).collect(), a.collect() / 2)
-
-    def test_negation(self, pair):
-        a, _ = pair
-        assert np.array_equal((-a).collect(), -a.collect())
-
-    def test_result_is_colocated(self, pair):
-        a, b = pair
-        result = a + b
-        for i in range(a.npartitions):
-            assert result.worker_of(i) == a.worker_of(i)
-
-    def test_chained_expression(self, pair):
-        a, b = pair
-        result = (a + b) * 2 - 1
-        assert np.array_equal(result.collect(), (a.collect() + 2) * 2 - 1)
-
-    def test_shape_mismatch_rejected(self, session, pair):
-        a, _ = pair
-        other = session.darray(npartitions=3)
-        other.fill_partition(0, np.ones((1, 2)))
-        other.fill_partition(1, np.ones((1, 2)))
-        other.fill_partition(2, np.ones((10, 2)))
-        with pytest.raises(PartitionError, match="partition shapes"):
-            a + other
-
-    def test_unsupported_operand(self, pair):
-        a, _ = pair
-        with pytest.raises(PartitionError):
-            a + "nope"
-
-    def test_dot_vector(self, pair):
-        a, _ = pair
-        v = np.array([0.5, -1.0])
-        result = a.dot_vector(v)
-        assert result.ncol == 1
-        assert np.allclose(result.collect().ravel(), a.collect() @ v)
-
-    def test_dot_vector_wrong_length(self, pair):
-        a, _ = pair
-        with pytest.raises(PartitionError):
-            a.dot_vector([1.0, 2.0, 3.0])
-
-    def test_sum_and_mean(self, pair):
-        a, _ = pair
-        assert a.sum() == pytest.approx(a.collect().sum())
-        assert a.mean() == pytest.approx(a.collect().mean())
-
-    def test_arithmetic_on_unfilled_rejected(self, session):
-        a = session.darray(npartitions=2)
-        with pytest.raises(PartitionError):
-            a + 1
-
-    def test_column_partitioned_arithmetic(self, session):
-        a = session.darray(npartitions=2, partition_by="column")
-        a.fill_from(np.arange(8.0).reshape(2, 4))
-        doubled = a * 2
-        assert doubled.partition_by == "column"
-        assert np.array_equal(doubled.collect(), a.collect() * 2)
 
 
 class TestOdbcStringEscaping:

@@ -1,70 +1,12 @@
-"""Tests for model export/import, the VFT timing breakdown, and
-concurrency of the shared substrates."""
+"""Tests for the VFT timing breakdown and concurrency of the shared
+substrates."""
 
 import threading
 
 import numpy as np
-import pytest
 
-from repro.algorithms import hpdglm
-from repro.deploy import deploy_model, export_model, import_model, load_model
-from repro.dr import start_session
-from repro.errors import CatalogError, PermissionDeniedError, SerializationError
 from repro.transfer import db2darray
 from repro.vertica import HashSegmentation, VerticaCluster
-from repro.workloads import make_regression
-
-
-def trained_model(session):
-    data = make_regression(600, 2, noise_scale=0.05, seed=50)
-    x = session.darray(npartitions=2)
-    x.fill_from(data.features)
-    y = session.darray(npartitions=2,
-                       worker_assignment=[x.worker_of(i) for i in range(2)])
-    y.fill_partition(0, data.responses[:300].reshape(-1, 1))
-    y.fill_partition(1, data.responses[300:].reshape(-1, 1))
-    return hpdglm(y, x)
-
-
-class TestModelExportImport:
-    def test_export_then_import_into_other_cluster(self, session, tmp_path):
-        model = trained_model(session)
-        source = VerticaCluster(node_count=2)
-        deploy_model(source, model, "origin")
-        path = tmp_path / "model.rmdl"
-        written = export_model(source, "origin", path)
-        assert written == path.stat().st_size > 0
-
-        destination = VerticaCluster(node_count=3)
-        record = import_model(destination, path, "copied",
-                              description="migrated")
-        assert record.type == "glm"
-        restored = load_model(destination, "copied")
-        assert np.allclose(restored.coefficients, model.coefficients)
-
-    def test_export_respects_permissions(self, session, tmp_path):
-        model = trained_model(session)
-        cluster = VerticaCluster(node_count=2)
-        deploy_model(cluster, model, "locked", owner="alice")
-        with pytest.raises(PermissionDeniedError):
-            export_model(cluster, "locked", tmp_path / "m.bin", user="bob")
-
-    def test_import_validates_blob(self, tmp_path):
-        cluster = VerticaCluster(node_count=2)
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"definitely not a model")
-        with pytest.raises(SerializationError):
-            import_model(cluster, path, "junk")
-
-    def test_import_duplicate_requires_replace(self, session, tmp_path):
-        model = trained_model(session)
-        cluster = VerticaCluster(node_count=2)
-        deploy_model(cluster, model, "m")
-        path = tmp_path / "m.bin"
-        export_model(cluster, "m", path)
-        with pytest.raises(CatalogError):
-            import_model(cluster, path, "m")
-        import_model(cluster, path, "m", replace=True)
 
 
 class TestVftTimingBreakdown:

@@ -1,101 +1,11 @@
-"""Tests for DFrame relational operations and distributed GLM prediction."""
+"""Tests for distributed GLM prediction."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import hpdglm
-from repro.errors import ModelError, PartitionError
+from repro.errors import ModelError
 from repro.workloads import make_regression
-
-
-@pytest.fixture
-def frame(session):
-    f = session.dframe(npartitions=2)
-    f.fill_partition(0, {
-        "x": np.arange(5.0),
-        "tag": np.asarray(["a", "b", "a", "b", "a"], dtype=object),
-    })
-    f.fill_partition(1, {
-        "x": np.arange(5.0, 8.0),
-        "tag": np.asarray(["a", "a", "b"], dtype=object),
-    })
-    return f
-
-
-class TestDFrameSelect:
-    def test_keeps_only_requested_columns(self, frame):
-        selected = frame.select(["x"])
-        assert selected.columns == ("x",)
-        assert selected.nrow == 8
-
-    def test_colocated(self, frame):
-        selected = frame.select(["x"])
-        for i in range(frame.npartitions):
-            assert selected.worker_of(i) == frame.worker_of(i)
-
-    def test_unknown_column_rejected(self, frame):
-        with pytest.raises(PartitionError):
-            frame.select(["missing"])
-
-
-class TestDFrameFilter:
-    def test_predicate_applies_per_row(self, frame):
-        filtered = frame.filter(lambda p: p["x"] >= 4)
-        assert filtered.nrow == 4
-        assert np.all(filtered.column_array("x") >= 4)
-
-    def test_filter_preserves_all_columns(self, frame):
-        filtered = frame.filter(lambda p: p["x"] > 100)
-        assert filtered.columns == frame.columns
-        assert filtered.nrow == 0
-
-    def test_string_predicate(self, frame):
-        filtered = frame.filter(
-            lambda p: np.asarray([t == "a" for t in p["tag"]]))
-        assert filtered.nrow == 5
-
-
-class TestDFrameWithColumn:
-    def test_adds_column(self, frame):
-        extended = frame.with_column("x2", lambda p: p["x"] ** 2)
-        assert "x2" in extended.columns
-        assert np.allclose(extended.column_array("x2"),
-                           frame.column_array("x") ** 2)
-
-    def test_replaces_column(self, frame):
-        replaced = frame.with_column("x", lambda p: p["x"] * 0)
-        assert np.all(replaced.column_array("x") == 0)
-
-    def test_length_mismatch_rejected(self, frame):
-        with pytest.raises(PartitionError, match="values"):
-            frame.with_column("bad", lambda p: np.arange(2.0))
-
-
-class TestDFrameToDarray:
-    def test_numeric_stack(self, frame):
-        extended = frame.with_column("x2", lambda p: p["x"] * 2)
-        array = extended.to_darray(["x", "x2"])
-        collected = array.collect()
-        assert collected.shape == (8, 2)
-        assert np.allclose(collected[:, 1], collected[:, 0] * 2)
-
-    def test_colocation(self, frame):
-        array = frame.to_darray(["x"])
-        for i in range(frame.npartitions):
-            assert array.worker_of(i) == frame.worker_of(i)
-
-    def test_object_column_rejected(self, frame):
-        with pytest.raises(PartitionError, match="numeric"):
-            frame.to_darray(["tag"])
-
-    def test_chained_pipeline(self, frame):
-        array = (frame
-                 .filter(lambda p: p["x"] > 1)
-                 .with_column("y", lambda p: p["x"] + 10)
-                 .select(["x", "y"])
-                 .to_darray())
-        assert array.shape == (6, 2)
-        assert np.allclose(array.collect()[:, 1], array.collect()[:, 0] + 10)
 
 
 class TestDistributedGlmPredict:

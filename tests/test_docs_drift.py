@@ -199,3 +199,62 @@ def test_builtin_udtf_table_matches_installed_functions():
         f"docs/sql_reference.md UDTF table {sorted(documented)} != "
         f"installed built-ins {sorted(installed)}"
     )
+
+
+# ---------------------------------------------------------------------------
+# The repro.dr surface: docs/api_overview.md names only what exists
+# ---------------------------------------------------------------------------
+
+API_DOC = Path(__file__).parent.parent / "docs" / "api_overview.md"
+
+
+def dr_section() -> str:
+    match = re.search(r"^## `repro\.dr`[^\n]*\n(.*?)^## ", API_DOC.read_text(),
+                      re.DOTALL | re.MULTILINE)
+    assert match, "docs/api_overview.md lost its repro.dr section"
+    return match.group(1)
+
+
+def documented_dr_names() -> list[tuple[object, str]]:
+    """``(owner, name)`` for each method the ``DArray:``/``DFrame:`` bullets
+    list, each helper the ``Helpers:`` bullet lists, and each
+    ``session.<name>(...)`` the section calls."""
+    import repro.dr
+    from repro.dr import DArray, DFrame, DRSession
+
+    owners = {"`DArray`:": DArray, "`DFrame`:": DFrame, "Helpers:": repro.dr}
+    names: list[tuple[object, str]] = []
+    for bullet in re.split(r"^- ", dr_section(), flags=re.MULTILINE):
+        bullet = " ".join(bullet.split())
+        for prefix, owner in owners.items():
+            if bullet.startswith(prefix):
+                names += [(owner, name) for name in re.findall(
+                    r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", bullet[len(prefix):])]
+        names += [(DRSession, name)
+                  for name in re.findall(r"`session\.(\w+)\(", bullet)]
+    return names
+
+
+@pytest.mark.parametrize(
+    "owner, name", documented_dr_names(),
+    ids=lambda value: getattr(value, "__name__", value))
+def test_documented_dr_name_exists(owner, name):
+    assert hasattr(owner, name), (
+        f"docs/api_overview.md names {owner.__name__}.{name}, which does not exist")
+
+
+def test_documented_dr_surface_is_read():
+    """The parser above still finds the bullets it checks."""
+    owners = {owner.__name__ for owner, _ in documented_dr_names()}
+    assert owners == {"DArray", "DFrame", "repro.dr", "DRSession"}
+
+
+def test_documented_darray_constructor_matches_the_signature():
+    import inspect
+
+    from repro.dr import DRSession
+
+    match = re.search(r"`session\.darray\(([^)]*)\)`", dr_section())
+    assert match, "docs/api_overview.md no longer shows session.darray(...)"
+    documented = [part.split("=")[0].strip() for part in match.group(1).split(",")]
+    assert documented == list(inspect.signature(DRSession.darray).parameters)[1:]

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import LocalArray
 from repro.dr import DRSession, clone, partitionsize, start_session
 from repro.errors import PartitionError, SessionError
+from repro.spark import SparkContext
+from repro.vertica import DistributedFileSystem
 
 
 class TestDArrayFlexible:
@@ -81,51 +84,35 @@ class TestDArrayFlexible:
             array.fill_partition(0, np.ones((2, 2, 2)))
 
 
-class TestDArrayLegacy:
-    def test_grid_blocks(self, session):
-        array = session.darray(dim=(6, 4), blocks=(2, 2))
-        assert array.npartitions == 6  # 3 row blocks x 2 col blocks
-        assert array.is_legacy
-        assert array.shape == (6, 4)
+class TestPartitionIndexChecks:
+    """A partition index outside ``[0, npartitions)`` is a
+    :class:`PartitionError` on every carrier the solvers take: a negative
+    index does not count from the end."""
 
-    def test_zero_filled_at_declaration(self, session):
-        array = session.darray(dim=(4, 2), blocks=(2, 2))
-        assert np.array_equal(array.collect(), np.zeros((4, 2)))
+    @pytest.mark.parametrize("index", [-1, 3, 5])
+    @pytest.mark.parametrize("carrier", ["darray", "local", "rdd"])
+    def test_out_of_range_partition_rejected(self, session, carrier, index):
+        data = np.arange(18.0).reshape(9, 2)
+        with SparkContext(DistributedFileSystem(3, replication=3)) as sc:
+            if carrier == "darray":
+                array = session.darray(npartitions=3).fill_from(data)
+            elif carrier == "local":
+                array = LocalArray(data, npartitions=3)
+            else:
+                sc.save_matrix("/carrier/data", data, npartitions=3)
+                array = sc.matrix_from_hdfs("/carrier/data")
+            assert tuple(partitionsize(array, 2)) == (3, 2)
+            assert np.array_equal(array.get_partition(2), data[6:])
+            with pytest.raises(PartitionError, match="out of range"):
+                array.get_partition(index)
+            with pytest.raises(PartitionError, match="out of range"):
+                partitionsize(array, index)
 
-    def test_trailing_block_smaller(self, session):
-        array = session.darray(dim=(5, 2), blocks=(2, 2))
-        shapes = array.partition_shapes()
-        assert shapes[-1] == (1, 2)
-
-    def test_exact_block_shape_enforced(self, session):
-        array = session.darray(dim=(4, 2), blocks=(2, 2))
-        with pytest.raises(PartitionError):
-            array.fill_partition(0, np.ones((3, 2)))
-
-    def test_fill_from_roundtrip(self, session):
-        data = np.arange(24.0).reshape(6, 4)
-        array = session.darray(dim=(6, 4), blocks=(2, 2))
-        array.fill_from(data)
-        assert np.array_equal(array.collect(), data)
-
-    def test_dim_and_npartitions_mutually_exclusive(self, session):
-        with pytest.raises(PartitionError):
-            session.darray(npartitions=2, dim=(4, 2), blocks=(2, 2))
-        with pytest.raises(PartitionError):
-            session.darray()
-
-    def test_blocks_required_with_dim(self, session):
-        with pytest.raises(PartitionError):
-            session.darray(dim=(4, 2))
-
-    def test_block_larger_than_dim_rejected(self, session):
-        with pytest.raises(PartitionError):
-            session.darray(dim=(2, 2), blocks=(4, 2))
-
-    def test_clone_of_legacy_rejected(self, session):
-        array = session.darray(dim=(4, 2), blocks=(2, 2))
-        with pytest.raises(PartitionError):
-            clone(array)
+    @pytest.mark.parametrize("shape", [{"ncol": -1}, {"nrow": -1}])
+    def test_clone_rejects_a_negative_shape(self, session, shape):
+        array = session.darray(npartitions=2).fill_from(np.ones((4, 2)))
+        with pytest.raises(PartitionError, match="must be >= 0"):
+            clone(array, **shape)
 
 
 class TestTable1Helpers:

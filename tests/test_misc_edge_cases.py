@@ -1,10 +1,8 @@
-"""Remaining edge cases: joins with empty inputs, harness CLI, darray
-reductions on empty arrays."""
+"""Remaining edge cases: joins with empty inputs, harness CLI."""
 
 import numpy as np
 import pytest
 
-from repro.errors import PartitionError
 from repro.harness.__main__ import main as harness_main
 from repro.vertica import VerticaCluster
 
@@ -47,28 +45,6 @@ class TestJoinEmptyInputs:
         cluster = self.make_tables(3, 0)
         assert cluster.sql(
             "SELECT COUNT(*) FROM l a JOIN r b ON a.k = b.k").scalar() == 0
-
-
-class TestDArrayReductionEdges:
-    def test_sum_of_zero_row_partitions(self, session):
-        array = session.darray(npartitions=2)
-        array.fill_partition(0, np.empty((0, 2)))
-        array.fill_partition(1, np.ones((3, 2)))
-        assert array.sum() == pytest.approx(6.0)
-
-    def test_mean_of_entirely_empty_rejected(self, session):
-        array = session.darray(npartitions=1)
-        array.fill_partition(0, np.empty((0, 2)))
-        with pytest.raises(PartitionError):
-            array.mean()
-
-    def test_dot_vector_with_empty_partition(self, session):
-        array = session.darray(npartitions=2)
-        array.fill_partition(0, np.empty((0, 2)))
-        array.fill_partition(1, np.ones((4, 2)))
-        result = array.dot_vector([1.0, 1.0])
-        assert result.nrow == 4
-        assert np.allclose(result.collect().ravel(), 2.0)
 
 
 class TestHarnessCli:

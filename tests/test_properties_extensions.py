@@ -1,13 +1,11 @@
-"""Property-based tests for the extension features: joins, repartition,
-CSV roundtrips, and the LIKE matcher."""
+"""Property-based tests for the extension features: joins, CSV roundtrips,
+and the LIKE matcher."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.dr import repartition, start_session
 from repro.vertica import VerticaCluster, copy_from_csv, write_csv
 from repro.vertica.expressions import _like_to_regex
 
@@ -53,32 +51,6 @@ class TestJoinProperties:
         counts_right = np.bincount(right_keys, minlength=16)
         expected = int(np.sum(np.maximum(counts_right[left_keys], 1)))
         assert count == expected
-
-
-class TestRepartitionProperties:
-    @common_settings
-    @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 60))
-    def test_repartition_preserves_content_and_order(
-            self, source_parts, target_parts, rows):
-        with start_session(node_count=2, instances_per_node=1) as session:
-            array = session.darray(npartitions=source_parts)
-            data = np.arange(rows * 2, dtype=np.float64).reshape(rows, 2)
-            array.fill_from(data)
-            result = repartition(array, target_parts)
-            assert result.npartitions == target_parts
-            assert np.array_equal(result.collect(), data)
-
-    @common_settings
-    @given(st.integers(1, 6), st.integers(10, 80))
-    def test_repartition_balances_within_one_row(self, target_parts, rows):
-        with start_session(node_count=2, instances_per_node=1) as session:
-            array = session.darray(npartitions=2)
-            data = np.ones((rows, 1))
-            array.fill_partition(0, data[: rows - 1])
-            array.fill_partition(1, data[rows - 1:])
-            result = repartition(array, target_parts)
-            sizes = [shape[0] for shape in result.partition_shapes()]
-            assert max(sizes) - min(sizes) <= 1
 
 
 class TestCsvProperties:

@@ -1,18 +1,17 @@
-"""Tests for DISTINCT / IN / LIKE, table k-safety, and darray repartition."""
+"""Tests for DISTINCT / IN / LIKE and table k-safety."""
 
 import numpy as np
 import pytest
 
-from repro.dr import repartition, start_session
+from repro.dr import start_session
 from repro.errors import (
     CatalogError,
     ExecutionError,
-    PartitionError,
     SqlAnalysisError,
     SqlSyntaxError,
 )
 from repro.transfer import db2darray
-from repro.vertica import HashSegmentation, SkewedSegmentation, VerticaCluster
+from repro.vertica import HashSegmentation, VerticaCluster
 
 
 @pytest.fixture
@@ -167,53 +166,3 @@ class TestKSafety:
                       + sum(s.compressed_size for s in safe.buddy_segments))
         plain_total = sum(s.compressed_size for s in plain.segments)
         assert safe_total == pytest.approx(2 * plain_total, rel=0.01)
-
-
-class TestRepartition:
-    def test_balances_skew(self, session):
-        array = session.darray(npartitions=3)
-        array.fill_partition(0, np.arange(40.0).reshape(20, 2))
-        array.fill_partition(1, np.arange(40.0, 44.0).reshape(2, 2))
-        array.fill_partition(2, np.arange(44.0, 48.0).reshape(2, 2))
-        balanced = repartition(array, 3)
-        rows = [shape[0] for shape in balanced.partition_shapes()]
-        assert max(rows) - min(rows) <= 1
-
-    def test_preserves_row_order(self, session):
-        array = session.darray(npartitions=2)
-        data = np.arange(30.0).reshape(15, 2)
-        array.fill_partition(0, data[:11])
-        array.fill_partition(1, data[11:])
-        assert np.array_equal(repartition(array, 4).collect(), data)
-
-    def test_grow_and_shrink_partition_count(self, session):
-        array = session.darray(npartitions=2)
-        data = np.arange(24.0).reshape(12, 2)
-        array.fill_from(data)
-        assert np.array_equal(repartition(array, 6).collect(), data)
-        assert np.array_equal(repartition(array, 1).collect(), data)
-
-    def test_after_skewed_db_load(self, session):
-        rng = np.random.default_rng(61)
-        columns = {"v": rng.normal(size=1200)}
-        cluster = VerticaCluster(node_count=3)
-        cluster.create_table_like("skw", columns,
-                                  SkewedSegmentation((10.0, 1.0, 1.0)))
-        cluster.bulk_load("skw", columns)
-        loaded = db2darray(cluster, "skw", ["v"], session, policy="locality")
-        loaded_rows = [s[0] for s in loaded.partition_shapes()]
-        assert max(loaded_rows) > 4 * max(1, min(loaded_rows))
-        balanced = repartition(loaded, 3)
-        balanced_rows = [s[0] for s in balanced.partition_shapes()]
-        assert max(balanced_rows) - min(balanced_rows) <= 1
-        assert balanced.nrow == 1200
-
-    def test_unfilled_rejected(self, session):
-        array = session.darray(npartitions=2)
-        with pytest.raises(PartitionError):
-            repartition(array, 2)
-
-    def test_legacy_rejected(self, session):
-        array = session.darray(dim=(4, 2), blocks=(2, 2))
-        with pytest.raises(PartitionError):
-            repartition(array, 2)

@@ -14,12 +14,11 @@ from repro.storage import (
     SegmentFile,
     SegmentFileWriter,
     SqlType,
-    available_codecs,
     compress,
     decompress,
 )
 from repro.storage.column import PROBE_ROWS, SAMPLE_ROWS
-from repro.storage.compression import shuffle_compress, shuffle_decompress
+from repro.storage.compression import CODECS, shuffle_compress, shuffle_decompress
 from repro.storage.encoding import (
     decode_dictionary,
     decode_values,
@@ -245,24 +244,12 @@ class TestVarcharLayouts:
 
 class TestCompression:
     def test_builtin_codecs_registered(self):
-        assert {"none", "zlib", "rle"} <= set(available_codecs())
+        assert CODECS == ("none", "zlib")
 
-    @pytest.mark.parametrize("codec", ["none", "zlib", "rle"])
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
     def test_roundtrip(self, codec):
         data = np.arange(1000, dtype=np.int64).tobytes()
         assert decompress(compress(data, codec), codec) == data
-
-    def test_rle_compresses_runs(self):
-        data = np.repeat(np.arange(10, dtype=np.int64), 1000).tobytes()
-        compressed = compress(data, "rle")
-        assert len(compressed) < len(data) / 100
-
-    def test_rle_handles_unaligned_data(self):
-        data = b"hello world"  # not a multiple of 8 bytes
-        assert decompress(compress(data, "rle"), "rle") == data
-
-    def test_rle_empty(self):
-        assert decompress(compress(b"", "rle"), "rle") == b""
 
     def test_unknown_codec(self):
         with pytest.raises(StorageError):
@@ -356,9 +343,9 @@ class TestColumnBlock:
 
     def test_wire_roundtrip(self):
         values = np.arange(50, dtype=np.int64)
-        block = ColumnBlock.from_values(values, SqlType.INTEGER, codec="rle")
+        block = ColumnBlock.from_values(values, SqlType.INTEGER, codec="none")
         restored = ColumnBlock.from_bytes(block.to_bytes())
-        assert restored.codec == "rle"
+        assert restored.codec == "none"
         assert np.array_equal(restored.values(), values)
         assert restored.min_value == block.min_value
 
@@ -404,7 +391,7 @@ class TestColumnBlockLayouts:
     corrupted payload raises :class:`StorageError` rather than decode to
     wrong values."""
 
-    @pytest.mark.parametrize("codec", ["none", "zlib", "rle"])
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
     @pytest.mark.parametrize("length", [0, 1, 7, 9, 1025])
     @pytest.mark.parametrize("sql_type", list(SqlType))
     def test_wire_roundtrip_with_nulls(self, sql_type, length, codec):
@@ -482,10 +469,9 @@ class TestColumnBlockLayouts:
     def test_plain_codecs_store_the_plain_encoding(self):
         values = np.arange(2000)
         encoded = encode_values(values, SqlType.INTEGER)
-        for codec in ("none", "rle"):
-            block = ColumnBlock.from_values(values, SqlType.INTEGER, codec=codec)
-            assert block.codec == codec
-            assert block.payload == compress(encoded, codec)
+        block = ColumnBlock.from_values(values, SqlType.INTEGER, codec="none")
+        assert block.codec == "none"
+        assert block.payload == encoded
         strings = STATUSES[np.arange(2000) % 4]
         block = ColumnBlock.from_values(strings, SqlType.VARCHAR, codec="none")
         assert block.payload == offsets_layout_reference(strings)
@@ -597,8 +583,7 @@ class TestBytePlaneSelection:
 
 def corruptible_blocks() -> list[ColumnBlock]:
     """Small blocks in every codec and layout, of every type: the plain
-    encodings under ``none`` and ``rle`` (with word runs for every type),
-    and each layout ``zlib`` picks."""
+    encodings under ``none`` and each layout ``zlib`` picks."""
     rng = np.random.default_rng(40)
     runs = np.repeat(np.array([3, -7, 2**40, 0]), [20, 5, 30, 9])
     columns = [
@@ -612,7 +597,7 @@ def corruptible_blocks() -> list[ColumnBlock]:
         (np.array([f"id-{i:05d}" for i in range(40)], dtype=object), SqlType.VARCHAR),
     ]
     blocks = [ColumnBlock.from_values(values, sql_type, codec=codec)
-              for values, sql_type in columns for codec in ("none", "rle", "zlib")]
+              for values, sql_type in columns for codec in ("none", "zlib")]
     blocks.append(ColumnBlock.from_values(rng.normal(size=30), SqlType.FLOAT,
                                           validity=np.arange(30) % 4 != 0))
     return blocks
@@ -626,12 +611,9 @@ class TestCorruptBlocks:
     def test_every_codec_and_layout_is_swept(self):
         blocks = corruptible_blocks()
         assert {b.codec for b in blocks} == {
-            "none", "rle", "zlib", "zlib+dict", "zlib+shuffle"}
+            "none", "zlib", "zlib+dict", "zlib+shuffle"}
         shuffled = [b.payload[0] for b in blocks if b.codec == "zlib+shuffle"]
         assert 0xFF in shuffled and any(m not in (0x00, 0xFF) for m in shuffled)
-        # The rle blocks of every type hold runs, not the verbatim fallback.
-        assert all(struct.unpack_from("<q", b.payload)[0] >= 0
-                   for b in blocks if b.codec == "rle")
 
     @pytest.mark.parametrize("index", range(len(corruptible_blocks())))
     def test_truncated_and_flipped_blocks_raise_storage_errors(self, index):
@@ -656,17 +638,14 @@ class TestCorruptBlocks:
         with pytest.raises(StorageError, match="codec field"):
             ColumnBlock.from_bytes(bytes(wire))
 
-    def test_rle_rejects_runs_that_disagree_with_the_word_count(self):
-        payload = bytearray(compress(np.repeat(np.arange(3), 4).tobytes(), "rle"))
-        payload[16] = 5                         # first run length: 4 -> 5
-        with pytest.raises(StorageError, match="add up"):
-            decompress(bytes(payload), "rle")
-        huge = bytearray(payload)
-        huge[16:24] = struct.pack("<q", 2**62)   # no allocation is attempted
-        with pytest.raises(StorageError):
-            decompress(bytes(huge), "rle")
-        with pytest.raises(StorageError, match="runs in"):
-            decompress(bytes(payload[:-3]), "rle")
+    def test_an_rle_codec_field_is_a_storage_error(self):
+        block = ColumnBlock.from_values(np.repeat(np.arange(3), 4), SqlType.INTEGER,
+                                        codec="none")
+        block.codec = "rle"                     # a block written by an older build
+        restored = ColumnBlock.from_bytes(block.to_bytes())
+        assert restored.codec == "rle"
+        with pytest.raises(StorageError, match="unknown compression codec"):
+            restored.values()
 
     def test_byte_plane_header_is_checked_against_the_payload(self):
         payload = shuffle_compress(np.random.default_rng(0).normal(size=64).tobytes(),
@@ -863,3 +842,38 @@ class TestLayoutsThroughMover:
 
 class TestLayoutsThroughMoverOnDisk(OnDisk, TestLayoutsThroughMover):
     pass
+
+
+class TestTableCodec:
+    """A cluster takes the codec ``none`` or ``zlib``; any other name is
+    refused when the cluster is built, before a table, a load or a
+    committed WOS row exists that the codec would later fail to encode."""
+
+    @pytest.mark.parametrize("codec", ["bogus", "rle", "", "ZLIB", "zlib+shuffle"])
+    def test_constructor_rejects_an_unknown_codec(self, codec):
+        with pytest.raises(StorageError, match="unknown compression codec"):
+            VerticaCluster(node_count=2, codec=codec)
+
+    def test_unknown_codec_fails_before_any_write(self):
+        done = []
+        with pytest.raises(StorageError, match="unknown compression codec"):
+            cluster = VerticaCluster(node_count=2, codec="bogus")
+            cluster.sql("CREATE TABLE t (k INT, v FLOAT)")
+            cluster.sql("INSERT INTO t VALUES (1, 1.0)")
+            done.append("insert")
+            cluster.bulk_load("t", {"k": np.arange(4), "v": np.ones(4)})
+            done.append("bulk_load")
+            cluster.tuple_mover.run_moveout()
+            done.append("moveout")
+        assert done == []
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_each_codec_loads_and_moves_out(self, codec):
+        cluster = VerticaCluster(node_count=2, codec=codec)
+        cluster.sql("CREATE TABLE t (k INT, v FLOAT)")
+        cluster.sql("INSERT INTO t VALUES (1, 1.0)")
+        cluster.bulk_load("t", {"k": np.arange(4), "v": np.ones(4)})
+        assert cluster.metrics.gauge("wos_rows").now == 1
+        cluster.tuple_mover.run_moveout()
+        assert cluster.metrics.gauge("wos_rows").now == 0
+        assert cluster.sql("SELECT COUNT(*) FROM t").scalar() == 5

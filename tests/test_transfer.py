@@ -388,7 +388,7 @@ class TestFrameForwarding:
                 cluster.create_table_like("t", columns, HashSegmentation("k"))
             cluster.bulk_load("t", columns)
 
-    @pytest.mark.parametrize("codec", ["zlib", "none", "rle"])
+    @pytest.mark.parametrize("codec", ["zlib", "none"])
     def test_forwarded_and_reencoded_frames(self, monkeypatch, data_dir, codec):
         frames = spy_frames(monkeypatch)
         cluster = VerticaCluster(node_count=3, codec=codec, data_dir=data_dir)

@@ -9,14 +9,7 @@ from repro.errors import ModelError
 from repro.harness import all_figures, format_figure, write_experiments_md
 from repro.harness.figures import fig12, fig14, fig17, fig20, fig21
 from repro.vertica import VerticaCluster
-from repro.workloads import (
-    make_blobs,
-    make_classification,
-    make_prediction_table,
-    make_regression,
-    load_cluster_table,
-    load_regression_table,
-)
+from repro.workloads import make_blobs, make_classification, make_regression
 
 
 class TestRegressionWorkload:
@@ -72,28 +65,6 @@ class TestClusterWorkload:
     def test_feature_names(self):
         dataset = make_blobs(10, 3, 2, seed=1)
         assert dataset.feature_names() == ["f0", "f1", "f2"]
-
-
-class TestTableLoaders:
-    def test_load_regression_table(self):
-        cluster = VerticaCluster(node_count=2)
-        data = make_regression(400, 3, seed=0)
-        features = load_regression_table(cluster, "reg", data)
-        assert features == ["x0", "x1", "x2"]
-        assert cluster.sql("SELECT COUNT(*) FROM reg").scalar() == 400
-
-    def test_load_cluster_table(self):
-        cluster = VerticaCluster(node_count=2)
-        dataset = make_blobs(300, 2, 3, seed=1)
-        features = load_cluster_table(cluster, "blobs", dataset)
-        assert features == ["f0", "f1"]
-        assert cluster.sql("SELECT COUNT(*) FROM blobs").scalar() == 300
-
-    def test_make_prediction_table(self):
-        cluster = VerticaCluster(node_count=2)
-        features = make_prediction_table(cluster, "scores", 500, n_features=6)
-        assert len(features) == 6
-        assert cluster.sql("SELECT COUNT(*) FROM scores").scalar() == 500
 
 
 class TestHarness:
